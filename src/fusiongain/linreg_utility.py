@@ -27,7 +27,7 @@ from .errors import (
     ZeroSColumn,
     stage,
 )
-from .nuisance import MAX_CONDITION_NUMBER, Dataset
+from .nuisance import MAX_CONDITION_NUMBER, Dataset, spd_condition_number
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,7 @@ def fit_components(data: Dataset, s_index: int = 0) -> LinRegComponents:
     if not 0 <= s_index < p:
         raise OutOfRange(f"s_index must be in [0, {p - 1}], got {s_index}")
     sigma_mat = x.T @ x / n
-    eigenvalues = np.linalg.eigvalsh(sigma_mat)
-    if eigenvalues[0] <= 0 or eigenvalues[-1] / eigenvalues[0] > MAX_CONDITION_NUMBER:
+    if not spd_condition_number(sigma_mat) <= MAX_CONDITION_NUMBER:
         raise SingularDesign(
             "covariate second-moment matrix is not (numerically) positive definite"
         )

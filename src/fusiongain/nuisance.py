@@ -28,6 +28,10 @@ from .errors import (
 # Gram matrices at or beyond this condition number are treated as singular.
 MAX_CONDITION_NUMBER = 1e12
 
+# Queries per block in the kernel smoothers; bounds the (queries x training)
+# temporaries at a few megabytes.
+CHUNK = 512
+
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 REGRESSOR_KINDS = ("ols-linear", "k-nn", "local-linear")
@@ -132,10 +136,24 @@ def ols_fit(x, y, intercept: bool = True) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     design = np.column_stack([np.ones(x.shape[0]), x]) if intercept else x
     gram = design.T @ design
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > MAX_CONDITION_NUMBER:
+    cond = float(spd_condition_number(gram))
+    if not cond <= MAX_CONDITION_NUMBER:
         raise SingularDesign(f"Gram matrix condition number {cond:.3e} too large")
     return np.linalg.solve(gram, design.T @ y)
+
+
+def spd_condition_number(gram: np.ndarray) -> np.ndarray:
+    """2-norm condition number of symmetric positive semidefinite matrices.
+
+    ``gram`` is one matrix or a stack of them; only the lower triangle is
+    read.  The condition number is the ratio of the largest to the smallest
+    eigenvalue, and infinite where the smallest is not positive.  Compare it
+    with ``MAX_CONDITION_NUMBER`` to decide whether a solve is trusted.
+    """
+    eig = np.linalg.eigvalsh(gram)
+    lo, hi = eig[..., 0], eig[..., -1]
+    positive = lo > 0.0
+    return np.where(positive, hi / np.where(positive, lo, 1.0), np.inf)
 
 
 def default_neighbor_count(n_train: int) -> int:
@@ -167,22 +185,60 @@ class OlsLinearRegressor(Regressor):
 
 
 class KnnRegressor(Regressor):
+    """k-nearest-neighbour regressor: the mean response of the ``k`` training
+    points nearest to each query in Euclidean distance.
+
+    Neighbours are ranked by the exact squared distance sum_d (x_d - X_td)^2,
+    and ties go to the lowest training index.  Queries run in blocks of
+    ``CHUNK``.  Within a block, candidates are picked by partial selection
+    (``np.partition``) on bilinear-form distances |q|^2 + |t|^2 - 2 q.t about
+    the training mean, one GEMM per block: every training point up to the
+    k-th smallest such distance plus a small relative slack that covers
+    their rounding error.  Only the candidates, in ascending index order, are
+    ranked by exact squared distance with a stable sort.  Neighbour sets,
+    their order and the predictions are therefore the same, bit for bit, as
+    a stable argsort of all exact distances, in O(queries x training) memory.
+    """
+
     kind = "k-nn"
+
+    # Candidate slack, relative to |q|^2 + max |t|^2 about the training mean.
+    # The bilinear form and the exact sum are each off by a few (p + 4) ulps
+    # of that scale, so this covers both for any practical p while admitting
+    # almost no extra candidates.
+    _SLACK = 1e-9
 
     def __init__(self, x_train: np.ndarray, y_train: np.ndarray, k: int):
         self.x_train = x_train
         self.y_train = y_train
         self.k = k
+        self._x_mean = x_train.mean(axis=0)
+        self._x_centered = x_train - self._x_mean
+        self._sq_norms = (self._x_centered * self._x_centered).sum(axis=1)
+        self._max_sq_norm = float(self._sq_norms.max())
 
     def predict(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             x = x[:, None]
-        # Stable sort on squared distances makes neighbor ties deterministic
-        # (lowest training index wins).
-        d2 = ((x[:, None, :] - self.x_train[None, :, :]) ** 2).sum(axis=2)
+        out = np.empty(x.shape[0])
+        for start in range(0, x.shape[0], CHUNK):
+            neighbors = self._neighbors(x[start : start + CHUNK])
+            out[start : start + CHUNK] = self.y_train[neighbors].mean(axis=1)
+        return out
+
+    def _neighbors(self, xq: np.ndarray) -> np.ndarray:
+        """Training indices of each query's k nearest points, nearest first."""
+        qc = xq - self._x_mean
+        q_sq = (qc * qc).sum(axis=1)
+        approx = q_sq[:, None] + self._sq_norms[None, :] - 2.0 * (qc @ self._x_centered.T)
+        kth = np.partition(approx, self.k - 1, axis=1)[:, self.k - 1]
+        limit = kth + self._SLACK * (q_sq + self._max_sq_norm)
+        width = int((approx <= limit[:, None]).sum(axis=1).max())
+        candidates = np.sort(np.argpartition(approx, width - 1, axis=1)[:, :width], axis=1)
+        d2 = ((xq[:, None, :] - self.x_train[candidates]) ** 2).sum(axis=2)
         order = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
-        return self.y_train[order].mean(axis=1)
+        return np.take_along_axis(candidates, order, axis=1)
 
 
 class LocalLinearRegressor(Regressor):
@@ -199,11 +255,20 @@ class LocalLinearRegressor(Regressor):
     Gram matrix is still ill conditioned fall back to the kernel-weighted
     mean, and to the global training mean if every weight underflows, so
     predictions are always finite.
+
+    The local normal equations come from one GEMM per block of ``CHUNK``
+    queries: the weights times a training design centred once at the
+    training mean, with columns 1, Xc, the upper triangle of Xc Xc', yc and
+    Xc yc (yc the mean-centred response).  Each query's moments are then
+    moved from the training mean to the query in closed form, giving the
+    same (p+1) x (p+1) Gram matrix and right-hand side as centring the design
+    at the query, without any (queries x training x p) temporary.  The
+    condition gate takes eigenvalues of the symmetric Gram matrices
+    (``spd_condition_number``).
     """
 
     kind = "local-linear"
 
-    _CHUNK = 512  # bounds the (queries x training) temporaries
     MIN_EFFECTIVE_WEIGHT = 20.0
     MAX_INFLATIONS = 16
 
@@ -218,15 +283,25 @@ class LocalLinearRegressor(Regressor):
         # the local solve (constant responses reproduce exactly)
         self._y_mean = float(np.mean(y_train))
         self._y_centered = y_train - self._y_mean
+        self._x_mean = x_train.mean(axis=0)
+        xc = x_train - self._x_mean
+        self._upper = np.triu_indices(xc.shape[1])
+        rows, cols = self._upper
+        self._moment_design = np.column_stack([
+            np.ones(xc.shape[0]),
+            xc,
+            xc[:, rows] * xc[:, cols],
+            self._y_centered,
+            xc * self._y_centered[:, None],
+        ])
 
     def predict(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             x = x[:, None]
         out = np.empty(x.shape[0])
-        for start in range(0, x.shape[0], self._CHUNK):
-            block = x[start : start + self._CHUNK]
-            out[start : start + self._CHUNK] = self._predict_block(block)
+        for start in range(0, x.shape[0], CHUNK):
+            out[start : start + CHUNK], _ = self._predict_block(x[start : start + CHUNK])
         return out
 
     def _floored_weights(self, xq: np.ndarray) -> np.ndarray:
@@ -245,28 +320,34 @@ class LocalLinearRegressor(Regressor):
             pending[rows[w_new.sum(axis=1) >= self.MIN_EFFECTIVE_WEIGHT]] = False
         return w
 
-    def _predict_block(self, xq: np.ndarray) -> np.ndarray:
-        w = self._floored_weights(xq)
-        diff = self.x_train[None, :, :] - xq[:, None, :]
-        nq, nt, p = diff.shape
-        # Weighted moments assemble the normal equations without materializing
-        # the (queries x training x p+1) design tensor.
-        weighted_diff_t = diff.transpose(0, 2, 1) * w[:, None, :]  # (nq, p, nt)
-        s0 = w.sum(axis=1)
-        s1 = weighted_diff_t.sum(axis=2)
-        s2 = weighted_diff_t @ diff
-        t0 = w @ self._y_centered
-        t1 = weighted_diff_t @ self._y_centered
+    def _predict_block(self, xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Predictions for one block of queries, and which passed the condition gate."""
+        nq, p = xq.shape
+        rows, cols = self._upper
+        moments = self._floored_weights(xq) @ self._moment_design
+        s0 = moments[:, 0]
+        m1 = moments[:, 1 : 1 + p]
+        m2 = moments[:, 1 + p : 1 + p + rows.size]
+        t0 = moments[:, 1 + p + rows.size]
+        u1 = moments[:, 2 + p + rows.size :]
+        # Move the moments from the training mean to the query point d:
+        # sum w (X - xq) = m1 - s0 d, sum w (X - xq)(X - xq)' = M2 - m1 d' - d m1' + s0 d d',
+        # sum w (X - xq) y = u1 - t0 d.  Both triangles are built alike, so
+        # the Gram matrix is exactly symmetric.
+        d = xq - self._x_mean
+        cross = m1[:, :, None] * d[:, None, :]
         gram = np.empty((nq, p + 1, p + 1))
         gram[:, 0, 0] = s0
-        gram[:, 0, 1:] = s1
-        gram[:, 1:, 0] = s1
-        gram[:, 1:, 1:] = s2
+        gram[:, 0, 1:] = gram[:, 1:, 0] = m1 - s0[:, None] * d
+        s2 = gram[:, 1:, 1:]
+        s2[:, rows, cols] = m2
+        s2[:, cols, rows] = m2
+        s2 -= cross + cross.transpose(0, 2, 1)
+        s2 += s0[:, None, None] * (d[:, :, None] * d[:, None, :])
         rhs = np.empty((nq, p + 1))
         rhs[:, 0] = t0
-        rhs[:, 1:] = t1
-        conds = np.linalg.cond(gram)
-        ok = np.isfinite(conds) & (conds <= MAX_CONDITION_NUMBER)
+        rhs[:, 1:] = u1 - t0[:, None] * d
+        ok = spd_condition_number(gram) <= MAX_CONDITION_NUMBER
         out = np.empty(nq)
         if np.any(ok):
             out[ok] = (
@@ -276,7 +357,7 @@ class LocalLinearRegressor(Regressor):
             bad_s0 = s0[~ok]
             local_mean = np.where(bad_s0 > 0, t0[~ok] / np.where(bad_s0 > 0, bad_s0, 1.0), 0.0)
             out[~ok] = local_mean + self._y_mean
-        return out
+        return out, ok
 
 
 def fit_conditional_mean(
@@ -413,9 +494,13 @@ def _gaussian_weights(x_sample: np.ndarray, bandwidths: np.ndarray, xq: np.ndarr
     """
     a = xq / bandwidths
     b = x_sample / bandwidths
-    d2 = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
+    cross = a @ b.T
+    cross *= 2.0
+    d2 = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
+    d2 -= cross
     np.maximum(d2, 0.0, out=d2)
-    return np.exp(-0.5 * d2)
+    d2 *= -0.5
+    return np.exp(d2, out=d2)
 
 
 def cond_kde_eval(
@@ -461,13 +546,12 @@ def cond_kde_profile(
     zy = (float(y_point) - y_sample) / y_bandwidth
     y_kernel = np.exp(-0.5 * zy * zy) / (y_bandwidth * _SQRT_2PI)
     out = np.empty(x_queries.shape[0])
-    chunk = 512
-    for start in range(0, x_queries.shape[0], chunk):
-        w = _gaussian_weights(x_sample, x_bandwidths, x_queries[start : start + chunk])
+    for start in range(0, x_queries.shape[0], CHUNK):
+        w = _gaussian_weights(x_sample, x_bandwidths, x_queries[start : start + CHUNK])
         sw = w.sum(axis=1)
         if np.any(sw <= 0.0):
             raise EmptyNeighborhood(
                 "all covariate kernel weights underflowed to zero at a query point"
             )
-        out[start : start + chunk] = (w @ y_kernel) / sw
+        out[start : start + CHUNK] = (w @ y_kernel) / sw
     return out

@@ -37,11 +37,18 @@ MAX_INFLATIONS = 16
 
 
 def ref_local_linear_predict(x_train, y_train, x_test, bandwidths=None):
+    return ref_local_linear_fit(x_train, y_train, x_test, bandwidths)[0]
+
+
+def ref_local_linear_fit(x_train, y_train, x_test, bandwidths=None):
+    """Local-linear predictions, and per query whether the local solve passed
+    the condition gate (False: kernel-weighted mean fallback)."""
     if bandwidths is None:
         bandwidths = np.array(
             [ref_silverman(x_train[:, j]) for j in range(x_train.shape[1])]
         )
     preds = np.empty(len(x_test))
+    solved = np.empty(len(x_test), dtype=bool)
     for q in range(len(x_test)):
         u = (x_test[q] - x_train) / bandwidths
         w = np.exp(-0.5 * np.sum(u * u, axis=1))
@@ -60,11 +67,26 @@ def ref_local_linear_predict(x_train, y_train, x_test, bandwidths=None):
         gram = design.T @ (w[:, None] * design)
         rhs = design.T @ (w * y_train)
         cond = np.linalg.cond(gram)
-        if not np.isfinite(cond) or cond > COND_LIMIT:
+        solved[q] = np.isfinite(cond) and cond <= COND_LIMIT
+        if not solved[q]:
             sw = w.sum()
             preds[q] = (w @ y_train) / sw if sw > 0 else y_train.mean()
         else:
             preds[q] = np.linalg.solve(gram, rhs)[0]
+    return preds, solved
+
+
+def ref_knn_predict(x_train, y_train, x_test, k=None):
+    """Mean response of the k nearest training points; a query's neighbours
+    are the first k after sorting (squared distance, training index) pairs."""
+    if k is None:
+        k = min(max(1, math.ceil(len(x_train) ** 0.8 / 4.0)), len(x_train))
+    preds = np.empty(len(x_test))
+    for q in range(len(x_test)):
+        ranked = sorted(
+            (float(np.sum((x_test[q] - x_train[i]) ** 2)), i) for i in range(len(x_train))
+        )
+        preds[q] = np.mean([y_train[i] for _, i in ranked[:k]])
     return preds
 
 
@@ -78,7 +100,8 @@ def ref_crossfit(x, response, assignment, predictor):
 
 
 def _predictor(mode):
-    return ref_ols_predict if mode == "linear" else ref_local_linear_predict
+    return {"linear": ref_ols_predict, "local-linear": ref_local_linear_predict,
+            "k-nn": ref_knn_predict}[mode]
 
 
 def ref_empirical_quantile(y, tau):

@@ -147,13 +147,15 @@ def test_criterion_5_oracle_equivalence():
         case_id, n, b, nu, tau = case
         oracle.test_mean_linear_matches_reference(case_id, n, b, nu, tau)
         oracle.test_mean_conditional_matches_reference(case_id, n, b, nu, tau)
+        oracle.test_mean_conditional_knn_matches_reference(case_id, n, b, nu, tau)
         oracle.test_quantile_matches_reference(case_id, n, b, nu, tau)
         oracle.test_linreg_matches_reference(case_id, n, b, nu, tau)
     _report(
         "5 (oracle equivalence)",
         True,
         "20 seeded datasets (n in {50,200}), theta-hat/theta-tilde/gamma^2 for all "
-        "methods match the brute-force reference to 1e-8",
+        "methods (mean-conditional with local-linear and k-NN) match the brute-force "
+        "reference to 1e-8",
     )
 
 

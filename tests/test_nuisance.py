@@ -13,6 +13,7 @@ from fusiongain.errors import (
     ZeroDispersion,
 )
 from fusiongain.nuisance import (
+    MAX_CONDITION_NUMBER,
     Dataset,
     KernelDensity,
     cond_kde_eval,
@@ -23,8 +24,9 @@ from fusiongain.nuisance import (
     make_split_plan,
     ols_fit,
     silverman_bandwidth,
+    spd_condition_number,
 )
-from reference_impl import ref_local_linear_predict
+from reference_impl import ref_local_linear_fit, ref_local_linear_predict
 
 
 class TestSplitPlan:
@@ -84,6 +86,14 @@ class TestOls:
         with pytest.raises(SingularDesign):
             ols_fit(np.array([[1.0], [1.0]]), np.array([0.0, 1.0]))
 
+    def test_condition_number_matches_svd(self):
+        rng = np.random.default_rng(6)
+        a = rng.normal(size=(50, 8, 4))
+        grams = a.transpose(0, 2, 1) @ a
+        assert spd_condition_number(grams) == pytest.approx(np.linalg.cond(grams), rel=1e-8)
+        singular = np.array([[2.0, 2.0], [2.0, 2.0]])
+        assert not spd_condition_number(singular) <= MAX_CONDITION_NUMBER
+
     def test_residuals_orthogonal_to_design(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(200, 3))
@@ -120,10 +130,73 @@ class TestRegressors:
         mse = float(np.mean((reg.predict(grid) - np.sin(grid[:, 0])) ** 2))
         assert mse <= 0.01
 
+    def test_knn_ties_go_to_lowest_index(self):
+        # 12 integer-grid points, each repeated at four indices, so equal
+        # distances abound; y = 2^i makes a neighbour set readable from the
+        # prediction, since sums of distinct powers of two are exact
+        rng = np.random.default_rng(31)
+        base = rng.integers(-3, 4, size=(12, 2)).astype(float)
+        x = base[np.arange(48) % 12]
+        y = 2.0 ** np.arange(48)
+        queries = np.vstack([base, base + 0.5, [[0.0, 0.0]]])
+        tiled = np.tile(queries, (25, 1))  # more queries than one block
+        for k in (1, 3, 5, 13, 47):
+            reg = fit_conditional_mean(Dataset(y, x), "k-nn", n_neighbors=k)
+            preds = reg.predict(tiled)
+            for q, value in zip(queries, preds):
+                ranked = sorted((float(np.sum((q - x[i]) ** 2)), i) for i in range(48))
+                assert value == sum(2.0**i for _, i in ranked[:k]) / k
+            assert np.array_equal(preds, np.tile(preds[: len(queries)], 25))
+
     def test_unknown_kind(self):
         train = Dataset(np.zeros(3), np.ones((3, 1)))
         with pytest.raises(OutOfRange):
             fit_conditional_mean(train, "spline")
+
+
+class TestLocalLinearEdgeCases:
+    """The GEMM-moment path against the query-centred loop reference."""
+
+    @staticmethod
+    def _compare(x_train, y_train, x_test, bandwidths):
+        reg = fit_conditional_mean(
+            Dataset(y_train, x_train), "local-linear", bandwidth=bandwidths
+        )
+        preds, solved = reg._predict_block(x_test)
+        expected, expected_solved = ref_local_linear_fit(
+            x_train, y_train, x_test, np.asarray(bandwidths, dtype=float)
+        )
+        assert np.array_equal(solved, expected_solved)
+        # relative as well as absolute: a query far outside the design makes
+        # the query-centred Gram matrix ill conditioned (about 1e7 at x = 60),
+        # so both solves carry round-off proportional to the extrapolated value
+        assert preds == pytest.approx(expected, rel=1e-10, abs=1e-10)
+        assert np.array_equal(reg.predict(x_test), preds)
+        return solved
+
+    def test_far_out_query_needs_inflation(self):
+        from fusiongain.simulation import DgpConfig, generate_dgp
+
+        data = generate_dgp(DgpConfig(b=1.0, n=400, seed=7))
+        bands = np.array([silverman_bandwidth(data.x[:, d]) for d in range(2)])
+        x_test = np.array([[60.0, 0.0], [-60.0, 1.0], [0.0, 60.0]])
+        u = (x_test[:, None, :] - data.x[None, :, :]) / bands
+        assert np.all(np.exp(-0.5 * (u * u).sum(axis=2)).sum(axis=1) < 20.0)
+        assert self._compare(data.x, data.y, x_test, bands).all()
+
+    def test_constant_covariate_falls_back_to_local_mean(self):
+        rng = np.random.default_rng(42)
+        x = np.column_stack([rng.normal(size=300), np.full(300, 0.1)])
+        y = x[:, 0] ** 2 + 0.3 * rng.normal(size=300)
+        x_test = np.column_stack([np.linspace(-2.0, 2.0, 9), np.full(9, 0.1)])
+        assert not self._compare(x, y, x_test, [0.4, 1.0]).any()
+
+    def test_queries_at_training_points(self):
+        rng = np.random.default_rng(43)
+        x = rng.normal(size=(300, 3))
+        y = np.cos(x[:, 0]) * x[:, 1] + 0.3 * rng.normal(size=300)
+        bands = np.array([silverman_bandwidth(x[:, d]) for d in range(3)])
+        assert self._compare(x, y, x[:60], bands).all()
 
 
 class TestCrossfit:

@@ -1,7 +1,8 @@
 """Estimator arithmetic vs the independent brute-force reference, at 1e-8.
 
 Twenty seeded datasets at n in {50, 200}; point, split and variance estimates
-for every method are compared against the loop-based transcription in
+for every method (mean-conditional with both the local-linear and the k-NN
+regressor) are compared against the loop-based transcription in
 reference_impl.py, with fold assignments passed through as data.
 """
 
@@ -67,50 +68,43 @@ def _dataset(case_id, n, b):
     return generate_dgp(DgpConfig(b=b, n=n, seed=1000 + case_id))
 
 
-@pytest.mark.parametrize("case_id,n,b,nu,tau", CASES)
-def test_mean_linear_matches_reference(case_id, n, b, nu, tau):
+def _assert_mean_matches_reference(case_id, n, b, nu, cfg, mode):
     data = _dataset(case_id, n, b)
-    cfg = MeanAssessmentConfig(nu=nu, g_mode="linear", seed=case_id)
     plan = make_split_plan(n, 5, seed=case_id)
     half_plan = make_split_plan(math.ceil(n / 2), 5, seed=case_id)
 
     theta = point_estimate_mean(data, cfg)
-    expected, _ = ref_mean_point(data.y, data.x, nu, plan.assignment, "linear")
+    expected, _ = ref_mean_point(data.y, data.x, nu, plan.assignment, mode)
     assert theta == pytest.approx(expected, abs=TOL)
 
     theta_tilde = split_estimate_mean(data, cfg)
-    expected_tilde = ref_mean_split(data.y, data.x, nu, half_plan.assignment, "linear")
+    expected_tilde = ref_mean_split(data.y, data.x, nu, half_plan.assignment, mode)
     assert theta_tilde == pytest.approx(expected_tilde, abs=TOL)
 
     im = compute_mean_intermediates(data, cfg)
     gamma_sq = variance_mean(data, cfg, im)
-    expected_gamma = ref_mean_gamma_sq(data.y, data.x, nu, plan.assignment, "linear")
+    expected_gamma = ref_mean_gamma_sq(data.y, data.x, nu, plan.assignment, mode)
     assert gamma_sq == pytest.approx(expected_gamma, abs=TOL)
+
+
+@pytest.mark.parametrize("case_id,n,b,nu,tau", CASES)
+def test_mean_linear_matches_reference(case_id, n, b, nu, tau):
+    cfg = MeanAssessmentConfig(nu=nu, g_mode="linear", seed=case_id)
+    _assert_mean_matches_reference(case_id, n, b, nu, cfg, "linear")
 
 
 @pytest.mark.parametrize("case_id,n,b,nu,tau", CASES)
 def test_mean_conditional_matches_reference(case_id, n, b, nu, tau):
-    data = _dataset(case_id, n, b)
     cfg = MeanAssessmentConfig(nu=nu, g_mode="conditional-mean", seed=case_id)
-    plan = make_split_plan(n, 5, seed=case_id)
-    half_plan = make_split_plan(math.ceil(n / 2), 5, seed=case_id)
+    _assert_mean_matches_reference(case_id, n, b, nu, cfg, "local-linear")
 
-    theta = point_estimate_mean(data, cfg)
-    expected, _ = ref_mean_point(data.y, data.x, nu, plan.assignment, "local-linear")
-    assert theta == pytest.approx(expected, abs=TOL)
 
-    theta_tilde = split_estimate_mean(data, cfg)
-    expected_tilde = ref_mean_split(
-        data.y, data.x, nu, half_plan.assignment, "local-linear"
+@pytest.mark.parametrize("case_id,n,b,nu,tau", CASES)
+def test_mean_conditional_knn_matches_reference(case_id, n, b, nu, tau):
+    cfg = MeanAssessmentConfig(
+        nu=nu, g_mode="conditional-mean", regressor="k-nn", seed=case_id
     )
-    assert theta_tilde == pytest.approx(expected_tilde, abs=TOL)
-
-    im = compute_mean_intermediates(data, cfg)
-    gamma_sq = variance_mean(data, cfg, im)
-    expected_gamma = ref_mean_gamma_sq(
-        data.y, data.x, nu, plan.assignment, "local-linear"
-    )
-    assert gamma_sq == pytest.approx(expected_gamma, abs=TOL)
+    _assert_mean_matches_reference(case_id, n, b, nu, cfg, "k-nn")
 
 
 @pytest.mark.parametrize("case_id,n,b,nu,tau", CASES)
