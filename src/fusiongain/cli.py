@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
+import math
 import sys
+import warnings
 from pathlib import Path
+
+import numpy as np
 
 from .core import UtilityEstimate, relative_utility
 from .errors import (
@@ -42,57 +45,107 @@ def parse_csv(path: str, response: str | None = None) -> Dataset:
     """Read a header + numeric rows CSV into a Dataset.
 
     One column (``response``, default the first) becomes y; the remaining
-    columns become x in file order.  Any missing or non-numeric cell fails
-    the parse, with the offending file rows listed.
+    columns become x in file order.  Header names must be distinct and
+    non-empty.  A data cell is a finite ASCII decimal or exponent number,
+    optionally padded with whitespace and quoted with ``"``; blank lines are
+    skipped.  Any other cell fails the parse, with the offending file lines
+    listed.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = [name.strip() for name in next((row for row in reader if row), [])]
+            if not header:
+                raise EmptyData(f"{path} is empty")
+            response_idx = _response_index(path, header, response)
+            try:
+                with warnings.catch_warnings():
+                    # an empty body is reported as EmptyData below
+                    warnings.simplefilter("ignore", UserWarning)
+                    table = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"',
+                                       ndmin=2, dtype=float)
+            except UnicodeDecodeError:  # a ValueError, but reported below
+                raise
+            except ValueError:
+                table = None
     except OSError as err:
         raise IoError(f"cannot read {path}: {err}") from err
-    rows = [row for row in csv.reader(io.StringIO(text)) if row]
-    if not rows:
-        raise EmptyData(f"{path} is empty")
-    header = [name.strip() for name in rows[0]]
-    body = rows[1:]
-    if not body:
+    except UnicodeDecodeError:
+        raise ParseError(f"{path} is not UTF-8: {_utf8_error(path)}") from None
+    if table is not None and table.shape[0] == 0:
         raise EmptyData(f"{path} has a header but no data rows")
-    response_name = response if response is not None else header[0]
-    if response_name not in header:
-        raise ParseError(f"response column {response_name!r} not in header {header}")
-    if len(header) < 2:
-        raise EmptyData(f"{path} needs at least one covariate column besides the response")
-
-    bad: list[tuple[int, str]] = []
-    values = []
-    for line_no, row in enumerate(body, start=2):
-        if len(row) != len(header):
-            bad.append((line_no, "<row>"))
-            continue
-        parsed = []
-        for name, cell in zip(header, row):
-            try:
-                value = float(cell)
-            except ValueError:
-                bad.append((line_no, name))
-                continue
-            if value != value or value in (float("inf"), float("-inf")):
-                bad.append((line_no, name))
-                continue
-            parsed.append(value)
-        if len(parsed) == len(header):
-            values.append(parsed)
-    if bad:
+    if table is None or table.shape[1] != len(header) or not np.isfinite(table).all():
+        bad = _bad_cells(path, header)
         listing = ", ".join(f"row {line} (column {col})" for line, col in bad[:20])
         more = "" if len(bad) <= 20 else f" and {len(bad) - 20} more"
         raise ParseError(
             f"missing or non-numeric cells: {listing}{more}", locations=bad
         )
 
-    response_idx = header.index(response_name)
-    y = [row[response_idx] for row in values]
-    x = [[v for j, v in enumerate(row) if j != response_idx] for row in values]
+    y = table[:, response_idx].copy()
+    x = np.delete(table, response_idx, axis=1)
     names = tuple(name for j, name in enumerate(header) if j != response_idx)
     return Dataset(y, x, names)
+
+
+def _response_index(path: str, header: list[str], response: str | None) -> int:
+    """Validate the header names; return the column index of the response."""
+    if "" in header:
+        raise ParseError(f"empty column name at position {header.index('') + 1} in {header}")
+    repeated = sorted({name for name in header if header.count(name) > 1})
+    if repeated:
+        raise ParseError(f"duplicate column names {repeated} in header {header}")
+    response_name = response if response is not None else header[0]
+    if response_name not in header:
+        raise ParseError(f"response column {response_name!r} not in header {header}")
+    if len(header) < 2:
+        raise EmptyData(f"{path} needs at least one covariate column besides the response")
+    return header.index(response_name)
+
+
+def _cell_ok(cell: str) -> bool:
+    """Whether ``np.loadtxt`` parses ``cell`` (already unquoted) to a finite float.
+
+    numpy strips Unicode whitespace and then hands the ASCII text to the same
+    correctly rounded parser as ``float()``, but without ``float()``'s
+    underscore and non-ASCII digit extensions.
+    """
+    text = cell.strip()
+    if not text.isascii() or "_" in text:
+        return False
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
+def _bad_cells(path: str, header: list[str]) -> list[tuple[int, str]]:
+    """(file line, column name or ``<row>``) of every cell ``parse_csv`` rejects."""
+    bad: list[tuple[int, str]] = []
+    with open(path, encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(row for row in reader if row)
+        line_no = reader.line_num + 1
+        for row in reader:
+            if len(row) != len(header):
+                if row:
+                    bad.append((line_no, "<row>"))
+            else:
+                bad.extend((line_no, name) for name, cell in zip(header, row)
+                           if not _cell_ok(cell))
+            line_no = reader.line_num + 1
+    return bad
+
+
+def _utf8_error(path: str) -> str:
+    """Where the first byte that is not UTF-8 sits in ``path``."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        return f"invalid byte 0x{data[err.start]:02x} at byte offset {err.start} (line {line})"
+    return "the file changed while it was read"
 
 
 class _Parser(argparse.ArgumentParser):

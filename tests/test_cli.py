@@ -1,9 +1,12 @@
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fusiongain.cli import main, parse_csv
+from fusiongain.cli import _cell_ok, main, parse_csv
 from fusiongain.errors import EmptyData, IoError, ParseError
 from fusiongain.mean_utility import MeanAssessmentConfig, assess_mean
 from fusiongain.simulation import DgpConfig, generate_dgp
@@ -44,6 +47,7 @@ class TestParseCsv:
         assert "row 3" in str(exc.value)
         assert exc.value.locations == [(3, "x1")]
 
+    @pytest.mark.filterwarnings("error")
     def test_header_only_file(self, tmp_path):
         path = _write(tmp_path, "a.csv", "y,x1\n")
         with pytest.raises(EmptyData):
@@ -62,6 +66,193 @@ class TestParseCsv:
         path = _write(tmp_path, "a.csv", "y\n1\n2\n")
         with pytest.raises(EmptyData):
             parse_csv(path)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["y,x1\n\n\n", "\ny,x1"])
+    def test_header_and_blank_lines_only(self, tmp_path, text):
+        path = _write(tmp_path, "a.csv", text)
+        with pytest.raises(EmptyData):
+            parse_csv(path)
+
+    def test_locations_are_file_lines(self, tmp_path):
+        # blank lines and a quoted cell spanning two lines still count as lines
+        path = _write(tmp_path, "a.csv", 'y,x\n1,2\n\n"3\n",4\n5,NA\n')
+        with pytest.raises(ParseError) as exc:
+            parse_csv(path)
+        assert exc.value.locations == [(6, "x")]
+        path = _write(tmp_path, "b.csv", 'y,x\n\n"bad\n",4\n')
+        with pytest.raises(ParseError) as exc:
+            parse_csv(path)
+        assert exc.value.locations == [(3, "y")]
+
+    def test_many_bad_cells_listed(self, tmp_path):
+        lines = ["y,a,b"] + [f"{i},NA,x" if i % 2 else f"{i},1,2" for i in range(30)]
+        lines[5] = "1,2"
+        path = _write(tmp_path, "a.csv", "\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as exc:
+            parse_csv(path)
+        expected = [(6, "<row>")] + [
+            (i + 2, col) for i in range(1, 30, 2) for col in ("a", "b")
+        ]
+        expected.sort()
+        assert exc.value.locations == expected
+        message = str(exc.value)
+        assert message.startswith(
+            "missing or non-numeric cells: row 3 (column a), row 3 (column b), "
+            "row 5 (column a), row 5 (column b), row 6 (column <row>), "
+        )
+        assert message.count("row ") == 20
+        assert message.endswith(f" and {len(expected) - 20} more")
+
+    def test_every_row_too_short(self, tmp_path):
+        path = _write(tmp_path, "a.csv", "y,a,b\n1,2\n3,4\n")
+        with pytest.raises(ParseError) as exc:
+            parse_csv(path)
+        assert exc.value.locations == [(2, "<row>"), (3, "<row>")]
+
+    @pytest.mark.parametrize("header", ["y,s,s", "y,x,y", "y,,x", "y, x ,x"])
+    def test_duplicate_or_empty_header_rejected(self, tmp_path, header):
+        path = _write(tmp_path, "a.csv", header + "\n1,2,3\n")
+        with pytest.raises(ParseError):
+            parse_csv(path)
+
+    @pytest.mark.parametrize("tail_rows", [0, 2000])
+    def test_invalid_utf8_names_offset(self, tmp_path, tail_rows):
+        # with 2000 rows ahead, the bad byte is decoded inside the numeric read
+        head = b"y,x\n" + b"1.5,2.5\n" * tail_rows
+        path = tmp_path / "a.csv"
+        path.write_bytes(head + b"3,\xff4\n")
+        with pytest.raises(ParseError) as exc:
+            parse_csv(str(path))
+        assert f"byte offset {len(head) + 2} (line {tail_rows + 2})" in str(exc.value)
+
+    def test_line_ending_styles(self, tmp_path):
+        for end in ("\n", "\r\n", "\r"):
+            path = _write(tmp_path, "a.csv", end.join(["y,x", "1,2", "", "3,4", ""]))
+            data = parse_csv(path)
+            assert data.y.tolist() == [1.0, 3.0] and data.x.tolist() == [[2.0], [4.0]]
+
+    def test_response_column_is_sliced_out(self, tmp_path):
+        path = _write(tmp_path, "a.csv", "a,y,b\n1,2,3\n4,5,6\n")
+        data = parse_csv(path, response="y")
+        assert data.y.tolist() == [2.0, 5.0]
+        assert data.x.tolist() == [[1.0, 3.0], [4.0, 6.0]]
+        assert data.column_names == ("a", "b")
+        assert data.y.flags.c_contiguous and data.x.flags.c_contiguous
+
+
+# Cells the numeric reader must accept or reject; the locate pass that names
+# rejected cells has to judge each one exactly as np.loadtxt does.
+CELL_BATTERY = [
+    "1", "-0", "+.5", "5.", ".5e-3", "1E+5", "00012", "-1.25e-310", " 1 ",
+    "\t-2.5e3\t", "\u00a01\u2009", "1\x1c", "1\n", "1e999", "-1e999", "1e-999",
+    "inf", "-Infinity", "nan", "NaN", "1_0", "1_000.5", "\u0661", "\uff11",
+    "1\u0662", "", " ", "NA", "0x10", "1d5", "1.5.2", "1 2", "--1", "+-1", "e5",
+    "1e", "1e+", "1,5", "1\u00a02", '1"',
+]
+
+
+def _loadtxt_accepts(cell: str) -> bool:
+    quoted = '"' + cell.replace('"', '""') + '"'
+    try:
+        value = np.loadtxt(io.StringIO(quoted + ",0\n"), delimiter=",", comments=None,
+                           quotechar='"', ndmin=2, dtype=float)
+    except ValueError:
+        return False
+    return bool(np.isfinite(value).all())
+
+
+@pytest.mark.parametrize("cell", CELL_BATTERY)
+def test_cell_predicate_matches_loadtxt(cell):
+    assert _cell_ok(cell) == _loadtxt_accepts(cell)
+
+
+def test_cell_grammar_narrower_than_float():
+    for cell in ("1_0", "\u0661", "\uff11"):
+        float(cell)
+        assert not _cell_ok(cell)
+
+
+def _number_text():
+    exponent = st.builds(
+        lambda m, e, mark, sign: f"{m}{mark}{sign}{e}",
+        st.sampled_from(["1", "2.5", "0.125", "9.99", "123456789", ".5", "7."]),
+        st.integers(0, 300), st.sampled_from(["e", "E"]), st.sampled_from(["", "+", "-"]),
+    )
+    return st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.integers(-(10 ** 20), 10 ** 20).map(str),
+        st.builds(lambda sign, body: sign + body, st.sampled_from(["", "+", "-"]), exponent),
+    )
+
+
+@st.composite
+def _cell(draw):
+    text = draw(_number_text())
+    pad = st.sampled_from(["", " ", "  ", "\t"])
+    padded = draw(pad) + text + draw(pad)
+    quoted = draw(st.booleans())
+    return text, f'"{padded}"' if quoted else padded
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(
+        lambda p: st.lists(st.lists(_cell(), min_size=p, max_size=p), min_size=1, max_size=8)
+    ),
+    st.sampled_from(["\n", "\r\n"]),
+    st.lists(st.booleans(), min_size=8, max_size=8),
+)
+def test_parsed_values_bitwise_equal_float(tmp_path_factory, rows, newline, blank_after):
+    width = len(rows[0])
+    lines = [",".join(f"c{j}" for j in range(width))]
+    for row, blank in zip(rows, blank_after):
+        lines.append(",".join(cell for _, cell in row))
+        if blank:
+            lines.append("")
+    path = tmp_path_factory.mktemp("fidelity") / "a.csv"
+    path.write_bytes((newline.join(lines) + newline).encode())
+    data = parse_csv(str(path))
+    expected = np.array([[float(text) for text, _ in row] for row in rows])
+    assert data.y.view(np.uint64).tolist() == expected[:, 0].view(np.uint64).tolist()
+    assert (data.x.view(np.uint64) == expected[:, 1:].view(np.uint64)).all()
+
+
+def _quote(cell: str) -> str:
+    return '"' + cell.replace('"', '""') + '"'
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.lists(
+            st.tuples(
+                st.one_of(_number_text(), st.sampled_from(CELL_BATTERY)), st.booleans()
+            ),
+            min_size=2, max_size=2,
+        ),
+        min_size=1, max_size=6,
+    )
+)
+def test_rejected_files_name_every_bad_cell(tmp_path_factory, rows):
+    lines = ["y,x"] + [
+        ",".join(_quote(cell) if quoted or any(c in cell for c in ',"\n') else cell
+                 for cell, quoted in row)
+        for row in rows
+    ]
+    path = tmp_path_factory.mktemp("locate") / "a.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    bad, line = [], 2
+    for row in rows:
+        bad.extend((line, name) for name, (cell, _) in zip(("y", "x"), row)
+                   if not _loadtxt_accepts(cell))
+        line += 1 + sum(cell.count("\n") for cell, _ in row)
+    if not bad:
+        assert parse_csv(str(path)).n == len(rows)
+        return
+    with pytest.raises(ParseError) as exc:
+        parse_csv(str(path))
+    assert exc.value.locations == bad
 
 
 class TestAssessCommand:
@@ -148,6 +339,18 @@ class TestAssessCommand:
         )
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "UsageError"
+
+    def test_non_utf8_input_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("y,x\n1,2\n3,caf\u00e9\n".encode("latin-1"))
+        code = main(["assess", "--method", "mean-linear", "--input", str(path),
+                     "--nu", "0.5"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        payload = json.loads(captured.err)
+        assert payload["error"] == "ParseError"
+        assert "byte offset 13 (line 3)" in payload["message"]
 
     def test_missing_input_io_error(self, tmp_path, capsys):
         code = main(
