@@ -8,10 +8,11 @@ the mean response, a response quantile, and linear-regression coefficients.
 """
 
 from .core import (
-    BoundPair,
     Interval,
     RelativeUtility,
     UtilityEstimate,
+    check_settings,
+    finalize,
     normal_cdf,
     normal_quantile,
     ratio_estimate,
@@ -60,8 +61,10 @@ from .quantile_utility import (
     variance_quantile,
 )
 from .simulation import (
+    METHODS,
     CellResult,
     DgpConfig,
+    Method,
     MonteCarloCell,
     SimulationReport,
     generate_dgp,

@@ -27,10 +27,7 @@ from .errors import (
     ParseError,
     UsageError,
 )
-from .linreg_utility import assess_linreg
-from .mean_utility import MeanAssessmentConfig, assess_mean
 from .nuisance import Dataset
-from .quantile_utility import QuantileAssessmentConfig, assess_quantile
 from .simulation import (
     DgpConfig,
     METHODS,
@@ -264,40 +261,37 @@ def _resolve_s_index(data: Dataset, name: str | None) -> int:
     return data.column_names.index(name)
 
 
-def _run_assess(args) -> int:
+def _check_flags(args) -> None:
+    """Reject out-of-range settings before any data is read or replication run."""
     if not 0.0 <= args.nu < 1.0:
         raise UsageError(f"--nu must be in [0, 1), got {args.nu}")
-    if not 0.0 < args.tau < 1.0:
+    taus = args.tau if isinstance(args.tau, list) else [args.tau]
+    if not all(0.0 < tau < 1.0 for tau in taus):
         raise UsageError(f"--tau must be in (0, 1), got {args.tau}")
     if not 0.0 < args.alpha < 1.0:
         raise UsageError(f"--alpha must be in (0, 1), got {args.alpha}")
+    if args.folds < 2:
+        raise UsageError(f"--folds must be >= 2, got {args.folds}")
+
+
+def _run_assess(args) -> int:
     data = parse_csv(args.input, response=args.response)
-    if args.method in ("mean-linear", "mean-conditional"):
-        cfg = MeanAssessmentConfig(
-            nu=args.nu,
-            g_mode="linear" if args.method == "mean-linear" else "conditional-mean",
-            n_folds=args.folds,
-            alpha=args.alpha,
-            seed=args.seed,
-            regressor=args.regressor,
-        )
-        estimate = assess_mean(data, cfg)
-    elif args.method == "quantile":
-        cfg = QuantileAssessmentConfig(
-            nu=args.nu,
-            tau=args.tau,
-            n_folds=args.folds,
-            alpha=args.alpha,
-            seed=args.seed,
-            cdf_regressor=args.regressor,
-        )
-        estimate = assess_quantile(data, cfg)
-    else:
+    s_index = 0
+    if args.method == "linreg":
         s_index = _resolve_s_index(data, args.s_column)
         if args.center:
             centered = data.x - data.x.mean(axis=0)
             data = Dataset(data.y, centered, data.column_names)
-        estimate = assess_linreg(data, s_index, args.nu, args.alpha)
+    estimate = METHODS[args.method].run(
+        data,
+        nu=args.nu,
+        alpha=args.alpha,
+        n_folds=args.folds,
+        seed=args.seed,
+        tau=args.tau,
+        regressor=args.regressor,
+        s_index=s_index,
+    )
     _print_payload(_estimate_payload(estimate, args.seed, args.relative), args.format)
     return 0
 
@@ -347,6 +341,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_flags(args)
         if args.command == "assess":
             return _run_assess(args)
         return _run_simulate(args)

@@ -4,19 +4,28 @@ The utility of prospective external information is the ratio of two
 best-achievable asymptotic variances (traces of efficiency bounds): the bound
 when the external information is folded in, over the bound from the internal
 sample alone.  The ratio lives in (0, 1]; this module holds the pieces every
-assessment method shares: the clamp of estimates into [0, 1], the
-bound-pair-to-ratio composition, standard normal CDF/quantile evaluation,
-Wald intervals, and the relative-utility transform used for reporting.
+assessment method shares: the clamp of estimates into [0, 1], the ratio of
+the two bound traces, the shared settings check, standard normal
+CDF/quantile evaluation, Wald intervals, the finalize step that turns raw
+estimates and a variance plug-in into a result, and the relative-utility
+transform used for reporting.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from scipy.special import ndtr, ndtri
 
-from .errors import DegenerateDenominator, MissingInterval, OutOfRange
+from .errors import (
+    DegenerateDenominator,
+    DegenerateVariance,
+    MissingInterval,
+    OutOfRange,
+    stage,
+)
 
 
 @dataclass(frozen=True)
@@ -44,22 +53,6 @@ class Interval:
         return self.lo <= x <= self.hi
 
 
-@dataclass(frozen=True)
-class BoundPair:
-    """Estimated traces of the with-fusion and internal-only efficiency bounds."""
-
-    theta1_hat: float
-    theta2_hat: float
-
-    def __post_init__(self):
-        t1 = float(self.theta1_hat)
-        t2 = float(self.theta2_hat)
-        if not (math.isfinite(t1) and math.isfinite(t2)):
-            raise OutOfRange("bound estimates must be finite")
-        object.__setattr__(self, "theta1_hat", t1)
-        object.__setattr__(self, "theta2_hat", t2)
-
-
 def truncate_point(x: float) -> float:
     """Clamp a point estimate into the parameter space [0, 1]."""
     x = float(x)
@@ -75,13 +68,29 @@ def truncate_interval(interval: Interval) -> Interval:
     return Interval(truncate_point(interval.lo), truncate_point(interval.hi))
 
 
-def ratio_estimate(bounds: BoundPair) -> float:
-    """Ratio of the two bound traces; the raw (untruncated) utility estimate."""
-    if not (bounds.theta2_hat > 0.0 and math.isfinite(bounds.theta2_hat)):
+def ratio_estimate(theta1_hat: float, theta2_hat: float) -> float:
+    """Ratio of the with-fusion over the internal-only bound trace; the raw
+    (untruncated) utility estimate."""
+    theta1_hat = float(theta1_hat)
+    theta2_hat = float(theta2_hat)
+    if not (math.isfinite(theta1_hat) and math.isfinite(theta2_hat)):
+        raise OutOfRange("bound estimates must be finite")
+    if not theta2_hat > 0.0:
         raise DegenerateDenominator(
-            f"internal-only bound estimate must be positive, got {bounds.theta2_hat}"
+            f"internal-only bound estimate must be positive, got {theta2_hat}"
         )
-    return bounds.theta1_hat / bounds.theta2_hat
+    return theta1_hat / theta2_hat
+
+
+def check_settings(nu: float | None = None, alpha: float | None = None,
+                   n_folds: int | None = None) -> None:
+    """Validate the settings every assessment shares; ``None`` skips a check."""
+    if nu is not None and not 0.0 <= nu < 1.0:
+        raise OutOfRange(f"nu must be in [0, 1), got {nu}")
+    if n_folds is not None and n_folds < 2:
+        raise OutOfRange("n_folds must be >= 2")
+    if alpha is not None and not 0.0 < alpha < 1.0:
+        raise OutOfRange(f"alpha must be in (0, 1), got {alpha}")
 
 
 def normal_cdf(x):
@@ -136,10 +145,7 @@ class UtilityEstimate:
     method: str
 
     def __post_init__(self):
-        if not 0.0 <= self.nu < 1.0:
-            raise OutOfRange(f"nu must be in [0, 1), got {self.nu}")
-        if not 0.0 < self.alpha < 1.0:
-            raise OutOfRange(f"alpha must be in (0, 1), got {self.alpha}")
+        check_settings(nu=self.nu, alpha=self.alpha)
         if self.n < 1:
             raise OutOfRange("n must be >= 1")
         if self.theta_hat != truncate_point(self.theta_hat_raw):
@@ -176,6 +182,43 @@ class UtilityEstimate:
             alpha=float(alpha),
             method=method,
         )
+
+
+def finalize(
+    theta_hat_raw: float,
+    theta_tilde_raw: float | None,
+    variance: Callable[[], float],
+    n: int,
+    nu: float,
+    alpha: float,
+    method: str,
+) -> UtilityEstimate:
+    """The method-independent tail of every assessment.
+
+    gamma_hat is the square root of ``variance()``, the plug-in asymptotic
+    variance; a :class:`DegenerateVariance` gives gamma_hat = 0 (a zero-width
+    interval) instead of an error, so that simulation loops stay total.  The
+    Wald interval is centered at ``theta_tilde_raw``, or at ``theta_hat_raw``
+    for a method without a split estimate.
+    """
+    with stage("variance"):
+        try:
+            gamma_hat = math.sqrt(variance())
+        except DegenerateVariance:
+            gamma_hat = 0.0
+    with stage("interval"):
+        center = theta_hat_raw if theta_tilde_raw is None else theta_tilde_raw
+        ci_raw = wald_interval(center, gamma_hat, n, alpha)
+    return UtilityEstimate.from_raw(
+        theta_hat_raw=theta_hat_raw,
+        theta_tilde_raw=theta_tilde_raw,
+        gamma_hat=gamma_hat,
+        ci_raw=ci_raw,
+        nu=nu,
+        n=n,
+        alpha=alpha,
+        method=method,
+    )
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundPair, UtilityEstimate, wald_interval
+from .core import UtilityEstimate, check_settings, finalize
 from .errors import (
     DegenerateResidualVariance,
     DegenerateVariance,
@@ -83,21 +83,21 @@ def fit_components(data: Dataset, s_index: int = 0) -> LinRegComponents:
     )
 
 
-def bounds_linreg(comp: LinRegComponents, nu: float) -> BoundPair:
-    """Bound-trace estimates: theta2 = sigma^2 kappa, theta1 = theta2 - (1-nu) sigma^4 / alpha."""
+def bounds_linreg(comp: LinRegComponents, nu: float) -> tuple[float, float]:
+    """Bound-trace estimates (theta1, theta2): theta2 = sigma^2 kappa,
+    theta1 = theta2 - (1-nu) sigma^4 / alpha."""
     if comp.alpha_hat <= 0.0:
         raise DegenerateResidualVariance(
             "exact-fit data: S-weighted residual moment is zero"
         )
     theta2 = comp.sigma_hat**2 * comp.kappa_hat
     theta1 = theta2 - (1.0 - nu) * comp.sigma_hat**4 / comp.alpha_hat
-    return BoundPair(theta1, theta2)
+    return theta1, theta2
 
 
 def point_estimate_linreg(comp: LinRegComponents, nu: float) -> float:
     """Raw point estimate 1 - (1-nu) sigma^2 / (alpha kappa)."""
-    if not 0.0 <= nu < 1.0:
-        raise OutOfRange(f"nu must be in [0, 1), got {nu}")
+    check_settings(nu=nu)
     if comp.alpha_hat <= 0.0:
         raise DegenerateResidualVariance(
             "exact-fit data: S-weighted residual moment is zero"
@@ -149,31 +149,13 @@ def variance_linreg(data: Dataset, comp: LinRegComponents, nu: float) -> float:
 def assess_linreg(
     data: Dataset, s_index: int, nu: float, alpha: float = 0.95
 ) -> UtilityEstimate:
-    """Full assessment; the interval is centered at the point estimate.
-
-    A degenerate (exactly zero) composite variance yields a zero-width
-    interval instead of an error so that simulation loops stay total.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise OutOfRange(f"alpha must be in (0, 1), got {alpha}")
+    """Full assessment: moment components and the point estimate, then
+    :func:`finalize` (no split estimator, so the interval is centered at the
+    point estimate)."""
+    check_settings(alpha=alpha)
     with stage("components"):
         comp = fit_components(data, s_index)
     with stage("point"):
         theta_raw = point_estimate_linreg(comp, nu)
-    with stage("variance"):
-        try:
-            gamma_hat = math.sqrt(variance_linreg(data, comp, nu))
-        except DegenerateVariance:
-            gamma_hat = 0.0
-    with stage("interval"):
-        ci_raw = wald_interval(theta_raw, gamma_hat, data.n, alpha)
-    return UtilityEstimate.from_raw(
-        theta_hat_raw=theta_raw,
-        theta_tilde_raw=None,
-        gamma_hat=gamma_hat,
-        ci_raw=ci_raw,
-        nu=nu,
-        n=data.n,
-        alpha=alpha,
-        method="linreg",
-    )
+    return finalize(theta_raw, None, lambda: variance_linreg(data, comp, nu),
+                    data.n, nu, alpha, "linreg")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundPair, UtilityEstimate, ratio_estimate, wald_interval
+from .core import UtilityEstimate, check_settings, finalize, ratio_estimate
 from .errors import (
     DegenerateDenominator,
     DegenerateVariance,
@@ -43,14 +43,9 @@ class MeanAssessmentConfig:
     n_neighbors: int | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.nu < 1.0:
-            raise OutOfRange(f"nu must be in [0, 1), got {self.nu}")
+        check_settings(self.nu, self.alpha, self.n_folds)
         if self.g_mode not in G_MODES:
             raise OutOfRange(f"g_mode must be one of {G_MODES}, got {self.g_mode!r}")
-        if self.n_folds < 2:
-            raise OutOfRange("n_folds must be >= 2")
-        if not 0.0 < self.alpha < 1.0:
-            raise OutOfRange(f"alpha must be in (0, 1), got {self.alpha}")
         if self.regressor not in REGRESSOR_KINDS:
             raise OutOfRange(f"regressor must be one of {REGRESSOR_KINDS}")
 
@@ -71,8 +66,8 @@ class MeanIntermediates:
     theta2_hat: float
 
 
-def estimate_bounds_mean(data: Dataset, cfg: MeanAssessmentConfig, ghat) -> BoundPair:
-    """Plug-in bound traces from given nuisance predictions.
+def estimate_bounds_mean(data: Dataset, cfg: MeanAssessmentConfig, ghat) -> tuple[float, float]:
+    """Plug-in bound traces (theta1, theta2) from given nuisance predictions.
 
     theta1 = mean[(1-nu)(y - ghat)^2 + nu (y - ybar)^2], theta2 = mean[(y - ybar)^2].
     """
@@ -86,7 +81,7 @@ def estimate_bounds_mean(data: Dataset, cfg: MeanAssessmentConfig, ghat) -> Boun
         raise DegenerateDenominator("response is constant; internal-only trace is zero")
     sq_g = (data.y - ghat) ** 2
     theta1 = float(np.mean((1.0 - cfg.nu) * sq_g + cfg.nu * sq_mean))
-    return BoundPair(theta1, theta2)
+    return theta1, theta2
 
 
 def compute_mean_intermediates(data: Dataset, cfg: MeanAssessmentConfig) -> MeanIntermediates:
@@ -99,19 +94,19 @@ def compute_mean_intermediates(data: Dataset, cfg: MeanAssessmentConfig) -> Mean
         bandwidth=cfg.bandwidth,
         n_neighbors=cfg.n_neighbors,
     )
-    bounds = estimate_bounds_mean(data, cfg, ghat)
+    theta1, theta2 = estimate_bounds_mean(data, cfg, ghat)
     return MeanIntermediates(
         mu_hat=float(np.mean(data.y)),
         ghat=ghat,
-        theta1_hat=bounds.theta1_hat,
-        theta2_hat=bounds.theta2_hat,
+        theta1_hat=theta1,
+        theta2_hat=theta2,
     )
 
 
 def point_estimate_mean(data: Dataset, cfg: MeanAssessmentConfig) -> float:
     """Raw point estimate: ratio of the two plug-in traces (always >= nu)."""
     im = compute_mean_intermediates(data, cfg)
-    return ratio_estimate(BoundPair(im.theta1_hat, im.theta2_hat))
+    return ratio_estimate(im.theta1_hat, im.theta2_hat)
 
 
 def split_estimate_mean(data: Dataset, cfg: MeanAssessmentConfig) -> float:
@@ -179,31 +174,12 @@ def variance_mean(data: Dataset, cfg: MeanAssessmentConfig, im: MeanIntermediate
 
 
 def assess_mean(data: Dataset, cfg: MeanAssessmentConfig) -> UtilityEstimate:
-    """Full assessment: raw point and split estimates, variance, interval.
-
-    The interval is centered at the split estimate.  A degenerate (exactly
-    zero) variance estimate yields a zero-width interval instead of an error
-    so that simulation loops stay total.
-    """
+    """Full assessment: raw point and split estimates, then :func:`finalize`
+    (the interval is centered at the split estimate)."""
     with stage("point"):
         im = compute_mean_intermediates(data, cfg)
-        theta_raw = ratio_estimate(BoundPair(im.theta1_hat, im.theta2_hat))
+        theta_raw = ratio_estimate(im.theta1_hat, im.theta2_hat)
     with stage("split"):
         theta_tilde = split_estimate_mean(data, cfg)
-    with stage("variance"):
-        try:
-            gamma_hat = math.sqrt(variance_mean(data, cfg, im))
-        except DegenerateVariance:
-            gamma_hat = 0.0
-    with stage("interval"):
-        ci_raw = wald_interval(theta_tilde, gamma_hat, data.n, cfg.alpha)
-    return UtilityEstimate.from_raw(
-        theta_hat_raw=theta_raw,
-        theta_tilde_raw=theta_tilde,
-        gamma_hat=gamma_hat,
-        ci_raw=ci_raw,
-        nu=cfg.nu,
-        n=data.n,
-        alpha=cfg.alpha,
-        method=cfg.method,
-    )
+    return finalize(theta_raw, theta_tilde, lambda: variance_mean(data, cfg, im),
+                    data.n, cfg.nu, cfg.alpha, cfg.method)

@@ -161,18 +161,7 @@ def default_neighbor_count(n_train: int) -> int:
     return min(max(1, math.ceil(n_train**0.8 / 4.0)), n_train)
 
 
-class Regressor:
-    """Fitted conditional-mean regressor; ``predict`` is pure and deterministic."""
-
-    kind: str
-
-    def predict(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-
-class OlsLinearRegressor(Regressor):
-    kind = "ols-linear"
-
+class OlsLinearRegressor:
     def __init__(self, coef: np.ndarray):
         self.coef = np.asarray(coef, dtype=float)
 
@@ -184,7 +173,7 @@ class OlsLinearRegressor(Regressor):
         return design @ self.coef
 
 
-class KnnRegressor(Regressor):
+class KnnRegressor:
     """k-nearest-neighbour regressor: the mean response of the ``k`` training
     points nearest to each query in Euclidean distance.
 
@@ -199,8 +188,6 @@ class KnnRegressor(Regressor):
     their order and the predictions are therefore the same, bit for bit, as
     a stable argsort of all exact distances, in O(queries x training) memory.
     """
-
-    kind = "k-nn"
 
     # Candidate slack, relative to |q|^2 + max |t|^2 about the training mean.
     # The bilinear form and the exact sum are each off by a few (p + 4) ulps
@@ -241,7 +228,7 @@ class KnnRegressor(Regressor):
         return np.take_along_axis(candidates, order, axis=1)
 
 
-class LocalLinearRegressor(Regressor):
+class LocalLinearRegressor:
     """Local linear smoother with a product Gaussian kernel.
 
     At each query point a weighted least-squares line (plane) is fitted to the
@@ -266,8 +253,6 @@ class LocalLinearRegressor(Regressor):
     condition gate takes eigenvalues of the symmetric Gram matrices
     (``spd_condition_number``).
     """
-
-    kind = "local-linear"
 
     MIN_EFFECTIVE_WEIGHT = 20.0
     MAX_INFLATIONS = 16
@@ -365,8 +350,9 @@ def fit_conditional_mean(
     kind: str,
     bandwidth: float | np.ndarray | None = None,
     n_neighbors: int | None = None,
-) -> Regressor:
-    """Fit one regressor from the menu on the training subsample.
+) -> OlsLinearRegressor | KnnRegressor | LocalLinearRegressor:
+    """Fit one regressor from the menu on the training subsample; ``predict``
+    on the result is pure and deterministic.
 
     ``bandwidth`` applies to local-linear (scalar or per-dimension; default is
     the rule-of-thumb bandwidth per covariate dimension), ``n_neighbors`` to

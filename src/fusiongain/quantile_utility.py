@@ -16,14 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundPair, UtilityEstimate, ratio_estimate, wald_interval
-from .errors import (
-    DegenerateVariance,
-    OutOfRange,
-    TooFewObservations,
-    VanishingDensity,
-    stage,
-)
+from .core import UtilityEstimate, check_settings, finalize, ratio_estimate
+from .errors import OutOfRange, TooFewObservations, VanishingDensity, stage
 from .nuisance import (
     REGRESSOR_KINDS,
     Dataset,
@@ -52,14 +46,9 @@ class QuantileAssessmentConfig:
     density_bandwidth: float | None = None  # None: rule of thumb on Y
 
     def __post_init__(self):
-        if not 0.0 <= self.nu < 1.0:
-            raise OutOfRange(f"nu must be in [0, 1), got {self.nu}")
+        check_settings(self.nu, self.alpha, self.n_folds)
         if not 0.0 < self.tau < 1.0:
             raise OutOfRange(f"tau must be in (0, 1), got {self.tau}")
-        if self.n_folds < 2:
-            raise OutOfRange("n_folds must be >= 2")
-        if not 0.0 < self.alpha < 1.0:
-            raise OutOfRange(f"alpha must be in (0, 1), got {self.alpha}")
         if self.cdf_regressor not in REGRESSOR_KINDS:
             raise OutOfRange(f"cdf_regressor must be one of {REGRESSOR_KINDS}")
 
@@ -101,7 +90,7 @@ def compute_quantile_intermediates(
 def point_estimate_quantile(data: Dataset, cfg: QuantileAssessmentConfig) -> float:
     """Raw point estimate; the denominator trace tau(1-tau) is known."""
     im = compute_quantile_intermediates(data, cfg)
-    return ratio_estimate(BoundPair(im.theta1_hat, cfg.theta2))
+    return ratio_estimate(im.theta1_hat, cfg.theta2)
 
 
 def split_estimate_quantile(data: Dataset, cfg: QuantileAssessmentConfig) -> float:
@@ -163,26 +152,12 @@ def variance_quantile(
 
 
 def assess_quantile(data: Dataset, cfg: QuantileAssessmentConfig) -> UtilityEstimate:
-    """Full assessment; the interval is centered at the split estimate."""
+    """Full assessment: raw point and split estimates, then :func:`finalize`
+    (the interval is centered at the split estimate)."""
     with stage("point"):
         im = compute_quantile_intermediates(data, cfg)
-        theta_raw = ratio_estimate(BoundPair(im.theta1_hat, cfg.theta2))
+        theta_raw = ratio_estimate(im.theta1_hat, cfg.theta2)
     with stage("split"):
         theta_tilde = split_estimate_quantile(data, cfg)
-    with stage("variance"):
-        try:
-            gamma_hat = math.sqrt(variance_quantile(data, cfg, im))
-        except DegenerateVariance:
-            gamma_hat = 0.0
-    with stage("interval"):
-        ci_raw = wald_interval(theta_tilde, gamma_hat, data.n, cfg.alpha)
-    return UtilityEstimate.from_raw(
-        theta_hat_raw=theta_raw,
-        theta_tilde_raw=theta_tilde,
-        gamma_hat=gamma_hat,
-        ci_raw=ci_raw,
-        nu=cfg.nu,
-        n=data.n,
-        alpha=cfg.alpha,
-        method="quantile",
-    )
+    return finalize(theta_raw, theta_tilde, lambda: variance_quantile(data, cfg, im),
+                    data.n, cfg.nu, cfg.alpha, "quantile")

@@ -71,13 +71,13 @@ def fisher_yates(gen: np.random.Generator, n: int) -> np.ndarray:
 
     The swap targets are drawn in one vectorized call (position i in
     n-1, ..., 1 gets a uniform index on [0, i]) so the draw order is part of
-    the documented contract.
+    the documented contract.  The swaps run on a Python list, which is several
+    times faster than swapping numpy array elements one pair at a time.
     """
-    idx = np.arange(n)
     if n <= 1:
-        return idx
-    highs = np.arange(n, 1, -1)
-    targets = gen.integers(0, highs)
-    for i, j in zip(range(n - 1, 0, -1), targets):
+        return np.arange(n)
+    targets = gen.integers(0, np.arange(n, 1, -1))
+    idx = list(range(n))
+    for i, j in zip(range(n - 1, 0, -1), targets.tolist()):
         idx[i], idx[j] = idx[j], idx[i]
-    return idx
+    return np.array(idx)

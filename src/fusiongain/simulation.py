@@ -13,6 +13,7 @@ bit-identical under any degree of parallelism.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -20,14 +21,12 @@ from functools import partial
 import numpy as np
 
 from . import rng
-from .core import normal_cdf, normal_quantile
+from .core import UtilityEstimate, check_settings, normal_cdf, normal_quantile
 from .errors import FusionGainError, OutOfRange
 from .linreg_utility import assess_linreg
 from .mean_utility import MeanAssessmentConfig, assess_mean
 from .nuisance import Dataset
 from .quantile_utility import QuantileAssessmentConfig, assess_quantile
-
-METHODS = ("mean-linear", "mean-conditional", "quantile", "linreg")
 
 CSV_COLUMNS = ("method", "b", "n", "extra", "reps", "seed", "MAE", "SDAE", "AL", "CR")
 
@@ -45,8 +44,7 @@ class DgpConfig:
             raise OutOfRange(f"|rho| must be < 1, got {self.rho}")
         if self.n < 1:
             raise OutOfRange("n must be >= 1")
-        if not 0.0 <= self.nu < 1.0:
-            raise OutOfRange(f"nu must be in [0, 1), got {self.nu}")
+        check_settings(nu=self.nu)
 
 
 def generate_dgp(cfg: DgpConfig, stream: np.random.Generator | None = None) -> Dataset:
@@ -122,6 +120,65 @@ def true_theta_quantile(b: float, rho: float, nu: float, tau: float) -> float:
     return (1.0 - nu) * (tau - expectation) / (tau * (1.0 - tau)) + nu
 
 
+def _run_mean(g_mode, data, *, nu, alpha, n_folds, seed, tau, regressor, s_index):
+    cfg = MeanAssessmentConfig(
+        nu=nu, g_mode=g_mode, n_folds=n_folds, alpha=alpha, seed=seed, regressor=regressor
+    )
+    return assess_mean(data, cfg)
+
+
+def _run_quantile(data, *, nu, alpha, n_folds, seed, tau, regressor, s_index):
+    cfg = QuantileAssessmentConfig(
+        nu=nu, tau=tau, n_folds=n_folds, alpha=alpha, seed=seed, cdf_regressor=regressor
+    )
+    return assess_quantile(data, cfg)
+
+
+def _run_linreg(data, *, nu, alpha, n_folds, seed, tau, regressor, s_index):
+    return assess_linreg(data, s_index, nu, alpha)
+
+
+@dataclass(frozen=True)
+class Method:
+    """One assessment method: how to run it, its truth under the DGP, its table label.
+
+    ``run(data, *, nu, alpha, n_folds, seed, tau, regressor, s_index)`` ignores
+    the settings the method does not use; ``truth(b, rho, nu, tau)`` and
+    ``extra(tau)`` likewise.
+    """
+
+    run: Callable[..., UtilityEstimate]
+    truth: Callable[[float, float, float, float], float]
+    extra: Callable[[float], str]
+
+
+# The single dispatch point on the method name, for the CLI and the harness.
+# The runners look the estimators up at call time, so a wrapper installed on
+# an estimator later (a profiler or tracer) still sees every call.
+METHODS = {
+    "mean-linear": Method(
+        partial(_run_mean, "linear"),
+        lambda b, rho, nu, tau: true_theta_mean(b, rho, nu),
+        lambda tau: "linear",
+    ),
+    "mean-conditional": Method(
+        partial(_run_mean, "conditional-mean"),
+        lambda b, rho, nu, tau: true_theta_mean(b, rho, nu),
+        lambda tau: "conditional-mean",
+    ),
+    "quantile": Method(
+        _run_quantile,
+        true_theta_quantile,
+        lambda tau: repr(float(tau)),
+    ),
+    "linreg": Method(
+        _run_linreg,
+        lambda b, rho, nu, tau: true_theta_linreg(b, rho, nu),
+        lambda tau: "",
+    ),
+}
+
+
 @dataclass(frozen=True)
 class MonteCarloCell:
     """One table cell: an assessment method applied to one DGP configuration."""
@@ -136,50 +193,16 @@ class MonteCarloCell:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise OutOfRange(f"method must be one of {METHODS}, got {self.method!r}")
+            raise OutOfRange(f"method must be one of {tuple(METHODS)}, got {self.method!r}")
 
     @property
     def extra(self) -> str:
-        if self.method == "mean-linear":
-            return "linear"
-        if self.method == "mean-conditional":
-            return "conditional-mean"
-        if self.method == "quantile":
-            return repr(float(self.tau))
-        return ""
+        return METHODS[self.method].extra(self.tau)
 
 
 def true_theta(cell: MonteCarloCell) -> float:
     d = cell.dgp
-    if cell.method in ("mean-linear", "mean-conditional"):
-        return true_theta_mean(d.b, d.rho, d.nu)
-    if cell.method == "quantile":
-        return true_theta_quantile(d.b, d.rho, d.nu, cell.tau)
-    return true_theta_linreg(d.b, d.rho, d.nu)
-
-
-def _assess(cell: MonteCarloCell, data: Dataset, assess_seed: int):
-    if cell.method in ("mean-linear", "mean-conditional"):
-        cfg = MeanAssessmentConfig(
-            nu=cell.dgp.nu,
-            g_mode="linear" if cell.method == "mean-linear" else "conditional-mean",
-            n_folds=cell.n_folds,
-            alpha=cell.alpha,
-            seed=assess_seed,
-            regressor=cell.regressor,
-        )
-        return assess_mean(data, cfg)
-    if cell.method == "quantile":
-        cfg = QuantileAssessmentConfig(
-            nu=cell.dgp.nu,
-            tau=cell.tau,
-            n_folds=cell.n_folds,
-            alpha=cell.alpha,
-            seed=assess_seed,
-            cdf_regressor=cell.regressor,
-        )
-        return assess_quantile(data, cfg)
-    return assess_linreg(data, cell.s_index, cell.dgp.nu, cell.alpha)
+    return METHODS[cell.method].truth(d.b, d.rho, d.nu, cell.tau)
 
 
 def _run_replication(cell: MonteCarloCell, seed: int, theta0: float, rep: int):
@@ -188,7 +211,16 @@ def _run_replication(cell: MonteCarloCell, seed: int, theta0: float, rep: int):
     try:
         data = generate_dgp(cell.dgp, stream=gen)
         assess_seed = int(gen.integers(0, 1 << 63))
-        estimate = _assess(cell, data, assess_seed)
+        estimate = METHODS[cell.method].run(
+            data,
+            nu=cell.dgp.nu,
+            alpha=cell.alpha,
+            n_folds=cell.n_folds,
+            seed=assess_seed,
+            tau=cell.tau,
+            regressor=cell.regressor,
+            s_index=cell.s_index,
+        )
         return (
             abs(estimate.theta_hat - theta0),
             estimate.ci.width,

@@ -25,6 +25,21 @@ def ref_silverman(sample):
     return 1.06 * spread * sample.size ** (-0.2)
 
 
+def ref_fisher_yates(gen, n):
+    """Fisher-Yates permutation of 0..n-1 in the documented draw order: all swap
+    targets in one call (position i in n-1, ..., 1 gets a uniform index on
+    [0, i]), then the swaps from the top position down."""
+    perm = np.arange(n)
+    if n <= 1:
+        return perm
+    targets = gen.integers(0, np.arange(n, 1, -1))
+    for k in range(n - 1):
+        i = n - 1 - k
+        j = int(targets[k])
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
 def ref_ols_predict(x_train, y_train, x_test):
     d_train = np.hstack([np.ones((len(y_train), 1)), x_train])
     beta = np.linalg.solve(d_train.T @ d_train, d_train.T @ y_train)

@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,6 +286,16 @@ class TestAssessCommand:
         payload = json.loads(err_lines[0])
         assert payload["error"] == "UsageError"
 
+    @pytest.mark.parametrize("flag", [["--nu", "1.0"], ["--alpha", "0"], ["--folds", "1"]])
+    def test_bad_setting_usage_error(self, tmp_path, capsys, flag):
+        # linreg does not cross-fit, yet a fold count below 2 is rejected for it too
+        path, _ = _dgp_csv(tmp_path, DgpConfig(b=0.5, n=50, seed=2))
+        code = main(["assess", "--method", "linreg", "--input", path, "--nu", "0.5"] + flag)
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "UsageError"
+        assert payload["message"].startswith(flag[0])
+
     def test_json_matches_library_exactly(self, tmp_path, capsys):
         cfg = DgpConfig(b=0.5, n=2000, seed=11)
         path, data = _dgp_csv(tmp_path, cfg)
@@ -376,6 +387,66 @@ class TestAssessCommand:
         assert len(header) == len(values)
 
 
+GOLDEN_ASSESS = {
+    "mean-linear": ["--method", "mean-linear", "--format", "json"],
+    "mean-conditional-local-linear": ["--method", "mean-conditional",
+                                      "--regressor", "local-linear", "--format", "json"],
+    "mean-conditional-k-nn": ["--method", "mean-conditional", "--regressor", "k-nn",
+                              "--format", "json"],
+    "quantile": ["--method", "quantile", "--format", "json"],
+    "linreg-relative-json": ["--method", "linreg", "--relative", "--format", "json"],
+    "linreg-relative-csv": ["--method", "linreg", "--relative", "--format", "csv"],
+    "linreg-relative-text": ["--method", "linreg", "--relative", "--format", "text"],
+}
+
+
+def test_assess_output_bytes_pinned(tmp_path, capsys):
+    # exact stdout of every method on one fixed input; a refactor must not move a byte
+    expected = json.loads((Path(__file__).parent / "golden" / "assess_stdout.json").read_text())
+    assert set(expected) == set(GOLDEN_ASSESS)
+    path, _ = _dgp_csv(tmp_path, DgpConfig(b=0.5, n=300, seed=4))
+    for name, args in GOLDEN_ASSESS.items():
+        code = main(["assess", "--input", path, "--nu", "0.5", "--seed", "4"] + args)
+        assert code == 0
+        assert capsys.readouterr().out == expected[name], name
+
+
+def _stage_case(kind: str) -> tuple[np.ndarray, np.ndarray]:
+    data = generate_dgp(DgpConfig(b=0.5, n=40, seed=8))
+    y, x = data.y.copy(), data.x.copy()
+    if kind == "constant":
+        y[:] = 1.5
+    elif kind == "half-constant":
+        y[:20] = np.where(np.arange(20) % 2 == 0, 1.0, -1.0)
+        y[20:] = 0.0
+    elif kind == "huge":
+        y *= 1e15
+    else:  # collinear
+        x[:, 1] = 2.0 * x[:, 0]
+    return y, x
+
+
+@pytest.mark.parametrize(
+    "kind, method, error, stage",
+    [
+        ("constant", "mean-linear", "DegenerateDenominator", "point"),
+        ("half-constant", "mean-linear", "DegenerateDenominator", "split"),
+        ("huge", "quantile", "VanishingDensity", "variance"),
+        ("collinear", "linreg", "SingularDesign", "components"),
+    ],
+)
+def test_error_names_its_stage(tmp_path, capsys, kind, method, error, stage):
+    y, x = _stage_case(kind)
+    rows = ["y,S,W"] + [f"{yi!r},{xi[0]!r},{xi[1]!r}" for yi, xi in zip(y.tolist(), x.tolist())]
+    path = _write(tmp_path, "a.csv", "\n".join(rows) + "\n")
+    code = main(["assess", "--method", method, "--input", path, "--nu", "0.5"])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == error
+    assert payload["stage"] == stage
+    assert payload["message"].startswith(f"{stage}: ")
+
+
 class TestSimulateCommand:
     def test_single_cell_single_rep(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
@@ -448,6 +519,27 @@ class TestSimulateCommand:
         )
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "UsageError"
+
+    @pytest.mark.parametrize(
+        "flag", [["--nu", "1.2"], ["--alpha", "1.5"], ["--tau", "0.5,1.0"], ["--folds", "1"]]
+    )
+    def test_bad_setting_rejected_before_any_replication(self, tmp_path, capsys, monkeypatch,
+                                                         flag):
+        import fusiongain.cli as cli
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("replications ran")
+
+        monkeypatch.setattr(cli, "run_monte_carlo", no_run)
+        code = main(
+            ["simulate", "--method", "quantile", "--b", "0", "--n", "100", "--reps", "3",
+             "--seed", "1", "--out", str(tmp_path / "x")] + flag
+        )
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "UsageError"
+        assert payload["message"].startswith(flag[0])
+        assert not (tmp_path / "x").exists()
 
     def test_missing_required_flag(self, capsys):
         code = main(["simulate", "--method", "linreg"])

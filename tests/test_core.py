@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusiongain.core import (
-    BoundPair,
     Interval,
     UtilityEstimate,
     normal_cdf,
@@ -51,18 +50,20 @@ class TestTruncation:
 
 class TestRatio:
     def test_simple_ratio(self):
-        assert ratio_estimate(BoundPair(0.5, 1.0)) == 0.5
+        assert ratio_estimate(0.5, 1.0) == 0.5
 
     def test_no_benefit_case(self):
-        assert ratio_estimate(BoundPair(1.0, 1.0)) == 1.0
+        assert ratio_estimate(1.0, 1.0) == 1.0
 
     def test_zero_denominator(self):
         with pytest.raises(DegenerateDenominator):
-            ratio_estimate(BoundPair(0.3, 0.0))
+            ratio_estimate(0.3, 0.0)
 
     def test_nonfinite_bounds_rejected(self):
         with pytest.raises(OutOfRange):
-            BoundPair(math.inf, 1.0)
+            ratio_estimate(math.inf, 1.0)
+        with pytest.raises(OutOfRange):
+            ratio_estimate(0.5, math.nan)
 
 
 class TestNormalDist:

@@ -95,11 +95,9 @@ class TestPointEstimate:
     def test_bound_pair_consistency(self):
         data = generate_dgp(DgpConfig(b=1.0, n=400, seed=33))
         comp = fit_components(data, 0)
-        bp = bounds_linreg(comp, 0.5)
-        assert bp.theta2_hat == pytest.approx(
-            comp.sigma_hat**2 * comp.kappa_hat, abs=1e-12
-        )
-        assert bp.theta1_hat / bp.theta2_hat == pytest.approx(
+        theta1, theta2 = bounds_linreg(comp, 0.5)
+        assert theta2 == pytest.approx(comp.sigma_hat**2 * comp.kappa_hat, abs=1e-12)
+        assert theta1 / theta2 == pytest.approx(
             point_estimate_linreg(comp, 0.5), abs=1e-12
         )
 

@@ -37,15 +37,15 @@ def _exact_linear_dataset(n=40, seed=0):
 class TestBounds:
     def test_perfect_fit(self):
         data = Dataset(np.array([0.0, 2.0]), np.array([[0.0], [1.0]]))
-        bp = estimate_bounds_mean(data, _linear_cfg(), np.array([0.0, 2.0]))
-        assert bp.theta1_hat == pytest.approx(0.5, abs=1e-12)
-        assert bp.theta2_hat == pytest.approx(1.0, abs=1e-12)
+        theta1, theta2 = estimate_bounds_mean(data, _linear_cfg(), np.array([0.0, 2.0]))
+        assert theta1 == pytest.approx(0.5, abs=1e-12)
+        assert theta2 == pytest.approx(1.0, abs=1e-12)
 
     def test_ghat_equal_to_mean(self):
         data = Dataset(np.array([0.0, 2.0]), np.array([[0.0], [1.0]]))
-        bp = estimate_bounds_mean(data, _linear_cfg(), np.array([1.0, 1.0]))
-        assert bp.theta1_hat == pytest.approx(1.0, abs=1e-12)
-        assert bp.theta2_hat == pytest.approx(1.0, abs=1e-12)
+        theta1, theta2 = estimate_bounds_mean(data, _linear_cfg(), np.array([1.0, 1.0]))
+        assert theta1 == pytest.approx(1.0, abs=1e-12)
+        assert theta2 == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_response(self):
         data = Dataset(np.full(4, 2.0), np.arange(4.0)[:, None])
@@ -60,8 +60,8 @@ class TestPointEstimate:
 
     def test_ghat_equal_mean_gives_one(self):
         data = Dataset(np.array([0.0, 2.0, 1.0, 3.0]), np.arange(4.0)[:, None])
-        bp = estimate_bounds_mean(data, _linear_cfg(), np.full(4, data.y.mean()))
-        assert ratio_estimate(bp) == 1.0
+        bounds = estimate_bounds_mean(data, _linear_cfg(), np.full(4, data.y.mean()))
+        assert ratio_estimate(*bounds) == 1.0
 
     def test_matches_reference_and_population_value(self):
         data = generate_dgp(DgpConfig(b=0.5, n=2000, seed=11))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from fusiongain import rng
 from fusiongain.core import normal_cdf, normal_quantile
 from fusiongain.errors import FusionGainError, OutOfRange
+from fusiongain.linreg_utility import assess_linreg
 from fusiongain.simulation import (
     DgpConfig,
     MonteCarloCell,
@@ -18,6 +20,7 @@ from fusiongain.simulation import (
     true_theta_mean,
     true_theta_quantile,
 )
+from reference_impl import ref_fisher_yates
 
 
 class TestDgp:
@@ -127,13 +130,11 @@ class TestMonteCarlo:
         result = run_monte_carlo(cell, reps=reps, seed=13)
         theta0 = true_theta(cell)
         hits = 0
-        from fusiongain.simulation import _assess
-
         for rep in range(reps):
             gen = rng.substream(rng.mix64(13, rep), rng.DOMAIN_DGP)
             data = generate_dgp(cell.dgp, stream=gen)
             assess_seed = int(gen.integers(0, 1 << 63))
-            est = _assess(cell, data, assess_seed)
+            est = assess_linreg(data, cell.s_index, cell.dgp.nu, cell.alpha)
             hits += est.ci.contains(theta0)
         assert result.cr == hits / reps
 
@@ -145,14 +146,14 @@ class TestMonteCarlo:
     def test_failures_counted_and_flagged(self, monkeypatch):
         import fusiongain.simulation as sim
 
-        original = sim._assess
+        original = sim.METHODS["linreg"]
 
-        def flaky(cell, data, assess_seed):
-            if assess_seed % 3 == 0:
+        def flaky(data, *, seed, **settings):
+            if seed % 3 == 0:
                 raise FusionGainError("synthetic failure")
-            return original(cell, data, assess_seed)
+            return original.run(data, seed=seed, **settings)
 
-        monkeypatch.setattr(sim, "_assess", flaky)
+        monkeypatch.setitem(sim.METHODS, "linreg", replace(original, run=flaky))
         cell = MonteCarloCell(method="linreg", dgp=DgpConfig(b=0.5, n=150))
         result = sim.run_monte_carlo(cell, reps=30, seed=17)
         assert result.n_failed > 0
@@ -162,10 +163,10 @@ class TestMonteCarlo:
     def test_all_failures_raise(self, monkeypatch):
         import fusiongain.simulation as sim
 
-        def always_fail(cell, data, assess_seed):
+        def always_fail(data, **settings):
             raise FusionGainError("nope")
 
-        monkeypatch.setattr(sim, "_assess", always_fail)
+        monkeypatch.setitem(sim.METHODS, "linreg", replace(sim.METHODS["linreg"], run=always_fail))
         cell = MonteCarloCell(method="linreg", dgp=DgpConfig(b=0.5, n=150))
         with pytest.raises(FusionGainError):
             sim.run_monte_carlo(cell, reps=5, seed=19)
@@ -227,3 +228,11 @@ class TestRngContract:
         gen = rng.substream(1, 2)
         perm = rng.fisher_yates(gen, 257)
         assert np.array_equal(np.sort(perm), np.arange(257))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 999, 5000])
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_fisher_yates_matches_reference(self, n, seed):
+        perm = rng.fisher_yates(rng.substream(seed, rng.DOMAIN_SPLIT), n)
+        expected = ref_fisher_yates(rng.substream(seed, rng.DOMAIN_SPLIT), n)
+        assert perm.dtype == expected.dtype
+        assert perm.tolist() == expected.tolist()
