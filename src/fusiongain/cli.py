@@ -167,7 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     assess.add_argument("--input", required=True, help="CSV file with a header row")
     assess.add_argument("--nu", required=True, type=float,
                         help="n / (n + N) for the contemplated external sample size N")
-    assess.add_argument("--tau", type=float, default=0.5, help="quantile level")
+    assess.add_argument("--tau", type=float, default=None,
+                        help="quantile level for method quantile (default 0.5)")
     assess.add_argument("--s-column", default=None,
                         help="designated covariate column for method linreg")
     assess.add_argument("--response", default=None,
@@ -179,8 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also report utility relative to direct response data")
     assess.add_argument("--format", choices=("json", "csv", "text"), default="text")
     assess.add_argument("--regressor", choices=("local-linear", "k-nn", "ols-linear"),
-                        default="local-linear",
-                        help="nuisance regressor for mean-conditional and quantile")
+                        default=None,
+                        help="nuisance regressor for mean-conditional and quantile "
+                             "(default local-linear)")
     assess.add_argument("--center", action="store_true",
                         help="subtract covariate column means before method linreg")
 
@@ -190,8 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="comma-separated signal strengths")
     simulate.add_argument("--n", required=True, type=_int_list,
                           help="comma-separated sample sizes")
-    simulate.add_argument("--tau", type=_float_list, default=[0.5],
-                          help="comma-separated quantile levels (method quantile)")
+    simulate.add_argument("--tau", type=_float_list, default=None,
+                          help="comma-separated quantile levels for method quantile "
+                               "(default 0.5)")
     simulate.add_argument("--reps", required=True, type=int)
     simulate.add_argument("--seed", required=True, type=int)
     simulate.add_argument("--out", required=True, help="output directory")
@@ -261,8 +264,28 @@ def _resolve_s_index(data: Dataset, name: str | None) -> int:
     return data.column_names.index(name)
 
 
+# Flags that only some methods read: argparse dest -> (flag, those methods).
+_METHOD_FLAGS = {
+    "tau": ("--tau", ("quantile",)),
+    "regressor": ("--regressor", ("mean-conditional", "quantile")),
+    "s_column": ("--s-column", ("linreg",)),
+    "center": ("--center", ("linreg",)),
+}
+
+
 def _check_flags(args) -> None:
-    """Reject out-of-range settings before any data is read or replication run."""
+    """Reject out-of-range settings, and flags the method would ignore, before
+    any data is read or replication run; then fill in the defaults."""
+    for dest, (flag, methods) in _METHOD_FLAGS.items():
+        value = getattr(args, dest, None)
+        if value is not None and value is not False and args.method not in methods:
+            raise UsageError(
+                f"{flag} applies only to --method {' or '.join(methods)}, not {args.method}"
+            )
+    if args.tau is None:
+        args.tau = [0.5] if args.command == "simulate" else 0.5
+    if args.command == "assess" and args.regressor is None:
+        args.regressor = "local-linear"
     if not 0.0 <= args.nu < 1.0:
         raise UsageError(f"--nu must be in [0, 1), got {args.nu}")
     taus = args.tau if isinstance(args.tau, list) else [args.tau]
@@ -300,10 +323,9 @@ def _run_simulate(args) -> int:
     if args.reps < 1:
         raise UsageError("--reps must be >= 1")
     cells = []
-    taus = args.tau if args.method == "quantile" else [0.5]
     for b in args.b:
         for n in args.n:
-            for tau in taus:
+            for tau in args.tau:
                 dgp = DgpConfig(b=b, rho=args.rho, n=n, nu=args.nu)
                 cells.append(
                     MonteCarloCell(

@@ -238,7 +238,13 @@ class LocalLinearRegressor:
     bandwidths doubled (up to ``MAX_INFLATIONS`` times) until enough effective
     neighbors contribute; with a fixed bandwidth the prediction variance is
     unbounded in the tails of an unbounded design, while a weighted linear fit
-    stays exact for linear targets under any weights.  Queries whose local
+    stays exact for linear targets under any weights.  The log-weights of a
+    query block are computed once: doubling the bandwidths k times multiplies
+    them by 4^-k, exactly, so each level costs one multiply and one exp and
+    matches recomputing the block at the doubled bandwidths bit for bit.  A
+    row sums to at most n_train times its largest weight, so each query
+    starts at the first level where that bound can reach the floor (the
+    skipped levels could not pass).  Queries whose local
     Gram matrix is still ill conditioned fall back to the kernel-weighted
     mean, and to the global training mean if every weight underflows, so
     predictions are always finite.
@@ -256,6 +262,9 @@ class LocalLinearRegressor:
 
     MIN_EFFECTIVE_WEIGHT = 20.0
     MAX_INFLATIONS = 16
+    # Relative slack on the start-level bound; it covers the rounding of the
+    # exp and of the row sums, so no level that could pass is skipped.
+    _SLACK = 1e-9
 
     def __init__(self, x_train: np.ndarray, y_train: np.ndarray, bandwidths: np.ndarray):
         bandwidths = np.asarray(bandwidths, dtype=float)
@@ -290,19 +299,38 @@ class LocalLinearRegressor:
         return out
 
     def _floored_weights(self, xq: np.ndarray) -> np.ndarray:
-        w = _gaussian_weights(self.x_train, self.bandwidths, xq)
-        if self.x_train.shape[0] <= self.MIN_EFFECTIVE_WEIGHT:
-            return w
-        pending = w.sum(axis=1) < self.MIN_EFFECTIVE_WEIGHT
-        factor = 1.0
-        for _ in range(self.MAX_INFLATIONS):
-            if not pending.any():
+        """Kernel weights of a query block: row i is the kernel row at bandwidths
+        h * 2^k for the first k whose row sum reaches ``MIN_EFFECTIVE_WEIGHT``,
+        or k = ``MAX_INFLATIONS``.  Level k is exp(L * 4^-k) of the block's
+        log-weights L; a row starts at the first level where n_train times its
+        largest weight, exp(max(L) * 4^-k), can reach the floor.
+        """
+        log_w, w = _gaussian_log_weights(self.x_train, self.bandwidths, xq)
+        n_train = self.x_train.shape[0]
+        if n_train <= self.MIN_EFFECTIVE_WEIGHT:
+            return np.exp(log_w, out=w)
+        scales = np.ldexp(1.0, -2 * np.arange(self.MAX_INFLATIONS + 1))
+        bound = n_train * np.exp(log_w.max(axis=1)[:, None] * scales)
+        admits = bound >= self.MIN_EFFECTIVE_WEIGHT * (1.0 - self._SLACK)
+        level = np.where(admits.any(axis=1), admits.argmax(axis=1), self.MAX_INFLATIONS)
+        if level.any():
+            log_w *= scales[level][:, None]
+        np.exp(log_w, out=w)
+        # every pending row moves up one level per step, from its start level
+        pending = np.flatnonzero(
+            (w.sum(axis=1) < self.MIN_EFFECTIVE_WEIGHT) & (level < self.MAX_INFLATIONS)
+        )
+        for step in range(1, self.MAX_INFLATIONS + 1):
+            if pending.size == 0:
                 break
-            factor *= 2.0
-            rows = np.flatnonzero(pending)
-            w_new = _gaussian_weights(self.x_train, self.bandwidths * factor, xq[rows])
-            w[rows] = w_new
-            pending[rows[w_new.sum(axis=1) >= self.MIN_EFFECTIVE_WEIGHT]] = False
+            w_new = log_w[pending]
+            w_new *= scales[step]
+            np.exp(w_new, out=w_new)
+            w[pending] = w_new
+            pending = pending[
+                (w_new.sum(axis=1) < self.MIN_EFFECTIVE_WEIGHT)
+                & (level[pending] + step < self.MAX_INFLATIONS)
+            ]
         return w
 
     def _predict_block(self, xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -472,21 +500,32 @@ def kde_eval(kd: KernelDensity, point: float) -> float:
     return float(np.mean(np.exp(-0.5 * z * z)) / (kd.bandwidth * _SQRT_2PI))
 
 
-def _gaussian_weights(x_sample: np.ndarray, bandwidths: np.ndarray, xq: np.ndarray) -> np.ndarray:
-    """Unnormalized product-Gaussian kernel weights, (queries x sample).
+def _gaussian_log_weights(
+    x_sample: np.ndarray, bandwidths: np.ndarray, xq: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Log product-Gaussian kernel weights -0.5 * sum_d ((q_d - x_d) / h_d)^2,
+    (queries x sample), and a spare buffer of the same shape.
 
     Squared distances come from the expanded bilinear form (BLAS-backed);
-    cancellation can leave tiny negatives, clipped at zero.
+    cancellation can leave tiny negatives, clipped at zero.  Multiplying every
+    bandwidth by 2^k scales each step of that form, and so the result, by
+    exactly 4^-k, unless a scaled value falls in the subnormal range.
     """
     a = xq / bandwidths
     b = x_sample / bandwidths
-    cross = a @ b.T
-    cross *= 2.0
-    d2 = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
-    d2 -= cross
-    np.maximum(d2, 0.0, out=d2)
-    d2 *= -0.5
-    return np.exp(d2, out=d2)
+    spare = a @ b.T
+    spare *= 2.0
+    log_w = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
+    log_w -= spare
+    np.maximum(log_w, 0.0, out=log_w)
+    log_w *= -0.5
+    return log_w, spare
+
+
+def _gaussian_weights(x_sample: np.ndarray, bandwidths: np.ndarray, xq: np.ndarray) -> np.ndarray:
+    """Unnormalized product-Gaussian kernel weights, (queries x sample)."""
+    log_w, _ = _gaussian_log_weights(x_sample, bandwidths, xq)
+    return np.exp(log_w, out=log_w)
 
 
 def cond_kde_eval(

@@ -51,6 +51,48 @@ MIN_EFFECTIVE_WEIGHT = 20.0
 MAX_INFLATIONS = 16
 
 
+def ref_kernel_block(x_train, bandwidths, x_test):
+    """Product-Gaussian kernel weights of a block of queries, (queries x training).
+
+    Written in the same expanded bilinear form, step for step, as the package's
+    kernel smoothers, so that a floor computed from these rows can be compared
+    bit for bit.  The BLAS product's last bits can depend on how many queries
+    it is given, so the form is always evaluated on the whole block.
+    """
+    a = x_test / bandwidths
+    b = x_train / bandwidths
+    cross = a @ b.T
+    cross *= 2.0
+    d2 = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
+    d2 -= cross
+    np.maximum(d2, 0.0, out=d2)
+    d2 *= -0.5
+    return np.exp(d2, out=d2)
+
+
+def ref_floored_weights(x_train, bandwidths, x_test):
+    """Sparse-region floor as a plain loop: each query takes its whole kernel
+    row at bandwidths h * 2^k, recomputed for k = 0, 1, ... until the row sum
+    reaches MIN_EFFECTIVE_WEIGHT or k reaches MAX_INFLATIONS (no floor for
+    training samples of MIN_EFFECTIVE_WEIGHT rows or fewer)."""
+    levels = {}
+
+    def row(q, k):
+        if k not in levels:
+            levels[k] = ref_kernel_block(x_train, bandwidths * 2.0**k, x_test)
+        return levels[k][q]
+
+    w = np.empty((len(x_test), len(x_train)))
+    for q in range(len(x_test)):
+        k = 0
+        w[q] = row(q, 0)
+        while (len(x_train) > MIN_EFFECTIVE_WEIGHT and k < MAX_INFLATIONS
+               and w[q].sum() < MIN_EFFECTIVE_WEIGHT):
+            k += 1
+            w[q] = row(q, k)
+    return w
+
+
 def ref_local_linear_predict(x_train, y_train, x_test, bandwidths=None):
     return ref_local_linear_fit(x_train, y_train, x_test, bandwidths)[0]
 

@@ -411,6 +411,55 @@ def test_assess_output_bytes_pinned(tmp_path, capsys):
         assert capsys.readouterr().out == expected[name], name
 
 
+ASSESS_FLAG_MISUSES = [
+    (flag, method)
+    for flag, methods in (
+        (["--s-column", "W"], ("mean-linear", "mean-conditional", "quantile")),
+        (["--center"], ("mean-linear", "mean-conditional", "quantile")),
+        (["--regressor", "k-nn"], ("mean-linear", "linreg")),
+        (["--tau", "0.5"], ("mean-linear", "mean-conditional", "linreg")),
+    )
+    for method in methods
+]
+
+
+@pytest.mark.parametrize("flag, method", ASSESS_FLAG_MISUSES)
+def test_assess_rejects_flag_the_method_ignores(tmp_path, capsys, flag, method):
+    # the input does not exist, so exit 2 (not an IoError) shows nothing was read
+    code = main(["assess", "--method", method, "--input", str(tmp_path / "absent.csv"),
+                 "--nu", "0.5"] + flag)
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "UsageError"
+    assert payload["message"].startswith(flag[0])
+
+
+def test_explicit_defaults_give_default_bytes(tmp_path, capsys):
+    expected = json.loads((Path(__file__).parent / "golden" / "assess_stdout.json").read_text())
+    path, _ = _dgp_csv(tmp_path, DgpConfig(b=0.5, n=300, seed=4))
+    code = main(["assess", "--input", path, "--nu", "0.5", "--seed", "4", "--method", "quantile",
+                 "--tau", "0.5", "--regressor", "local-linear", "--format", "json"])
+    assert code == 0
+    assert capsys.readouterr().out == expected["quantile"]
+
+
+@pytest.mark.parametrize("method", ["mean-linear", "mean-conditional", "linreg"])
+def test_simulate_rejects_tau_outside_quantile(tmp_path, capsys, monkeypatch, method):
+    import fusiongain.cli as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("replications ran")
+
+    monkeypatch.setattr(cli, "run_monte_carlo", no_run)
+    code = main(["simulate", "--method", method, "--b", "0", "--n", "100", "--reps", "1",
+                 "--seed", "1", "--tau", "0.5", "--out", str(tmp_path / "x")])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "UsageError"
+    assert payload["message"].startswith("--tau")
+    assert not (tmp_path / "x").exists()
+
+
 def _stage_case(kind: str) -> tuple[np.ndarray, np.ndarray]:
     data = generate_dgp(DgpConfig(b=0.5, n=40, seed=8))
     y, x = data.y.copy(), data.x.copy()

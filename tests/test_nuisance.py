@@ -15,6 +15,8 @@ from fusiongain.errors import (
 from fusiongain.nuisance import (
     MAX_CONDITION_NUMBER,
     Dataset,
+    LocalLinearRegressor,
+    _gaussian_weights,
     KernelDensity,
     cond_kde_eval,
     crossfit_predict,
@@ -26,7 +28,12 @@ from fusiongain.nuisance import (
     silverman_bandwidth,
     spd_condition_number,
 )
-from reference_impl import ref_local_linear_fit, ref_local_linear_predict
+from reference_impl import (
+    ref_floored_weights,
+    ref_kernel_block,
+    ref_local_linear_fit,
+    ref_local_linear_predict,
+)
 
 
 class TestSplitPlan:
@@ -197,6 +204,99 @@ class TestLocalLinearEdgeCases:
         y = np.cos(x[:, 0]) * x[:, 1] + 0.3 * rng.normal(size=300)
         bands = np.array([silverman_bandwidth(x[:, d]) for d in range(3)])
         assert self._compare(x, y, x[:60], bands).all()
+
+
+class TestFlooredWeights:
+    """The start-level floor against the loop that recomputes every level, bit for bit."""
+
+    @staticmethod
+    def _regressor(n_train, p, seed):
+        x = np.random.default_rng(seed).normal(size=(n_train, p))
+        return fit_conditional_mean(Dataset(x.sum(axis=1), x), "local-linear")
+
+    @staticmethod
+    def _assert_bitwise(reg, x_test):
+        w = reg._floored_weights(x_test)
+        assert np.array_equal(w, ref_floored_weights(reg.x_train, reg.bandwidths, x_test))
+        return w
+
+    @pytest.mark.parametrize("p", [2, 10])
+    def test_block_of_400_against_1600(self, p):
+        reg = self._regressor(1600, p, seed=p)
+        x_test = np.random.default_rng(100 + p).normal(size=(400, p))
+        w = self._assert_bitwise(reg, x_test)
+        assert np.all(w.sum(axis=1) >= LocalLinearRegressor.MIN_EFFECTIVE_WEIGHT)
+
+    @pytest.mark.parametrize("scale", [0.05, 0.3, 3.0])
+    def test_bandwidth_scales(self, scale):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(500, 3))
+        reg = LocalLinearRegressor(x, x[:, 0], scale * np.array([0.5, 1.0, 2.0]))
+        self._assert_bitwise(reg, rng.normal(size=(120, 3)))
+
+    def test_far_query_skips_levels(self):
+        reg = self._regressor(1600, 2, seed=3)
+        x_test = np.array([[60.0, 0.0], [0.0, 0.5]])
+        # even n_train times the largest weight misses the floor at h and 2h
+        for factor in (1.0, 2.0):
+            far = ref_kernel_block(reg.x_train, reg.bandwidths * factor, x_test)[0]
+            assert reg.x_train.shape[0] * far.max() < LocalLinearRegressor.MIN_EFFECTIVE_WEIGHT
+        self._assert_bitwise(reg, x_test)
+
+    @staticmethod
+    def _cluster():
+        # 100 training points within about 1e-6 of the origin: seen from a
+        # query well outside, every weight in a row is nearly the same
+        x = 1e-6 * np.random.default_rng(8).normal(size=(100, 2))
+        return x, x[:, 0]
+
+    def test_equal_weights_pass_at_the_first_admitted_level(self):
+        # the row sum nearly reaches n_train times the largest weight, so the
+        # first level the bound admits is the level that passes
+        x, y = self._cluster()
+        reg = LocalLinearRegressor(x, y, np.array([1.0, 1.0]))
+        x_test = np.array([[3.3, 0.0]])
+        assert 100 * ref_kernel_block(x, reg.bandwidths, x_test).max() < 1.0
+        w = self._assert_bitwise(reg, x_test)
+        assert np.array_equal(w, ref_kernel_block(x, 2.0 * reg.bandwidths, x_test))
+        assert 20.0 <= w.sum() < 30.0
+
+    def test_inflation_cap(self):
+        x, _ = self._cluster()
+        x = np.vstack([x, [[0.2, 0.0]]])
+        reg = LocalLinearRegressor(x, x[:, 0], np.array([1e-6, 1e-6]))
+        # the first three queries would pass one level past the cap.  The first
+        # sits on the lone training point and climbs from level 0, the second
+        # (3 bandwidths from it) from level 1; the third starts at the cap.
+        # The fourth underflows to zero weights even there.
+        x_test = np.array([[0.2, 0.0], [0.2, 3e-6], [-0.2, 0.0], [1e6, -1e6]])
+        cap = 2.0**LocalLinearRegressor.MAX_INFLATIONS
+        capped = ref_kernel_block(x, reg.bandwidths * cap, x_test)
+        beyond = ref_kernel_block(x, reg.bandwidths * cap * 2.0, x_test)
+        assert np.all(capped[:3].sum(axis=1) < 20.0)
+        assert np.all(beyond[:3].sum(axis=1) >= 20.0)
+        w = self._assert_bitwise(reg, x_test)
+        assert np.array_equal(w, capped)
+        assert not w[3].any()
+
+    @pytest.mark.parametrize("n_train", [5, 20])
+    def test_tiny_training_sample_is_not_floored(self, n_train):
+        reg = self._regressor(n_train, 2, seed=n_train)
+        x_test = np.array([[0.0, 0.0], [8.0, -8.0]])
+        w = self._assert_bitwise(reg, x_test)
+        assert np.array_equal(w, ref_kernel_block(reg.x_train, reg.bandwidths, x_test))
+
+    def test_queries_at_training_points(self):
+        reg = self._regressor(300, 3, seed=6)
+        w = self._assert_bitwise(reg, reg.x_train[:50])
+        assert np.all(w.max(axis=1) > 1.0 - 1e-9)  # up to bilinear-form cancellation
+
+    def test_gaussian_weights_form(self):
+        # the single kernel path that cond_kde_profile also uses
+        rng = np.random.default_rng(7)
+        x, x_test, bands = rng.normal(size=(300, 4)), rng.normal(size=(70, 4)), np.full(4, 0.4)
+        assert np.array_equal(_gaussian_weights(x, bands, x_test),
+                              ref_kernel_block(x, bands, x_test))
 
 
 class TestCrossfit:
