@@ -25,17 +25,13 @@ from .errors import FusionGainError
 from .linreg_utility import (
     LinRegComponents,
     assess_linreg,
-    bounds_linreg,
     fit_components,
-    point_estimate_linreg,
     variance_linreg,
 )
 from .mean_utility import (
     MeanAssessmentConfig,
-    MeanIntermediates,
     assess_mean,
     estimate_bounds_mean,
-    point_estimate_mean,
     split_estimate_mean,
     variance_mean,
 )
@@ -43,7 +39,6 @@ from .nuisance import (
     Dataset,
     KernelDensity,
     SplitPlan,
-    cond_kde_eval,
     crossfit_predict,
     empirical_quantile,
     fit_conditional_mean,
@@ -54,9 +49,7 @@ from .nuisance import (
 )
 from .quantile_utility import (
     QuantileAssessmentConfig,
-    QuantileIntermediates,
     assess_quantile,
-    point_estimate_quantile,
     split_estimate_quantile,
     variance_quantile,
 )

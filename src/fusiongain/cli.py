@@ -295,6 +295,15 @@ def _check_flags(args) -> None:
         raise UsageError(f"--alpha must be in (0, 1), got {args.alpha}")
     if args.folds < 2:
         raise UsageError(f"--folds must be >= 2, got {args.folds}")
+    if args.command == "simulate":
+        if not abs(args.rho) < 1.0:
+            raise UsageError(f"--rho must be in (-1, 1), got {args.rho}")
+        if not all(n >= 1 for n in args.n):
+            raise UsageError(f"--n must be >= 1, got {args.n}")
+        if args.reps < 1:
+            raise UsageError(f"--reps must be >= 1, got {args.reps}")
+        if args.workers < 1:
+            raise UsageError(f"--workers must be >= 1, got {args.workers}")
 
 
 def _run_assess(args) -> int:
@@ -320,8 +329,6 @@ def _run_assess(args) -> int:
 
 
 def _run_simulate(args) -> int:
-    if args.reps < 1:
-        raise UsageError("--reps must be >= 1")
     cells = []
     for b in args.b:
         for n in args.n:

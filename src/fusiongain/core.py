@@ -4,11 +4,11 @@ The utility of prospective external information is the ratio of two
 best-achievable asymptotic variances (traces of efficiency bounds): the bound
 when the external information is folded in, over the bound from the internal
 sample alone.  The ratio lives in (0, 1]; this module holds the pieces every
-assessment method shares: the clamp of estimates into [0, 1], the ratio of
-the two bound traces, the shared settings check, standard normal
-CDF/quantile evaluation, Wald intervals, the finalize step that turns raw
-estimates and a variance plug-in into a result, and the relative-utility
-transform used for reporting.
+assessment method shares: the clamp of estimates into [0, 1], the trace
+ratio behind a method's nu-free core, the shared settings check, standard
+normal CDF/quantile evaluation, Wald intervals, the finalize step that maps
+the nu-free core to a result, and the relative-utility transform used for
+reporting.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ def truncate_interval(interval: Interval) -> Interval:
 
 
 def ratio_estimate(theta1_hat: float, theta2_hat: float) -> float:
-    """Ratio of the with-fusion over the internal-only bound trace; the raw
-    (untruncated) utility estimate."""
+    """Ratio of a nu-free residual trace over the internal-only bound trace:
+    the core a of a utility nu + (1 - nu) a."""
     theta1_hat = float(theta1_hat)
     theta2_hat = float(theta2_hat)
     if not (math.isfinite(theta1_hat) and math.isfinite(theta2_hat)):
@@ -185,27 +185,32 @@ class UtilityEstimate:
 
 
 def finalize(
-    theta_hat_raw: float,
-    theta_tilde_raw: float | None,
-    variance: Callable[[], float],
+    a_hat: float,
+    a_tilde: float | None,
+    g_sq: Callable[[], float],
     n: int,
     nu: float,
     alpha: float,
     method: str,
 ) -> UtilityEstimate:
-    """The method-independent tail of every assessment.
+    """Map a method's nu-free core to its utility estimate at ``nu``.
 
-    gamma_hat is the square root of ``variance()``, the plug-in asymptotic
-    variance; a :class:`DegenerateVariance` gives gamma_hat = 0 (a zero-width
-    interval) instead of an error, so that simulation loops stay total.  The
-    Wald interval is centered at ``theta_tilde_raw``, or at ``theta_hat_raw``
-    for a method without a split estimate.
+    Every utility is affine in nu: the point and half-sample estimates are
+    nu + (1 - nu) a, and gamma_hat is (1 - nu) g, where g^2 = ``g_sq()`` is
+    the nu-free plug-in variance.  This is the only place nu enters.  A
+    :class:`DegenerateVariance` gives gamma_hat = 0 (a zero-width interval)
+    instead of an error, so that simulation loops stay total.  The Wald
+    interval is centered at the half-sample estimate, or at the point
+    estimate for a method without one (``a_tilde is None``).
     """
     with stage("variance"):
         try:
-            gamma_hat = math.sqrt(variance())
+            g_hat = math.sqrt(g_sq())
         except DegenerateVariance:
-            gamma_hat = 0.0
+            g_hat = 0.0
+    theta_hat_raw = nu + (1.0 - nu) * a_hat
+    theta_tilde_raw = None if a_tilde is None else nu + (1.0 - nu) * a_tilde
+    gamma_hat = (1.0 - nu) * g_hat
     with stage("interval"):
         center = theta_hat_raw if theta_tilde_raw is None else theta_tilde_raw
         ci_raw = wald_interval(center, gamma_hat, n, alpha)

@@ -4,10 +4,12 @@ univariate-regression estimate.
 Model: Y = mu' X + eps with mean-zero covariates (no intercept) and
 homoskedastic errors.  The prospective external information is a univariate
 least-squares slope of Y on one designated covariate column S computed from N
-additional observations.  Both bound traces have closed forms in five sample
-moments, so the point estimate is direct, its asymptotic variance is positive
-under mild conditions, and the confidence interval is centered at the point
-estimate itself (no split estimator is needed).
+additional observations.  The utility is nu + (1 - nu) a, where
+nu = n / (n + N); :func:`core.finalize` applies that map.  This module
+computes the nu-free core a = 1 - sigma^2 / (alpha kappa), a closed form in
+five sample moments, so the point estimate is direct, its asymptotic variance
+is positive under mild conditions, and the confidence interval is centered at
+the point estimate itself (no split estimator is needed).
 """
 
 from __future__ import annotations
@@ -83,28 +85,6 @@ def fit_components(data: Dataset, s_index: int = 0) -> LinRegComponents:
     )
 
 
-def bounds_linreg(comp: LinRegComponents, nu: float) -> tuple[float, float]:
-    """Bound-trace estimates (theta1, theta2): theta2 = sigma^2 kappa,
-    theta1 = theta2 - (1-nu) sigma^4 / alpha."""
-    if comp.alpha_hat <= 0.0:
-        raise DegenerateResidualVariance(
-            "exact-fit data: S-weighted residual moment is zero"
-        )
-    theta2 = comp.sigma_hat**2 * comp.kappa_hat
-    theta1 = theta2 - (1.0 - nu) * comp.sigma_hat**4 / comp.alpha_hat
-    return theta1, theta2
-
-
-def point_estimate_linreg(comp: LinRegComponents, nu: float) -> float:
-    """Raw point estimate 1 - (1-nu) sigma^2 / (alpha kappa)."""
-    check_settings(nu=nu)
-    if comp.alpha_hat <= 0.0:
-        raise DegenerateResidualVariance(
-            "exact-fit data: S-weighted residual moment is zero"
-        )
-    return 1.0 - (1.0 - nu) * comp.sigma_hat**2 / (comp.alpha_hat * comp.kappa_hat)
-
-
 def influence_composite(data: Dataset, comp: LinRegComponents) -> np.ndarray:
     """Per-observation composite whose sample variance drives the variance plug-in.
 
@@ -130,32 +110,37 @@ def influence_composite(data: Dataset, comp: LinRegComponents) -> np.ndarray:
     )
 
 
-def variance_linreg(data: Dataset, comp: LinRegComponents, nu: float) -> float:
-    """Plug-in asymptotic variance ((1-nu)/(alpha kappa))^2 Var(v), divisor n-1."""
+def _alpha_kappa(comp: LinRegComponents) -> float:
+    """The product alpha kappa that scales both the core and its variance."""
     if comp.alpha_hat <= 0.0:
         raise DegenerateResidualVariance(
             "exact-fit data: S-weighted residual moment is zero"
         )
+    return comp.alpha_hat * comp.kappa_hat
+
+
+def variance_linreg(data: Dataset, comp: LinRegComponents) -> float:
+    """Plug-in g^2 = Var(v) / (alpha kappa)^2, divisor n - 1."""
+    alpha_kappa = _alpha_kappa(comp)
     if data.n < 2:
         raise TooFewObservations("variance needs at least two observations")
     composite = influence_composite(data, comp)
     var_composite = float(np.var(composite, ddof=1))
     if var_composite == 0.0:
         raise DegenerateVariance("influence composite is constant")
-    prefactor = ((1.0 - nu) / (comp.alpha_hat * comp.kappa_hat)) ** 2
-    return prefactor * var_composite
+    return var_composite / alpha_kappa**2
 
 
 def assess_linreg(
     data: Dataset, s_index: int, nu: float, alpha: float = 0.95
 ) -> UtilityEstimate:
-    """Full assessment: moment components and the point estimate, then
-    :func:`finalize` (no split estimator, so the interval is centered at the
-    point estimate)."""
-    check_settings(alpha=alpha)
+    """Full assessment: moment components and the point core
+    a = 1 - sigma^2 / (alpha kappa), then :func:`finalize` (no split
+    estimator, so the interval is centered at the point estimate)."""
+    check_settings(nu=nu, alpha=alpha)
     with stage("components"):
         comp = fit_components(data, s_index)
     with stage("point"):
-        theta_raw = point_estimate_linreg(comp, nu)
-    return finalize(theta_raw, None, lambda: variance_linreg(data, comp, nu),
+        a_hat = 1.0 - comp.sigma_hat**2 / _alpha_kappa(comp)
+    return finalize(a_hat, None, lambda: variance_linreg(data, comp),
                     data.n, nu, alpha, "linreg")

@@ -1,10 +1,10 @@
 """Utility assessment for mean-response estimation with external covariate data.
 
-The two bound traces are sample averages of squared residuals: the
-internal-only trace is the variance of Y around its mean, the with-fusion
-trace mixes residuals around a cross-fitted regression g(X) (weight 1 - nu)
-with residuals around the mean (weight nu), where nu = n / (n + N) encodes
-how much external covariate data is contemplated.  Two g targets are
+The utility is nu + (1 - nu) a, where nu = n / (n + N) encodes how much
+external covariate data is contemplated; :func:`core.finalize` applies that
+map.  This module computes the nu-free core: a is the mean squared residual
+around a cross-fitted regression g(X) over the mean squared residual around
+the mean of Y (the internal-only trace theta2).  Two g targets are
 supported: the conditional mean E(Y | X), for external individual covariate
 records, and the best linear predictor including an intercept, for an
 external covariate average.
@@ -58,35 +58,23 @@ class MeanAssessmentConfig:
         return "ols-linear" if self.g_mode == "linear" else self.regressor
 
 
-@dataclass(frozen=True)
-class MeanIntermediates:
-    mu_hat: float
-    ghat: np.ndarray
-    theta1_hat: float
-    theta2_hat: float
-
-
-def estimate_bounds_mean(data: Dataset, cfg: MeanAssessmentConfig, ghat) -> tuple[float, float]:
-    """Plug-in bound traces (theta1, theta2) from given nuisance predictions.
-
-    theta1 = mean[(1-nu)(y - ghat)^2 + nu (y - ybar)^2], theta2 = mean[(y - ybar)^2].
-    """
+def estimate_bounds_mean(data: Dataset, ghat) -> tuple[float, float]:
+    """Plug-in traces from given nuisance predictions: the residual trace
+    mean[(y - ghat)^2] and the internal-only trace theta2 = mean[(y - ybar)^2].
+    Their ratio is the core a."""
     ghat = np.asarray(ghat, dtype=float)
     if ghat.shape != (data.n,):
         raise PlanMismatch(f"ghat must have length {data.n}, got shape {ghat.shape}")
-    mu_hat = float(np.mean(data.y))
-    sq_mean = (data.y - mu_hat) ** 2
-    theta2 = float(np.mean(sq_mean))
+    theta2 = float(np.mean((data.y - np.mean(data.y)) ** 2))
     if theta2 <= 0.0:
         raise DegenerateDenominator("response is constant; internal-only trace is zero")
-    sq_g = (data.y - ghat) ** 2
-    theta1 = float(np.mean((1.0 - cfg.nu) * sq_g + cfg.nu * sq_mean))
-    return theta1, theta2
+    return float(np.mean((data.y - ghat) ** 2)), theta2
 
 
-def compute_mean_intermediates(data: Dataset, cfg: MeanAssessmentConfig) -> MeanIntermediates:
+def compute_mean_intermediates(data: Dataset, cfg: MeanAssessmentConfig) -> np.ndarray:
+    """Cross-fitted predictions ghat of g on the full sample."""
     plan = make_split_plan(data.n, cfg.n_folds, cfg.seed)
-    ghat = crossfit_predict(
+    return crossfit_predict(
         data,
         plan,
         cfg.regressor_kind,
@@ -94,23 +82,10 @@ def compute_mean_intermediates(data: Dataset, cfg: MeanAssessmentConfig) -> Mean
         bandwidth=cfg.bandwidth,
         n_neighbors=cfg.n_neighbors,
     )
-    theta1, theta2 = estimate_bounds_mean(data, cfg, ghat)
-    return MeanIntermediates(
-        mu_hat=float(np.mean(data.y)),
-        ghat=ghat,
-        theta1_hat=theta1,
-        theta2_hat=theta2,
-    )
-
-
-def point_estimate_mean(data: Dataset, cfg: MeanAssessmentConfig) -> float:
-    """Raw point estimate: ratio of the two plug-in traces (always >= nu)."""
-    im = compute_mean_intermediates(data, cfg)
-    return ratio_estimate(im.theta1_hat, im.theta2_hat)
 
 
 def split_estimate_mean(data: Dataset, cfg: MeanAssessmentConfig) -> float:
-    """Half-sample estimate whose first-order term cannot vanish.
+    """Half-sample core a_tilde, whose first-order term cannot vanish.
 
     The g-residual average uses the first ceil(n/2) observations (with
     cross-fitting inside that half); the mean-residual average uses the rest,
@@ -136,50 +111,30 @@ def split_estimate_mean(data: Dataset, cfg: MeanAssessmentConfig) -> float:
     denominator = float(np.mean((data.y[n_half:] - mu_hat) ** 2))
     if denominator <= 0.0:
         raise DegenerateDenominator("second-half residuals around the mean are all zero")
-    return (1.0 - cfg.nu) * numerator / denominator + cfg.nu
+    return numerator / denominator
 
 
-def variance_terms_mean(
-    data: Dataset, cfg: MeanAssessmentConfig, im: MeanIntermediates
-) -> tuple[float, float]:
-    """The two nonnegative summands of the plug-in asymptotic variance.
-
-    gamma^2 = 2(1-nu)^2 Var[(Y-ghat)^2] / theta2^2
-            + 2(theta1 - nu*theta2)^2 Var[(Y-ybar)^2] / theta2^4,
-    with sample variances using divisor n-1.
-    """
-    if im.theta2_hat <= 0.0:
-        raise DegenerateDenominator("internal-only trace must be positive")
+def variance_mean(data: Dataset, ghat) -> float:
+    """Plug-in g^2 = 2{Var[(Y - ghat)^2] + a^2 Var[(Y - ybar)^2]} / theta2^2,
+    with sample variances using divisor n - 1."""
+    residual_trace, theta2 = estimate_bounds_mean(data, ghat)
     if data.n < 2:
         raise TooFewObservations("variance needs at least two observations")
-    sq_g = (data.y - im.ghat) ** 2
-    sq_mean = (data.y - im.mu_hat) ** 2
-    var_g = float(np.var(sq_g, ddof=1))
-    var_mean = float(np.var(sq_mean, ddof=1))
+    var_g = float(np.var((data.y - ghat) ** 2, ddof=1))
+    var_mean = float(np.var((data.y - np.mean(data.y)) ** 2, ddof=1))
     if var_g == 0.0 and var_mean == 0.0:
         raise DegenerateVariance("both residual-square sequences are constant")
-    term_g = 2.0 * (1.0 - cfg.nu) ** 2 * var_g / im.theta2_hat**2
-    term_mean = (
-        2.0
-        * (im.theta1_hat - cfg.nu * im.theta2_hat) ** 2
-        * var_mean
-        / im.theta2_hat**4
-    )
-    return term_g, term_mean
-
-
-def variance_mean(data: Dataset, cfg: MeanAssessmentConfig, im: MeanIntermediates) -> float:
-    term_g, term_mean = variance_terms_mean(data, cfg, im)
-    return term_g + term_mean
+    a_hat = residual_trace / theta2
+    return 2.0 * (var_g + a_hat**2 * var_mean) / theta2**2
 
 
 def assess_mean(data: Dataset, cfg: MeanAssessmentConfig) -> UtilityEstimate:
-    """Full assessment: raw point and split estimates, then :func:`finalize`
+    """Full assessment: the point and half-sample cores, then :func:`finalize`
     (the interval is centered at the split estimate)."""
     with stage("point"):
-        im = compute_mean_intermediates(data, cfg)
-        theta_raw = ratio_estimate(im.theta1_hat, im.theta2_hat)
+        ghat = compute_mean_intermediates(data, cfg)
+        a_hat = ratio_estimate(*estimate_bounds_mean(data, ghat))
     with stage("split"):
-        theta_tilde = split_estimate_mean(data, cfg)
-    return finalize(theta_raw, theta_tilde, lambda: variance_mean(data, cfg, im),
+        a_tilde = split_estimate_mean(data, cfg)
+    return finalize(a_hat, a_tilde, lambda: variance_mean(data, ghat),
                     data.n, cfg.nu, cfg.alpha, cfg.method)

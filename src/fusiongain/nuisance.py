@@ -528,25 +528,6 @@ def _gaussian_weights(x_sample: np.ndarray, bandwidths: np.ndarray, xq: np.ndarr
     return np.exp(log_w, out=log_w)
 
 
-def cond_kde_eval(
-    x_sample,
-    y_sample,
-    x_bandwidths,
-    y_bandwidth: float,
-    x_point,
-    y_point: float,
-) -> float:
-    """Conditional density estimate of y given x at one point.
-
-    Kernel-weighted average over the paired sample: weights are normalized
-    product Gaussian kernels in x; each pair contributes a Gaussian kernel in
-    y with bandwidth ``y_bandwidth``.
-    """
-    profile = cond_kde_profile(x_sample, y_sample, x_bandwidths, y_bandwidth,
-                               np.atleast_2d(np.asarray(x_point, dtype=float)), y_point)
-    return float(profile[0])
-
-
 def cond_kde_profile(
     x_sample,
     y_sample,

@@ -1,12 +1,15 @@
 """Utility assessment for response-quantile estimation with external covariate data.
 
-For the tau-quantile target the internal-only bound trace is the known
-constant tau(1-tau) (the marginal density factor cancels in the ratio), so
-the estimate reduces to the average squared discrepancy between the indicator
-1(Y < mu_hat) and a cross-fitted conditional-CDF regression at the empirical
-quantile mu_hat, scaled by (1-nu)/{tau(1-tau)} and shifted by nu.  The
-variance plug-in additionally needs kernel density estimates of the marginal
-and conditional response densities at the quantile.
+The utility is nu + (1 - nu) a, where nu = n / (n + N) encodes how much
+external covariate data is contemplated; :func:`core.finalize` applies that
+map.  This module computes the nu-free core.  For the tau-quantile target the
+internal-only bound trace is the known constant tau(1-tau) (the marginal
+density factor cancels in the ratio), so a is the average squared
+discrepancy between the indicator 1(Y < mu_hat) and a cross-fitted
+conditional-CDF regression at the empirical quantile mu_hat, divided by
+tau(1-tau).  The variance plug-in additionally needs kernel density
+estimates of the marginal and conditional response densities at the
+quantile.
 """
 
 from __future__ import annotations
@@ -57,13 +60,6 @@ class QuantileAssessmentConfig:
         return self.tau * (1.0 - self.tau)
 
 
-@dataclass(frozen=True)
-class QuantileIntermediates:
-    mu_hat: float
-    fhat: np.ndarray  # cross-fitted conditional CDF at mu_hat, clamped to [0, 1]
-    theta1_hat: float
-
-
 def _cdf_crossfit(data: Dataset, cfg: QuantileAssessmentConfig, threshold: float) -> np.ndarray:
     plan = make_split_plan(data.n, cfg.n_folds, cfg.seed)
     return crossfit_predict(
@@ -77,24 +73,23 @@ def _cdf_crossfit(data: Dataset, cfg: QuantileAssessmentConfig, threshold: float
     )
 
 
+def _squared_gaps(y: np.ndarray, threshold: float, fhat: np.ndarray) -> np.ndarray:
+    """(1(y < threshold) - Fhat)^2, the per-observation CDF discrepancy."""
+    return ((y < threshold).astype(float) - fhat) ** 2
+
+
 def compute_quantile_intermediates(
     data: Dataset, cfg: QuantileAssessmentConfig
-) -> QuantileIntermediates:
+) -> tuple[float, np.ndarray]:
+    """The empirical tau-quantile mu_hat and the cross-fitted conditional CDF
+    Fhat at mu_hat (clamped to [0, 1])."""
     mu_hat = empirical_quantile(data.y, cfg.tau)
-    fhat = _cdf_crossfit(data, cfg, mu_hat)
-    indicators = (data.y < mu_hat).astype(float)
-    theta1 = (1.0 - cfg.nu) * float(np.mean((indicators - fhat) ** 2)) + cfg.nu * cfg.theta2
-    return QuantileIntermediates(mu_hat=mu_hat, fhat=fhat, theta1_hat=theta1)
-
-
-def point_estimate_quantile(data: Dataset, cfg: QuantileAssessmentConfig) -> float:
-    """Raw point estimate; the denominator trace tau(1-tau) is known."""
-    im = compute_quantile_intermediates(data, cfg)
-    return ratio_estimate(im.theta1_hat, cfg.theta2)
+    return mu_hat, _cdf_crossfit(data, cfg, mu_hat)
 
 
 def split_estimate_quantile(data: Dataset, cfg: QuantileAssessmentConfig) -> float:
-    """Half-sample estimate: quantile from the second half, discrepancies from the first.
+    """Half-sample core a_tilde: quantile from the second half, discrepancies
+    from the first.
 
     The threshold is the empirical tau-quantile of the second half, the
     conditional-CDF regression is cross-fitted within the first half at that
@@ -107,19 +102,16 @@ def split_estimate_quantile(data: Dataset, cfg: QuantileAssessmentConfig) -> flo
     mu_tilde = empirical_quantile(data.y[n_half:], cfg.tau)
     half = data.take(np.arange(n_half))
     fhat = _cdf_crossfit(half, cfg, mu_tilde)
-    indicators = (half.y < mu_tilde).astype(float)
-    discrepancy = float(np.mean((indicators - fhat) ** 2))
-    return (1.0 - cfg.nu) * discrepancy / cfg.theta2 + cfg.nu
+    return float(np.mean(_squared_gaps(half.y, mu_tilde, fhat))) / cfg.theta2
 
 
-def variance_terms_quantile(
-    data: Dataset, cfg: QuantileAssessmentConfig, im: QuantileIntermediates
-) -> tuple[float, float]:
-    """The two nonnegative summands of the plug-in asymptotic variance.
+def variance_quantile(
+    data: Dataset, cfg: QuantileAssessmentConfig, mu_hat: float, fhat: np.ndarray
+) -> float:
+    """Plug-in g^2 = 2 A^2 / {tau(1-tau)} + 2 Var[(1(Y<mu_hat) - Fhat)^2] / {tau(1-tau)}^2,
+    with A = 2 * mean[Fhat_i * fhat_{Y|X}(mu_hat | X_i)] / fhat_Y(mu_hat) - 1
+    and divisor n - 1.
 
-    First summand: 2(1-nu)^2 A^2 / {tau(1-tau)} with
-    A = 2 * mean[Fhat_i * fhat_{Y|X}(mu_hat | X_i)] / fhat_Y(mu_hat) - 1;
-    second: 2(1-nu)^2 Var[(1(Y<mu_hat) - Fhat)^2] / {tau(1-tau)}^2.
     All density plug-ins are evaluated at the full-sample empirical quantile;
     bandwidths follow the rule of thumb (per covariate dimension for the
     conditional estimate).
@@ -129,35 +121,25 @@ def variance_terms_quantile(
     h_y = cfg.density_bandwidth
     if h_y is None:
         h_y = silverman_bandwidth(data.y)
-    f_y = kde_eval(KernelDensity(data.y, h_y), im.mu_hat)
+    f_y = kde_eval(KernelDensity(data.y, h_y), mu_hat)
     if f_y <= DENSITY_FLOOR:
         raise VanishingDensity(
             f"marginal density estimate at the quantile is {f_y:.3e}"
         )
     h_x = np.array([silverman_bandwidth(data.x[:, d]) for d in range(data.p)])
-    f_cond = cond_kde_profile(data.x, data.y, h_x, h_y, data.x, im.mu_hat)
-    slope = 2.0 * float(np.mean(im.fhat * f_cond)) / f_y - 1.0
-    term_density = 2.0 * (1.0 - cfg.nu) ** 2 * slope**2 / cfg.theta2
-    indicators = (data.y < im.mu_hat).astype(float)
-    var_sq = float(np.var((indicators - im.fhat) ** 2, ddof=1))
-    term_dispersion = 2.0 * (1.0 - cfg.nu) ** 2 * var_sq / cfg.theta2**2
-    return term_density, term_dispersion
-
-
-def variance_quantile(
-    data: Dataset, cfg: QuantileAssessmentConfig, im: QuantileIntermediates
-) -> float:
-    term_density, term_dispersion = variance_terms_quantile(data, cfg, im)
-    return term_density + term_dispersion
+    f_cond = cond_kde_profile(data.x, data.y, h_x, h_y, data.x, mu_hat)
+    slope = 2.0 * float(np.mean(fhat * f_cond)) / f_y - 1.0
+    var_sq = float(np.var(_squared_gaps(data.y, mu_hat, fhat), ddof=1))
+    return 2.0 * slope**2 / cfg.theta2 + 2.0 * var_sq / cfg.theta2**2
 
 
 def assess_quantile(data: Dataset, cfg: QuantileAssessmentConfig) -> UtilityEstimate:
-    """Full assessment: raw point and split estimates, then :func:`finalize`
+    """Full assessment: the point and half-sample cores, then :func:`finalize`
     (the interval is centered at the split estimate)."""
     with stage("point"):
-        im = compute_quantile_intermediates(data, cfg)
-        theta_raw = ratio_estimate(im.theta1_hat, cfg.theta2)
+        mu_hat, fhat = compute_quantile_intermediates(data, cfg)
+        a_hat = ratio_estimate(float(np.mean(_squared_gaps(data.y, mu_hat, fhat))), cfg.theta2)
     with stage("split"):
-        theta_tilde = split_estimate_quantile(data, cfg)
-    return finalize(theta_raw, theta_tilde, lambda: variance_quantile(data, cfg, im),
+        a_tilde = split_estimate_quantile(data, cfg)
+    return finalize(a_hat, a_tilde, lambda: variance_quantile(data, cfg, mu_hat, fhat),
                     data.n, cfg.nu, cfg.alpha, "quantile")

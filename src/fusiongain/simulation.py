@@ -13,6 +13,7 @@ bit-identical under any degree of parallelism.
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -265,6 +266,8 @@ def run_monte_carlo(
         raise OutOfRange("reps must be >= 1")
     theta0 = true_theta(cell)
     worker = partial(_run_replication, cell, seed, theta0)
+    # the fork start method launches every worker at the first submit
+    workers = min(workers, reps, os.cpu_count() or 1)
     if workers <= 1:
         outcomes = [worker(rep) for rep in range(reps)]
     else:

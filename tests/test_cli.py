@@ -570,7 +570,8 @@ class TestSimulateCommand:
         assert json.loads(capsys.readouterr().err)["error"] == "UsageError"
 
     @pytest.mark.parametrize(
-        "flag", [["--nu", "1.2"], ["--alpha", "1.5"], ["--tau", "0.5,1.0"], ["--folds", "1"]]
+        "flag", [["--nu", "1.2"], ["--alpha", "1.5"], ["--tau", "0.5,1.0"], ["--folds", "1"],
+                 ["--rho", "1.5"], ["--n", "0"], ["--workers", "-3"]]
     )
     def test_bad_setting_rejected_before_any_replication(self, tmp_path, capsys, monkeypatch,
                                                          flag):

@@ -17,6 +17,7 @@ from fusiongain.core import (
     wald_interval,
 )
 from fusiongain.errors import DegenerateDenominator, MissingInterval, OutOfRange
+from fusiongain.simulation import METHODS, DgpConfig, generate_dgp
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -209,3 +210,35 @@ class TestUtilityEstimateInvariants:
     def test_bad_nu_rejected(self):
         with pytest.raises(OutOfRange):
             _estimate(0.5, 0.5, 0.1, Interval(0.4, 0.6), nu=1.0)
+
+
+AFFINE_CASES = [
+    ("mean-linear", "local-linear"),
+    ("mean-conditional", "local-linear"),
+    ("mean-conditional", "k-nn"),
+    ("quantile", "local-linear"),
+    ("quantile", "k-nn"),
+    ("linreg", "local-linear"),
+]
+
+
+@pytest.mark.parametrize("method, regressor", AFFINE_CASES)
+def test_estimates_affine_in_nu_bit_for_bit(method, regressor):
+    # finalize is the only place nu enters: every method's estimates at nu
+    # are its nu = 0 estimates mapped by theta -> nu + (1 - nu) theta and
+    # gamma -> (1 - nu) gamma, with no other rounding
+    data = generate_dgp(DgpConfig(b=0.5, n=200, seed=5))
+
+    def run(nu):
+        return METHODS[method].run(data, nu=nu, alpha=0.95, n_folds=5, seed=5, tau=0.5,
+                                   regressor=regressor, s_index=0)
+
+    base = run(0.0)
+    for nu in (0.3, 0.7):
+        est = run(nu)
+        assert est.theta_hat_raw == nu + (1 - nu) * base.theta_hat_raw
+        if base.theta_tilde_raw is None:
+            assert est.theta_tilde_raw is None
+        else:
+            assert est.theta_tilde_raw == nu + (1 - nu) * base.theta_tilde_raw
+        assert est.gamma_hat == (1 - nu) * base.gamma_hat

@@ -8,10 +8,8 @@ from fusiongain.errors import (
 )
 from fusiongain.linreg_utility import (
     assess_linreg,
-    bounds_linreg,
     fit_components,
     influence_composite,
-    point_estimate_linreg,
     variance_linreg,
 )
 from fusiongain.nuisance import Dataset
@@ -28,6 +26,10 @@ def _sigma0_alpha_positive_dataset():
     # Y depends only on the second covariate; exact fit, but S-residuals vary
     x = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
     return Dataset(x[:, 1].copy(), x)
+
+
+def _point(data, nu):
+    return assess_linreg(data, 0, nu).theta_hat_raw
 
 
 class TestComponents:
@@ -68,26 +70,25 @@ class TestComponents:
 
 class TestPointEstimate:
     def test_zero_noise_gives_one(self):
-        comp = fit_components(_sigma0_alpha_positive_dataset(), s_index=0)
+        data = _sigma0_alpha_positive_dataset()
+        comp = fit_components(data, s_index=0)
         assert comp.sigma_hat == pytest.approx(0.0, abs=1e-12)
         assert comp.alpha_hat > 0
-        assert point_estimate_linreg(comp, 0.5) == pytest.approx(1.0, abs=1e-12)
+        assert _point(data, 0.5) == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_fit_raises(self):
-        comp = fit_components(_exact_fit_dataset(), s_index=0)
-        with pytest.raises(DegenerateResidualVariance):
-            point_estimate_linreg(comp, 0.5)
+        with pytest.raises(DegenerateResidualVariance) as exc:
+            assess_linreg(_exact_fit_dataset(), 0, 0.5)
+        assert exc.value.stage == "point"
 
     def test_near_population_value_b0(self):
         data = generate_dgp(DgpConfig(b=0.0, n=2000, seed=31))
-        comp = fit_components(data, 0)
-        theta = point_estimate_linreg(comp, 0.5)
+        theta = _point(data, 0.5)
         assert abs(theta - 0.76) <= 0.04
 
     def test_identity_against_recomputed_components(self):
         data = generate_dgp(DgpConfig(b=0.5, n=500, seed=32))
-        comp = fit_components(data, 0)
-        theta = point_estimate_linreg(comp, 0.3)
+        theta = _point(data, 0.3)
         ref = ref_linreg_components(data.y, data.x, 0)
         expected = 1.0 - 0.7 * ref["sigma"] ** 2 / (ref["alpha"] * ref["kappa"])
         assert theta == pytest.approx(expected, abs=1e-12)
@@ -95,33 +96,30 @@ class TestPointEstimate:
     def test_bound_pair_consistency(self):
         data = generate_dgp(DgpConfig(b=1.0, n=400, seed=33))
         comp = fit_components(data, 0)
-        theta1, theta2 = bounds_linreg(comp, 0.5)
-        assert theta2 == pytest.approx(comp.sigma_hat**2 * comp.kappa_hat, abs=1e-12)
-        assert theta1 / theta2 == pytest.approx(
-            point_estimate_linreg(comp, 0.5), abs=1e-12
-        )
+        # the utility is the ratio of the with-fusion over the internal-only bound trace
+        theta2 = comp.sigma_hat**2 * comp.kappa_hat
+        theta1 = theta2 - 0.5 * comp.sigma_hat**4 / comp.alpha_hat
+        assert theta1 / theta2 == pytest.approx(_point(data, 0.5), abs=1e-12)
 
 
 class TestVariance:
     def test_matches_reference(self):
         data = generate_dgp(DgpConfig(b=1.0, n=2000, seed=13))
-        comp = fit_components(data, 0)
-        gamma_sq = variance_linreg(data, comp, 0.5)
+        gamma_sq = assess_linreg(data, 0, 0.5).gamma_hat ** 2
         expected = ref_linreg_gamma_sq(data.y, data.x, 0, 0.5)
         assert gamma_sq == pytest.approx(expected, abs=1e-8)
 
     def test_vanishes_quadratically_as_nu_approaches_one(self):
         data = generate_dgp(DgpConfig(b=0.5, n=300, seed=34))
-        comp = fit_components(data, 0)
-        v1 = variance_linreg(data, comp, 1.0 - 1e-2)
-        v2 = variance_linreg(data, comp, 1.0 - 1e-3)
+        v1 = assess_linreg(data, 0, 1.0 - 1e-2).gamma_hat ** 2
+        v2 = assess_linreg(data, 0, 1.0 - 1e-3).gamma_hat ** 2
         assert v2 == pytest.approx(v1 / 100.0, rel=1e-9)
 
     def test_constant_composite_raises(self):
         data = _sigma0_alpha_positive_dataset()
         comp = fit_components(data, s_index=0)
         with pytest.raises(DegenerateVariance):
-            variance_linreg(data, comp, 0.5)
+            variance_linreg(data, comp)
 
     def test_agrees_with_influence_function_form(self):
         # diagnostic: the ratio's plug-in influence function is an affine map
@@ -134,7 +132,7 @@ class TestVariance:
         influence = -(1 - nu) / (comp.alpha_hat * comp.kappa_hat) * (
             composite - comp.sigma_hat**2
         )
-        gamma_sq = variance_linreg(data, comp, nu)
+        gamma_sq = assess_linreg(data, 0, nu).gamma_hat ** 2
         assert float(np.var(influence, ddof=1)) == pytest.approx(gamma_sq, rel=1e-12)
 
     def test_composite_recomputation_second_pass(self):
@@ -181,28 +179,22 @@ class TestAssess:
 class TestInvariances:
     def test_affine_in_nu(self):
         data = generate_dgp(DgpConfig(b=0.5, n=300, seed=37))
-        comp = fit_components(data, 0)
-        thetas = {nu: point_estimate_linreg(comp, nu) for nu in (0.0, 0.25, 0.5)}
+        thetas = {nu: _point(data, nu) for nu in (0.0, 0.25, 0.5)}
         assert thetas[0.25] == pytest.approx(0.75 * thetas[0.0] + 0.25, abs=1e-12)
         assert thetas[0.5] == pytest.approx(0.5 * thetas[0.0] + 0.5, abs=1e-12)
 
     def test_scale_invariance(self):
         data = generate_dgp(DgpConfig(b=1.0, n=300, seed=38))
-        base = point_estimate_linreg(fit_components(data, 0), 0.5)
-        scaled = point_estimate_linreg(
-            fit_components(Dataset(2.5 * data.y, data.x), 0), 0.5
-        )
+        base = _point(data, 0.5)
+        scaled = _point(Dataset(2.5 * data.y, data.x), 0.5)
         assert scaled == pytest.approx(base, abs=1e-10)
 
     def test_permuting_non_s_columns(self):
         rng = np.random.default_rng(39)
         x = rng.normal(size=(400, 3))
         y = x @ np.array([1.0, -0.5, 0.25]) + rng.normal(size=400)
-        base = point_estimate_linreg(fit_components(Dataset(y, x), 0), 0.5)
-        permuted = x[:, [0, 2, 1]]
-        swapped = point_estimate_linreg(
-            fit_components(Dataset(y, permuted), 0), 0.5
-        )
+        base = _point(Dataset(y, x), 0.5)
+        swapped = _point(Dataset(y, x[:, [0, 2, 1]]), 0.5)
         assert swapped == pytest.approx(base, abs=1e-10)
 
 

@@ -5,14 +5,10 @@ from fusiongain.core import ratio_estimate
 from fusiongain.errors import DegenerateDenominator, DegenerateVariance
 from fusiongain.mean_utility import (
     MeanAssessmentConfig,
-    MeanIntermediates,
     assess_mean,
     compute_mean_intermediates,
     estimate_bounds_mean,
-    point_estimate_mean,
-    split_estimate_mean,
     variance_mean,
-    variance_terms_mean,
 )
 from fusiongain.nuisance import Dataset, make_split_plan
 from fusiongain.simulation import DgpConfig, generate_dgp
@@ -34,39 +30,43 @@ def _exact_linear_dataset(n=40, seed=0):
     return Dataset(y, x)
 
 
+def _point(data, cfg):
+    return assess_mean(data, cfg).theta_hat_raw
+
+
 class TestBounds:
     def test_perfect_fit(self):
         data = Dataset(np.array([0.0, 2.0]), np.array([[0.0], [1.0]]))
-        theta1, theta2 = estimate_bounds_mean(data, _linear_cfg(), np.array([0.0, 2.0]))
-        assert theta1 == pytest.approx(0.5, abs=1e-12)
+        residual_trace, theta2 = estimate_bounds_mean(data, np.array([0.0, 2.0]))
+        assert residual_trace == 0.0
         assert theta2 == pytest.approx(1.0, abs=1e-12)
 
     def test_ghat_equal_to_mean(self):
         data = Dataset(np.array([0.0, 2.0]), np.array([[0.0], [1.0]]))
-        theta1, theta2 = estimate_bounds_mean(data, _linear_cfg(), np.array([1.0, 1.0]))
-        assert theta1 == pytest.approx(1.0, abs=1e-12)
+        residual_trace, theta2 = estimate_bounds_mean(data, np.array([1.0, 1.0]))
+        assert residual_trace == pytest.approx(1.0, abs=1e-12)
         assert theta2 == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_response(self):
         data = Dataset(np.full(4, 2.0), np.arange(4.0)[:, None])
         with pytest.raises(DegenerateDenominator):
-            estimate_bounds_mean(data, _linear_cfg(), np.full(4, 2.0))
+            estimate_bounds_mean(data, np.full(4, 2.0))
 
 
 class TestPointEstimate:
     def test_perfect_fit_gives_nu(self):
         data = _exact_linear_dataset()
-        assert point_estimate_mean(data, _linear_cfg()) == pytest.approx(0.5, abs=1e-10)
+        assert _point(data, _linear_cfg()) == pytest.approx(0.5, abs=1e-10)
 
     def test_ghat_equal_mean_gives_one(self):
         data = Dataset(np.array([0.0, 2.0, 1.0, 3.0]), np.arange(4.0)[:, None])
-        bounds = estimate_bounds_mean(data, _linear_cfg(), np.full(4, data.y.mean()))
+        bounds = estimate_bounds_mean(data, np.full(4, data.y.mean()))
         assert ratio_estimate(*bounds) == 1.0
 
     def test_matches_reference_and_population_value(self):
         data = generate_dgp(DgpConfig(b=0.5, n=2000, seed=11))
         cfg = _linear_cfg(seed=11)
-        theta = point_estimate_mean(data, cfg)
+        theta = _point(data, cfg)
         plan = make_split_plan(2000, 5, seed=11)
         expected, _ = ref_mean_point(data.y, data.x, 0.5, plan.assignment, "linear")
         assert theta == pytest.approx(expected, abs=1e-8)
@@ -78,18 +78,19 @@ class TestPointEstimate:
             data = Dataset(rng.normal(size=40), rng.normal(size=(40, 2)))
             for nu in (0.0, 0.3, 0.7):
                 cfg = _linear_cfg(nu=nu, seed=seed)
-                assert point_estimate_mean(data, cfg) >= nu
+                assert _point(data, cfg) >= nu
 
 
 class TestSplitEstimate:
     def test_perfect_fit_first_half(self):
         data = _exact_linear_dataset(n=48)
-        assert split_estimate_mean(data, _linear_cfg()) == pytest.approx(0.5, abs=1e-10)
+        est = assess_mean(data, _linear_cfg())
+        assert est.theta_tilde_raw == pytest.approx(0.5, abs=1e-10)
 
     def test_matches_reference(self):
         data = generate_dgp(DgpConfig(b=1.0, n=1000, seed=3))
         cfg = _linear_cfg(seed=3)
-        theta_tilde = split_estimate_mean(data, cfg)
+        theta_tilde = assess_mean(data, cfg).theta_tilde_raw
         half_plan = make_split_plan(500, 5, seed=3)
         expected = ref_mean_split(data.y, data.x, 0.5, half_plan.assignment, "linear")
         assert theta_tilde == pytest.approx(expected, abs=1e-8)
@@ -97,7 +98,7 @@ class TestSplitEstimate:
     def test_at_least_nu(self):
         rng = np.random.default_rng(9)
         data = Dataset(rng.normal(size=60), rng.normal(size=(60, 2)))
-        assert split_estimate_mean(data, _linear_cfg(nu=0.25)) >= 0.25
+        assert assess_mean(data, _linear_cfg(nu=0.25)).theta_tilde_raw >= 0.25
 
 
 class TestVariance:
@@ -105,19 +106,13 @@ class TestVariance:
         # y symmetric around its mean with |residual| constant; ghat = -y
         y = np.array([1.0, -1.0, 1.0, -1.0])
         data = Dataset(y, np.arange(4.0)[:, None])
-        im = MeanIntermediates(
-            mu_hat=0.0, ghat=-y, theta1_hat=2.5, theta2_hat=1.0
-        )
         with pytest.raises(DegenerateVariance):
-            variance_mean(data, _linear_cfg(), im)
+            variance_mean(data, -y)
 
     def test_vanishes_quadratically_as_nu_approaches_one(self):
         data = generate_dgp(DgpConfig(b=0.5, n=200, seed=4))
-        values = []
-        for eps in (1e-2, 1e-3):
-            cfg = _linear_cfg(nu=1.0 - eps, seed=4)
-            im = compute_mean_intermediates(data, cfg)
-            values.append(variance_mean(data, cfg, im))
+        values = [assess_mean(data, _linear_cfg(nu=1.0 - eps, seed=4)).gamma_hat ** 2
+                  for eps in (1e-2, 1e-3)]
         # gamma^2 = O(eps^2): dividing eps by 10 divides gamma^2 by ~100
         assert values[1] == pytest.approx(values[0] / 100.0, rel=0.05)
 
@@ -130,8 +125,7 @@ class TestVariance:
     def test_matches_reference(self):
         data = generate_dgp(DgpConfig(b=0.5, n=400, seed=6))
         cfg = _linear_cfg(seed=6)
-        im = compute_mean_intermediates(data, cfg)
-        gamma_sq = variance_mean(data, cfg, im)
+        gamma_sq = assess_mean(data, cfg).gamma_hat ** 2
         plan = make_split_plan(400, 5, seed=6)
         expected = ref_mean_gamma_sq(data.y, data.x, 0.5, plan.assignment, "linear")
         assert gamma_sq == pytest.approx(expected, abs=1e-8)
@@ -139,10 +133,14 @@ class TestVariance:
     def test_terms_nonnegative_and_sum(self):
         data = generate_dgp(DgpConfig(b=1.0, n=300, seed=8))
         cfg = _linear_cfg(seed=8)
-        im = compute_mean_intermediates(data, cfg)
-        t1, t2 = variance_terms_mean(data, cfg, im)
+        ghat = compute_mean_intermediates(data, cfg)
+        sq_g = (data.y - ghat) ** 2
+        sq_mean = (data.y - data.y.mean()) ** 2
+        theta2 = sq_mean.mean()
+        t1 = 2 * np.var(sq_g, ddof=1) / theta2**2
+        t2 = 2 * (sq_g.mean() / theta2) ** 2 * np.var(sq_mean, ddof=1) / theta2**2
         assert t1 >= 0 and t2 >= 0
-        assert t1 + t2 == pytest.approx(variance_mean(data, cfg, im), abs=1e-15)
+        assert t1 + t2 == pytest.approx(variance_mean(data, ghat), abs=1e-15)
 
 
 class TestAssess:
@@ -190,7 +188,7 @@ class TestInvariances:
         data = generate_dgp(DgpConfig(b=0.5, n=200, seed=10))
         thetas = {}
         for nu in (0.0, 0.25, 0.5):
-            thetas[nu] = point_estimate_mean(data, _linear_cfg(nu=nu, seed=10))
+            thetas[nu] = _point(data, _linear_cfg(nu=nu, seed=10))
         # theta(nu) = (1 - nu) R + nu must be affine in nu
         assert thetas[0.25] == pytest.approx(0.75 * thetas[0.0] + 0.25, abs=1e-12)
         assert thetas[0.5] == pytest.approx(0.5 * thetas[0.0] + 0.5, abs=1e-12)
@@ -198,13 +196,13 @@ class TestInvariances:
     def test_location_invariance_linear_mode(self):
         data = generate_dgp(DgpConfig(b=0.5, n=200, seed=12))
         cfg = _linear_cfg(seed=12)
-        base = point_estimate_mean(data, cfg)
+        base = _point(data, cfg)
         shifted = Dataset(data.y + 17.3, data.x)
-        assert point_estimate_mean(shifted, cfg) == pytest.approx(base, abs=1e-10)
+        assert _point(shifted, cfg) == pytest.approx(base, abs=1e-10)
 
     def test_scale_invariance_linear_mode(self):
         data = generate_dgp(DgpConfig(b=0.5, n=200, seed=13))
         cfg = _linear_cfg(seed=13)
-        base = point_estimate_mean(data, cfg)
+        base = _point(data, cfg)
         scaled = Dataset(4.2 * data.y, data.x)
-        assert point_estimate_mean(scaled, cfg) == pytest.approx(base, abs=1e-10)
+        assert _point(scaled, cfg) == pytest.approx(base, abs=1e-10)

@@ -18,7 +18,7 @@ from fusiongain.nuisance import (
     LocalLinearRegressor,
     _gaussian_weights,
     KernelDensity,
-    cond_kde_eval,
+    cond_kde_profile,
     crossfit_predict,
     empirical_quantile,
     fit_conditional_mean,
@@ -449,14 +449,15 @@ class TestKde:
 
 class TestCondKde:
     def test_single_pair_at_its_point(self):
-        value = cond_kde_eval(
-            np.array([[1.0]]), np.array([2.0]), np.array([0.5]), 0.25, [1.0], 2.0
+        (value,) = cond_kde_profile(
+            np.array([[1.0]]), np.array([2.0]), np.array([0.5]), 0.25, np.array([[1.0]]), 2.0
         )
         assert value == pytest.approx(1.0 / (0.25 * math.sqrt(2 * math.pi)), abs=1e-12)
 
     def test_far_tail_in_y(self):
-        value = cond_kde_eval(
-            np.array([[1.0]]), np.array([2.0]), np.array([0.5]), 0.25, [1.0], 2.0 + 12 * 0.25
+        (value,) = cond_kde_profile(
+            np.array([[1.0]]), np.array([2.0]), np.array([0.5]), 0.25, np.array([[1.0]]),
+            2.0 + 12 * 0.25,
         )
         assert value <= 1e-8
 
@@ -470,5 +471,5 @@ class TestCondKde:
         h_x = np.array([silverman_bandwidth(x[:, 0])])
         median = float(np.median(y))
         marginal = kde_eval(KernelDensity(y, h_y), median)
-        conditional = cond_kde_eval(x, y, h_x, h_y, [0.3], median)
+        (conditional,) = cond_kde_profile(x, y, h_x, h_y, np.array([[0.3]]), median)
         assert conditional == pytest.approx(marginal, abs=0.05)

@@ -1,7 +1,7 @@
 """Estimator arithmetic vs the independent brute-force reference, at 1e-8.
 
-Twenty seeded datasets at n in {50, 200}; point, split and variance estimates
-for every method (mean-conditional with both the local-linear and the k-NN
+Twenty seeded datasets at n in {50, 200}; the point and split estimates and
+gamma_hat^2 of ``assess_*`` for every method (mean-conditional with both the local-linear and the k-NN
 regressor) are compared against the loop-based transcription in
 reference_impl.py, with fold assignments passed through as data.
 """
@@ -10,22 +10,10 @@ import math
 
 import pytest
 
-from fusiongain.linreg_utility import fit_components, point_estimate_linreg, variance_linreg
-from fusiongain.mean_utility import (
-    MeanAssessmentConfig,
-    compute_mean_intermediates,
-    point_estimate_mean,
-    split_estimate_mean,
-    variance_mean,
-)
+from fusiongain.linreg_utility import assess_linreg
+from fusiongain.mean_utility import MeanAssessmentConfig, assess_mean
 from fusiongain.nuisance import make_split_plan
-from fusiongain.quantile_utility import (
-    QuantileAssessmentConfig,
-    compute_quantile_intermediates,
-    point_estimate_quantile,
-    split_estimate_quantile,
-    variance_quantile,
-)
+from fusiongain.quantile_utility import QuantileAssessmentConfig, assess_quantile
 from fusiongain.simulation import DgpConfig, generate_dgp
 from reference_impl import (
     ref_linreg_gamma_sq,
@@ -73,18 +61,15 @@ def _assert_mean_matches_reference(case_id, n, b, nu, cfg, mode):
     plan = make_split_plan(n, 5, seed=case_id)
     half_plan = make_split_plan(math.ceil(n / 2), 5, seed=case_id)
 
-    theta = point_estimate_mean(data, cfg)
+    est = assess_mean(data, cfg)
     expected, _ = ref_mean_point(data.y, data.x, nu, plan.assignment, mode)
-    assert theta == pytest.approx(expected, abs=TOL)
+    assert est.theta_hat_raw == pytest.approx(expected, abs=TOL)
 
-    theta_tilde = split_estimate_mean(data, cfg)
     expected_tilde = ref_mean_split(data.y, data.x, nu, half_plan.assignment, mode)
-    assert theta_tilde == pytest.approx(expected_tilde, abs=TOL)
+    assert est.theta_tilde_raw == pytest.approx(expected_tilde, abs=TOL)
 
-    im = compute_mean_intermediates(data, cfg)
-    gamma_sq = variance_mean(data, cfg, im)
     expected_gamma = ref_mean_gamma_sq(data.y, data.x, nu, plan.assignment, mode)
-    assert gamma_sq == pytest.approx(expected_gamma, abs=TOL)
+    assert est.gamma_hat**2 == pytest.approx(expected_gamma, abs=TOL)
 
 
 @pytest.mark.parametrize("case_id,n,b,nu,tau", CASES)
@@ -114,33 +99,26 @@ def test_quantile_matches_reference(case_id, n, b, nu, tau):
     plan = make_split_plan(n, 5, seed=case_id)
     half_plan = make_split_plan(math.ceil(n / 2), 5, seed=case_id)
 
-    theta = point_estimate_quantile(data, cfg)
+    est = assess_quantile(data, cfg)
     expected, _, _ = ref_quantile_point(data.y, data.x, nu, tau, plan.assignment)
-    assert theta == pytest.approx(expected, abs=TOL)
+    assert est.theta_hat_raw == pytest.approx(expected, abs=TOL)
 
-    theta_tilde = split_estimate_quantile(data, cfg)
     expected_tilde = ref_quantile_split(
         data.y, data.x, nu, tau, half_plan.assignment
     )
-    assert theta_tilde == pytest.approx(expected_tilde, abs=TOL)
+    assert est.theta_tilde_raw == pytest.approx(expected_tilde, abs=TOL)
 
-    im = compute_quantile_intermediates(data, cfg)
-    gamma_sq = variance_quantile(data, cfg, im)
     expected_gamma = ref_quantile_gamma_sq(
         data.y, data.x, nu, tau, plan.assignment
     )
-    assert gamma_sq == pytest.approx(expected_gamma, abs=TOL)
+    assert est.gamma_hat**2 == pytest.approx(expected_gamma, abs=TOL)
 
 
 @pytest.mark.parametrize("case_id,n,b,nu,tau", CASES)
 def test_linreg_matches_reference(case_id, n, b, nu, tau):
     data = _dataset(case_id, n, b)
-    comp = fit_components(data, 0)
-
-    theta = point_estimate_linreg(comp, nu)
-    assert theta == pytest.approx(ref_linreg_point(data.y, data.x, 0, nu), abs=TOL)
-
-    gamma_sq = variance_linreg(data, comp, nu)
-    assert gamma_sq == pytest.approx(
+    est = assess_linreg(data, 0, nu)
+    assert est.theta_hat_raw == pytest.approx(ref_linreg_point(data.y, data.x, 0, nu), abs=TOL)
+    assert est.gamma_hat**2 == pytest.approx(
         ref_linreg_gamma_sq(data.y, data.x, 0, nu), abs=TOL
     )

@@ -2,16 +2,21 @@ import numpy as np
 import pytest
 
 from fusiongain.errors import VanishingDensity
-from fusiongain.nuisance import Dataset, empirical_quantile, make_split_plan
+from fusiongain.nuisance import (
+    Dataset,
+    KernelDensity,
+    cond_kde_profile,
+    empirical_quantile,
+    kde_eval,
+    make_split_plan,
+    silverman_bandwidth,
+)
 from fusiongain.quantile_utility import (
     QuantileAssessmentConfig,
-    QuantileIntermediates,
     assess_quantile,
     compute_quantile_intermediates,
-    point_estimate_quantile,
     split_estimate_quantile,
     variance_quantile,
-    variance_terms_quantile,
 )
 from fusiongain.simulation import DgpConfig, generate_dgp
 from reference_impl import (
@@ -36,11 +41,26 @@ def _separable_dataset(n=20):
     return Dataset(y, x)
 
 
+def _point(data, cfg):
+    return assess_quantile(data, cfg).theta_hat_raw
+
+
+def _variance_terms(data, cfg, mu_hat, fhat):
+    """The density and dispersion summands of g^2, recomputed term by term."""
+    h_y = silverman_bandwidth(data.y)
+    f_y = kde_eval(KernelDensity(data.y, h_y), mu_hat)
+    h_x = np.array([silverman_bandwidth(data.x[:, d]) for d in range(data.p)])
+    f_cond = cond_kde_profile(data.x, data.y, h_x, h_y, data.x, mu_hat)
+    slope = 2.0 * float(np.mean(fhat * f_cond)) / f_y - 1.0
+    gaps_sq = ((data.y < mu_hat).astype(float) - fhat) ** 2
+    return 2.0 * slope**2 / cfg.theta2, 2.0 * float(np.var(gaps_sq, ddof=1)) / cfg.theta2**2
+
+
 class TestPointEstimate:
     def test_perfect_classifier_gives_nu(self):
         data = _separable_dataset()
         cfg = _cfg(cdf_regressor="k-nn", n_neighbors=1)
-        assert point_estimate_quantile(data, cfg) == pytest.approx(0.5, abs=1e-12)
+        assert _point(data, cfg) == pytest.approx(0.5, abs=1e-12)
 
     def test_no_information_case_gives_one(self):
         # formula level: constant prediction tau and indicator mean exactly tau
@@ -54,7 +74,7 @@ class TestPointEstimate:
     def test_matches_reference(self):
         data = generate_dgp(DgpConfig(b=1.0, n=2000, seed=5))
         cfg = _cfg(tau=0.5, seed=5)
-        theta = point_estimate_quantile(data, cfg)
+        theta = _point(data, cfg)
         plan = make_split_plan(2000, 5, seed=5)
         expected, _, _ = ref_quantile_point(data.y, data.x, 0.5, 0.5, plan.assignment)
         assert theta == pytest.approx(expected, abs=1e-8)
@@ -65,7 +85,7 @@ class TestPointEstimate:
             data = Dataset(rng.normal(size=60), rng.normal(size=(60, 2)))
             for tau in (0.25, 0.5, 0.8):
                 cfg = _cfg(nu=0.3, tau=tau, seed=seed)
-                theta = point_estimate_quantile(data, cfg)
+                theta = _point(data, cfg)
                 assert theta >= 0.3
                 assert theta <= 0.7 / (tau * (1 - tau)) + 0.3 + 1e-12
 
@@ -79,12 +99,12 @@ class TestSplitEstimate:
         x = (y < mu_tilde).astype(float)[:, None]
         data = Dataset(y, x)
         cfg = _cfg(cdf_regressor="k-nn", n_neighbors=1)
-        assert split_estimate_quantile(data, cfg) == pytest.approx(0.5, abs=1e-12)
+        assert split_estimate_quantile(data, cfg) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_reference(self):
         data = generate_dgp(DgpConfig(b=0.5, n=1000, seed=9))
         cfg = _cfg(tau=0.25, seed=9)
-        theta_tilde = split_estimate_quantile(data, cfg)
+        theta_tilde = assess_quantile(data, cfg).theta_tilde_raw
         half_plan = make_split_plan(500, 5, seed=9)
         expected = ref_quantile_split(data.y, data.x, 0.5, 0.25, half_plan.assignment)
         assert theta_tilde == pytest.approx(expected, abs=1e-8)
@@ -92,26 +112,22 @@ class TestSplitEstimate:
     def test_at_least_nu(self):
         rng = np.random.default_rng(15)
         data = Dataset(rng.normal(size=80), rng.normal(size=(80, 1)))
-        assert split_estimate_quantile(data, _cfg(nu=0.4)) >= 0.4
+        assert assess_quantile(data, _cfg(nu=0.4)).theta_tilde_raw >= 0.4
 
 
 class TestVariance:
     def test_matches_reference(self):
         data = generate_dgp(DgpConfig(b=0.5, n=400, seed=17))
         cfg = _cfg(tau=0.25, seed=17)
-        im = compute_quantile_intermediates(data, cfg)
-        gamma_sq = variance_quantile(data, cfg, im)
+        gamma_sq = assess_quantile(data, cfg).gamma_hat ** 2
         plan = make_split_plan(400, 5, seed=17)
         expected = ref_quantile_gamma_sq(data.y, data.x, 0.5, 0.25, plan.assignment)
         assert gamma_sq == pytest.approx(expected, abs=1e-8)
 
     def test_vanishes_quadratically_as_nu_approaches_one(self):
         data = generate_dgp(DgpConfig(b=0.5, n=200, seed=18))
-        values = []
-        for eps in (1e-2, 1e-3):
-            cfg = _cfg(nu=1.0 - eps, seed=18)
-            im = compute_quantile_intermediates(data, cfg)
-            values.append(variance_quantile(data, cfg, im))
+        values = [assess_quantile(data, _cfg(nu=1.0 - eps, seed=18)).gamma_hat ** 2
+                  for eps in (1e-2, 1e-3)]
         assert values[1] == pytest.approx(values[0] / 100.0, rel=1e-6)
 
     def test_second_summand_zero_for_constant_squared_residuals(self):
@@ -121,29 +137,26 @@ class TestVariance:
         indicators = (data.y < mu_hat).astype(float)
         # wrong predictions but with an exactly constant squared gap of 0.25^2
         fhat = np.where(indicators == 1.0, 0.75, 0.25)
-        im = QuantileIntermediates(mu_hat=mu_hat, fhat=fhat, theta1_hat=0.5)
-        _, term2 = variance_terms_quantile(data, cfg, im)
+        term1, term2 = _variance_terms(data, cfg, mu_hat, fhat)
         assert term2 == 0.0
+        assert variance_quantile(data, cfg, mu_hat, fhat) == term1
 
     def test_terms_nonnegative_and_sum(self):
         data = generate_dgp(DgpConfig(b=1.0, n=300, seed=20))
         cfg = _cfg(tau=0.25, seed=20)
-        im = compute_quantile_intermediates(data, cfg)
-        t1, t2 = variance_terms_quantile(data, cfg, im)
+        mu_hat, fhat = compute_quantile_intermediates(data, cfg)
+        t1, t2 = _variance_terms(data, cfg, mu_hat, fhat)
         assert t1 >= 0 and t2 >= 0
-        assert t1 + t2 == pytest.approx(variance_quantile(data, cfg, im), abs=1e-12)
+        assert t1 + t2 == pytest.approx(variance_quantile(data, cfg, mu_hat, fhat), abs=1e-12)
 
     def test_vanishing_density(self):
         data = generate_dgp(DgpConfig(b=0.0, n=100, seed=21))
         cfg = _cfg(seed=21, density_bandwidth=1e-9)
-        im = compute_quantile_intermediates(data, cfg)
+        _, fhat = compute_quantile_intermediates(data, cfg)
         # with an absurdly small bandwidth the kde at the quantile can still be
         # huge (a point sits there), so shift mu_hat into empty space instead
-        im = QuantileIntermediates(
-            mu_hat=float(data.y.max()) + 50.0, fhat=im.fhat, theta1_hat=im.theta1_hat
-        )
         with pytest.raises(VanishingDensity):
-            variance_quantile(data, cfg, im)
+            variance_quantile(data, cfg, float(data.y.max()) + 50.0, fhat)
 
 
 class TestAssess:
@@ -184,15 +197,15 @@ class TestInvariances:
     def test_monotone_transform_invariance_knn(self):
         data = generate_dgp(DgpConfig(b=1.0, n=200, seed=26))
         cfg = _cfg(tau=0.25, cdf_regressor="k-nn", seed=26)
-        base = point_estimate_quantile(data, cfg)
+        base = _point(data, cfg)
         transformed = Dataset(np.exp(data.y / 2.0), data.x)
-        assert point_estimate_quantile(transformed, cfg) == pytest.approx(base, abs=1e-12)
+        assert _point(transformed, cfg) == pytest.approx(base, abs=1e-12)
 
     def test_affine_in_nu(self):
         data = generate_dgp(DgpConfig(b=0.5, n=200, seed=27))
         thetas = {}
         for nu in (0.0, 0.25, 0.5):
-            thetas[nu] = point_estimate_quantile(data, _cfg(nu=nu, seed=27))
+            thetas[nu] = _point(data, _cfg(nu=nu, seed=27))
         assert thetas[0.25] == pytest.approx(0.75 * thetas[0.0] + 0.25, abs=1e-12)
         assert thetas[0.5] == pytest.approx(0.5 * thetas[0.0] + 0.5, abs=1e-12)
 

@@ -124,6 +124,34 @@ class TestMonteCarlo:
         parallel = run_monte_carlo(cell, reps=16, seed=11, workers=2)
         assert serial == parallel
 
+    def test_pool_size_capped_by_reps_and_cores(self, monkeypatch):
+        # a fork pool starts all its workers at the first submit, so an
+        # oversized --workers must never reach ProcessPoolExecutor
+        import fusiongain.simulation as simulation
+
+        opened = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", SerialPool)
+        cell = MonteCarloCell(method="linreg", dgp=DgpConfig(b=1.0, n=100))
+        for cores, reps in ((64, 2), (3, 4), (None, 4)):
+            serial = run_monte_carlo(cell, reps=reps, seed=11)
+            monkeypatch.setattr(simulation.os, "cpu_count", lambda: cores)
+            assert run_monte_carlo(cell, reps=reps, seed=11, workers=5000) == serial
+        assert opened == [2, 3]
+
     def test_coverage_is_exact_mean_of_indicators(self):
         cell = MonteCarloCell(method="linreg", dgp=DgpConfig(b=0.5, n=200))
         reps = 25
