@@ -282,6 +282,9 @@ def _check_flags(args) -> None:
             raise UsageError(
                 f"{flag} applies only to --method {' or '.join(methods)}, not {args.method}"
             )
+    if args.method == "mean-conditional" and getattr(args, "regressor", None) == "ols-linear":
+        raise UsageError("--regressor ols-linear with --method mean-conditional "
+                         "is --method mean-linear")
     if args.tau is None:
         args.tau = [0.5] if args.command == "simulate" else 0.5
     if args.command == "assess" and args.regressor is None:
@@ -296,6 +299,11 @@ def _check_flags(args) -> None:
     if args.folds < 2:
         raise UsageError(f"--folds must be >= 2, got {args.folds}")
     if args.command == "simulate":
+        for flag, values in (("--b", args.b), ("--n", args.n), ("--tau", args.tau)):
+            if not values:
+                raise UsageError(f"{flag} needs at least one value")
+        if not all(math.isfinite(b) for b in args.b):
+            raise UsageError(f"--b must be finite, got {args.b}")
         if not abs(args.rho) < 1.0:
             raise UsageError(f"--rho must be in (-1, 1), got {args.rho}")
         if not all(n >= 1 for n in args.n):

@@ -28,34 +28,25 @@ from .errors import (
 )
 from .nuisance import REGRESSOR_KINDS, Dataset, crossfit_predict, make_split_plan
 
-G_MODES = ("linear", "conditional-mean")
-
-
 @dataclass(frozen=True)
 class MeanAssessmentConfig:
+    """``regressor`` fits g: ols-linear is the method mean-linear, k-nn or
+    local-linear the method mean-conditional."""
+
     nu: float
-    g_mode: str = "linear"
     n_folds: int = 5
     alpha: float = 0.95
     seed: int = 0
-    regressor: str = "local-linear"  # conditional-mean mode only
-    bandwidth: float | None = None
-    n_neighbors: int | None = None
+    regressor: str = "ols-linear"
 
     def __post_init__(self):
         check_settings(self.nu, self.alpha, self.n_folds)
-        if self.g_mode not in G_MODES:
-            raise OutOfRange(f"g_mode must be one of {G_MODES}, got {self.g_mode!r}")
         if self.regressor not in REGRESSOR_KINDS:
             raise OutOfRange(f"regressor must be one of {REGRESSOR_KINDS}")
 
     @property
     def method(self) -> str:
-        return "mean-linear" if self.g_mode == "linear" else "mean-conditional"
-
-    @property
-    def regressor_kind(self) -> str:
-        return "ols-linear" if self.g_mode == "linear" else self.regressor
+        return "mean-linear" if self.regressor == "ols-linear" else "mean-conditional"
 
 
 def estimate_bounds_mean(data: Dataset, ghat) -> tuple[float, float]:
@@ -74,14 +65,7 @@ def estimate_bounds_mean(data: Dataset, ghat) -> tuple[float, float]:
 def compute_mean_intermediates(data: Dataset, cfg: MeanAssessmentConfig) -> np.ndarray:
     """Cross-fitted predictions ghat of g on the full sample."""
     plan = make_split_plan(data.n, cfg.n_folds, cfg.seed)
-    return crossfit_predict(
-        data,
-        plan,
-        cfg.regressor_kind,
-        target="cond-mean",
-        bandwidth=cfg.bandwidth,
-        n_neighbors=cfg.n_neighbors,
-    )
+    return crossfit_predict(data, plan, cfg.regressor)
 
 
 def split_estimate_mean(data: Dataset, cfg: MeanAssessmentConfig) -> float:
@@ -98,14 +82,7 @@ def split_estimate_mean(data: Dataset, cfg: MeanAssessmentConfig) -> float:
         raise TooFewObservations("split estimate needs a nonempty second half")
     half = data.take(np.arange(n_half))
     plan = make_split_plan(n_half, cfg.n_folds, cfg.seed)
-    ghat = crossfit_predict(
-        half,
-        plan,
-        cfg.regressor_kind,
-        target="cond-mean",
-        bandwidth=cfg.bandwidth,
-        n_neighbors=cfg.n_neighbors,
-    )
+    ghat = crossfit_predict(half, plan, cfg.regressor)
     mu_hat = float(np.mean(data.y))
     numerator = float(np.mean((half.y - ghat) ** 2))
     denominator = float(np.mean((data.y[n_half:] - mu_hat) ** 2))

@@ -1,10 +1,10 @@
 """Nuisance-function estimation stack.
 
 Cross-fitting partitions, the regressor menu (pooled least squares, k-nearest
-neighbors, local linear smoothing), conditional-CDF regression on indicator
-responses, Gaussian kernel density estimation with rule-of-thumb bandwidths,
-and empirical quantiles.  Everything here is deterministic given its inputs;
-the only randomness is the seeded fold assignment.
+neighbors, local linear smoothing) with fixed smoothing rules, cross-fitted
+predictions, Gaussian kernel density estimation with rule-of-thumb
+bandwidths, and empirical quantiles.  Everything here is deterministic given
+its inputs; the only randomness is the seeded fold assignment.
 """
 
 from __future__ import annotations
@@ -123,18 +123,16 @@ def make_split_plan(n: int, n_folds: int, seed: int) -> SplitPlan:
     return SplitPlan(n=n, n_folds=n_folds, assignment=assignment, seed=seed)
 
 
-def ols_fit(x, y, intercept: bool = True) -> np.ndarray:
-    """Least-squares coefficients via the normal equations.
-
-    With ``intercept`` the returned vector has the intercept first, then one
-    slope per covariate column.  The Gram matrix must be well conditioned
-    (condition number below ``MAX_CONDITION_NUMBER``).
+def ols_fit(x, y) -> np.ndarray:
+    """Least-squares coefficients via the normal equations: the intercept
+    first, then one slope per covariate column.  The Gram matrix must be well
+    conditioned (condition number below ``MAX_CONDITION_NUMBER``).
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
     y = np.asarray(y, dtype=float)
-    design = np.column_stack([np.ones(x.shape[0]), x]) if intercept else x
+    design = np.column_stack([np.ones(x.shape[0]), x])
     gram = design.T @ design
     cond = float(spd_condition_number(gram))
     if not cond <= MAX_CONDITION_NUMBER:
@@ -374,75 +372,37 @@ class LocalLinearRegressor:
 
 
 def fit_conditional_mean(
-    train: Dataset,
-    kind: str,
-    bandwidth: float | np.ndarray | None = None,
-    n_neighbors: int | None = None,
+    train: Dataset, kind: str
 ) -> OlsLinearRegressor | KnnRegressor | LocalLinearRegressor:
     """Fit one regressor from the menu on the training subsample; ``predict``
     on the result is pure and deterministic.
 
-    ``bandwidth`` applies to local-linear (scalar or per-dimension; default is
-    the rule-of-thumb bandwidth per covariate dimension), ``n_neighbors`` to
-    k-NN (default ceil(n^(4/5)/4)).
+    Smoothing follows fixed rules: k-NN uses k = ceil(n^(4/5)/4), local-linear
+    the rule-of-thumb bandwidth per covariate dimension.
     """
     if kind == "ols-linear":
-        return OlsLinearRegressor(ols_fit(train.x, train.y, intercept=True))
+        return OlsLinearRegressor(ols_fit(train.x, train.y))
     if kind == "k-nn":
-        k = default_neighbor_count(train.n) if n_neighbors is None else int(n_neighbors)
-        if not 1 <= k <= train.n:
-            raise OutOfRange(f"n_neighbors must be in [1, {train.n}], got {k}")
-        return KnnRegressor(train.x, train.y, k)
+        return KnnRegressor(train.x, train.y, default_neighbor_count(train.n))
     if kind == "local-linear":
-        if bandwidth is None:
-            bands = np.array([silverman_bandwidth(train.x[:, d]) for d in range(train.p)])
-        else:
-            bands = np.broadcast_to(np.asarray(bandwidth, dtype=float), (train.p,)).copy()
+        bands = np.array([silverman_bandwidth(train.x[:, d]) for d in range(train.p)])
         return LocalLinearRegressor(train.x, train.y, bands)
     raise OutOfRange(f"unknown regressor kind {kind!r}")
 
 
-def crossfit_predict(
-    data: Dataset,
-    plan: SplitPlan,
-    kind: str,
-    target: str = "cond-mean",
-    threshold: float | None = None,
-    bandwidth: float | np.ndarray | None = None,
-    n_neighbors: int | None = None,
-) -> np.ndarray:
-    """Cross-fitted nuisance predictions at every observation.
+def crossfit_predict(data: Dataset, plan: SplitPlan, kind: str) -> np.ndarray:
+    """Cross-fitted predictions of ``data.y`` at every observation.
 
     Entry i comes from the regressor trained on the complement of i's fold,
-    so it never depends on observation i itself.  ``target`` selects the
-    response: the raw y ("cond-mean") or the indicators 1(y < threshold)
-    ("cond-cdf"), whose predictions estimate the conditional CDF at
-    ``threshold`` and are clamped to [0, 1].
+    so it never depends on observation i itself.
     """
     if plan.n != data.n:
         raise PlanMismatch(f"plan built for n={plan.n}, dataset has n={data.n}")
-    if target == "cond-mean":
-        response = data.y
-    elif target == "cond-cdf":
-        if threshold is None or not math.isfinite(threshold):
-            raise OutOfRange("cond-cdf target needs a finite threshold")
-        response = (data.y < threshold).astype(float)
-    else:
-        raise OutOfRange(f"unknown crossfit target {target!r}")
-
     predictions = np.empty(data.n)
     for m in range(plan.n_folds):
         test = plan.fold(m)
-        train = plan.complement(m)
-        regressor = fit_conditional_mean(
-            Dataset(response[train], data.x[train]),
-            kind,
-            bandwidth=bandwidth,
-            n_neighbors=n_neighbors,
-        )
+        regressor = fit_conditional_mean(data.take(plan.complement(m)), kind)
         predictions[test] = regressor.predict(data.x[test])
-    if target == "cond-cdf":
-        predictions = np.clip(predictions, 0.0, 1.0)
     return predictions
 
 

@@ -44,9 +44,6 @@ class QuantileAssessmentConfig:
     alpha: float = 0.95
     seed: int = 0
     cdf_regressor: str = "local-linear"
-    bandwidth: float | None = None
-    n_neighbors: int | None = None
-    density_bandwidth: float | None = None  # None: rule of thumb on Y
 
     def __post_init__(self):
         check_settings(self.nu, self.alpha, self.n_folds)
@@ -61,16 +58,11 @@ class QuantileAssessmentConfig:
 
 
 def _cdf_crossfit(data: Dataset, cfg: QuantileAssessmentConfig, threshold: float) -> np.ndarray:
+    """Cross-fitted conditional CDF at ``threshold``: the regression of the
+    indicators 1(y < threshold) on x, clamped to [0, 1]."""
     plan = make_split_plan(data.n, cfg.n_folds, cfg.seed)
-    return crossfit_predict(
-        data,
-        plan,
-        cfg.cdf_regressor,
-        target="cond-cdf",
-        threshold=threshold,
-        bandwidth=cfg.bandwidth,
-        n_neighbors=cfg.n_neighbors,
-    )
+    indicators = Dataset((data.y < threshold).astype(float), data.x)
+    return np.clip(crossfit_predict(indicators, plan, cfg.cdf_regressor), 0.0, 1.0)
 
 
 def _squared_gaps(y: np.ndarray, threshold: float, fhat: np.ndarray) -> np.ndarray:
@@ -118,9 +110,7 @@ def variance_quantile(
     """
     if data.n < 2:
         raise TooFewObservations("variance needs at least two observations")
-    h_y = cfg.density_bandwidth
-    if h_y is None:
-        h_y = silverman_bandwidth(data.y)
+    h_y = silverman_bandwidth(data.y)
     f_y = kde_eval(KernelDensity(data.y, h_y), mu_hat)
     if f_y <= DENSITY_FLOOR:
         raise VanishingDensity(

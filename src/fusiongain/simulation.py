@@ -121,9 +121,10 @@ def true_theta_quantile(b: float, rho: float, nu: float, tau: float) -> float:
     return (1.0 - nu) * (tau - expectation) / (tau * (1.0 - tau)) + nu
 
 
-def _run_mean(g_mode, data, *, nu, alpha, n_folds, seed, tau, regressor, s_index):
+def _run_mean(fixed_regressor, data, *, nu, alpha, n_folds, seed, tau, regressor, s_index):
+    # mean-linear fixes the regressor; mean-conditional takes the caller's
     cfg = MeanAssessmentConfig(
-        nu=nu, g_mode=g_mode, n_folds=n_folds, alpha=alpha, seed=seed, regressor=regressor
+        nu=nu, n_folds=n_folds, alpha=alpha, seed=seed, regressor=fixed_regressor or regressor
     )
     return assess_mean(data, cfg)
 
@@ -158,12 +159,12 @@ class Method:
 # an estimator later (a profiler or tracer) still sees every call.
 METHODS = {
     "mean-linear": Method(
-        partial(_run_mean, "linear"),
+        partial(_run_mean, "ols-linear"),
         lambda b, rho, nu, tau: true_theta_mean(b, rho, nu),
         lambda tau: "linear",
     ),
     "mean-conditional": Method(
-        partial(_run_mean, "conditional-mean"),
+        partial(_run_mean, None),
         lambda b, rho, nu, tau: true_theta_mean(b, rho, nu),
         lambda tau: "conditional-mean",
     ),
@@ -189,8 +190,6 @@ class MonteCarloCell:
     tau: float = 0.5
     alpha: float = 0.95
     n_folds: int = 5
-    regressor: str = "local-linear"  # mean-conditional / quantile nuisance
-    s_index: int = 0
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -219,8 +218,8 @@ def _run_replication(cell: MonteCarloCell, seed: int, theta0: float, rep: int):
             n_folds=cell.n_folds,
             seed=assess_seed,
             tau=cell.tau,
-            regressor=cell.regressor,
-            s_index=cell.s_index,
+            regressor="local-linear",  # simulate has no flag for either
+            s_index=0,
         )
         return (
             abs(estimate.theta_hat - theta0),

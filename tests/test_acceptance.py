@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 import fusiongain.cli
 from fusiongain.core import Interval, normal_cdf, normal_quantile, truncate_interval
@@ -47,11 +48,8 @@ def _report(criterion: str, ok: bool, detail: str, flagged: str | None = None):
     assert ok, f"{criterion}: {detail}"
 
 
-def _mc(method, b, n, seed, tau=0.5, regressor="local-linear"):
-    cell = MonteCarloCell(
-        method=method, dgp=DgpConfig(b=b, rho=0.2, n=n, nu=0.5), tau=tau,
-        regressor=regressor,
-    )
+def _mc(method, b, n, seed, tau=0.5):
+    cell = MonteCarloCell(method=method, dgp=DgpConfig(b=b, rho=0.2, n=n, nu=0.5), tau=tau)
     return run_monte_carlo(cell, REPS, seed, workers=WORKERS)
 
 
@@ -178,7 +176,7 @@ def test_criterion_6_property_suites():
         data = generate_dgp(DgpConfig(b=0.5, n=120, seed=seed))
         for nu in (0.0, 0.4, 0.8):
             if assess_mean(
-                data, MeanAssessmentConfig(nu=nu, g_mode="linear", seed=seed)
+                data, MeanAssessmentConfig(nu=nu, regressor="ols-linear", seed=seed)
             ).theta_hat_raw < nu:
                 failures.append("mean >= nu")
             if assess_quantile(
@@ -189,7 +187,9 @@ def test_criterion_6_property_suites():
     # affine-in-nu collinearity at 1e-12, all methods
     data = generate_dgp(DgpConfig(b=0.5, n=200, seed=61))
     mean_vals = [
-        assess_mean(data, MeanAssessmentConfig(nu=nu, g_mode="linear", seed=61)).theta_hat_raw
+        assess_mean(
+            data, MeanAssessmentConfig(nu=nu, regressor="ols-linear", seed=61)
+        ).theta_hat_raw
         for nu in (0.0, 0.25, 0.5)
     ]
     quant_vals = [
@@ -206,7 +206,7 @@ def test_criterion_6_property_suites():
     # scale and location invariances
     from fusiongain.nuisance import Dataset
 
-    cfg = MeanAssessmentConfig(nu=0.5, g_mode="linear", seed=62)
+    cfg = MeanAssessmentConfig(nu=0.5, regressor="ols-linear", seed=62)
     base = assess_mean(data, cfg).theta_hat_raw
     if abs(assess_mean(Dataset(data.y + 11.0, data.x), cfg).theta_hat_raw - base) > 1e-10:
         failures.append("location invariance")
@@ -246,7 +246,7 @@ def test_criterion_6_property_suites():
     h = silverman_bandwidth(sample)
     kd = KernelDensity(sample, h)
     grid = np.linspace(sample.mean() - 10 * h - 4, sample.mean() + 10 * h + 4, 4001)
-    mass = np.trapezoid([kde_eval(kd, g) for g in grid], grid)
+    mass = trapezoid([kde_eval(kd, g) for g in grid], grid)
     if abs(mass - 1.0) > 1e-3:
         failures.append("kde normalization")
 

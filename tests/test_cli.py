@@ -307,7 +307,7 @@ class TestAssessCommand:
         out = json.loads(capsys.readouterr().out)
         est = assess_mean(
             data,
-            MeanAssessmentConfig(nu=0.5, g_mode="conditional-mean", seed=11),
+            MeanAssessmentConfig(nu=0.5, regressor="local-linear", seed=11),
         )
         assert out["theta_hat_raw"] == est.theta_hat_raw
         assert out["theta_tilde_raw"] == est.theta_tilde_raw
@@ -418,6 +418,8 @@ ASSESS_FLAG_MISUSES = [
         (["--center"], ("mean-linear", "mean-conditional", "quantile")),
         (["--regressor", "k-nn"], ("mean-linear", "linreg")),
         (["--tau", "0.5"], ("mean-linear", "mean-conditional", "linreg")),
+        # a least-squares g under mean-conditional is the method mean-linear
+        (["--regressor", "ols-linear"], ("mean-conditional",)),
     )
     for method in methods
 ]
@@ -571,7 +573,8 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize(
         "flag", [["--nu", "1.2"], ["--alpha", "1.5"], ["--tau", "0.5,1.0"], ["--folds", "1"],
-                 ["--rho", "1.5"], ["--n", "0"], ["--workers", "-3"]]
+                 ["--rho", "1.5"], ["--n", "0"], ["--workers", "-3"], ["--b", ","],
+                 ["--n", ","], ["--tau", ","], ["--b", "nan"], ["--b", "0,inf"]]
     )
     def test_bad_setting_rejected_before_any_replication(self, tmp_path, capsys, monkeypatch,
                                                          flag):

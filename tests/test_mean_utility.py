@@ -17,7 +17,7 @@ from reference_impl import ref_mean_gamma_sq, ref_mean_point, ref_mean_split
 
 def _linear_cfg(**kw):
     kw.setdefault("nu", 0.5)
-    kw.setdefault("g_mode", "linear")
+    kw.setdefault("regressor", "ols-linear")
     kw.setdefault("seed", 0)
     return MeanAssessmentConfig(**kw)
 
@@ -153,7 +153,7 @@ class TestAssess:
 
     def test_conditional_mode_method_tag(self):
         data = generate_dgp(DgpConfig(b=0.5, n=100, seed=2))
-        cfg = MeanAssessmentConfig(nu=0.5, g_mode="conditional-mean", seed=2)
+        cfg = MeanAssessmentConfig(nu=0.5, regressor="local-linear", seed=2)
         est = assess_mean(data, cfg)
         assert est.method == "mean-conditional"
 

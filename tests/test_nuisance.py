@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import trapezoid
 
 from fusiongain.errors import (
     BadFoldCount,
@@ -15,6 +16,7 @@ from fusiongain.errors import (
 from fusiongain.nuisance import (
     MAX_CONDITION_NUMBER,
     Dataset,
+    KnnRegressor,
     LocalLinearRegressor,
     _gaussian_weights,
     KernelDensity,
@@ -28,6 +30,7 @@ from fusiongain.nuisance import (
     silverman_bandwidth,
     spd_condition_number,
 )
+from fusiongain.quantile_utility import QuantileAssessmentConfig, _cdf_crossfit
 from reference_impl import (
     ref_floored_weights,
     ref_kernel_block,
@@ -117,7 +120,7 @@ class TestOls:
 class TestRegressors:
     def test_one_nn_interpolates(self):
         train = Dataset(np.array([1.0, 5.0, -2.0]), np.array([[0.0], [2.0], [4.0]]))
-        reg = fit_conditional_mean(train, "k-nn", n_neighbors=1)
+        reg = KnnRegressor(train.x, train.y, 1)
         assert reg.predict(np.array([[2.0]]))[0] == 5.0
 
     def test_ols_linear_noiseless_exact(self):
@@ -148,7 +151,7 @@ class TestRegressors:
         queries = np.vstack([base, base + 0.5, [[0.0, 0.0]]])
         tiled = np.tile(queries, (25, 1))  # more queries than one block
         for k in (1, 3, 5, 13, 47):
-            reg = fit_conditional_mean(Dataset(y, x), "k-nn", n_neighbors=k)
+            reg = KnnRegressor(x, y, k)
             preds = reg.predict(tiled)
             for q, value in zip(queries, preds):
                 ranked = sorted((float(np.sum((q - x[i]) ** 2)), i) for i in range(48))
@@ -166,9 +169,7 @@ class TestLocalLinearEdgeCases:
 
     @staticmethod
     def _compare(x_train, y_train, x_test, bandwidths):
-        reg = fit_conditional_mean(
-            Dataset(y_train, x_train), "local-linear", bandwidth=bandwidths
-        )
+        reg = LocalLinearRegressor(x_train, y_train, bandwidths)
         preds, solved = reg._predict_block(x_test)
         expected, expected_solved = ref_local_linear_fit(
             x_train, y_train, x_test, np.asarray(bandwidths, dtype=float)
@@ -311,10 +312,8 @@ class TestCrossfit:
     def test_cdf_below_minimum_gives_zero(self):
         rng = np.random.default_rng(2)
         data = Dataset(rng.normal(size=40), rng.normal(size=(40, 1)))
-        plan = make_split_plan(40, 4, seed=3)
-        preds = crossfit_predict(
-            data, plan, "k-nn", target="cond-cdf", threshold=float(data.y.min()) - 10.0
-        )
+        cfg = QuantileAssessmentConfig(nu=0.5, n_folds=4, seed=3, cdf_regressor="k-nn")
+        preds = _cdf_crossfit(data, cfg, float(data.y.min()) - 10.0)
         assert np.all(preds == 0.0)
 
     def test_matches_reference_local_linear(self):
@@ -352,13 +351,11 @@ class TestCrossfit:
     def test_cdf_predictions_clamped_and_monotone_on_average(self):
         rng = np.random.default_rng(3)
         data = Dataset(rng.normal(size=80), rng.normal(size=(80, 2)))
-        plan = make_split_plan(80, 4, seed=1)
+        cfg = QuantileAssessmentConfig(nu=0.5, n_folds=4, seed=1, cdf_regressor="k-nn")
         levels = np.quantile(data.y, [0.2, 0.5, 0.8])
         means = []
         for mu in levels:
-            preds = crossfit_predict(
-                data, plan, "k-nn", target="cond-cdf", threshold=float(mu)
-            )
+            preds = _cdf_crossfit(data, cfg, float(mu))
             assert np.all((preds >= 0.0) & (preds <= 1.0))
             means.append(preds.mean())
         assert means[0] <= means[1] + 1e-10 <= means[2] + 2e-10
@@ -444,7 +441,7 @@ class TestKde:
         hi = sample.mean() + 10 * h + 4.0
         grid = np.linspace(lo, hi, 4001)
         values = np.array([kde_eval(kd, g) for g in grid])
-        assert np.trapezoid(values, grid) == pytest.approx(1.0, abs=1e-3)
+        assert trapezoid(values, grid) == pytest.approx(1.0, abs=1e-3)
 
 
 class TestCondKde:

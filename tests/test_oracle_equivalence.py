@@ -74,21 +74,19 @@ def _assert_mean_matches_reference(case_id, n, b, nu, cfg, mode):
 
 @pytest.mark.parametrize("case_id,n,b,nu,tau", CASES)
 def test_mean_linear_matches_reference(case_id, n, b, nu, tau):
-    cfg = MeanAssessmentConfig(nu=nu, g_mode="linear", seed=case_id)
+    cfg = MeanAssessmentConfig(nu=nu, regressor="ols-linear", seed=case_id)
     _assert_mean_matches_reference(case_id, n, b, nu, cfg, "linear")
 
 
 @pytest.mark.parametrize("case_id,n,b,nu,tau", CASES)
 def test_mean_conditional_matches_reference(case_id, n, b, nu, tau):
-    cfg = MeanAssessmentConfig(nu=nu, g_mode="conditional-mean", seed=case_id)
+    cfg = MeanAssessmentConfig(nu=nu, regressor="local-linear", seed=case_id)
     _assert_mean_matches_reference(case_id, n, b, nu, cfg, "local-linear")
 
 
 @pytest.mark.parametrize("case_id,n,b,nu,tau", CASES)
 def test_mean_conditional_knn_matches_reference(case_id, n, b, nu, tau):
-    cfg = MeanAssessmentConfig(
-        nu=nu, g_mode="conditional-mean", regressor="k-nn", seed=case_id
-    )
+    cfg = MeanAssessmentConfig(nu=nu, regressor="k-nn", seed=case_id)
     _assert_mean_matches_reference(case_id, n, b, nu, cfg, "k-nn")
 
 

@@ -59,7 +59,7 @@ def _variance_terms(data, cfg, mu_hat, fhat):
 class TestPointEstimate:
     def test_perfect_classifier_gives_nu(self):
         data = _separable_dataset()
-        cfg = _cfg(cdf_regressor="k-nn", n_neighbors=1)
+        cfg = _cfg(cdf_regressor="k-nn")
         assert _point(data, cfg) == pytest.approx(0.5, abs=1e-12)
 
     def test_no_information_case_gives_one(self):
@@ -98,7 +98,7 @@ class TestSplitEstimate:
         mu_tilde = empirical_quantile(y[n_half:], 0.5)
         x = (y < mu_tilde).astype(float)[:, None]
         data = Dataset(y, x)
-        cfg = _cfg(cdf_regressor="k-nn", n_neighbors=1)
+        cfg = _cfg(cdf_regressor="k-nn")
         assert split_estimate_quantile(data, cfg) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_reference(self):
@@ -151,10 +151,9 @@ class TestVariance:
 
     def test_vanishing_density(self):
         data = generate_dgp(DgpConfig(b=0.0, n=100, seed=21))
-        cfg = _cfg(seed=21, density_bandwidth=1e-9)
+        cfg = _cfg(seed=21)
         _, fhat = compute_quantile_intermediates(data, cfg)
-        # with an absurdly small bandwidth the kde at the quantile can still be
-        # huge (a point sits there), so shift mu_hat into empty space instead
+        # shift mu_hat into empty space, far beyond the rule-of-thumb bandwidth
         with pytest.raises(VanishingDensity):
             variance_quantile(data, cfg, float(data.y.max()) + 50.0, fhat)
 
@@ -162,7 +161,7 @@ class TestVariance:
 class TestAssess:
     def test_perfect_classifier_truncates_to_nu(self):
         data = _separable_dataset()
-        cfg = _cfg(cdf_regressor="k-nn", n_neighbors=1)
+        cfg = _cfg(cdf_regressor="k-nn")
         est = assess_quantile(data, cfg)
         assert est.theta_hat == pytest.approx(0.5, abs=1e-12)
         assert est.method == "quantile"

@@ -162,7 +162,7 @@ class TestMonteCarlo:
             gen = rng.substream(rng.mix64(13, rep), rng.DOMAIN_DGP)
             data = generate_dgp(cell.dgp, stream=gen)
             assess_seed = int(gen.integers(0, 1 << 63))
-            est = assess_linreg(data, cell.s_index, cell.dgp.nu, cell.alpha)
+            est = assess_linreg(data, 0, cell.dgp.nu, cell.alpha)
             hits += est.ci.contains(theta0)
         assert result.cr == hits / reps
 
