@@ -308,6 +308,14 @@ def _check_flags(args) -> None:
             raise UsageError(f"--rho must be in (-1, 1), got {args.rho}")
         if not all(n >= 1 for n in args.n):
             raise UsageError(f"--n must be >= 1, got {args.n}")
+        # every method but linreg cross-fits within the first ceil(n/2) rows,
+        # which needs 2 rows per fold
+        min_n = 4 * args.folds - 1
+        if args.method != "linreg" and min(args.n) < min_n:
+            raise UsageError(
+                f"--n must be >= 4 * --folds - 1 = {min_n} for --method {args.method}, "
+                f"got {args.n}"
+            )
         if args.reps < 1:
             raise UsageError(f"--reps must be >= 1, got {args.reps}")
         if args.workers < 1:

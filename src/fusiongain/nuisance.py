@@ -10,6 +10,7 @@ its inputs; the only randomness is the seeded fold assignment.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +29,12 @@ from .errors import (
 # Gram matrices at or beyond this condition number are treated as singular.
 MAX_CONDITION_NUMBER = 1e12
 
-# Queries per block in the kernel smoothers; bounds the (queries x training)
-# temporaries at a few megabytes.
-CHUNK = 512
+# Bytes of one (queries x training) slab of doubles in the kernel smoothers.
+# A block takes as many queries as fit in it, and at least MIN_BLOCK_ROWS, so
+# a block's temporaries stay cache-sized and do not grow with n until
+# MIN_BLOCK_ROWS x n_train outgrows the budget (n_train > 16384).
+BLOCK_BYTES = 1 << 20
+MIN_BLOCK_ROWS = 8
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -171,23 +175,61 @@ class OlsLinearRegressor:
         return design @ self.coef
 
 
+class _Workspace(threading.local):
+    """Scratch arrays for the kernel smoothers, one set per thread.
+
+    ``take`` hands out a C-contiguous view of a named buffer that grows to
+    the largest request seen and is then reused, so the blocks of every
+    later pass fault in no fresh pages.  Blocks are sized by
+    ``BLOCK_BYTES``, so the buffers are too, whatever n is.  Each name keeps
+    one dtype.  Every caller writes what it takes before reading it, and no
+    public function returns workspace memory, so no result depends on an
+    earlier call.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    def take(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = np.empty(max(size, BLOCK_BYTES // 8), dtype)
+            self._buffers[name] = buf
+        return buf[:size].reshape(shape)
+
+
+_WORKSPACE = _Workspace()
+
+
+def _query_blocks(n_queries: int, n_train: int):
+    """Slices of consecutive queries whose (queries x training) slab of
+    doubles fits in ``BLOCK_BYTES``, with at least ``MIN_BLOCK_ROWS`` rows."""
+    rows = max(MIN_BLOCK_ROWS, BLOCK_BYTES // (8 * n_train))
+    return (slice(start, start + rows) for start in range(0, n_queries, rows))
+
+
 class KnnRegressor:
     """k-nearest-neighbour regressor: the mean response of the ``k`` training
     points nearest to each query in Euclidean distance.
 
     Neighbours are ranked by the exact squared distance sum_d (x_d - X_td)^2,
-    and ties go to the lowest training index.  Queries run in blocks of
-    ``CHUNK``.  Within a block, candidates are picked by partial selection
-    (``np.partition``) on bilinear-form distances |q|^2 + |t|^2 - 2 q.t about
-    the training mean, one GEMM per block: every training point up to the
-    k-th smallest such distance plus a small relative slack that covers
-    their rounding error.  Only the candidates, in ascending index order, are
-    ranked by exact squared distance with a stable sort.  Neighbour sets,
-    their order and the predictions are therefore the same, bit for bit, as
-    a stable argsort of all exact distances, in O(queries x training) memory.
+    and ties go to the lowest training index.  Queries run in blocks sized
+    by ``BLOCK_BYTES``, with every (queries x training) temporary in the
+    thread's workspace.  Within a block, half the bilinear-form distance,
+    (|q|^2 + |t|^2) / 2 - q.t about the training mean, comes from one GEMM;
+    an in-place partial selection of a copy gives each row's k-th smallest.
+    Every training point up to that value plus a small relative slack that
+    covers the rounding error is a candidate; when a row has more than k,
+    the block takes the same number of smallest per row by ``argpartition``.
+    Only the candidates, in ascending index order, are ranked by exact
+    squared distance: by a fast sort, or by a stable sort in a block where
+    some row has equal distances.  Neighbour sets, their order and the
+    predictions are therefore the same, bit for bit, as a stable argsort of
+    all exact distances, in memory bounded by the block budget.
     """
 
-    # Candidate slack, relative to |q|^2 + max |t|^2 about the training mean.
+    # Candidate slack, relative to (|q|^2 + max |t|^2) / 2 about the training mean.
     # The bilinear form and the exact sum are each off by a few (p + 4) ulps
     # of that scale, so this covers both for any practical p while admitting
     # almost no extra candidates.
@@ -199,31 +241,86 @@ class KnnRegressor:
         self.k = k
         self._x_mean = x_train.mean(axis=0)
         self._x_centered = x_train - self._x_mean
-        self._sq_norms = (self._x_centered * self._x_centered).sum(axis=1)
-        self._max_sq_norm = float(self._sq_norms.max())
+        self._half_sq_norms = 0.5 * (self._x_centered * self._x_centered).sum(axis=1)
+        self._half_max_sq_norm = float(self._half_sq_norms.max())
 
     def predict(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             x = x[:, None]
         out = np.empty(x.shape[0])
-        for start in range(0, x.shape[0], CHUNK):
-            neighbors = self._neighbors(x[start : start + CHUNK])
-            out[start : start + CHUNK] = self.y_train[neighbors].mean(axis=1)
+        for block in _query_blocks(x.shape[0], self.x_train.shape[0]):
+            out[block] = self.y_train[self._neighbors(x[block])].mean(axis=1)
         return out
 
     def _neighbors(self, xq: np.ndarray) -> np.ndarray:
         """Training indices of each query's k nearest points, nearest first."""
+        nq, n_train = xq.shape[0], self.x_train.shape[0]
         qc = xq - self._x_mean
-        q_sq = (qc * qc).sum(axis=1)
-        approx = q_sq[:, None] + self._sq_norms[None, :] - 2.0 * (qc @ self._x_centered.T)
-        kth = np.partition(approx, self.k - 1, axis=1)[:, self.k - 1]
-        limit = kth + self._SLACK * (q_sq + self._max_sq_norm)
-        width = int((approx <= limit[:, None]).sum(axis=1).max())
-        candidates = np.sort(np.argpartition(approx, width - 1, axis=1)[:, :width], axis=1)
-        d2 = ((xq[:, None, :] - self.x_train[candidates]) ** 2).sum(axis=2)
-        order = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
-        return np.take_along_axis(candidates, order, axis=1)
+        half_q_sq = 0.5 * (qc * qc).sum(axis=1)
+        approx = _WORKSPACE.take("knn_approx", (nq, n_train))
+        work = _WORKSPACE.take("knn_work", (nq, n_train))
+        np.matmul(qc, self._x_centered.T, out=work)
+        np.copyto(approx, self._half_sq_norms)
+        approx += half_q_sq[:, None]
+        approx -= work
+        np.copyto(work, approx)
+        work.partition(self.k - 1, axis=1)
+        limit = work[:, self.k - 1] + self._SLACK * (half_q_sq + self._half_max_sq_norm)
+        within = _WORKSPACE.take("knn_within", (nq, n_train), dtype=bool)
+        np.less_equal(approx, limit[:, None], out=within)
+        counts = np.count_nonzero(within, axis=1)
+        # a row holds at least its k smallest; with exactly k everywhere they
+        # are the candidates, already in ascending index order
+        if np.all(counts == self.k):
+            candidates = np.flatnonzero(within).reshape(nq, self.k)
+            candidates -= n_train * np.arange(nq)[:, None]
+        else:
+            width = int(counts.max())
+            candidates = np.sort(np.argpartition(approx, width - 1, axis=1)[:, :width], axis=1)
+        diff = _WORKSPACE.take("knn_diff", candidates.shape + (xq.shape[1],))
+        np.take(self.x_train, candidates, axis=0, out=diff, mode="clip")
+        np.subtract(xq[:, None, :], diff, out=diff)
+        diff *= diff
+        d2 = diff.sum(axis=2)
+        order = np.argsort(d2, axis=1)
+        # equal distances may come out in any order; only a stable sort keeps
+        # the lower training index first
+        ranked = np.take_along_axis(d2, order, axis=1)
+        if np.any(ranked[:, 1:] == ranked[:, :-1]):
+            order = np.argsort(d2, axis=1, kind="stable")
+        return np.take_along_axis(candidates, order[:, : self.k], axis=1)
+
+
+class _GaussianKernel:
+    """Product-Gaussian kernel of a fixed sample and bandwidths, evaluated
+    for blocks of queries.
+
+    The sample is scaled by the bandwidths, and half its squared norms are
+    taken, once.  ``log_weights`` then writes -0.5 * sum_d ((q_d - x_d) /
+    h_d)^2 as min(a.b - (|b|^2 / 2 + |a|^2 / 2), 0) for scaled query a and
+    sample point b, in one GEMM and four elementwise passes: the expanded
+    bilinear form, with cancellation's tiny positives clipped at zero.  That is
+    -0.5 * max(|a|^2 + |b|^2 - 2 a.b, 0) with its steps scaled by exact
+    powers of two, so the two agree bit for bit.  Multiplying every
+    bandwidth by 2^k scales each step of the form, and so the result, by
+    exactly 4^-k, unless a scaled value falls in the subnormal range.
+    """
+
+    def __init__(self, x_sample: np.ndarray, bandwidths: np.ndarray):
+        self.bandwidths = bandwidths
+        self._scaled = x_sample / bandwidths
+        self._half_sq_norms = 0.5 * (self._scaled * self._scaled).sum(axis=1)
+
+    def log_weights(self, xq: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """Log-weights of a query block into ``out`` (queries x sample);
+        ``scratch``, of the same shape, is overwritten."""
+        a = xq / self.bandwidths
+        np.matmul(a, self._scaled.T, out=scratch)
+        np.copyto(out, self._half_sq_norms)
+        out += 0.5 * (a * a).sum(axis=1)[:, None]
+        np.subtract(scratch, out, out=out)
+        return np.minimum(out, 0.0, out=out)
 
 
 class LocalLinearRegressor:
@@ -247,13 +344,15 @@ class LocalLinearRegressor:
     mean, and to the global training mean if every weight underflows, so
     predictions are always finite.
 
-    The local normal equations come from one GEMM per block of ``CHUNK``
-    queries: the weights times a training design centred once at the
-    training mean, with columns 1, Xc, the upper triangle of Xc Xc', yc and
-    Xc yc (yc the mean-centred response).  Each query's moments are then
-    moved from the training mean to the query in closed form, giving the
-    same (p+1) x (p+1) Gram matrix and right-hand side as centring the design
-    at the query, without any (queries x training x p) temporary.  The
+    Queries run in blocks sized by ``BLOCK_BYTES``; the block's log-weights,
+    weights, re-weighted pending rows and moments live in the thread's
+    workspace.  The local normal equations come from one GEMM per block:
+    the weights times a training design centred once at the training mean,
+    with columns 1, Xc, the upper triangle of Xc Xc', yc and Xc yc (yc the
+    mean-centred response).  Each query's moments are then moved from the
+    training mean to the query in closed form, giving the same
+    (p+1) x (p+1) Gram matrix and right-hand side as centring the design at
+    the query, without any (queries x training x p) temporary.  The
     condition gate takes eigenvalues of the symmetric Gram matrices
     (``spd_condition_number``).
     """
@@ -271,6 +370,7 @@ class LocalLinearRegressor:
         self.x_train = x_train
         self.y_train = y_train
         self.bandwidths = bandwidths
+        self._kernel = _GaussianKernel(x_train, bandwidths)
         # solving on mean-centered responses keeps the response level out of
         # the local solve (constant responses reproduce exactly)
         self._y_mean = float(np.mean(y_train))
@@ -292,8 +392,8 @@ class LocalLinearRegressor:
         if x.ndim == 1:
             x = x[:, None]
         out = np.empty(x.shape[0])
-        for start in range(0, x.shape[0], CHUNK):
-            out[start : start + CHUNK], _ = self._predict_block(x[start : start + CHUNK])
+        for block in _query_blocks(x.shape[0], self.x_train.shape[0]):
+            out[block], _ = self._predict_block(x[block])
         return out
 
     def _floored_weights(self, xq: np.ndarray) -> np.ndarray:
@@ -301,10 +401,14 @@ class LocalLinearRegressor:
         h * 2^k for the first k whose row sum reaches ``MIN_EFFECTIVE_WEIGHT``,
         or k = ``MAX_INFLATIONS``.  Level k is exp(L * 4^-k) of the block's
         log-weights L; a row starts at the first level where n_train times its
-        largest weight, exp(max(L) * 4^-k), can reach the floor.
+        largest weight, exp(max(L) * 4^-k), can reach the floor.  The result
+        is workspace memory, valid until the thread's next block.
         """
-        log_w, w = _gaussian_log_weights(self.x_train, self.bandwidths, xq)
         n_train = self.x_train.shape[0]
+        shape = (xq.shape[0], n_train)
+        log_w = _WORKSPACE.take("log_w", shape)
+        w = _WORKSPACE.take("w", shape)
+        self._kernel.log_weights(xq, out=log_w, scratch=w)
         if n_train <= self.MIN_EFFECTIVE_WEIGHT:
             return np.exp(log_w, out=w)
         scales = np.ldexp(1.0, -2 * np.arange(self.MAX_INFLATIONS + 1))
@@ -321,7 +425,8 @@ class LocalLinearRegressor:
         for step in range(1, self.MAX_INFLATIONS + 1):
             if pending.size == 0:
                 break
-            w_new = log_w[pending]
+            w_new = _WORKSPACE.take("pending", (pending.size, n_train))
+            np.take(log_w, pending, axis=0, out=w_new, mode="clip")
             w_new *= scales[step]
             np.exp(w_new, out=w_new)
             w[pending] = w_new
@@ -335,7 +440,8 @@ class LocalLinearRegressor:
         """Predictions for one block of queries, and which passed the condition gate."""
         nq, p = xq.shape
         rows, cols = self._upper
-        moments = self._floored_weights(xq) @ self._moment_design
+        moments = _WORKSPACE.take("moments", (nq, self._moment_design.shape[1]))
+        np.matmul(self._floored_weights(xq), self._moment_design, out=moments)
         s0 = moments[:, 0]
         m1 = moments[:, 1 : 1 + p]
         m2 = moments[:, 1 + p : 1 + p + rows.size]
@@ -460,34 +566,6 @@ def kde_eval(kd: KernelDensity, point: float) -> float:
     return float(np.mean(np.exp(-0.5 * z * z)) / (kd.bandwidth * _SQRT_2PI))
 
 
-def _gaussian_log_weights(
-    x_sample: np.ndarray, bandwidths: np.ndarray, xq: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Log product-Gaussian kernel weights -0.5 * sum_d ((q_d - x_d) / h_d)^2,
-    (queries x sample), and a spare buffer of the same shape.
-
-    Squared distances come from the expanded bilinear form (BLAS-backed);
-    cancellation can leave tiny negatives, clipped at zero.  Multiplying every
-    bandwidth by 2^k scales each step of that form, and so the result, by
-    exactly 4^-k, unless a scaled value falls in the subnormal range.
-    """
-    a = xq / bandwidths
-    b = x_sample / bandwidths
-    spare = a @ b.T
-    spare *= 2.0
-    log_w = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
-    log_w -= spare
-    np.maximum(log_w, 0.0, out=log_w)
-    log_w *= -0.5
-    return log_w, spare
-
-
-def _gaussian_weights(x_sample: np.ndarray, bandwidths: np.ndarray, xq: np.ndarray) -> np.ndarray:
-    """Unnormalized product-Gaussian kernel weights, (queries x sample)."""
-    log_w, _ = _gaussian_log_weights(x_sample, bandwidths, xq)
-    return np.exp(log_w, out=log_w)
-
-
 def cond_kde_profile(
     x_sample,
     y_sample,
@@ -511,13 +589,18 @@ def cond_kde_profile(
         x_queries = x_queries[:, None]
     zy = (float(y_point) - y_sample) / y_bandwidth
     y_kernel = np.exp(-0.5 * zy * zy) / (y_bandwidth * _SQRT_2PI)
+    kernel = _GaussianKernel(x_sample, x_bandwidths)
     out = np.empty(x_queries.shape[0])
-    for start in range(0, x_queries.shape[0], CHUNK):
-        w = _gaussian_weights(x_sample, x_bandwidths, x_queries[start : start + CHUNK])
+    for block in _query_blocks(x_queries.shape[0], x_sample.shape[0]):
+        xq = x_queries[block]
+        shape = (xq.shape[0], x_sample.shape[0])
+        w = kernel.log_weights(xq, out=_WORKSPACE.take("log_w", shape),
+                               scratch=_WORKSPACE.take("w", shape))
+        np.exp(w, out=w)
         sw = w.sum(axis=1)
         if np.any(sw <= 0.0):
             raise EmptyNeighborhood(
                 "all covariate kernel weights underflowed to zero at a query point"
             )
-        out[start : start + CHUNK] = (w @ y_kernel) / sw
+        out[block] = (w @ y_kernel) / sw
     return out

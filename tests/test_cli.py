@@ -574,7 +574,11 @@ class TestSimulateCommand:
     @pytest.mark.parametrize(
         "flag", [["--nu", "1.2"], ["--alpha", "1.5"], ["--tau", "0.5,1.0"], ["--folds", "1"],
                  ["--rho", "1.5"], ["--n", "0"], ["--workers", "-3"], ["--b", ","],
-                 ["--n", ","], ["--tau", ","], ["--b", "nan"], ["--b", "0,inf"]]
+                 ["--n", ","], ["--tau", ","], ["--b", "nan"], ["--b", "0,inf"],
+                 # the first half-sample must hold two rows per fold
+                 ["--n", "18"], ["--n", "100,18"], ["--n", "38", "--folds", "10"],
+                 ["--n", "18", "--method", "mean-linear"],
+                 ["--n", "18", "--method", "mean-conditional"]]
     )
     def test_bad_setting_rejected_before_any_replication(self, tmp_path, capsys, monkeypatch,
                                                          flag):
@@ -593,6 +597,15 @@ class TestSimulateCommand:
         assert payload["error"] == "UsageError"
         assert payload["message"].startswith(flag[0])
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("method", ["mean-linear", "mean-conditional", "quantile"])
+    def test_smallest_cross_fittable_n_runs(self, tmp_path, method):
+        # n = 4 * folds - 1: the first half-sample holds exactly two rows per fold
+        code = main(
+            ["simulate", "--method", method, "--b", "0.5", "--n", "19", "--reps", "2",
+             "--seed", "1", "--out", str(tmp_path / "x")]
+        )
+        assert code == 0
 
     def test_missing_required_flag(self, capsys):
         code = main(["simulate", "--method", "linreg"])

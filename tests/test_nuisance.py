@@ -1,4 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,15 +19,18 @@ from fusiongain.errors import (
     TooFewObservations,
     ZeroDispersion,
 )
+import fusiongain
 from fusiongain.nuisance import (
     MAX_CONDITION_NUMBER,
     Dataset,
     KnnRegressor,
     LocalLinearRegressor,
-    _gaussian_weights,
+    _GaussianKernel,
+    _query_blocks,
     KernelDensity,
     cond_kde_profile,
     crossfit_predict,
+    default_neighbor_count,
     empirical_quantile,
     fit_conditional_mean,
     kde_eval,
@@ -34,6 +43,7 @@ from fusiongain.quantile_utility import QuantileAssessmentConfig, _cdf_crossfit
 from reference_impl import (
     ref_floored_weights,
     ref_kernel_block,
+    ref_knn_predict,
     ref_local_linear_fit,
     ref_local_linear_predict,
 )
@@ -296,8 +306,174 @@ class TestFlooredWeights:
         # the single kernel path that cond_kde_profile also uses
         rng = np.random.default_rng(7)
         x, x_test, bands = rng.normal(size=(300, 4)), rng.normal(size=(70, 4)), np.full(4, 0.4)
-        assert np.array_equal(_gaussian_weights(x, bands, x_test),
-                              ref_kernel_block(x, bands, x_test))
+        log_w = _GaussianKernel(x, bands).log_weights(x_test, np.empty((70, 300)),
+                                                      np.empty((70, 300)))
+        assert np.array_equal(np.exp(log_w), ref_kernel_block(x, bands, x_test))
+
+
+def _blocking_sample(p, n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, p))
+    return Dataset(np.sin(x[:, 0]) + x.sum(axis=1) + 0.5 * rng.normal(size=n), x)
+
+
+def _fold_through_kernel_paths(data):
+    """Fold 0 of a 5-fold plan through the local-linear, k-NN and
+    conditional-KDE paths, concatenated."""
+    plan = make_split_plan(data.n, 5, seed=1)
+    train, test = data.take(plan.complement(0)), data.x[plan.fold(0)]
+    local_linear = fit_conditional_mean(train, "local-linear")
+    return np.concatenate([
+        local_linear.predict(test),
+        fit_conditional_mean(train, "k-nn").predict(test),
+        cond_kde_profile(train.x, train.y, local_linear.bandwidths,
+                         silverman_bandwidth(train.y), test, float(np.median(train.y))),
+    ])
+
+
+class TestBlocking:
+    """The kernel paths over several budget-sized query blocks per fold, and
+    one workspace reused across folds of different sizes."""
+
+    @staticmethod
+    def _uneven(p):
+        # 1003 rows in 5 folds: folds of 201 and 200 queries against about
+        # 800 training rows, which the block budget splits in two
+        data = _blocking_sample(p, 1003, seed=p)
+        plan = make_split_plan(1003, 5, seed=p)
+        for m in range(5):
+            assert len(list(_query_blocks(plan.fold(m).size, plan.complement(m).size))) >= 2
+        return data, plan
+
+    @pytest.mark.parametrize("p", [2, 10])
+    def test_knn_bitwise_reference(self, p):
+        data, plan = self._uneven(p)
+        preds = crossfit_predict(data, plan, "k-nn")
+        for m in range(5):
+            test, train = plan.fold(m), plan.complement(m)
+            # every ninth query of each fold keeps the loop reference quick
+            check = test[m::9]
+            expected = ref_knn_predict(data.x[train], data.y[train], data.x[check])
+            assert np.array_equal(preds[check], expected)
+
+    @pytest.mark.parametrize("p", [2, 10])
+    def test_local_linear_blocks_bitwise_floor(self, p, monkeypatch):
+        data, plan = self._uneven(p)
+        train, test = plan.complement(1), plan.fold(1)
+        reg = fit_conditional_mean(data.take(train), "local-linear")
+        blocks = []
+        floored = reg._floored_weights
+
+        def record(xq):
+            w = floored(xq)
+            blocks.append((xq.copy(), w.copy()))
+            return w
+
+        monkeypatch.setattr(reg, "_floored_weights", record)
+        preds = reg.predict(data.x[test])
+        assert len(blocks) >= 2
+        assert np.array_equal(np.vstack([xq for xq, _ in blocks]), data.x[test])
+        for xq, w in blocks:
+            assert np.array_equal(w, ref_floored_weights(reg.x_train, reg.bandwidths, xq))
+        expected = ref_local_linear_predict(data.x[train], data.y[train], data.x[test])
+        assert np.max(np.abs(preds - expected)) <= 1e-8
+
+    @pytest.mark.parametrize("p", [2, 10])
+    def test_cond_kde_many_blocks_match_one(self, p):
+        data = _blocking_sample(p, 1003, seed=20 + p)
+        assert len(list(_query_blocks(1003, 1003))) >= 8
+        h_x = np.array([silverman_bandwidth(data.x[:, d]) for d in range(p)])
+        h_y = silverman_bandwidth(data.y)
+        y_point = float(np.median(data.y))
+        profile = cond_kde_profile(data.x, data.y, h_x, h_y, data.x, y_point)
+        w = ref_kernel_block(data.x, h_x, data.x)
+        zy = (y_point - data.y) / h_y
+        y_kernel = np.exp(-0.5 * zy * zy) / (h_y * math.sqrt(2.0 * math.pi))
+        assert profile == pytest.approx((w @ y_kernel) / w.sum(axis=1), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("p", [2, 10])
+    def test_workspace_reuse_matches_fresh_process(self, p, tmp_path):
+        large, small = _blocking_sample(p, 1003, seed=p), _blocking_sample(p, 60, seed=p)
+        first = _fold_through_kernel_paths(large)
+        _fold_through_kernel_paths(small)
+        again = _fold_through_kernel_paths(large)
+        out = tmp_path / "fresh.npy"
+        script = (
+            "import sys, numpy as np\n"
+            "from test_nuisance import _blocking_sample, _fold_through_kernel_paths\n"
+            f"np.save(sys.argv[1], _fold_through_kernel_paths(_blocking_sample({p}, 1003, {p})))\n"
+        )
+        paths = [str(Path(fusiongain.__file__).parents[1]), str(Path(__file__).parent)]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+        subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True,
+                       timeout=120)
+        fresh = np.load(out)
+        assert np.array_equal(first, fresh)
+        assert np.array_equal(again, fresh)
+
+
+def test_threads_keep_their_own_workspace():
+    # more threads than cores, switching often, against the serial result:
+    # a workspace shared between threads would mix their blocks
+    data = _blocking_sample(2, 1003, seed=5)
+    expected = _fold_through_kernel_paths(data)
+    results = [None] * 4
+
+    def run(i):
+        results[i] = _fold_through_kernel_paths(data)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for result in results:
+        assert np.array_equal(result, expected)
+
+
+def _traced_peak(fn):
+    """Peak bytes allocated while ``fn`` runs in a new thread, whose kernel
+    workspace starts empty and so is counted."""
+    peak = []
+
+    def run():
+        tracemalloc.start()
+        try:
+            fn()
+            peak.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    return peak[0]
+
+
+def test_kernel_memory_flat_in_training_size():
+    # A query block's (queries x training) temporaries fill a fixed byte
+    # budget, so growing the training sample 8x leaves the peak to the
+    # O(n p) copies of the inputs (about 0.7 MB at n = 16000, p = 2) on top
+    # of at most four budget slabs.
+    bound = 6 * 2**20
+    p, queries = 2, 256
+    for n_train in (2000, 16000):
+        rng = np.random.default_rng(n_train)
+        x, xq = rng.normal(size=(n_train, p)), rng.normal(size=(queries, p))
+        y = x.sum(axis=1)
+        bands = np.full(p, 0.3)
+        local_linear = LocalLinearRegressor(x, y, bands)
+        knn = KnnRegressor(x, y, default_neighbor_count(n_train))
+        for path in (lambda: local_linear.predict(xq), lambda: knn.predict(xq),
+                     lambda: cond_kde_profile(x, y, bands, 0.3, xq, 0.0)):
+            assert _traced_peak(path) < bound
 
 
 class TestCrossfit:
