@@ -16,14 +16,16 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
+import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import (
     DegenerateDenominator,
     DegenerateVariance,
-    MissingInterval,
     OutOfRange,
+    VarianceOverflow,
     stage,
 )
 
@@ -124,21 +126,21 @@ def wald_interval(center: float, gamma_hat: float, n: int, alpha: float) -> Inte
 
 @dataclass(frozen=True)
 class UtilityEstimate:
-    """One assessment result.
+    """One assessment result, stored as its nu-free core.
 
-    Raw values are the untruncated estimates the asymptotic theory is about;
-    the truncated companions are the reported values clamped into [0, 1].
-    ``ci_raw`` is centered at the split estimate ``theta_tilde_raw`` for the
-    mean and quantile methods and at ``theta_hat_raw`` for the regression
-    method (which has no split estimator, hence ``theta_tilde_raw is None``).
+    ``a_hat`` is the point core, ``a_tilde`` the half-sample core (``None``
+    for the regression method, which has no split estimator) and ``g_hat``
+    the plug-in standard deviation of the core.  Every reported number is
+    derived from them at ``nu``: the raw estimates nu + (1 - nu) a, gamma_hat
+    = (1 - nu) g, the Wald interval ``ci_raw`` centered at
+    ``theta_tilde_raw`` (at ``theta_hat_raw`` without a split estimate), and
+    the companions ``theta_hat`` and ``ci`` clamped into [0, 1].  So
+    ``dataclasses.replace(est, nu=v)`` is the estimate at v.
     """
 
-    theta_hat_raw: float
-    theta_hat: float
-    theta_tilde_raw: float | None
-    gamma_hat: float
-    ci_raw: Interval | None
-    ci: Interval | None
+    a_hat: float
+    a_tilde: float | None
+    g_hat: float
     nu: float
     n: int
     alpha: float
@@ -148,40 +150,44 @@ class UtilityEstimate:
         check_settings(nu=self.nu, alpha=self.alpha)
         if self.n < 1:
             raise OutOfRange("n must be >= 1")
-        if self.theta_hat != truncate_point(self.theta_hat_raw):
-            raise OutOfRange("theta_hat must be the truncation of theta_hat_raw")
-        if (self.ci is None) != (self.ci_raw is None):
-            raise MissingInterval("ci and ci_raw must be present together")
-        if self.ci_raw is not None and self.ci != truncate_interval(self.ci_raw):
-            raise OutOfRange("ci must be the truncation of ci_raw")
-        if self.gamma_hat < 0:
-            raise OutOfRange("gamma_hat must be nonnegative")
+        finite = (math.isfinite(self.a_hat) and math.isfinite(self.g_hat)
+                  and (self.a_tilde is None or math.isfinite(self.a_tilde)))
+        if not (finite and self.g_hat >= 0.0):
+            raise OutOfRange(f"core must be finite with g_hat >= 0, got a_hat={self.a_hat}, "
+                             f"a_tilde={self.a_tilde}, g_hat={self.g_hat}")
+        self.ci_raw  # an interval that cannot be built fails here, not on a read
 
     @classmethod
-    def from_raw(
-        cls,
-        theta_hat_raw: float,
-        theta_tilde_raw: float | None,
-        gamma_hat: float,
-        ci_raw: Interval | None,
-        nu: float,
-        n: int,
-        alpha: float,
-        method: str,
-    ) -> "UtilityEstimate":
-        """Build an estimate, deriving the truncated companions."""
-        return cls(
-            theta_hat_raw=float(theta_hat_raw),
-            theta_hat=truncate_point(theta_hat_raw),
-            theta_tilde_raw=None if theta_tilde_raw is None else float(theta_tilde_raw),
-            gamma_hat=float(gamma_hat),
-            ci_raw=ci_raw,
-            ci=None if ci_raw is None else truncate_interval(ci_raw),
-            nu=float(nu),
-            n=int(n),
-            alpha=float(alpha),
-            method=method,
-        )
+    def from_raw(cls, a_hat: float, a_tilde: float | None, g_hat: float, nu: float, n: int,
+                 alpha: float, method: str) -> "UtilityEstimate":
+        """Build an estimate from a method's nu-free core."""
+        return cls(float(a_hat), None if a_tilde is None else float(a_tilde), float(g_hat),
+                   float(nu), int(n), float(alpha), method)
+
+    @property
+    def theta_hat_raw(self) -> float:
+        return self.nu + (1.0 - self.nu) * self.a_hat
+
+    @property
+    def theta_tilde_raw(self) -> float | None:
+        return None if self.a_tilde is None else self.nu + (1.0 - self.nu) * self.a_tilde
+
+    @property
+    def gamma_hat(self) -> float:
+        return (1.0 - self.nu) * self.g_hat
+
+    @cached_property
+    def ci_raw(self) -> Interval:
+        center = self.theta_hat_raw if self.a_tilde is None else self.theta_tilde_raw
+        return wald_interval(center, self.gamma_hat, self.n, self.alpha)
+
+    @property
+    def theta_hat(self) -> float:
+        return truncate_point(self.theta_hat_raw)
+
+    @property
+    def ci(self) -> Interval:
+        return truncate_interval(self.ci_raw)
 
 
 def finalize(
@@ -193,37 +199,27 @@ def finalize(
     alpha: float,
     method: str,
 ) -> UtilityEstimate:
-    """Map a method's nu-free core to its utility estimate at ``nu``.
+    """The estimate at ``nu`` from a method's nu-free core and g = sqrt(``g_sq()``).
 
-    Every utility is affine in nu: the point and half-sample estimates are
-    nu + (1 - nu) a, and gamma_hat is (1 - nu) g, where g^2 = ``g_sq()`` is
-    the nu-free plug-in variance.  This is the only place nu enters.  A
-    :class:`DegenerateVariance` gives gamma_hat = 0 (a zero-width interval)
-    instead of an error, so that simulation loops stay total.  The Wald
-    interval is centered at the half-sample estimate, or at the point
-    estimate for a method without one (``a_tilde is None``).
+    A :class:`DegenerateVariance` gives g = 0 (a zero-width interval) instead
+    of an error, so that simulation loops stay total; a variance outside the
+    double range is a :class:`VarianceOverflow`.  The record is built in the
+    ``interval`` stage, so a core no interval fits fails there.
     """
     with stage("variance"):
         try:
-            g_hat = math.sqrt(g_sq())
+            with np.errstate(over="ignore"):  # an overflow is reported below
+                g_sq_value = g_sq()
         except DegenerateVariance:
-            g_hat = 0.0
-    theta_hat_raw = nu + (1.0 - nu) * a_hat
-    theta_tilde_raw = None if a_tilde is None else nu + (1.0 - nu) * a_tilde
-    gamma_hat = (1.0 - nu) * g_hat
+            g_sq_value = 0.0
+        except OverflowError:
+            g_sq_value = math.inf
+        if not math.isfinite(g_sq_value):
+            raise VarianceOverflow(f"plug-in variance is {g_sq_value}: the response "
+                                   "scale is too large for its squares")
+        g_hat = math.sqrt(g_sq_value)
     with stage("interval"):
-        center = theta_hat_raw if theta_tilde_raw is None else theta_tilde_raw
-        ci_raw = wald_interval(center, gamma_hat, n, alpha)
-    return UtilityEstimate.from_raw(
-        theta_hat_raw=theta_hat_raw,
-        theta_tilde_raw=theta_tilde_raw,
-        gamma_hat=gamma_hat,
-        ci_raw=ci_raw,
-        nu=nu,
-        n=n,
-        alpha=alpha,
-        method=method,
-    )
+        return UtilityEstimate.from_raw(a_hat, a_tilde, g_hat, nu, n, alpha, method)
 
 
 @dataclass(frozen=True)
@@ -240,8 +236,6 @@ def relative_utility(estimate: UtilityEstimate) -> RelativeUtility:
     Uses the truncated point estimate and interval, which is what gets
     reported; endpoints swap because the map is decreasing.
     """
-    if estimate.ci is None:
-        raise MissingInterval("relative utility needs a confidence interval")
     scale = 1.0 - estimate.nu
     point = (1.0 - estimate.theta_hat) / scale
     ci = Interval((1.0 - estimate.ci.hi) / scale, (1.0 - estimate.ci.lo) / scale)

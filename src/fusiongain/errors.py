@@ -24,8 +24,8 @@ class DegenerateDenominator(FusionGainError):
     """A ratio denominator is zero, negative or non-finite."""
 
 
-class MissingInterval(FusionGainError):
-    """An operation requiring a confidence interval received none."""
+class VarianceOverflow(FusionGainError):
+    """A plug-in variance estimate is not a finite double."""
 
 
 class TooFewObservations(FusionGainError):

@@ -12,7 +12,6 @@ external covariate average.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,8 @@ from .errors import (
     TooFewObservations,
     stage,
 )
-from .nuisance import REGRESSOR_KINDS, Dataset, crossfit_predict, make_split_plan
+from .nuisance import (REGRESSOR_KINDS, Dataset, crossfit_predict, make_split_plan,
+                       split_halves)
 
 @dataclass(frozen=True)
 class MeanAssessmentConfig:
@@ -76,16 +76,12 @@ def split_estimate_mean(data: Dataset, cfg: MeanAssessmentConfig) -> float:
     each normalized by its own count.  The centering mean is the full-sample
     mean.
     """
-    n = data.n
-    n_half = math.ceil(n / 2)
-    if n - n_half < 1:
-        raise TooFewObservations("split estimate needs a nonempty second half")
-    half = data.take(np.arange(n_half))
-    plan = make_split_plan(n_half, cfg.n_folds, cfg.seed)
+    half, rest = split_halves(data)
+    plan = make_split_plan(half.n, cfg.n_folds, cfg.seed)
     ghat = crossfit_predict(half, plan, cfg.regressor)
     mu_hat = float(np.mean(data.y))
     numerator = float(np.mean((half.y - ghat) ** 2))
-    denominator = float(np.mean((data.y[n_half:] - mu_hat) ** 2))
+    denominator = float(np.mean((rest.y - mu_hat) ** 2))
     if denominator <= 0.0:
         raise DegenerateDenominator("second-half residuals around the mean are all zero")
     return numerator / denominator

@@ -127,6 +127,14 @@ def make_split_plan(n: int, n_folds: int, seed: int) -> SplitPlan:
     return SplitPlan(n=n, n_folds=n_folds, assignment=assignment, seed=seed)
 
 
+def split_halves(data: Dataset) -> tuple[Dataset, Dataset]:
+    """The half-sample split: the first ceil(n/2) observations and the rest."""
+    n_half = math.ceil(data.n / 2)
+    if data.n - n_half < 1:
+        raise TooFewObservations("split estimate needs a nonempty second half")
+    return data.take(np.arange(n_half)), data.take(slice(n_half, None))
+
+
 def ols_fit(x, y) -> np.ndarray:
     """Least-squares coefficients via the normal equations: the intercept
     first, then one slope per covariate column.  The Gram matrix must be well
@@ -491,8 +499,7 @@ def fit_conditional_mean(
     if kind == "k-nn":
         return KnnRegressor(train.x, train.y, default_neighbor_count(train.n))
     if kind == "local-linear":
-        bands = np.array([silverman_bandwidth(train.x[:, d]) for d in range(train.p)])
-        return LocalLinearRegressor(train.x, train.y, bands)
+        return LocalLinearRegressor(train.x, train.y, silverman_bandwidth(train.x))
     raise OutOfRange(f"unknown regressor kind {kind!r}")
 
 
@@ -523,23 +530,27 @@ def empirical_quantile(y, tau: float) -> float:
     return float(np.sort(y, kind="stable")[k - 1])
 
 
-def silverman_bandwidth(sample) -> float:
+def silverman_bandwidth(sample) -> float | np.ndarray:
     """Rule-of-thumb bandwidth 1.06 * min(sd, IQR/1.34) * n^(-1/5).
 
-    The sample standard deviation uses divisor n-1.  A zero IQR with positive
+    A vector gives one float; a matrix gives one bandwidth per column, from
+    one pass over its rows (each column reduced as a vector would be).  The
+    sample standard deviation uses divisor n-1.  A zero IQR with positive
     dispersion falls back to the standard deviation alone (the literal min
     would return a zero bandwidth).
     """
     sample = np.asarray(sample, dtype=float)
-    if sample.size < 2:
+    if sample.ndim == 0 or sample.shape[0] < 2:
         raise TooFewObservations("bandwidth rule needs at least 2 observations")
-    sd = float(np.std(sample, ddof=1))
-    q75, q25 = np.percentile(sample, [75.0, 25.0])
-    iqr = float(q75 - q25)
-    if sd == 0.0 and iqr == 0.0:
+    columns = np.ascontiguousarray(sample.reshape(sample.shape[0], -1).T)
+    sd = np.std(columns, axis=1, ddof=1)
+    q75, q25 = np.percentile(columns, [75.0, 25.0], axis=1)
+    iqr = q75 - q25
+    if np.any((sd == 0.0) & (iqr == 0.0)):
         raise ZeroDispersion("sample has zero dispersion")
-    spread = min(sd, iqr / 1.34) if iqr > 0.0 else sd
-    return 1.06 * spread * sample.size ** (-0.2)
+    spread = np.where(iqr > 0.0, np.minimum(sd, iqr / 1.34), sd)
+    bands = 1.06 * spread * columns.shape[1] ** (-0.2)
+    return float(bands[0]) if sample.ndim == 1 else bands
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ quantile.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +30,7 @@ from .nuisance import (
     kde_eval,
     make_split_plan,
     silverman_bandwidth,
+    split_halves,
 )
 
 DENSITY_FLOOR = 1e-12
@@ -87,12 +87,8 @@ def split_estimate_quantile(data: Dataset, cfg: QuantileAssessmentConfig) -> flo
     conditional-CDF regression is cross-fitted within the first half at that
     threshold.
     """
-    n = data.n
-    n_half = math.ceil(n / 2)
-    if n - n_half < 1:
-        raise TooFewObservations("split estimate needs a nonempty second half")
-    mu_tilde = empirical_quantile(data.y[n_half:], cfg.tau)
-    half = data.take(np.arange(n_half))
+    half, rest = split_halves(data)
+    mu_tilde = empirical_quantile(rest.y, cfg.tau)
     fhat = _cdf_crossfit(half, cfg, mu_tilde)
     return float(np.mean(_squared_gaps(half.y, mu_tilde, fhat))) / cfg.theta2
 
@@ -116,7 +112,7 @@ def variance_quantile(
         raise VanishingDensity(
             f"marginal density estimate at the quantile is {f_y:.3e}"
         )
-    h_x = np.array([silverman_bandwidth(data.x[:, d]) for d in range(data.p)])
+    h_x = silverman_bandwidth(data.x)
     f_cond = cond_kde_profile(data.x, data.y, h_x, h_y, data.x, mu_hat)
     slope = 2.0 * float(np.mean(fhat * f_cond)) / f_y - 1.0
     var_sq = float(np.var(_squared_gaps(data.y, mu_hat, fhat), ddof=1))

@@ -472,6 +472,8 @@ def _stage_case(kind: str) -> tuple[np.ndarray, np.ndarray]:
         y[20:] = 0.0
     elif kind == "huge":
         y *= 1e15
+    elif kind == "overflow":  # squares of squared residuals leave the double range
+        y *= 1e80
     else:  # collinear
         x[:, 1] = 2.0 * x[:, 0]
     return y, x
@@ -484,6 +486,9 @@ def _stage_case(kind: str) -> tuple[np.ndarray, np.ndarray]:
         ("half-constant", "mean-linear", "DegenerateDenominator", "split"),
         ("huge", "quantile", "VanishingDensity", "variance"),
         ("collinear", "linreg", "SingularDesign", "components"),
+        ("overflow", "mean-linear", "VarianceOverflow", "variance"),
+        ("overflow", "mean-conditional", "VarianceOverflow", "variance"),
+        ("overflow", "linreg", "VarianceOverflow", "variance"),
     ],
 )
 def test_error_names_its_stage(tmp_path, capsys, kind, method, error, stage):
@@ -606,6 +611,16 @@ class TestSimulateCommand:
              "--seed", "1", "--out", str(tmp_path / "x")]
         )
         assert code == 0
+
+    def test_overflowing_replications_fail_typed(self, tmp_path, capsys):
+        code = main(
+            ["simulate", "--method", "mean-linear", "--b", "1e80", "--n", "100", "--reps", "2",
+             "--seed", "1", "--out", str(tmp_path / "x")]
+        )
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "FusionGainError"
+        assert "VarianceOverflow: variance: " in payload["message"]
 
     def test_missing_required_flag(self, capsys):
         code = main(["simulate", "--method", "linreg"])

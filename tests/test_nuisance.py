@@ -38,6 +38,7 @@ from fusiongain.nuisance import (
     ols_fit,
     silverman_bandwidth,
     spd_condition_number,
+    split_halves,
 )
 from fusiongain.quantile_utility import QuantileAssessmentConfig, _cdf_crossfit
 from reference_impl import (
@@ -46,6 +47,7 @@ from reference_impl import (
     ref_knn_predict,
     ref_local_linear_fit,
     ref_local_linear_predict,
+    ref_silverman,
 )
 
 
@@ -63,6 +65,15 @@ class TestSplitPlan:
     def test_too_few_observations(self):
         with pytest.raises(TooFewObservations):
             make_split_plan(9, 5, seed=1)
+
+    def test_halves(self):
+        data = Dataset(np.arange(5.0), np.arange(10.0).reshape(5, 2))
+        half, rest = split_halves(data)
+        assert half.y.tolist() == [0.0, 1.0, 2.0]
+        assert rest.y.tolist() == [3.0, 4.0]
+        assert np.array_equal(np.vstack([half.x, rest.x]), data.x)
+        with pytest.raises(TooFewObservations):
+            split_halves(data.take([0]))
 
     def test_bad_fold_count(self):
         with pytest.raises(BadFoldCount):
@@ -587,10 +598,17 @@ class TestSilvermanBandwidth:
         assert silverman_bandwidth(3.7 * sample) == pytest.approx(
             3.7 * silverman_bandwidth(sample), rel=1e-12
         )
+        # a matrix gives each column's one-column rule, bit for bit
+        x = np.column_stack([sample, 3.7 * sample + 1e6, np.round(sample),
+                             rng.standard_t(1.5, size=500)])
+        assert np.array_equal(silverman_bandwidth(x), [ref_silverman(c) for c in x.T])
+        assert silverman_bandwidth(x[:, 1]) == ref_silverman(x[:, 1])
 
     def test_constant_sample(self):
         with pytest.raises(ZeroDispersion):
             silverman_bandwidth(np.full(20, 1.0))
+        with pytest.raises(ZeroDispersion):  # one constant column of a matrix
+            silverman_bandwidth(np.column_stack([np.arange(20.0), np.full(20, 1.0)]))
 
 
 class TestKde:
