@@ -19,15 +19,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import UtilityEstimate, relative_utility
+from .core import UtilityEstimate, check_settings, relative_utility
 from .errors import (
     EmptyData,
     FusionGainError,
     IoError,
+    OutOfRange,
     ParseError,
     UsageError,
 )
-from .nuisance import Dataset
+from .nuisance import MIN_SPLIT_N, Dataset
 from .simulation import (
     DgpConfig,
     METHODS,
@@ -174,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     assess.add_argument("--response", default=None,
                         help="response column name (default: first column)")
     assess.add_argument("--alpha", type=float, default=0.95)
-    assess.add_argument("--folds", type=int, default=5)
     assess.add_argument("--seed", type=int, default=0)
     assess.add_argument("--relative", action="store_true",
                         help="also report utility relative to direct response data")
@@ -201,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--nu", type=float, default=0.5)
     simulate.add_argument("--rho", type=float, default=0.2)
     simulate.add_argument("--alpha", type=float, default=0.95)
-    simulate.add_argument("--folds", type=int, default=5)
     simulate.add_argument("--workers", type=int, default=1)
     return parser
 
@@ -289,15 +288,13 @@ def _check_flags(args) -> None:
         args.tau = [0.5] if args.command == "simulate" else 0.5
     if args.command == "assess" and args.regressor is None:
         args.regressor = "local-linear"
-    if not 0.0 <= args.nu < 1.0:
-        raise UsageError(f"--nu must be in [0, 1), got {args.nu}")
+    try:
+        check_settings(nu=args.nu, alpha=args.alpha)
+    except OutOfRange as err:  # "nu must be ..." becomes "--nu must be ..."
+        raise UsageError(f"--{err}") from None
     taus = args.tau if isinstance(args.tau, list) else [args.tau]
     if not all(0.0 < tau < 1.0 for tau in taus):
         raise UsageError(f"--tau must be in (0, 1), got {args.tau}")
-    if not 0.0 < args.alpha < 1.0:
-        raise UsageError(f"--alpha must be in (0, 1), got {args.alpha}")
-    if args.folds < 2:
-        raise UsageError(f"--folds must be >= 2, got {args.folds}")
     if args.command == "simulate":
         for flag, values in (("--b", args.b), ("--n", args.n), ("--tau", args.tau)):
             if not values:
@@ -308,13 +305,10 @@ def _check_flags(args) -> None:
             raise UsageError(f"--rho must be in (-1, 1), got {args.rho}")
         if not all(n >= 1 for n in args.n):
             raise UsageError(f"--n must be >= 1, got {args.n}")
-        # every method but linreg cross-fits within the first ceil(n/2) rows,
-        # which needs 2 rows per fold
-        min_n = 4 * args.folds - 1
-        if args.method != "linreg" and min(args.n) < min_n:
+        # every method but linreg cross-fits within the first ceil(n/2) rows
+        if args.method != "linreg" and min(args.n) < MIN_SPLIT_N:
             raise UsageError(
-                f"--n must be >= 4 * --folds - 1 = {min_n} for --method {args.method}, "
-                f"got {args.n}"
+                f"--n must be >= {MIN_SPLIT_N} for --method {args.method}, got {args.n}"
             )
         if args.reps < 1:
             raise UsageError(f"--reps must be >= 1, got {args.reps}")
@@ -334,7 +328,6 @@ def _run_assess(args) -> int:
         data,
         nu=args.nu,
         alpha=args.alpha,
-        n_folds=args.folds,
         seed=args.seed,
         tau=args.tau,
         regressor=args.regressor,
@@ -350,15 +343,8 @@ def _run_simulate(args) -> int:
         for n in args.n:
             for tau in args.tau:
                 dgp = DgpConfig(b=b, rho=args.rho, n=n, nu=args.nu)
-                cells.append(
-                    MonteCarloCell(
-                        method=args.method,
-                        dgp=dgp,
-                        tau=tau,
-                        alpha=args.alpha,
-                        n_folds=args.folds,
-                    )
-                )
+                cells.append(MonteCarloCell(method=args.method, dgp=dgp, tau=tau,
+                                            alpha=args.alpha))
     results = [
         run_monte_carlo(cell, args.reps, cell_seed(args.seed, cell), workers=args.workers)
         for cell in cells

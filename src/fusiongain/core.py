@@ -13,6 +13,7 @@ reporting.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -84,15 +85,16 @@ def ratio_estimate(theta1_hat: float, theta2_hat: float) -> float:
     return theta1_hat / theta2_hat
 
 
-def check_settings(nu: float | None = None, alpha: float | None = None,
-                   n_folds: int | None = None) -> None:
-    """Validate the settings every assessment shares; ``None`` skips a check."""
+def check_settings(nu: float | None = None, alpha: float | None = None) -> None:
+    """Validate the settings every assessment shares; ``None`` skips a check.
+
+    An alpha must leave a normal quantile u_{(1+alpha)/2} for the interval,
+    so alpha = 1 - 2^-53, where (1 + alpha)/2 rounds to 1, is out of range.
+    """
     if nu is not None and not 0.0 <= nu < 1.0:
         raise OutOfRange(f"nu must be in [0, 1), got {nu}")
-    if n_folds is not None and n_folds < 2:
-        raise OutOfRange("n_folds must be >= 2")
-    if alpha is not None and not 0.0 < alpha < 1.0:
-        raise OutOfRange(f"alpha must be in (0, 1), got {alpha}")
+    if alpha is not None and not (0.0 < alpha and (1.0 + alpha) / 2.0 < 1.0):
+        raise OutOfRange(f"alpha must be in (0, 1) with (1 + alpha)/2 < 1, got {alpha}")
 
 
 def normal_cdf(x):
@@ -190,6 +192,27 @@ class UtilityEstimate:
         return truncate_interval(self.ci_raw)
 
 
+def typed_overflow(variance: Callable[..., float]) -> Callable[..., float]:
+    """Make a plug-in variance raise :class:`VarianceOverflow` where its value
+    leaves the double range, instead of an ``OverflowError`` or a non-finite
+    return."""
+
+    @functools.wraps(variance)
+    def checked(*args, **kwargs) -> float:
+        try:
+            # an overflow, and the inf - inf it leads to, are reported below
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = variance(*args, **kwargs)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise VarianceOverflow(f"plug-in variance is {value}: the response "
+                                   "scale is too large for its squares")
+        return value
+
+    return checked
+
+
 def finalize(
     a_hat: float,
     a_tilde: float | None,
@@ -202,22 +225,14 @@ def finalize(
     """The estimate at ``nu`` from a method's nu-free core and g = sqrt(``g_sq()``).
 
     A :class:`DegenerateVariance` gives g = 0 (a zero-width interval) instead
-    of an error, so that simulation loops stay total; a variance outside the
-    double range is a :class:`VarianceOverflow`.  The record is built in the
-    ``interval`` stage, so a core no interval fits fails there.
+    of an error, so that simulation loops stay total.  The record is built in
+    the ``interval`` stage, so a core no interval fits fails there.
     """
     with stage("variance"):
         try:
-            with np.errstate(over="ignore"):  # an overflow is reported below
-                g_sq_value = g_sq()
+            g_hat = math.sqrt(g_sq())
         except DegenerateVariance:
-            g_sq_value = 0.0
-        except OverflowError:
-            g_sq_value = math.inf
-        if not math.isfinite(g_sq_value):
-            raise VarianceOverflow(f"plug-in variance is {g_sq_value}: the response "
-                                   "scale is too large for its squares")
-        g_hat = math.sqrt(g_sq_value)
+            g_hat = 0.0
     with stage("interval"):
         return UtilityEstimate.from_raw(a_hat, a_tilde, g_hat, nu, n, alpha, method)
 

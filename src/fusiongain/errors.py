@@ -32,12 +32,8 @@ class TooFewObservations(FusionGainError):
     """The sample is too small for the requested operation."""
 
 
-class BadFoldCount(FusionGainError):
-    """Cross-fitting needs at least two folds."""
-
-
 class PlanMismatch(FusionGainError):
-    """A split plan (or prediction vector) does not match the dataset."""
+    """A prediction vector does not match the dataset."""
 
 
 class SingularDesign(FusionGainError):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UtilityEstimate, check_settings, finalize
+from .core import UtilityEstimate, check_settings, finalize, typed_overflow
 from .errors import (
     DegenerateResidualVariance,
     DegenerateVariance,
@@ -119,6 +119,7 @@ def _alpha_kappa(comp: LinRegComponents) -> float:
     return comp.alpha_hat * comp.kappa_hat
 
 
+@typed_overflow
 def variance_linreg(data: Dataset, comp: LinRegComponents) -> float:
     """Plug-in g^2 = Var(v) / (alpha kappa)^2, divisor n - 1."""
     alpha_kappa = _alpha_kappa(comp)

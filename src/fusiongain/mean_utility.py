@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UtilityEstimate, check_settings, finalize, ratio_estimate
+from .core import UtilityEstimate, check_settings, finalize, ratio_estimate, typed_overflow
 from .errors import (
     DegenerateDenominator,
     DegenerateVariance,
@@ -25,8 +25,7 @@ from .errors import (
     TooFewObservations,
     stage,
 )
-from .nuisance import (REGRESSOR_KINDS, Dataset, crossfit_predict, make_split_plan,
-                       split_halves)
+from .nuisance import REGRESSOR_KINDS, Dataset, crossfit_predict, split_halves
 
 @dataclass(frozen=True)
 class MeanAssessmentConfig:
@@ -34,13 +33,12 @@ class MeanAssessmentConfig:
     local-linear the method mean-conditional."""
 
     nu: float
-    n_folds: int = 5
     alpha: float = 0.95
     seed: int = 0
     regressor: str = "ols-linear"
 
     def __post_init__(self):
-        check_settings(self.nu, self.alpha, self.n_folds)
+        check_settings(self.nu, self.alpha)
         if self.regressor not in REGRESSOR_KINDS:
             raise OutOfRange(f"regressor must be one of {REGRESSOR_KINDS}")
 
@@ -64,8 +62,7 @@ def estimate_bounds_mean(data: Dataset, ghat) -> tuple[float, float]:
 
 def compute_mean_intermediates(data: Dataset, cfg: MeanAssessmentConfig) -> np.ndarray:
     """Cross-fitted predictions ghat of g on the full sample."""
-    plan = make_split_plan(data.n, cfg.n_folds, cfg.seed)
-    return crossfit_predict(data, plan, cfg.regressor)
+    return crossfit_predict(data, cfg.regressor, cfg.seed)
 
 
 def split_estimate_mean(data: Dataset, cfg: MeanAssessmentConfig) -> float:
@@ -77,8 +74,7 @@ def split_estimate_mean(data: Dataset, cfg: MeanAssessmentConfig) -> float:
     mean.
     """
     half, rest = split_halves(data)
-    plan = make_split_plan(half.n, cfg.n_folds, cfg.seed)
-    ghat = crossfit_predict(half, plan, cfg.regressor)
+    ghat = crossfit_predict(half, cfg.regressor, cfg.seed)
     mu_hat = float(np.mean(data.y))
     numerator = float(np.mean((half.y - ghat) ** 2))
     denominator = float(np.mean((rest.y - mu_hat) ** 2))
@@ -87,6 +83,7 @@ def split_estimate_mean(data: Dataset, cfg: MeanAssessmentConfig) -> float:
     return numerator / denominator
 
 
+@typed_overflow
 def variance_mean(data: Dataset, ghat) -> float:
     """Plug-in g^2 = 2{Var[(Y - ghat)^2] + a^2 Var[(Y - ybar)^2]} / theta2^2,
     with sample variances using divisor n - 1."""

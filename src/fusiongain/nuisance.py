@@ -17,14 +17,18 @@ import numpy as np
 
 from . import rng
 from .errors import (
-    BadFoldCount,
     EmptyNeighborhood,
     OutOfRange,
-    PlanMismatch,
     SingularDesign,
     TooFewObservations,
     ZeroDispersion,
 )
+
+# Cross-fitting folds: a fixed rule, like the bandwidth and neighbour rules.
+N_FOLDS = 5
+# The smallest n whose first half (``split_halves``) still holds two rows per
+# fold: ceil(n / 2) >= 2 * N_FOLDS.
+MIN_SPLIT_N = 4 * N_FOLDS - 1
 
 # Gram matrices at or beyond this condition number are treated as singular.
 MAX_CONDITION_NUMBER = 1e12
@@ -88,12 +92,9 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SplitPlan:
-    """Deterministic M-fold partition of 0..n-1, reconstructible from the seed."""
+    """Deterministic ``N_FOLDS``-fold partition of 0..n-1."""
 
-    n: int
-    n_folds: int
     assignment: np.ndarray  # fold id per observation, 0-based
-    seed: int
 
     def fold(self, m: int) -> np.ndarray:
         return np.flatnonzero(self.assignment == m)
@@ -102,29 +103,27 @@ class SplitPlan:
         return np.flatnonzero(self.assignment != m)
 
 
-def make_split_plan(n: int, n_folds: int, seed: int) -> SplitPlan:
-    """Partition 0..n-1 into ``n_folds`` folds of near-equal size.
+def make_split_plan(n: int, seed: int) -> SplitPlan:
+    """Partition 0..n-1 into ``N_FOLDS`` folds of near-equal size.
 
     A seeded Fisher-Yates shuffle is cut into contiguous blocks; the first
-    ``n mod n_folds`` folds are one observation larger.  Identical
-    (n, n_folds, seed) always reproduces the identical plan.
+    ``n mod N_FOLDS`` folds are one observation larger.  Identical (n, seed)
+    always reproduces the identical plan.
     """
-    if n_folds < 2:
-        raise BadFoldCount(f"need at least 2 folds, got {n_folds}")
-    if n < 2 * n_folds:
+    if n < 2 * N_FOLDS:
         raise TooFewObservations(
-            f"need n >= 2 * n_folds for usable folds, got n={n}, n_folds={n_folds}"
+            f"need n >= {2 * N_FOLDS} for {N_FOLDS} usable folds, got n={n}"
         )
     gen = rng.substream(seed, rng.DOMAIN_SPLIT)
     order = rng.fisher_yates(gen, n)
-    base, rem = divmod(n, n_folds)
+    base, rem = divmod(n, N_FOLDS)
     assignment = np.empty(n, dtype=np.int64)
     start = 0
-    for fold_id in range(n_folds):
+    for fold_id in range(N_FOLDS):
         size = base + (1 if fold_id < rem else 0)
         assignment[order[start : start + size]] = fold_id
         start += size
-    return SplitPlan(n=n, n_folds=n_folds, assignment=assignment, seed=seed)
+    return SplitPlan(assignment)
 
 
 def split_halves(data: Dataset) -> tuple[Dataset, Dataset]:
@@ -503,16 +502,16 @@ def fit_conditional_mean(
     raise OutOfRange(f"unknown regressor kind {kind!r}")
 
 
-def crossfit_predict(data: Dataset, plan: SplitPlan, kind: str) -> np.ndarray:
+def crossfit_predict(data: Dataset, kind: str, seed: int) -> np.ndarray:
     """Cross-fitted predictions of ``data.y`` at every observation.
 
-    Entry i comes from the regressor trained on the complement of i's fold,
-    so it never depends on observation i itself.
+    The folds are ``make_split_plan(data.n, seed)``.  Entry i comes from the
+    regressor trained on the complement of i's fold, so it never depends on
+    observation i itself.
     """
-    if plan.n != data.n:
-        raise PlanMismatch(f"plan built for n={plan.n}, dataset has n={data.n}")
+    plan = make_split_plan(data.n, seed)
     predictions = np.empty(data.n)
-    for m in range(plan.n_folds):
+    for m in range(N_FOLDS):
         test = plan.fold(m)
         regressor = fit_conditional_mean(data.take(plan.complement(m)), kind)
         predictions[test] = regressor.predict(data.x[test])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UtilityEstimate, check_settings, finalize, ratio_estimate
+from .core import UtilityEstimate, check_settings, finalize, ratio_estimate, typed_overflow
 from .errors import OutOfRange, TooFewObservations, VanishingDensity, stage
 from .nuisance import (
     REGRESSOR_KINDS,
@@ -28,11 +28,12 @@ from .nuisance import (
     crossfit_predict,
     empirical_quantile,
     kde_eval,
-    make_split_plan,
     silverman_bandwidth,
     split_halves,
 )
 
+# Floor on f_Y(mu) times the bandwidth of y: unit-free, so rescaling y moves
+# neither the estimate nor the floor decision.
 DENSITY_FLOOR = 1e-12
 
 
@@ -40,13 +41,12 @@ DENSITY_FLOOR = 1e-12
 class QuantileAssessmentConfig:
     nu: float
     tau: float = 0.5
-    n_folds: int = 5
     alpha: float = 0.95
     seed: int = 0
     cdf_regressor: str = "local-linear"
 
     def __post_init__(self):
-        check_settings(self.nu, self.alpha, self.n_folds)
+        check_settings(self.nu, self.alpha)
         if not 0.0 < self.tau < 1.0:
             raise OutOfRange(f"tau must be in (0, 1), got {self.tau}")
         if self.cdf_regressor not in REGRESSOR_KINDS:
@@ -60,9 +60,8 @@ class QuantileAssessmentConfig:
 def _cdf_crossfit(data: Dataset, cfg: QuantileAssessmentConfig, threshold: float) -> np.ndarray:
     """Cross-fitted conditional CDF at ``threshold``: the regression of the
     indicators 1(y < threshold) on x, clamped to [0, 1]."""
-    plan = make_split_plan(data.n, cfg.n_folds, cfg.seed)
     indicators = Dataset((data.y < threshold).astype(float), data.x)
-    return np.clip(crossfit_predict(indicators, plan, cfg.cdf_regressor), 0.0, 1.0)
+    return np.clip(crossfit_predict(indicators, cfg.cdf_regressor, cfg.seed), 0.0, 1.0)
 
 
 def _squared_gaps(y: np.ndarray, threshold: float, fhat: np.ndarray) -> np.ndarray:
@@ -93,6 +92,7 @@ def split_estimate_quantile(data: Dataset, cfg: QuantileAssessmentConfig) -> flo
     return float(np.mean(_squared_gaps(half.y, mu_tilde, fhat))) / cfg.theta2
 
 
+@typed_overflow
 def variance_quantile(
     data: Dataset, cfg: QuantileAssessmentConfig, mu_hat: float, fhat: np.ndarray
 ) -> float:
@@ -108,10 +108,9 @@ def variance_quantile(
         raise TooFewObservations("variance needs at least two observations")
     h_y = silverman_bandwidth(data.y)
     f_y = kde_eval(KernelDensity(data.y, h_y), mu_hat)
-    if f_y <= DENSITY_FLOOR:
-        raise VanishingDensity(
-            f"marginal density estimate at the quantile is {f_y:.3e}"
-        )
+    if f_y * h_y <= DENSITY_FLOOR:
+        raise VanishingDensity(f"marginal density estimate at the quantile is {f_y:.3e}, "
+                               f"{f_y * h_y:.3e} per bandwidth")
     h_x = silverman_bandwidth(data.x)
     f_cond = cond_kde_profile(data.x, data.y, h_x, h_y, data.x, mu_hat)
     slope = 2.0 * float(np.mean(fhat * f_cond)) / f_y - 1.0

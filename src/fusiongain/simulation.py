@@ -121,22 +121,20 @@ def true_theta_quantile(b: float, rho: float, nu: float, tau: float) -> float:
     return (1.0 - nu) * (tau - expectation) / (tau * (1.0 - tau)) + nu
 
 
-def _run_mean(fixed_regressor, data, *, nu, alpha, n_folds, seed, tau, regressor, s_index):
+def _run_mean(fixed_regressor, data, *, nu, alpha, seed, tau, regressor, s_index):
     # mean-linear fixes the regressor; mean-conditional takes the caller's
-    cfg = MeanAssessmentConfig(
-        nu=nu, n_folds=n_folds, alpha=alpha, seed=seed, regressor=fixed_regressor or regressor
-    )
+    cfg = MeanAssessmentConfig(nu=nu, alpha=alpha, seed=seed,
+                               regressor=fixed_regressor or regressor)
     return assess_mean(data, cfg)
 
 
-def _run_quantile(data, *, nu, alpha, n_folds, seed, tau, regressor, s_index):
-    cfg = QuantileAssessmentConfig(
-        nu=nu, tau=tau, n_folds=n_folds, alpha=alpha, seed=seed, cdf_regressor=regressor
-    )
+def _run_quantile(data, *, nu, alpha, seed, tau, regressor, s_index):
+    cfg = QuantileAssessmentConfig(nu=nu, tau=tau, alpha=alpha, seed=seed,
+                                   cdf_regressor=regressor)
     return assess_quantile(data, cfg)
 
 
-def _run_linreg(data, *, nu, alpha, n_folds, seed, tau, regressor, s_index):
+def _run_linreg(data, *, nu, alpha, seed, tau, regressor, s_index):
     return assess_linreg(data, s_index, nu, alpha)
 
 
@@ -144,7 +142,7 @@ def _run_linreg(data, *, nu, alpha, n_folds, seed, tau, regressor, s_index):
 class Method:
     """One assessment method: how to run it, its truth under the DGP, its table label.
 
-    ``run(data, *, nu, alpha, n_folds, seed, tau, regressor, s_index)`` ignores
+    ``run(data, *, nu, alpha, seed, tau, regressor, s_index)`` ignores
     the settings the method does not use; ``truth(b, rho, nu, tau)`` and
     ``extra(tau)`` likewise.
     """
@@ -189,7 +187,6 @@ class MonteCarloCell:
     dgp: DgpConfig
     tau: float = 0.5
     alpha: float = 0.95
-    n_folds: int = 5
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -215,7 +212,6 @@ def _run_replication(cell: MonteCarloCell, seed: int, theta0: float, rep: int):
             data,
             nu=cell.dgp.nu,
             alpha=cell.alpha,
-            n_folds=cell.n_folds,
             seed=assess_seed,
             tau=cell.tau,
             regressor="local-linear",  # simulate has no flag for either

@@ -19,6 +19,7 @@ from fusiongain.core import Interval, normal_cdf, normal_quantile, truncate_inte
 from fusiongain.linreg_utility import assess_linreg
 from fusiongain.mean_utility import MeanAssessmentConfig, assess_mean
 from fusiongain.nuisance import (
+    N_FOLDS,
     KernelDensity,
     empirical_quantile,
     kde_eval,
@@ -233,11 +234,10 @@ def test_criterion_6_property_suites():
 
     # split-plan partition laws
     for _ in range(200):
-        m = int(rng_local.integers(2, 8))
-        n = int(rng_local.integers(2 * m, 120))
-        plan = make_split_plan(n, m, int(rng_local.integers(0, 2**32)))
-        sizes = np.bincount(plan.assignment, minlength=m)
-        if sizes.sum() != n or sizes.max() - sizes.min() > 1:
+        n = int(rng_local.integers(2 * N_FOLDS, 120))
+        plan = make_split_plan(n, int(rng_local.integers(0, 2**32)))
+        sizes = np.bincount(plan.assignment, minlength=N_FOLDS)
+        if sizes.size != N_FOLDS or sizes.sum() != n or sizes.max() - sizes.min() > 1:
             failures.append("split plan")
             break
 

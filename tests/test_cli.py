@@ -10,7 +10,19 @@ from hypothesis import strategies as st
 from fusiongain.cli import _cell_ok, main, parse_csv
 from fusiongain.errors import EmptyData, IoError, ParseError
 from fusiongain.mean_utility import MeanAssessmentConfig, assess_mean
+from fusiongain.nuisance import MIN_SPLIT_N
 from fusiongain.simulation import DgpConfig, generate_dgp
+
+# --folds is gone (cross-fitting always uses nuisance.N_FOLDS folds), so
+# argparse rejects it as an unknown flag.
+_REMOVED_FLAG = ["--folds", "5"]
+# (1 + alpha)/2 rounds to 1, so no normal quantile exists for the interval.
+_ALPHA_EDGE = ["--alpha", "0.9999999999999999"]
+
+
+def _usage_prefix(flag):
+    """How the UsageError message for a bad ``flag`` starts."""
+    return "unrecognized arguments: " + " ".join(flag) if flag == _REMOVED_FLAG else flag[0]
 
 
 def _write(tmp_path, name, text):
@@ -286,15 +298,21 @@ class TestAssessCommand:
         payload = json.loads(err_lines[0])
         assert payload["error"] == "UsageError"
 
-    @pytest.mark.parametrize("flag", [["--nu", "1.0"], ["--alpha", "0"], ["--folds", "1"]])
-    def test_bad_setting_usage_error(self, tmp_path, capsys, flag):
-        # linreg does not cross-fit, yet a fold count below 2 is rejected for it too
+    @pytest.mark.parametrize("flag", [["--nu", "1.0"], ["--alpha", "0"], _REMOVED_FLAG,
+                                      _ALPHA_EDGE])
+    def test_bad_setting_usage_error(self, tmp_path, capsys, monkeypatch, flag):
+        import fusiongain.cli as cli
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("data was read")
+
         path, _ = _dgp_csv(tmp_path, DgpConfig(b=0.5, n=50, seed=2))
+        monkeypatch.setattr(cli, "parse_csv", no_read)
         code = main(["assess", "--method", "linreg", "--input", path, "--nu", "0.5"] + flag)
         assert code == 2
         payload = json.loads(capsys.readouterr().err)
         assert payload["error"] == "UsageError"
-        assert payload["message"].startswith(flag[0])
+        assert payload["message"].startswith(_usage_prefix(flag))
 
     def test_json_matches_library_exactly(self, tmp_path, capsys):
         cfg = DgpConfig(b=0.5, n=2000, seed=11)
@@ -470,8 +488,6 @@ def _stage_case(kind: str) -> tuple[np.ndarray, np.ndarray]:
     elif kind == "half-constant":
         y[:20] = np.where(np.arange(20) % 2 == 0, 1.0, -1.0)
         y[20:] = 0.0
-    elif kind == "huge":
-        y *= 1e15
     elif kind == "overflow":  # squares of squared residuals leave the double range
         y *= 1e80
     else:  # collinear
@@ -484,7 +500,6 @@ def _stage_case(kind: str) -> tuple[np.ndarray, np.ndarray]:
     [
         ("constant", "mean-linear", "DegenerateDenominator", "point"),
         ("half-constant", "mean-linear", "DegenerateDenominator", "split"),
-        ("huge", "quantile", "VanishingDensity", "variance"),
         ("collinear", "linreg", "SingularDesign", "components"),
         ("overflow", "mean-linear", "VarianceOverflow", "variance"),
         ("overflow", "mean-conditional", "VarianceOverflow", "variance"),
@@ -501,6 +516,25 @@ def test_error_names_its_stage(tmp_path, capsys, kind, method, error, stage):
     assert payload["error"] == error
     assert payload["stage"] == stage
     assert payload["message"].startswith(f"{stage}: ")
+
+
+def test_quantile_unmoved_by_response_scale(tmp_path, capsys):
+    # the density floor compares f_Y(mu) in bandwidth units, so a response
+    # scaled by 1e12 or 1e15 gives the unscaled answer
+    data = generate_dgp(DgpConfig(b=0.5, n=40, seed=8))
+    keys = ("theta_hat_raw", "theta_tilde_raw", "gamma_hat")
+    outputs = []
+    for scale in (1.0, 1e12, 1e15):
+        rows = ["y,S,W"] + [f"{yi!r},{xi[0]!r},{xi[1]!r}"
+                            for yi, xi in zip((data.y * scale).tolist(), data.x.tolist())]
+        path = _write(tmp_path, f"scaled-{scale:g}.csv", "\n".join(rows) + "\n")
+        code = main(["assess", "--method", "quantile", "--input", path, "--nu", "0.5",
+                     "--format", "json"])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        outputs.append([out[k] for k in keys] + [out["ci_raw"]["lo"], out["ci_raw"]["hi"]])
+    for scaled in outputs[1:]:
+        assert scaled == pytest.approx(outputs[0], rel=1e-9)
 
 
 class TestSimulateCommand:
@@ -577,13 +611,13 @@ class TestSimulateCommand:
         assert json.loads(capsys.readouterr().err)["error"] == "UsageError"
 
     @pytest.mark.parametrize(
-        "flag", [["--nu", "1.2"], ["--alpha", "1.5"], ["--tau", "0.5,1.0"], ["--folds", "1"],
-                 ["--rho", "1.5"], ["--n", "0"], ["--workers", "-3"], ["--b", ","],
-                 ["--n", ","], ["--tau", ","], ["--b", "nan"], ["--b", "0,inf"],
+        "flag", [["--nu", "1.2"], ["--alpha", "1.5"], _ALPHA_EDGE, ["--tau", "0.5,1.0"],
+                 _REMOVED_FLAG, ["--rho", "1.5"], ["--n", "0"], ["--workers", "-3"],
+                 ["--b", ","], ["--n", ","], ["--tau", ","], ["--b", "nan"], ["--b", "0,inf"],
                  # the first half-sample must hold two rows per fold
-                 ["--n", "18"], ["--n", "100,18"], ["--n", "38", "--folds", "10"],
-                 ["--n", "18", "--method", "mean-linear"],
-                 ["--n", "18", "--method", "mean-conditional"]]
+                 ["--n", str(MIN_SPLIT_N - 1)], ["--n", f"100,{MIN_SPLIT_N - 1}"],
+                 ["--n", str(MIN_SPLIT_N - 1), "--method", "mean-linear"],
+                 ["--n", str(MIN_SPLIT_N - 1), "--method", "mean-conditional"]]
     )
     def test_bad_setting_rejected_before_any_replication(self, tmp_path, capsys, monkeypatch,
                                                          flag):
@@ -600,14 +634,14 @@ class TestSimulateCommand:
         assert code == 2
         payload = json.loads(capsys.readouterr().err)
         assert payload["error"] == "UsageError"
-        assert payload["message"].startswith(flag[0])
+        assert payload["message"].startswith(_usage_prefix(flag))
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("method", ["mean-linear", "mean-conditional", "quantile"])
     def test_smallest_cross_fittable_n_runs(self, tmp_path, method):
-        # n = 4 * folds - 1: the first half-sample holds exactly two rows per fold
+        # the first half-sample holds exactly two rows per fold
         code = main(
-            ["simulate", "--method", method, "--b", "0.5", "--n", "19", "--reps", "2",
+            ["simulate", "--method", method, "--b", "0.5", "--n", str(MIN_SPLIT_N), "--reps", "2",
              "--seed", "1", "--out", str(tmp_path / "x")]
         )
         assert code == 0

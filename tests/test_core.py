@@ -135,6 +135,16 @@ class TestWaldInterval:
             wald_interval(0.0, 1.0, 10, 1.0)
 
 
+@pytest.mark.parametrize("method", list(METHODS))
+def test_alpha_without_quantile_rejected_before_estimation(method):
+    # (1 + alpha)/2 rounds to 1: every method's settings check rejects it
+    # before any estimation, where it used to fail only at the interval
+    data = generate_dgp(DgpConfig(b=0.5, n=60, seed=1))
+    with pytest.raises(OutOfRange, match="^alpha"):
+        METHODS[method].run(data, nu=0.5, alpha=1.0 - 2.0**-53, seed=1, tau=0.5,
+                            regressor="local-linear", s_index=0)
+
+
 def _estimate(a_hat, a_tilde, g_hat, nu=0.5, n=100, alpha=0.95, method="mean-linear"):
     return UtilityEstimate.from_raw(
         a_hat=a_hat,
@@ -199,7 +209,7 @@ class TestUtilityEstimateInvariants:
             {"g_hat": math.inf},
             {"g_hat": math.nan},
             {"a_hat": math.nan},
-            # passes the settings check, but u_{(1+alpha)/2} rounds to u_1
+            # (1 + alpha)/2 rounds to 1, so u_{(1+alpha)/2} does not exist
             {"alpha": 1.0 - 2.0**-53},
         ],
         ids=["g-negative", "g-inf", "g-nan", "a_hat-nan", "alpha-no-quantile"],
@@ -228,7 +238,7 @@ def test_estimates_affine_in_nu_bit_for_bit(method, regressor):
     data = generate_dgp(DgpConfig(b=0.5, n=200, seed=5))
 
     def run(nu):
-        return METHODS[method].run(data, nu=nu, alpha=0.95, n_folds=5, seed=5, tau=0.5,
+        return METHODS[method].run(data, nu=nu, alpha=0.95, seed=5, tau=0.5,
                                    regressor=regressor, s_index=0)
 
     base = run(0.0)

@@ -5,6 +5,7 @@ from fusiongain.errors import (
     DegenerateResidualVariance,
     DegenerateVariance,
     SingularDesign,
+    VarianceOverflow,
 )
 from fusiongain.linreg_utility import (
     assess_linreg,
@@ -120,6 +121,12 @@ class TestVariance:
         comp = fit_components(data, s_index=0)
         with pytest.raises(DegenerateVariance):
             variance_linreg(data, comp)
+
+    def test_overflow_typed_on_direct_call(self):
+        base = generate_dgp(DgpConfig(b=0.5, n=40, seed=8))
+        data = Dataset(base.y * 1e80, base.x)
+        with pytest.raises(VarianceOverflow):
+            variance_linreg(data, fit_components(data, s_index=0))
 
     def test_agrees_with_influence_function_form(self):
         # diagnostic: the ratio's plug-in influence function is an affine map

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fusiongain.core import ratio_estimate
-from fusiongain.errors import DegenerateDenominator, DegenerateVariance
+from fusiongain.errors import DegenerateDenominator, DegenerateVariance, VarianceOverflow
 from fusiongain.mean_utility import (
     MeanAssessmentConfig,
     assess_mean,
@@ -67,7 +67,7 @@ class TestPointEstimate:
         data = generate_dgp(DgpConfig(b=0.5, n=2000, seed=11))
         cfg = _linear_cfg(seed=11)
         theta = _point(data, cfg)
-        plan = make_split_plan(2000, 5, seed=11)
+        plan = make_split_plan(2000, seed=11)
         expected, _ = ref_mean_point(data.y, data.x, 0.5, plan.assignment, "linear")
         assert theta == pytest.approx(expected, abs=1e-8)
         assert abs(theta - 0.8125) <= 0.05
@@ -91,7 +91,7 @@ class TestSplitEstimate:
         data = generate_dgp(DgpConfig(b=1.0, n=1000, seed=3))
         cfg = _linear_cfg(seed=3)
         theta_tilde = assess_mean(data, cfg).theta_tilde_raw
-        half_plan = make_split_plan(500, 5, seed=3)
+        half_plan = make_split_plan(500, seed=3)
         expected = ref_mean_split(data.y, data.x, 0.5, half_plan.assignment, "linear")
         assert theta_tilde == pytest.approx(expected, abs=1e-8)
 
@@ -108,6 +108,14 @@ class TestVariance:
         data = Dataset(y, np.arange(4.0)[:, None])
         with pytest.raises(DegenerateVariance):
             variance_mean(data, -y)
+
+    def test_overflow_typed_on_direct_call(self):
+        # squares of squared residuals of a response near 1e80 leave the double range
+        base = generate_dgp(DgpConfig(b=0.5, n=40, seed=8))
+        data = Dataset(base.y * 1e80, base.x)
+        ghat = compute_mean_intermediates(data, _linear_cfg())
+        with pytest.raises(VarianceOverflow):
+            variance_mean(data, ghat)
 
     def test_vanishes_quadratically_as_nu_approaches_one(self):
         data = generate_dgp(DgpConfig(b=0.5, n=200, seed=4))
@@ -126,7 +134,7 @@ class TestVariance:
         data = generate_dgp(DgpConfig(b=0.5, n=400, seed=6))
         cfg = _linear_cfg(seed=6)
         gamma_sq = assess_mean(data, cfg).gamma_hat ** 2
-        plan = make_split_plan(400, 5, seed=6)
+        plan = make_split_plan(400, seed=6)
         expected = ref_mean_gamma_sq(data.y, data.x, 0.5, plan.assignment, "linear")
         assert gamma_sq == pytest.approx(expected, abs=1e-8)
 

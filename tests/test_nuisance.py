@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
 from fusiongain.errors import (
-    BadFoldCount,
     OutOfRange,
     SingularDesign,
     TooFewObservations,
@@ -22,6 +21,7 @@ from fusiongain.errors import (
 import fusiongain
 from fusiongain.nuisance import (
     MAX_CONDITION_NUMBER,
+    N_FOLDS,
     Dataset,
     KnnRegressor,
     LocalLinearRegressor,
@@ -53,18 +53,18 @@ from reference_impl import (
 
 class TestSplitPlan:
     def test_exact_division(self):
-        plan = make_split_plan(10, 5, seed=123)
+        plan = make_split_plan(10, seed=123)
         sizes = np.bincount(plan.assignment, minlength=5)
         assert list(sizes) == [2, 2, 2, 2, 2]
 
     def test_remainder_spread(self):
-        plan = make_split_plan(11, 5, seed=9)
+        plan = make_split_plan(11, seed=9)
         sizes = sorted(np.bincount(plan.assignment, minlength=5))
         assert sizes == [2, 2, 2, 2, 3]
 
     def test_too_few_observations(self):
         with pytest.raises(TooFewObservations):
-            make_split_plan(9, 5, seed=1)
+            make_split_plan(9, seed=1)
 
     def test_halves(self):
         data = Dataset(np.arange(5.0), np.arange(10.0).reshape(5, 2))
@@ -75,30 +75,27 @@ class TestSplitPlan:
         with pytest.raises(TooFewObservations):
             split_halves(data.take([0]))
 
-    def test_bad_fold_count(self):
-        with pytest.raises(BadFoldCount):
-            make_split_plan(10, 1, seed=1)
-
     def test_deterministic_reconstruction(self):
-        a = make_split_plan(137, 5, seed=77)
-        b = make_split_plan(137, 5, seed=77)
+        a = make_split_plan(137, seed=77)
+        b = make_split_plan(137, seed=77)
         assert np.array_equal(a.assignment, b.assignment)
 
     def test_different_seeds_differ(self):
-        a = make_split_plan(137, 5, seed=77)
-        b = make_split_plan(137, 5, seed=78)
+        a = make_split_plan(137, seed=77)
+        b = make_split_plan(137, seed=78)
         assert not np.array_equal(a.assignment, b.assignment)
 
-    @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=2**32))
+    @given(st.integers(min_value=2 * N_FOLDS, max_value=120),
+           st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=60)
-    def test_partition_laws(self, n_folds, seed):
-        n = 2 * n_folds + seed % 17
-        plan = make_split_plan(n, n_folds, seed)
-        sizes = np.bincount(plan.assignment, minlength=n_folds)
+    def test_partition_laws(self, n, seed):
+        plan = make_split_plan(n, seed)
+        sizes = np.bincount(plan.assignment, minlength=N_FOLDS)
+        assert len(sizes) == N_FOLDS
         assert sizes.sum() == n
         assert sizes.max() - sizes.min() <= 1
         # every index appears exactly once across folds
-        all_indices = np.concatenate([plan.fold(m) for m in range(n_folds)])
+        all_indices = np.concatenate([plan.fold(m) for m in range(N_FOLDS)])
         assert np.array_equal(np.sort(all_indices), np.arange(n))
 
 
@@ -331,7 +328,7 @@ def _blocking_sample(p, n, seed):
 def _fold_through_kernel_paths(data):
     """Fold 0 of a 5-fold plan through the local-linear, k-NN and
     conditional-KDE paths, concatenated."""
-    plan = make_split_plan(data.n, 5, seed=1)
+    plan = make_split_plan(data.n, seed=1)
     train, test = data.take(plan.complement(0)), data.x[plan.fold(0)]
     local_linear = fit_conditional_mean(train, "local-linear")
     return np.concatenate([
@@ -351,7 +348,7 @@ class TestBlocking:
         # 1003 rows in 5 folds: folds of 201 and 200 queries against about
         # 800 training rows, which the block budget splits in two
         data = _blocking_sample(p, 1003, seed=p)
-        plan = make_split_plan(1003, 5, seed=p)
+        plan = make_split_plan(1003, seed=p)
         for m in range(5):
             assert len(list(_query_blocks(plan.fold(m).size, plan.complement(m).size))) >= 2
         return data, plan
@@ -359,7 +356,7 @@ class TestBlocking:
     @pytest.mark.parametrize("p", [2, 10])
     def test_knn_bitwise_reference(self, p):
         data, plan = self._uneven(p)
-        preds = crossfit_predict(data, plan, "k-nn")
+        preds = crossfit_predict(data, "k-nn", seed=p)
         for m in range(5):
             test, train = plan.fold(m), plan.complement(m)
             # every ninth query of each fold keeps the loop reference quick
@@ -491,15 +488,14 @@ class TestCrossfit:
     def test_constant_response(self):
         rng = np.random.default_rng(1)
         data = Dataset(np.full(30, 4.2), rng.normal(size=(30, 2)))
-        plan = make_split_plan(30, 5, seed=0)
         for kind in ("ols-linear", "k-nn", "local-linear"):
-            preds = crossfit_predict(data, plan, kind)
+            preds = crossfit_predict(data, kind, seed=0)
             assert preds == pytest.approx(np.full(30, 4.2), abs=1e-10)
 
     def test_cdf_below_minimum_gives_zero(self):
         rng = np.random.default_rng(2)
         data = Dataset(rng.normal(size=40), rng.normal(size=(40, 1)))
-        cfg = QuantileAssessmentConfig(nu=0.5, n_folds=4, seed=3, cdf_regressor="k-nn")
+        cfg = QuantileAssessmentConfig(nu=0.5, seed=3, cdf_regressor="k-nn")
         preds = _cdf_crossfit(data, cfg, float(data.y.min()) - 10.0)
         assert np.all(preds == 0.0)
 
@@ -508,8 +504,8 @@ class TestCrossfit:
         from fusiongain.simulation import DgpConfig, generate_dgp
 
         data = generate_dgp(DgpConfig(b=1.0, n=400, seed=7))
-        plan = make_split_plan(400, 5, seed=7)
-        preds = crossfit_predict(data, plan, "local-linear")
+        plan = make_split_plan(400, seed=7)
+        preds = crossfit_predict(data, "local-linear", seed=7)
         expected = np.empty(400)
         for m in range(5):
             test = plan.fold(m)
@@ -522,8 +518,8 @@ class TestCrossfit:
     def test_prediction_independent_of_own_observation(self):
         rng = np.random.default_rng(11)
         data = Dataset(rng.normal(size=60), rng.normal(size=(60, 2)))
-        plan = make_split_plan(60, 4, seed=5)
-        preds = crossfit_predict(data, plan, "local-linear")
+        plan = make_split_plan(60, seed=5)
+        preds = crossfit_predict(data, "local-linear", seed=5)
         i = 17
         m = int(plan.assignment[i])
         train = plan.complement(m)
@@ -538,7 +534,7 @@ class TestCrossfit:
     def test_cdf_predictions_clamped_and_monotone_on_average(self):
         rng = np.random.default_rng(3)
         data = Dataset(rng.normal(size=80), rng.normal(size=(80, 2)))
-        cfg = QuantileAssessmentConfig(nu=0.5, n_folds=4, seed=1, cdf_regressor="k-nn")
+        cfg = QuantileAssessmentConfig(nu=0.5, seed=1, cdf_regressor="k-nn")
         levels = np.quantile(data.y, [0.2, 0.5, 0.8])
         means = []
         for mu in levels:

@@ -58,8 +58,8 @@ def _dataset(case_id, n, b):
 
 def _assert_mean_matches_reference(case_id, n, b, nu, cfg, mode):
     data = _dataset(case_id, n, b)
-    plan = make_split_plan(n, 5, seed=case_id)
-    half_plan = make_split_plan(math.ceil(n / 2), 5, seed=case_id)
+    plan = make_split_plan(n, seed=case_id)
+    half_plan = make_split_plan(math.ceil(n / 2), seed=case_id)
 
     est = assess_mean(data, cfg)
     expected, _ = ref_mean_point(data.y, data.x, nu, plan.assignment, mode)
@@ -94,8 +94,8 @@ def test_mean_conditional_knn_matches_reference(case_id, n, b, nu, tau):
 def test_quantile_matches_reference(case_id, n, b, nu, tau):
     data = _dataset(case_id, n, b)
     cfg = QuantileAssessmentConfig(nu=nu, tau=tau, seed=case_id)
-    plan = make_split_plan(n, 5, seed=case_id)
-    half_plan = make_split_plan(math.ceil(n / 2), 5, seed=case_id)
+    plan = make_split_plan(n, seed=case_id)
+    half_plan = make_split_plan(math.ceil(n / 2), seed=case_id)
 
     est = assess_quantile(data, cfg)
     expected, _, _ = ref_quantile_point(data.y, data.x, nu, tau, plan.assignment)

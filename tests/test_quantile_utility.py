@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fusiongain.errors import VanishingDensity
+from fusiongain.errors import VanishingDensity, VarianceOverflow
 from fusiongain.nuisance import (
     Dataset,
     KernelDensity,
@@ -75,7 +75,7 @@ class TestPointEstimate:
         data = generate_dgp(DgpConfig(b=1.0, n=2000, seed=5))
         cfg = _cfg(tau=0.5, seed=5)
         theta = _point(data, cfg)
-        plan = make_split_plan(2000, 5, seed=5)
+        plan = make_split_plan(2000, seed=5)
         expected, _, _ = ref_quantile_point(data.y, data.x, 0.5, 0.5, plan.assignment)
         assert theta == pytest.approx(expected, abs=1e-8)
 
@@ -105,7 +105,7 @@ class TestSplitEstimate:
         data = generate_dgp(DgpConfig(b=0.5, n=1000, seed=9))
         cfg = _cfg(tau=0.25, seed=9)
         theta_tilde = assess_quantile(data, cfg).theta_tilde_raw
-        half_plan = make_split_plan(500, 5, seed=9)
+        half_plan = make_split_plan(500, seed=9)
         expected = ref_quantile_split(data.y, data.x, 0.5, 0.25, half_plan.assignment)
         assert theta_tilde == pytest.approx(expected, abs=1e-8)
 
@@ -120,7 +120,7 @@ class TestVariance:
         data = generate_dgp(DgpConfig(b=0.5, n=400, seed=17))
         cfg = _cfg(tau=0.25, seed=17)
         gamma_sq = assess_quantile(data, cfg).gamma_hat ** 2
-        plan = make_split_plan(400, 5, seed=17)
+        plan = make_split_plan(400, seed=17)
         expected = ref_quantile_gamma_sq(data.y, data.x, 0.5, 0.25, plan.assignment)
         assert gamma_sq == pytest.approx(expected, abs=1e-8)
 
@@ -156,6 +156,14 @@ class TestVariance:
         # shift mu_hat into empty space, far beyond the rule-of-thumb bandwidth
         with pytest.raises(VanishingDensity):
             variance_quantile(data, cfg, float(data.y.max()) + 50.0, fhat)
+
+    def test_overflow_typed_on_direct_call(self):
+        # predictions far outside [0, 1] drive the slope term past the double range
+        data = generate_dgp(DgpConfig(b=0.5, n=100, seed=21))
+        cfg = _cfg(seed=21)
+        mu_hat, fhat = compute_quantile_intermediates(data, cfg)
+        with pytest.raises(VarianceOverflow):
+            variance_quantile(data, cfg, mu_hat, fhat + 1e200)
 
 
 class TestAssess:
