@@ -47,10 +47,10 @@ def parse_csv(path: str, response: str | None = None) -> Dataset:
     non-empty.  A data cell is a finite ASCII decimal or exponent number,
     optionally padded with whitespace and quoted with ``"``; blank lines are
     skipped.  Any other cell fails the parse, with the offending file lines
-    listed.
+    listed.  A leading UTF-8 byte-order mark is dropped.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = [name.strip() for name in next((row for row in reader if row), [])]
             if not header:
@@ -120,7 +120,7 @@ def _cell_ok(cell: str) -> bool:
 def _bad_cells(path: str, header: list[str]) -> list[tuple[int, str]]:
     """(file line, column name or ``<row>``) of every cell ``parse_csv`` rejects."""
     bad: list[tuple[int, str]] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         next(row for row in reader if row)
         line_no = reader.line_num + 1

@@ -303,9 +303,11 @@ class _GaussianKernel:
     """Product-Gaussian kernel of a fixed sample and bandwidths, evaluated
     for blocks of queries.
 
-    The sample is scaled by the bandwidths, and half its squared norms are
-    taken, once.  ``log_weights`` then writes -0.5 * sum_d ((q_d - x_d) /
-    h_d)^2 as min(a.b - (|b|^2 / 2 + |a|^2 / 2), 0) for scaled query a and
+    The sample is centred at its column means and scaled by the bandwidths,
+    and half its squared norms are taken, once; queries get the same centre
+    and scale, so a large covariate offset cannot cancel the distances away.
+    ``log_weights`` then writes -0.5 * sum_d ((q_d - x_d) / h_d)^2 as
+    min(a.b - (|b|^2 / 2 + |a|^2 / 2), 0) for centred, scaled query a and
     sample point b, in one GEMM and four elementwise passes: the expanded
     bilinear form, with cancellation's tiny positives clipped at zero.  That is
     -0.5 * max(|a|^2 + |b|^2 - 2 a.b, 0) with its steps scaled by exact
@@ -316,13 +318,14 @@ class _GaussianKernel:
 
     def __init__(self, x_sample: np.ndarray, bandwidths: np.ndarray):
         self.bandwidths = bandwidths
-        self._scaled = x_sample / bandwidths
+        self.centre = x_sample.mean(axis=0)
+        self._scaled = (x_sample - self.centre) / bandwidths
         self._half_sq_norms = 0.5 * (self._scaled * self._scaled).sum(axis=1)
 
     def log_weights(self, xq: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         """Log-weights of a query block into ``out`` (queries x sample);
         ``scratch``, of the same shape, is overwritten."""
-        a = xq / self.bandwidths
+        a = (xq - self.centre) / self.bandwidths
         np.matmul(a, self._scaled.T, out=scratch)
         np.copyto(out, self._half_sq_norms)
         out += 0.5 * (a * a).sum(axis=1)[:, None]
@@ -382,7 +385,7 @@ class LocalLinearRegressor:
         # the local solve (constant responses reproduce exactly)
         self._y_mean = float(np.mean(y_train))
         self._y_centered = y_train - self._y_mean
-        self._x_mean = x_train.mean(axis=0)
+        self._x_mean = self._kernel.centre
         xc = x_train - self._x_mean
         self._upper = np.triu_indices(xc.shape[1])
         rows, cols = self._upper

@@ -2,12 +2,12 @@
 
 The data generating process draws covariates (S, W) from a standard bivariate
 normal with correlation rho and sets Y = b (S + W) + eps with independent
-standard normal noise.  All three assessment targets have analytic (or
-one-dimensional-quadrature) truth values under this process, so replicated
-assessments can be scored by absolute error and interval coverage.  Every
-replication is keyed by (run seed, replication index) through counter-based
-streams, which makes cells and replications reproducible in isolation and
-bit-identical under any degree of parallelism.
+standard normal noise.  All three assessment targets have closed-form truth
+values under this process, so replicated assessments can be scored by
+absolute error and interval coverage.  Every replication is keyed by (run
+seed, replication index) through counter-based streams, which makes cells
+and replications reproducible in isolation and bit-identical under any
+degree of parallelism.
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from scipy.special import owens_t
 
 from . import rng
-from .core import UtilityEstimate, check_settings, normal_cdf, normal_quantile
+from .core import UtilityEstimate, check_settings, normal_quantile
 from .errors import FusionGainError, OutOfRange
 from .linreg_utility import assess_linreg
 from .mean_utility import MeanAssessmentConfig, assess_mean
@@ -78,47 +79,28 @@ def true_theta_linreg(b: float, rho: float, nu: float) -> float:
     return 1.0 - (1.0 - nu) * one_minus_rho_sq / (2.0 * (1.0 + b * b * one_minus_rho_sq))
 
 
-_GH_ORDERS = (40, 60, 80, 120, 180)
-
-
-def _gauss_hermite_expectation(fn, abs_tol: float = 1e-10) -> float:
-    """E[fn(T)] for standard normal T, escalating the quadrature order.
-
-    Successive orders must agree to ``abs_tol``; the integrands used here are
-    analytic and bounded, for which Gauss-Hermite converges superexponentially.
-    """
-    previous = None
-    value = math.nan
-    for order in _GH_ORDERS:
-        nodes, weights = np.polynomial.hermite.hermgauss(order)
-        value = float(weights @ fn(math.sqrt(2.0) * nodes)) / math.sqrt(math.pi)
-        if previous is not None and abs(value - previous) <= abs_tol:
-            return value
-        previous = value
-    return value
-
-
 def true_theta_quantile(b: float, rho: float, nu: float, tau: float) -> float:
-    """Truth value for the quantile target, by one-dimensional quadrature.
+    """Truth value for the quantile target, in closed form.
 
-    The signal b(S + W) is normal with variance 2 b^2 (1 + rho), so the
-    defining expectation reduces to E[Phi(sd_Y * u_tau - signal)^2] over that
-    normal law.
+    The signal b(S + W) is normal with variance s^2 = 2 b^2 (1 + rho), so
+    the defining expectation E[Phi(sd_Y u_tau - signal)^2] is the bivariate
+    normal probability Phi_2(u_tau, u_tau; s^2 / (1 + s^2)).  Owen's (1956)
+    identity Phi_2(h, h; r) = Phi(h) - 2 T(h, sqrt((1 - r) / (1 + r))) then
+    leaves tau - E = 2 T(u_tau, 1 / sqrt(1 + 2 s^2)), with T Owen's T
+    function; the nu-free core is (tau - E) / (tau (1 - tau)).
     """
     if not 0.0 < tau < 1.0:
         raise OutOfRange(f"tau must be in (0, 1), got {tau}")
     if not abs(rho) < 1.0:
         raise OutOfRange(f"|rho| must be < 1, got {rho}")
-    total_sd = math.sqrt(2.0 * b * b * (1.0 + rho) + 1.0)
-    signal_sd = abs(b) * math.sqrt(2.0 * (1.0 + rho))
-    u_tau = normal_quantile(tau)
-    if signal_sd == 0.0:
-        expectation = tau * tau
-    else:
-        expectation = _gauss_hermite_expectation(
-            lambda t: np.asarray(normal_cdf(total_sd * u_tau - signal_sd * t)) ** 2
-        )
-    return (1.0 - nu) * (tau - expectation) / (tau * (1.0 - tau)) + nu
+    slope = 1.0 / math.sqrt(1.0 + 4.0 * b * b * (1.0 + rho))
+    # 2 T(h, 1) = Phi(h) (1 - Phi(h)) exactly, but owens_t rounds to either
+    # side of it: pin the no-signal core at 1, and keep every core at most 1
+    core = 1.0
+    if slope < 1.0:
+        two_t = 2.0 * float(owens_t(normal_quantile(tau), slope))
+        core = min(two_t / (tau * (1.0 - tau)), 1.0)
+    return (1.0 - nu) * core + nu
 
 
 def _run_mean(fixed_regressor, data, *, nu, alpha, seed, tau, regressor, s_index):

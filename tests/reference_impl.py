@@ -57,10 +57,12 @@ def ref_kernel_block(x_train, bandwidths, x_test):
     Written in the same expanded bilinear form, step for step, as the package's
     kernel smoothers, so that a floor computed from these rows can be compared
     bit for bit.  The BLAS product's last bits can depend on how many queries
-    it is given, so the form is always evaluated on the whole block.
+    it is given, so the form is always evaluated on the whole block.  Both
+    sides are centred at the training column means first.
     """
-    a = x_test / bandwidths
-    b = x_train / bandwidths
+    centre = x_train.mean(axis=0)
+    a = (x_test - centre) / bandwidths
+    b = (x_train - centre) / bandwidths
     cross = a @ b.T
     cross *= 2.0
     d2 = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from fusiongain.cli import _cell_ok, main, parse_csv
 from fusiongain.errors import EmptyData, IoError, ParseError
 from fusiongain.mean_utility import MeanAssessmentConfig, assess_mean
-from fusiongain.nuisance import MIN_SPLIT_N
+from fusiongain.nuisance import MIN_SPLIT_N, Dataset
+from fusiongain.quantile_utility import QuantileAssessmentConfig, assess_quantile
 from fusiongain.simulation import DgpConfig, generate_dgp
 
 # --folds is gone (cross-fitting always uses nuisance.N_FOLDS folds), so
@@ -144,6 +145,18 @@ class TestParseCsv:
             path = _write(tmp_path, "a.csv", end.join(["y,x", "1,2", "", "3,4", ""]))
             data = parse_csv(path)
             assert data.y.tolist() == [1.0, 3.0] and data.x.tolist() == [[2.0], [4.0]]
+
+    def test_byte_order_mark_ignored(self, tmp_path, capsys):
+        # a spreadsheet's "CSV UTF-8" export starts with U+FEFF
+        plain, _ = _dgp_csv(tmp_path, DgpConfig(b=0.5, n=60, seed=2))
+        text = Path(plain).read_text(encoding="utf-8")
+        marked = _write(tmp_path, "bom.csv", "\ufeff" + text)
+        outputs = []
+        for path in (plain, marked):
+            assert main(["assess", "--method", "mean-linear", "--input", path, "--response", "y",
+                         "--nu", "0.5"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_response_column_is_sliced_out(self, tmp_path):
         path = _write(tmp_path, "a.csv", "a,y,b\n1,2,3\n4,5,6\n")
@@ -537,6 +550,20 @@ def test_quantile_unmoved_by_response_scale(tmp_path, capsys):
         assert scaled == pytest.approx(outputs[0], rel=1e-9)
 
 
+def test_estimates_unmoved_by_covariate_offset():
+    # the kernel centres the covariates before expanding |a - b|^2, so an
+    # offset of 1e6 on a 1e-3 scale cannot cancel the distances away
+    data = generate_dgp(DgpConfig(b=0.5, n=1000, seed=3))
+    shifted = Dataset(data.y, data.x * 1e-3 + 1e6, data.column_names)
+    for assess in (
+        lambda d: assess_mean(d, MeanAssessmentConfig(nu=0.5, regressor="local-linear")),
+        lambda d: assess_quantile(d, QuantileAssessmentConfig(nu=0.5)),
+    ):
+        base, moved = assess(data), assess(shifted)
+        for key in ("theta_hat", "theta_tilde_raw", "gamma_hat"):
+            assert getattr(moved, key) == pytest.approx(getattr(base, key), rel=1e-6), key
+
+
 class TestSimulateCommand:
     def test_single_cell_single_rep(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
@@ -601,6 +628,17 @@ class TestSimulateCommand:
         assert 0.005 <= cells[(0.0, 2000)]["mae"] <= 0.015
         assert 0.905 <= cells[(0.0, 2000)]["cr"] <= 0.965
         assert 0.915 <= cells[(1.0, 500)]["cr"] <= 0.975
+
+    def test_no_signal_quantile_truth_is_coverable(self, tmp_path):
+        # at b = 0 the truth is exactly 1, so intervals clamped to [0, 1] can hold it
+        out_dir = tmp_path / "q"
+        code = main(
+            ["simulate", "--method", "quantile", "--b", "0", "--n", "100", "--tau", "0.84",
+             "--reps", "10", "--seed", "1", "--out", str(out_dir)]
+        )
+        assert code == 0
+        row = (out_dir / "simulation.csv").read_text().strip().split("\n")[1].split(",")
+        assert float(row[9]) > 0.0
 
     def test_invalid_reps(self, tmp_path, capsys):
         code = main(

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import integrate
+from scipy.special import ndtr
 
 from fusiongain import rng
 from fusiongain.core import normal_cdf, normal_quantile
@@ -66,10 +68,40 @@ class TestTruthValues:
         )
 
     def test_quantile_no_signal(self):
-        assert true_theta_quantile(0.0, 0.2, 0.5, 0.5) == pytest.approx(1.0, abs=1e-12)
-        assert true_theta_quantile(0.0, 0.2, 0.5, 0.25) == pytest.approx(1.0, abs=1e-12)
+        # exactly 1, or a no-signal cell's intervals (clamped to [0, 1]) never cover it
+        for tau in np.arange(1, 1000) / 1000:
+            for nu in (0.0, 0.3, 0.5, 0.9):
+                assert true_theta_quantile(0.0, 0.2, nu, tau) == 1.0, (tau, nu)
 
-    def test_quantile_quadrature_vs_monte_carlo(self):
+    @pytest.mark.parametrize("b", [0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0])
+    @pytest.mark.parametrize("rho", [-0.9, 0.0, 0.2, 0.9])
+    def test_quantile_matches_adaptive_quadrature(self, b, rho):
+        # tau - E[Phi(c - sT)^2] = E[Phi(c - sT) Phi(sT - c)], integrated on
+        # either side of t = c / s, where the Phi product peaks
+        s = b * math.sqrt(2.0 * (1.0 + rho))
+        for tau in (0.01, 0.25, 0.5, 0.75, 0.99):
+            c = math.sqrt(1.0 + s * s) * normal_quantile(tau)
+            split = c / s if s > 0.0 else 0.0
+
+            def integrand(t):
+                x = c - s * t
+                return ndtr(x) * ndtr(-x) * math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+
+            gap = sum(integrate.quad(integrand, lo, hi, epsabs=1e-16, epsrel=1e-13, limit=200)[0]
+                      for lo, hi in ((-np.inf, split), (split, np.inf)))
+            core = gap / (tau * (1.0 - tau))
+            for nu in (0.0, 0.5):
+                assert true_theta_quantile(b, rho, nu, tau) == pytest.approx(
+                    nu + (1.0 - nu) * core, abs=1e-12
+                ), (b, rho, tau, nu)
+
+    @pytest.mark.parametrize("b", [1e-10, 1e-8])
+    def test_quantile_tiny_signal_at_most_one(self, b):
+        for tau in np.arange(1, 1000) / 1000:
+            for nu in (0.0, 0.5):
+                assert true_theta_quantile(b, 0.2, nu, tau) <= 1.0, (tau, nu)
+
+    def test_quantile_closed_form_vs_monte_carlo(self):
         # 1e7-draw Monte Carlo of the defining expectation, 3-decimal agreement
         gen = np.random.default_rng(12345)
         b, rho, nu, tau = 1.0, 0.2, 0.5, 0.5
@@ -86,11 +118,12 @@ class TestTruthValues:
             assert low == pytest.approx(high, abs=1e-9)
 
     def test_all_truths_in_unit_interval(self):
-        for b in (0.0, 0.25, 0.5, 1.0, 2.0):
+        for b in (0.0, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0):
             for nu in (0.0, 0.5, 0.9):
                 assert 0.0 < true_theta_mean(b, 0.2, nu) <= 1.0
                 assert 0.0 < true_theta_linreg(b, 0.2, nu) <= 1.0
-                assert 0.0 < true_theta_quantile(b, 0.2, nu, 0.25) <= 1.0
+                for tau in (0.25, 0.99):
+                    assert 0.0 < true_theta_quantile(b, 0.2, nu, tau) <= 1.0
 
     def test_monotone_in_signal(self):
         # mean target: stronger signal makes covariate data more valuable, the
