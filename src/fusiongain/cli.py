@@ -345,10 +345,8 @@ def _run_simulate(args) -> int:
                 dgp = DgpConfig(b=b, rho=args.rho, n=n, nu=args.nu)
                 cells.append(MonteCarloCell(method=args.method, dgp=dgp, tau=tau,
                                             alpha=args.alpha))
-    results = [
-        run_monte_carlo(cell, args.reps, cell_seed(args.seed, cell), workers=args.workers)
-        for cell in cells
-    ]
+    table = [(cell, cell_seed(args.seed, cell)) for cell in cells]
+    results = run_monte_carlo(table, args.reps, workers=args.workers)
     report = SimulationReport(rows=tuple(results))
     out_dir = Path(args.out)
     try:

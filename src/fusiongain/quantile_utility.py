@@ -102,7 +102,12 @@ def variance_quantile(
 
     All density plug-ins are evaluated at the full-sample empirical quantile;
     bandwidths follow the rule of thumb (per covariate dimension for the
-    conditional estimate).
+    conditional estimate).  f_Y(mu_hat) times h_y must exceed
+    ``DENSITY_FLOOR``, else :class:`VanishingDensity`.  At the empirical
+    quantile, a sample point, the point's own kernel term alone gives
+    f_Y(mu_hat) h_y >= 1 / (n sqrt(2 pi)), above the floor for every n below
+    about 4e11; so the floor guards only direct calls with ``mu_hat`` off
+    the sample.
     """
     if data.n < 2:
         raise TooFewObservations("variance needs at least two observations")

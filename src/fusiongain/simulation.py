@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -184,8 +184,10 @@ def true_theta(cell: MonteCarloCell) -> float:
     return METHODS[cell.method].truth(d.b, d.rho, d.nu, cell.tau)
 
 
-def _run_replication(cell: MonteCarloCell, seed: int, theta0: float, rep: int):
-    """One scored replication; returns (abs_err, ci_length, covered) or an error string."""
+def _run_replication(task: tuple[MonteCarloCell, int, float, int]):
+    """One scored replication of (cell, seed, theta0, rep); returns
+    (abs_err, ci_length, covered) or an error string."""
+    cell, seed, theta0, rep = task
     gen = rng.substream(rng.mix64(seed, rep), rng.DOMAIN_DGP)
     try:
         data = generate_dgp(cell.dgp, stream=gen)
@@ -229,28 +231,51 @@ class CellResult:
         return self.n_failed > 0.01 * self.reps
 
 
-def run_monte_carlo(
-    cell: MonteCarloCell, reps: int, seed: int, workers: int = 1
-) -> CellResult:
-    """Run and score ``reps`` seeded replications of one cell.
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS keeps one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Replication r draws its data from the stream keyed by (seed, r), so the
-    result is a pure function of (cell, reps, seed) no matter how many workers
-    execute it.  Failed replications are counted, never silently dropped; a
-    cell with more than 1% failures is flagged.
+
+def run_monte_carlo(
+    table: Sequence[tuple[MonteCarloCell, int]], reps: int, workers: int = 1
+) -> list[CellResult]:
+    """Run and score ``reps`` seeded replications of every (cell, seed) pair.
+
+    Returns one result per pair, in table order.  Replication r of a cell
+    draws its data from the stream keyed by (seed, r), so each result is a
+    pure function of (cell, reps, seed) no matter how many workers execute
+    it or which cells share the table.  The truth value is computed once per
+    cell.  Every (cell, replication) task of the table then goes through one
+    process pool, in the order of the serial loop, and the outcomes are
+    sliced back into cells.  The pool has min(workers, tasks in the table,
+    usable CPUs) processes; with one, the tasks run in this process.
+    Failed replications are counted, never silently dropped; a cell with
+    more than 1% failures is flagged.  Once every task has run, the first
+    cell in table order whose replications all failed raises.
     """
     if reps < 1:
         raise OutOfRange("reps must be >= 1")
-    theta0 = true_theta(cell)
-    worker = partial(_run_replication, cell, seed, theta0)
+    thetas = [true_theta(cell) for cell, _ in table]
+    tasks = [(cell, seed, theta0, rep)
+             for (cell, seed), theta0 in zip(table, thetas) for rep in range(reps)]
     # the fork start method launches every worker at the first submit
-    workers = min(workers, reps, os.cpu_count() or 1)
+    workers = min(workers, len(tasks), _usable_cpus())
     if workers <= 1:
-        outcomes = [worker(rep) for rep in range(reps)]
+        outcomes = list(map(_run_replication, tasks))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, reps // (4 * workers))
-            outcomes = list(pool.map(worker, range(reps), chunksize=chunk))
+            chunk = max(1, len(tasks) // (4 * workers))
+            outcomes = list(pool.map(_run_replication, tasks, chunksize=chunk))
+    return [
+        _score(cell, reps, seed, outcomes[i * reps:(i + 1) * reps])
+        for i, (cell, seed) in enumerate(table)
+    ]
+
+
+def _score(cell: MonteCarloCell, reps: int, seed: int, outcomes: list) -> CellResult:
+    """Summarise one cell's replication outcomes."""
     failures = [o for o in outcomes if isinstance(o, str)]
     scored = [o for o in outcomes if not isinstance(o, str)]
     if not scored:

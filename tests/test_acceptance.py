@@ -51,7 +51,8 @@ def _report(criterion: str, ok: bool, detail: str, flagged: str | None = None):
 
 def _mc(method, b, n, seed, tau=0.5):
     cell = MonteCarloCell(method=method, dgp=DgpConfig(b=b, rho=0.2, n=n, nu=0.5), tau=tau)
-    return run_monte_carlo(cell, REPS, seed, workers=WORKERS)
+    [result] = run_monte_carlo([(cell, seed)], REPS, workers=WORKERS)
+    return result
 
 
 def test_criterion_1_table1_linear_g():

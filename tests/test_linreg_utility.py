@@ -211,12 +211,12 @@ class TestTableBands:
         from fusiongain.simulation import MonteCarloCell, run_monte_carlo
 
         cell = MonteCarloCell(method="linreg", dgp=DgpConfig(b=0.5, n=1000))
-        result = run_monte_carlo(cell, reps=300, seed=77)
+        [result] = run_monte_carlo([(cell, 77)], reps=300)
         assert 0.5 * 0.0112 <= result.mae <= 1.5 * 0.0112
 
     def test_coverage_b1_n2000(self):
         from fusiongain.simulation import MonteCarloCell, run_monte_carlo
 
         cell = MonteCarloCell(method="linreg", dgp=DgpConfig(b=1.0, n=2000))
-        result = run_monte_carlo(cell, reps=300, seed=78)
+        [result] = run_monte_carlo([(cell, 78)], reps=300)
         assert result.cr == pytest.approx(0.947, abs=0.025)

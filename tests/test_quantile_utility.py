@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fusiongain.errors import VanishingDensity, VarianceOverflow
 from fusiongain.nuisance import (
@@ -12,6 +16,7 @@ from fusiongain.nuisance import (
     silverman_bandwidth,
 )
 from fusiongain.quantile_utility import (
+    DENSITY_FLOOR,
     QuantileAssessmentConfig,
     assess_quantile,
     compute_quantile_intermediates,
@@ -157,6 +162,22 @@ class TestVariance:
         with pytest.raises(VanishingDensity):
             variance_quantile(data, cfg, float(data.y.max()) + 50.0, fhat)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=500),
+           st.sampled_from([1e-9, 1.0, 1e12]),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_density_at_the_empirical_quantile_clears_the_floor(self, ints, scale, tau):
+        # mu_hat is a sample point, so its own kernel term gives
+        # f_Y(mu_hat) h_y >= 1 / (n sqrt(2 pi)): VanishingDensity cannot
+        # fire at the empirical quantile, only at a mu off the sample
+        assume(len(set(ints)) > 1)
+        y = np.array(ints, dtype=float) * scale
+        h_y = silverman_bandwidth(y)
+        f_y = kde_eval(KernelDensity(y, h_y), empirical_quantile(y, tau))
+        bound = 1.0 / (y.size * math.sqrt(2.0 * math.pi))
+        assert f_y * h_y >= bound * (1.0 - 1e-12)  # up to rounding
+        assert bound > DENSITY_FLOOR
+
     def test_overflow_typed_on_direct_call(self):
         # predictions far outside [0, 1] drive the slope term past the double range
         data = generate_dgp(DgpConfig(b=0.5, n=100, seed=21))
@@ -226,7 +247,7 @@ class TestTableBands:
         cell = MonteCarloCell(
             method="quantile", dgp=DgpConfig(b=0.5, n=1000), tau=0.5
         )
-        result = run_monte_carlo(cell, reps=100, seed=1234, workers=2)
+        [result] = run_monte_carlo([(cell, 1234)], reps=100, workers=2)
         assert result.al == pytest.approx(0.0658, abs=0.02)
 
     def test_mae_tau_quarter_b1(self):
@@ -235,5 +256,5 @@ class TestTableBands:
         cell = MonteCarloCell(
             method="quantile", dgp=DgpConfig(b=1.0, n=2000), tau=0.25
         )
-        result = run_monte_carlo(cell, reps=60, seed=99, workers=2)
+        [result] = run_monte_carlo([(cell, 99)], reps=60, workers=2)
         assert 0.5 * 0.0117 <= result.mae <= 1.5 * 0.0117

@@ -137,58 +137,89 @@ class TestTruthValues:
         assert all(a < b for a, b in zip(linregs, linregs[1:]))
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """Swap the process pool for an in-process one; list [workers, tasks,
+    chunksize] for each pool opened."""
+    import fusiongain.simulation as simulation
+
+    opened = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            self.record = [max_workers, 0, 0]
+            opened.append(self.record)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            items = list(items)
+            self.record[1:] = [len(items), chunksize]
+            return map(fn, items)
+
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", SerialPool)
+    return opened
+
+
+def _usable(monkeypatch, cpus):
+    """Let this process run on ``cpus`` CPUs, whatever the host has."""
+    import fusiongain.simulation as simulation
+
+    monkeypatch.setattr(simulation.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+
+
 class TestMonteCarlo:
     def test_single_replication_edge(self):
         cell = MonteCarloCell(method="linreg", dgp=DgpConfig(b=0.5, n=200))
-        result = run_monte_carlo(cell, reps=1, seed=5)
+        [result] = run_monte_carlo([(cell, 5)], reps=1)
         assert result.sdae == 0.0
         assert result.cr in (0.0, 1.0)
         assert result.reps == 1
 
     def test_deterministic_rows(self):
         cell = MonteCarloCell(method="mean-linear", dgp=DgpConfig(b=0.5, n=100))
-        a = run_monte_carlo(cell, reps=10, seed=9)
-        b = run_monte_carlo(cell, reps=10, seed=9)
+        a = run_monte_carlo([(cell, 9)], reps=10)
+        b = run_monte_carlo([(cell, 9)], reps=10)
         assert a == b
 
     def test_workers_do_not_change_results(self):
         cell = MonteCarloCell(method="linreg", dgp=DgpConfig(b=1.0, n=300))
-        serial = run_monte_carlo(cell, reps=16, seed=11, workers=1)
-        parallel = run_monte_carlo(cell, reps=16, seed=11, workers=2)
+        serial = run_monte_carlo([(cell, 11)], reps=16, workers=1)
+        parallel = run_monte_carlo([(cell, 11)], reps=16, workers=2)
         assert serial == parallel
 
-    def test_pool_size_capped_by_reps_and_cores(self, monkeypatch):
+    def test_pool_size_capped_by_reps_and_cores(self, monkeypatch, pools):
         # a fork pool starts all its workers at the first submit, so an
-        # oversized --workers must never reach ProcessPoolExecutor
+        # oversized --workers must never reach ProcessPoolExecutor: the cap is
+        # the table's replications and the CPUs this process may run on
         import fusiongain.simulation as simulation
 
-        opened = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                opened.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-        monkeypatch.setattr(simulation, "ProcessPoolExecutor", SerialPool)
         cell = MonteCarloCell(method="linreg", dgp=DgpConfig(b=1.0, n=100))
-        for cores, reps in ((64, 2), (3, 4), (None, 4)):
-            serial = run_monte_carlo(cell, reps=reps, seed=11)
+        one = [(cell, 11)]
+        two = [(cell, 11), (replace(cell, dgp=replace(cell.dgp, b=0.5)), 12)]
+        monkeypatch.setattr(simulation.os, "cpu_count", lambda: 64)
+        # (usable CPUs, table, reps); one usable CPU of 64 is `taskset -c 0`
+        for cpus, table, reps in ((64, one, 2), (3, one, 4), (64, two, 1), (1, one, 4)):
+            serial = run_monte_carlo(table, reps)
+            _usable(monkeypatch, cpus)
+            assert run_monte_carlo(table, reps, workers=5000) == serial
+        # without an affinity mask the CPU count caps the pool
+        monkeypatch.delattr(simulation.os, "sched_getaffinity", raising=False)
+        serial = run_monte_carlo(one, 4)
+        for cores in (3, None):
             monkeypatch.setattr(simulation.os, "cpu_count", lambda: cores)
-            assert run_monte_carlo(cell, reps=reps, seed=11, workers=5000) == serial
-        assert opened == [2, 3]
+            assert run_monte_carlo(one, 4, workers=5000) == serial
+        assert [workers for workers, _, _ in pools] == [2, 3, 2, 3]
 
     def test_coverage_is_exact_mean_of_indicators(self):
         cell = MonteCarloCell(method="linreg", dgp=DgpConfig(b=0.5, n=200))
         reps = 25
-        result = run_monte_carlo(cell, reps=reps, seed=13)
+        [result] = run_monte_carlo([(cell, 13)], reps=reps)
         theta0 = true_theta(cell)
         hits = 0
         for rep in range(reps):
@@ -202,7 +233,7 @@ class TestMonteCarlo:
     def test_reps_must_be_positive(self):
         cell = MonteCarloCell(method="linreg", dgp=DgpConfig(b=0.5, n=100))
         with pytest.raises(OutOfRange):
-            run_monte_carlo(cell, reps=0, seed=1)
+            run_monte_carlo([(cell, 1)], reps=0)
 
     def test_failures_counted_and_flagged(self, monkeypatch):
         import fusiongain.simulation as sim
@@ -216,7 +247,7 @@ class TestMonteCarlo:
 
         monkeypatch.setitem(sim.METHODS, "linreg", replace(original, run=flaky))
         cell = MonteCarloCell(method="linreg", dgp=DgpConfig(b=0.5, n=150))
-        result = sim.run_monte_carlo(cell, reps=30, seed=17)
+        [result] = sim.run_monte_carlo([(cell, 17)], reps=30)
         assert result.n_failed > 0
         assert result.flagged
         assert result.reps == 30
@@ -230,13 +261,98 @@ class TestMonteCarlo:
         monkeypatch.setitem(sim.METHODS, "linreg", replace(sim.METHODS["linreg"], run=always_fail))
         cell = MonteCarloCell(method="linreg", dgp=DgpConfig(b=0.5, n=150))
         with pytest.raises(FusionGainError):
-            sim.run_monte_carlo(cell, reps=5, seed=19)
+            sim.run_monte_carlo([(cell, 19)], reps=5)
+
+
+def _fail_at(monkeypatch, fails):
+    """Make linreg fail, with the signal b in its message, in replication r
+    of a cell at b wherever ``fails(b, r)``; return the b of every dataset
+    drawn.  Replications must run in this process, in table order."""
+    import fusiongain.simulation as sim
+
+    original = sim.METHODS["linreg"]
+    drawn = []
+
+    def recording_dgp(cfg, stream=None):
+        drawn.append(cfg.b)
+        return generate_dgp(cfg, stream)
+
+    def failing(data, **settings):
+        b = drawn[-1]
+        if fails(b, drawn.count(b) - 1):
+            raise FusionGainError(f"synthetic failure at b={b}")
+        return original.run(data, **settings)
+
+    monkeypatch.setattr(sim, "generate_dgp", recording_dgp)
+    monkeypatch.setitem(sim.METHODS, "linreg", replace(original, run=failing))
+    return drawn
+
+
+def _linreg_table(signals, n=150):
+    return [(MonteCarloCell(method="linreg", dgp=DgpConfig(b=b, n=n)), 20 + i)
+            for i, b in enumerate(signals)]
+
+
+class TestTable:
+    def test_one_pool_per_simulate(self, tmp_path, monkeypatch, pools):
+        from fusiongain.cli import main
+
+        _usable(monkeypatch, 2)
+        code = main(["simulate", "--method", "linreg", "--b", "0,0.5,1", "--n", "100",
+                     "--reps", "4", "--seed", "1", "--workers", "2",
+                     "--out", str(tmp_path / "x")])
+        assert code == 0
+        # 3 cells x 4 replications, chunksize max(1, 12 // (4 x 2))
+        assert pools == [[2, 12, 1]]
+
+    def test_mixed_table_bytes_independent_of_workers(self, tmp_path, monkeypatch):
+        from fusiongain.cli import main
+
+        # a real pool of up to 3 processes, however many CPUs the host has
+        _usable(monkeypatch, 3)
+        outputs = []
+        for workers in (1, 2, 3):
+            out = tmp_path / f"w{workers}"
+            code = main(["simulate", "--method", "mean-linear", "--b", "0,0.5",
+                         "--n", "100,300", "--reps", "5", "--seed", "7",
+                         "--workers", str(workers), "--out", str(out)])
+            assert code == 0
+            outputs.append(((out / "simulation.csv").read_bytes(),
+                            (out / "simulation.txt").read_bytes()))
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0][0].count(b"\n") == 1 + 4
+
+    def test_table_rows_match_one_cell_runs(self):
+        table = _linreg_table([0.0, 0.5, 1.0])
+        assert run_monte_carlo(table, reps=4, workers=2) == [
+            run_monte_carlo([pair], reps=4)[0] for pair in table
+        ]
+
+    def test_failures_charged_to_their_cell(self, monkeypatch):
+        table = _linreg_table([0.0, 0.5, 1.0])
+        clean = run_monte_carlo(table, reps=6)
+        drawn = _fail_at(monkeypatch, lambda b, rep: b == 0.5 and rep % 2 == 0)
+        rows = run_monte_carlo(table, reps=6)
+        assert [row.n_failed for row in rows] == [0, 3, 0]
+        assert (rows[0], rows[2]) == (clean[0], clean[2])
+        assert [row.flagged for row in rows] == [False, True, False]
+        assert drawn == [0.0] * 6 + [0.5] * 6 + [1.0] * 6
+
+    def test_all_failed_cell_raises_after_the_whole_table(self, monkeypatch):
+        drawn = _fail_at(monkeypatch, lambda b, rep: b in (0.5, 1.0))
+        table = _linreg_table([0.0, 0.5, 1.0, 1.5])
+        with pytest.raises(FusionGainError) as err:
+            run_monte_carlo(table, reps=3)
+        # the parent's message, for the first all-failed cell in table order
+        assert str(err.value) == ("all 3 replications failed; first error: "
+                                  "FusionGainError: synthetic failure at b=0.5")
+        assert len(drawn) == 4 * 3
 
 
 class TestReportFormats:
     def _rows(self):
         cell = MonteCarloCell(method="mean-linear", dgp=DgpConfig(b=0.5, n=100))
-        return (run_monte_carlo(cell, reps=3, seed=21),)
+        return tuple(run_monte_carlo([(cell, 21)], reps=3))
 
     def test_csv_columns_and_roundtrip(self):
         report = SimulationReport(rows=self._rows())
