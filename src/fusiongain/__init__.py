@@ -29,7 +29,6 @@ from .linreg_utility import (
     variance_linreg,
 )
 from .mean_utility import (
-    MeanAssessmentConfig,
     assess_mean,
     estimate_bounds_mean,
     split_estimate_mean,
@@ -48,7 +47,6 @@ from .nuisance import (
     silverman_bandwidth,
 )
 from .quantile_utility import (
-    QuantileAssessmentConfig,
     assess_quantile,
     split_estimate_quantile,
     variance_quantile,

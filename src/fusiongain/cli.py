@@ -28,10 +28,11 @@ from .errors import (
     ParseError,
     UsageError,
 )
-from .nuisance import MIN_SPLIT_N, Dataset
+from .nuisance import MIN_SPLIT_N, REGRESSOR_KINDS, Dataset
 from .simulation import (
     DgpConfig,
     METHODS,
+    MIN_LINREG_N,
     MonteCarloCell,
     SimulationReport,
     cell_seed,
@@ -179,8 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     assess.add_argument("--relative", action="store_true",
                         help="also report utility relative to direct response data")
     assess.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    assess.add_argument("--regressor", choices=("local-linear", "k-nn", "ols-linear"),
-                        default=None,
+    assess.add_argument("--regressor", choices=REGRESSOR_KINDS, default=None,
                         help="nuisance regressor for mean-conditional and quantile "
                              "(default local-linear)")
     assess.add_argument("--center", action="store_true",
@@ -255,49 +255,49 @@ def _print_payload(payload: dict, fmt: str) -> None:
         print(f"{key:<{width}}  {value}")
 
 
-def _resolve_s_index(data: Dataset, name: str | None) -> int:
+def _resolve_s_index(data: Dataset, name: str | None) -> int | None:
     if name is None:
-        return 0
+        return None
     if data.column_names is None or name not in data.column_names:
         raise UsageError(f"--s-column {name!r} not among covariates {data.column_names}")
     return data.column_names.index(name)
 
 
-# Flags that only some methods read: argparse dest -> (flag, those methods).
-_METHOD_FLAGS = {
-    "tau": ("--tau", ("quantile",)),
-    "regressor": ("--regressor", ("mean-conditional", "quantile")),
-    "s_column": ("--s-column", ("linreg",)),
-    "center": ("--center", ("linreg",)),
+# Flags that only some methods read: flag -> the Method setting it feeds.
+# --center prepares the design for the one method that reads s_index.
+_FLAG_SETTINGS = {
+    "--tau": "tau",
+    "--regressor": "regressor",
+    "--s-column": "s_index",
+    "--center": "s_index",
 }
 
 
 def _check_flags(args) -> None:
     """Reject out-of-range settings, and flags the method would ignore, before
-    any data is read or replication run; then fill in the defaults."""
-    for dest, (flag, methods) in _METHOD_FLAGS.items():
-        value = getattr(args, dest, None)
-        if value is not None and value is not False and args.method not in methods:
+    any data is read or replication run."""
+    settings = METHODS[args.method].settings
+    for flag, setting in _FLAG_SETTINGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None and value is not False and setting not in settings:
+            methods = [m for m, method in METHODS.items() if setting in method.settings]
             raise UsageError(
                 f"{flag} applies only to --method {' or '.join(methods)}, not {args.method}"
             )
     if args.method == "mean-conditional" and getattr(args, "regressor", None) == "ols-linear":
         raise UsageError("--regressor ols-linear with --method mean-conditional "
                          "is --method mean-linear")
-    if args.tau is None:
-        args.tau = [0.5] if args.command == "simulate" else 0.5
-    if args.command == "assess" and args.regressor is None:
-        args.regressor = "local-linear"
     try:
         check_settings(nu=args.nu, alpha=args.alpha)
     except OutOfRange as err:  # "nu must be ..." becomes "--nu must be ..."
         raise UsageError(f"--{err}") from None
     taus = args.tau if isinstance(args.tau, list) else [args.tau]
-    if not all(0.0 < tau < 1.0 for tau in taus):
+    if not all(0.0 < tau < 1.0 for tau in taus if tau is not None):
         raise UsageError(f"--tau must be in (0, 1), got {args.tau}")
     if args.command == "simulate":
-        for flag, values in (("--b", args.b), ("--n", args.n), ("--tau", args.tau)):
-            if not values:
+        grid = (("--b", args.b), ("--n", args.n), ("--tau", args.tau))
+        for flag, values in grid:
+            if values == []:
                 raise UsageError(f"{flag} needs at least one value")
         if not all(math.isfinite(b) for b in args.b):
             raise UsageError(f"--b must be finite, got {args.b}")
@@ -305,25 +305,26 @@ def _check_flags(args) -> None:
             raise UsageError(f"--rho must be in (-1, 1), got {args.rho}")
         if not all(n >= 1 for n in args.n):
             raise UsageError(f"--n must be >= 1, got {args.n}")
-        # every method but linreg cross-fits within the first ceil(n/2) rows
-        if args.method != "linreg" and min(args.n) < MIN_SPLIT_N:
-            raise UsageError(
-                f"--n must be >= {MIN_SPLIT_N} for --method {args.method}, got {args.n}"
-            )
+        # every method but linreg cross-fits within the first ceil(n/2) rows;
+        # linreg needs more rows than the DGP has covariates
+        min_n = MIN_LINREG_N if args.method == "linreg" else MIN_SPLIT_N
+        if min(args.n) < min_n:
+            raise UsageError(f"--n must be >= {min_n} for --method {args.method}, got {args.n}")
         if args.reps < 1:
             raise UsageError(f"--reps must be >= 1, got {args.reps}")
         if args.workers < 1:
             raise UsageError(f"--workers must be >= 1, got {args.workers}")
+        # a repeated value would run the same cell, with the same seed, twice
+        for flag, values in grid:
+            if values is not None and len({float(v) for v in values}) < len(values):
+                raise UsageError(f"{flag} repeats a value, got {values}")
 
 
 def _run_assess(args) -> int:
     data = parse_csv(args.input, response=args.response)
-    s_index = 0
-    if args.method == "linreg":
-        s_index = _resolve_s_index(data, args.s_column)
-        if args.center:
-            centered = data.x - data.x.mean(axis=0)
-            data = Dataset(data.y, centered, data.column_names)
+    s_index = _resolve_s_index(data, args.s_column)
+    if args.center:
+        data = Dataset(data.y, data.x - data.x.mean(axis=0), data.column_names)
     estimate = METHODS[args.method].run(
         data,
         nu=args.nu,
@@ -341,7 +342,7 @@ def _run_simulate(args) -> int:
     cells = []
     for b in args.b:
         for n in args.n:
-            for tau in args.tau:
+            for tau in args.tau or [MonteCarloCell.tau]:
                 dgp = DgpConfig(b=b, rho=args.rho, n=n, nu=args.nu)
                 cells.append(MonteCarloCell(method=args.method, dgp=dgp, tau=tau,
                                             alpha=args.alpha))

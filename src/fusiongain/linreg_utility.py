@@ -3,8 +3,8 @@ univariate-regression estimate.
 
 Model: Y = mu' X + eps with mean-zero covariates (no intercept) and
 homoskedastic errors.  The prospective external information is a univariate
-least-squares slope of Y on one designated covariate column S computed from N
-additional observations.  The utility is nu + (1 - nu) a, where
+least-squares slope of Y on one designated covariate column S (the keyword
+``s_index`` of :func:`assess_linreg`) computed from N additional observations.  The utility is nu + (1 - nu) a, where
 nu = n / (n + N); :func:`core.finalize` applies that map.  This module
 computes the nu-free core a = 1 - sigma^2 / (alpha kappa), a closed form in
 five sample moments, so the point estimate is direct, its asymptotic variance
@@ -133,7 +133,7 @@ def variance_linreg(data: Dataset, comp: LinRegComponents) -> float:
 
 
 def assess_linreg(
-    data: Dataset, s_index: int, nu: float, alpha: float = 0.95
+    data: Dataset, *, nu: float, alpha: float = 0.95, s_index: int = 0
 ) -> UtilityEstimate:
     """Full assessment: moment components and the point core
     a = 1 - sigma^2 / (alpha kappa), then :func:`finalize` (no split

@@ -7,12 +7,12 @@ around a cross-fitted regression g(X) over the mean squared residual around
 the mean of Y (the internal-only trace theta2).  Two g targets are
 supported: the conditional mean E(Y | X), for external individual covariate
 records, and the best linear predictor including an intercept, for an
-external covariate average.
+external covariate average.  The keyword ``regressor`` of :func:`assess_mean`
+picks g and so the method: ols-linear is mean-linear, k-nn or local-linear
+mean-conditional; ``seed`` draws the cross-fitting folds.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,25 +26,6 @@ from .errors import (
     stage,
 )
 from .nuisance import REGRESSOR_KINDS, Dataset, crossfit_predict, split_halves
-
-@dataclass(frozen=True)
-class MeanAssessmentConfig:
-    """``regressor`` fits g: ols-linear is the method mean-linear, k-nn or
-    local-linear the method mean-conditional."""
-
-    nu: float
-    alpha: float = 0.95
-    seed: int = 0
-    regressor: str = "ols-linear"
-
-    def __post_init__(self):
-        check_settings(self.nu, self.alpha)
-        if self.regressor not in REGRESSOR_KINDS:
-            raise OutOfRange(f"regressor must be one of {REGRESSOR_KINDS}")
-
-    @property
-    def method(self) -> str:
-        return "mean-linear" if self.regressor == "ols-linear" else "mean-conditional"
 
 
 def estimate_bounds_mean(data: Dataset, ghat) -> tuple[float, float]:
@@ -60,12 +41,12 @@ def estimate_bounds_mean(data: Dataset, ghat) -> tuple[float, float]:
     return float(np.mean((data.y - ghat) ** 2)), theta2
 
 
-def compute_mean_intermediates(data: Dataset, cfg: MeanAssessmentConfig) -> np.ndarray:
+def compute_mean_intermediates(data: Dataset, regressor: str, seed: int) -> np.ndarray:
     """Cross-fitted predictions ghat of g on the full sample."""
-    return crossfit_predict(data, cfg.regressor, cfg.seed)
+    return crossfit_predict(data, regressor, seed)
 
 
-def split_estimate_mean(data: Dataset, cfg: MeanAssessmentConfig) -> float:
+def split_estimate_mean(data: Dataset, regressor: str, seed: int) -> float:
     """Half-sample core a_tilde, whose first-order term cannot vanish.
 
     The g-residual average uses the first ceil(n/2) observations (with
@@ -74,7 +55,7 @@ def split_estimate_mean(data: Dataset, cfg: MeanAssessmentConfig) -> float:
     mean.
     """
     half, rest = split_halves(data)
-    ghat = crossfit_predict(half, cfg.regressor, cfg.seed)
+    ghat = crossfit_predict(half, regressor, seed)
     mu_hat = float(np.mean(data.y))
     numerator = float(np.mean((half.y - ghat) ** 2))
     denominator = float(np.mean((rest.y - mu_hat) ** 2))
@@ -98,13 +79,18 @@ def variance_mean(data: Dataset, ghat) -> float:
     return 2.0 * (var_g + a_hat**2 * var_mean) / theta2**2
 
 
-def assess_mean(data: Dataset, cfg: MeanAssessmentConfig) -> UtilityEstimate:
+def assess_mean(data: Dataset, *, nu: float, alpha: float = 0.95, seed: int = 0,
+                regressor: str = "ols-linear") -> UtilityEstimate:
     """Full assessment: the point and half-sample cores, then :func:`finalize`
     (the interval is centered at the split estimate)."""
+    check_settings(nu, alpha)
+    if regressor not in REGRESSOR_KINDS:
+        raise OutOfRange(f"regressor must be one of {REGRESSOR_KINDS}")
     with stage("point"):
-        ghat = compute_mean_intermediates(data, cfg)
+        ghat = compute_mean_intermediates(data, regressor, seed)
         a_hat = ratio_estimate(*estimate_bounds_mean(data, ghat))
     with stage("split"):
-        a_tilde = split_estimate_mean(data, cfg)
+        a_tilde = split_estimate_mean(data, regressor, seed)
+    method = "mean-linear" if regressor == "ols-linear" else "mean-conditional"
     return finalize(a_hat, a_tilde, lambda: variance_mean(data, ghat),
-                    data.n, cfg.nu, cfg.alpha, cfg.method)
+                    data.n, nu, alpha, method)

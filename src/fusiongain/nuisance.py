@@ -42,7 +42,7 @@ MIN_BLOCK_ROWS = 8
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-REGRESSOR_KINDS = ("ols-linear", "k-nn", "local-linear")
+REGRESSOR_KINDS = ("local-linear", "k-nn", "ols-linear")
 
 
 @dataclass(frozen=True)

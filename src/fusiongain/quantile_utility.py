@@ -9,12 +9,11 @@ discrepancy between the indicator 1(Y < mu_hat) and a cross-fitted
 conditional-CDF regression at the empirical quantile mu_hat, divided by
 tau(1-tau).  The variance plug-in additionally needs kernel density
 estimates of the marginal and conditional response densities at the
-quantile.
+quantile.  :func:`assess_quantile` takes tau, the ``regressor`` of the
+conditional CDF and the fold ``seed`` as keywords.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,31 +36,11 @@ from .nuisance import (
 DENSITY_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class QuantileAssessmentConfig:
-    nu: float
-    tau: float = 0.5
-    alpha: float = 0.95
-    seed: int = 0
-    cdf_regressor: str = "local-linear"
-
-    def __post_init__(self):
-        check_settings(self.nu, self.alpha)
-        if not 0.0 < self.tau < 1.0:
-            raise OutOfRange(f"tau must be in (0, 1), got {self.tau}")
-        if self.cdf_regressor not in REGRESSOR_KINDS:
-            raise OutOfRange(f"cdf_regressor must be one of {REGRESSOR_KINDS}")
-
-    @property
-    def theta2(self) -> float:
-        return self.tau * (1.0 - self.tau)
-
-
-def _cdf_crossfit(data: Dataset, cfg: QuantileAssessmentConfig, threshold: float) -> np.ndarray:
+def _cdf_crossfit(data: Dataset, regressor: str, seed: int, threshold: float) -> np.ndarray:
     """Cross-fitted conditional CDF at ``threshold``: the regression of the
     indicators 1(y < threshold) on x, clamped to [0, 1]."""
     indicators = Dataset((data.y < threshold).astype(float), data.x)
-    return np.clip(crossfit_predict(indicators, cfg.cdf_regressor, cfg.seed), 0.0, 1.0)
+    return np.clip(crossfit_predict(indicators, regressor, seed), 0.0, 1.0)
 
 
 def _squared_gaps(y: np.ndarray, threshold: float, fhat: np.ndarray) -> np.ndarray:
@@ -70,15 +49,15 @@ def _squared_gaps(y: np.ndarray, threshold: float, fhat: np.ndarray) -> np.ndarr
 
 
 def compute_quantile_intermediates(
-    data: Dataset, cfg: QuantileAssessmentConfig
+    data: Dataset, tau: float, regressor: str, seed: int
 ) -> tuple[float, np.ndarray]:
     """The empirical tau-quantile mu_hat and the cross-fitted conditional CDF
     Fhat at mu_hat (clamped to [0, 1])."""
-    mu_hat = empirical_quantile(data.y, cfg.tau)
-    return mu_hat, _cdf_crossfit(data, cfg, mu_hat)
+    mu_hat = empirical_quantile(data.y, tau)
+    return mu_hat, _cdf_crossfit(data, regressor, seed, mu_hat)
 
 
-def split_estimate_quantile(data: Dataset, cfg: QuantileAssessmentConfig) -> float:
+def split_estimate_quantile(data: Dataset, tau: float, regressor: str, seed: int) -> float:
     """Half-sample core a_tilde: quantile from the second half, discrepancies
     from the first.
 
@@ -87,14 +66,14 @@ def split_estimate_quantile(data: Dataset, cfg: QuantileAssessmentConfig) -> flo
     threshold.
     """
     half, rest = split_halves(data)
-    mu_tilde = empirical_quantile(rest.y, cfg.tau)
-    fhat = _cdf_crossfit(half, cfg, mu_tilde)
-    return float(np.mean(_squared_gaps(half.y, mu_tilde, fhat))) / cfg.theta2
+    mu_tilde = empirical_quantile(rest.y, tau)
+    fhat = _cdf_crossfit(half, regressor, seed, mu_tilde)
+    return float(np.mean(_squared_gaps(half.y, mu_tilde, fhat))) / (tau * (1.0 - tau))
 
 
 @typed_overflow
 def variance_quantile(
-    data: Dataset, cfg: QuantileAssessmentConfig, mu_hat: float, fhat: np.ndarray
+    data: Dataset, tau: float, mu_hat: float, fhat: np.ndarray
 ) -> float:
     """Plug-in g^2 = 2 A^2 / {tau(1-tau)} + 2 Var[(1(Y<mu_hat) - Fhat)^2] / {tau(1-tau)}^2,
     with A = 2 * mean[Fhat_i * fhat_{Y|X}(mu_hat | X_i)] / fhat_Y(mu_hat) - 1
@@ -120,16 +99,24 @@ def variance_quantile(
     f_cond = cond_kde_profile(data.x, data.y, h_x, h_y, data.x, mu_hat)
     slope = 2.0 * float(np.mean(fhat * f_cond)) / f_y - 1.0
     var_sq = float(np.var(_squared_gaps(data.y, mu_hat, fhat), ddof=1))
-    return 2.0 * slope**2 / cfg.theta2 + 2.0 * var_sq / cfg.theta2**2
+    theta2 = tau * (1.0 - tau)
+    return 2.0 * slope**2 / theta2 + 2.0 * var_sq / theta2**2
 
 
-def assess_quantile(data: Dataset, cfg: QuantileAssessmentConfig) -> UtilityEstimate:
+def assess_quantile(data: Dataset, *, nu: float, alpha: float = 0.95, seed: int = 0,
+                    tau: float = 0.5, regressor: str = "local-linear") -> UtilityEstimate:
     """Full assessment: the point and half-sample cores, then :func:`finalize`
     (the interval is centered at the split estimate)."""
+    check_settings(nu, alpha)
+    if not 0.0 < tau < 1.0:
+        raise OutOfRange(f"tau must be in (0, 1), got {tau}")
+    if regressor not in REGRESSOR_KINDS:
+        raise OutOfRange(f"regressor must be one of {REGRESSOR_KINDS}")
     with stage("point"):
-        mu_hat, fhat = compute_quantile_intermediates(data, cfg)
-        a_hat = ratio_estimate(float(np.mean(_squared_gaps(data.y, mu_hat, fhat))), cfg.theta2)
+        mu_hat, fhat = compute_quantile_intermediates(data, tau, regressor, seed)
+        a_hat = ratio_estimate(float(np.mean(_squared_gaps(data.y, mu_hat, fhat))),
+                               tau * (1.0 - tau))
     with stage("split"):
-        a_tilde = split_estimate_quantile(data, cfg)
-    return finalize(a_hat, a_tilde, lambda: variance_quantile(data, cfg, mu_hat, fhat),
-                    data.n, cfg.nu, cfg.alpha, "quantile")
+        a_tilde = split_estimate_quantile(data, tau, regressor, seed)
+    return finalize(a_hat, a_tilde, lambda: variance_quantile(data, tau, mu_hat, fhat),
+                    data.n, nu, alpha, "quantile")

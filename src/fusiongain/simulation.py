@@ -7,7 +7,8 @@ values under this process, so replicated assessments can be scored by
 absolute error and interval coverage.  Every replication is keyed by (run
 seed, replication index) through counter-based streams, which makes cells
 and replications reproducible in isolation and bit-identical under any
-degree of parallelism.
+degree of parallelism.  ``METHODS`` names, for each method, its estimator
+and the settings that estimator reads.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from . import rng
 from .core import UtilityEstimate, check_settings, normal_quantile
 from .errors import FusionGainError, OutOfRange
 from .linreg_utility import assess_linreg
-from .mean_utility import MeanAssessmentConfig, assess_mean
+from .mean_utility import assess_mean
 from .nuisance import Dataset
-from .quantile_utility import QuantileAssessmentConfig, assess_quantile
+from .quantile_utility import assess_quantile
 
 CSV_COLUMNS = ("method", "b", "n", "extra", "reps", "seed", "MAE", "SDAE", "AL", "CR")
 
@@ -47,6 +48,11 @@ class DgpConfig:
         if self.n < 1:
             raise OutOfRange("n must be >= 1")
         check_settings(nu=self.nu)
+
+
+# One more row than the DGP's two covariates: at n <= 2 every linreg fit is
+# exact and its interval has zero width.
+MIN_LINREG_N = 3
 
 
 def generate_dgp(cfg: DgpConfig, stream: np.random.Generator | None = None) -> Dataset:
@@ -103,58 +109,50 @@ def true_theta_quantile(b: float, rho: float, nu: float, tau: float) -> float:
     return (1.0 - nu) * core + nu
 
 
-def _run_mean(fixed_regressor, data, *, nu, alpha, seed, tau, regressor, s_index):
-    # mean-linear fixes the regressor; mean-conditional takes the caller's
-    cfg = MeanAssessmentConfig(nu=nu, alpha=alpha, seed=seed,
-                               regressor=fixed_regressor or regressor)
-    return assess_mean(data, cfg)
-
-
-def _run_quantile(data, *, nu, alpha, seed, tau, regressor, s_index):
-    cfg = QuantileAssessmentConfig(nu=nu, tau=tau, alpha=alpha, seed=seed,
-                                   cdf_regressor=regressor)
-    return assess_quantile(data, cfg)
-
-
-def _run_linreg(data, *, nu, alpha, seed, tau, regressor, s_index):
-    return assess_linreg(data, s_index, nu, alpha)
-
-
 @dataclass(frozen=True)
 class Method:
-    """One assessment method: how to run it, its truth under the DGP, its table label.
+    """One assessment method: its estimator, the settings that estimator reads
+    besides nu and alpha, its truth under the DGP and its table label.
 
-    ``run(data, *, nu, alpha, seed, tau, regressor, s_index)`` ignores
-    the settings the method does not use; ``truth(b, rho, nu, tau)`` and
-    ``extra(tau)`` likewise.
+    ``truth(b, rho, nu, tau)`` and ``extra(tau)`` ignore what the method
+    does not use.
     """
 
-    run: Callable[..., UtilityEstimate]
+    assess: Callable[..., UtilityEstimate]
+    settings: tuple[str, ...]
     truth: Callable[[float, float, float, float], float]
     extra: Callable[[float], str]
 
+    def run(self, data: Dataset, *, nu: float, alpha: float, **settings) -> UtilityEstimate:
+        """``assess`` with the named settings that are not None; a setting the
+        method does not read is dropped, and a None one takes its default."""
+        chosen = {k: settings[k] for k in self.settings if settings.get(k) is not None}
+        return self.assess(data, nu=nu, alpha=alpha, **chosen)
+
 
 # The single dispatch point on the method name, for the CLI and the harness.
-# The runners look the estimators up at call time, so a wrapper installed on
-# an estimator later (a profiler or tracer) still sees every call.
 METHODS = {
     "mean-linear": Method(
-        partial(_run_mean, "ols-linear"),
+        partial(assess_mean, regressor="ols-linear"),
+        ("seed",),
         lambda b, rho, nu, tau: true_theta_mean(b, rho, nu),
         lambda tau: "linear",
     ),
     "mean-conditional": Method(
-        partial(_run_mean, None),
+        partial(assess_mean, regressor="local-linear"),
+        ("seed", "regressor"),
         lambda b, rho, nu, tau: true_theta_mean(b, rho, nu),
         lambda tau: "conditional-mean",
     ),
     "quantile": Method(
-        _run_quantile,
+        assess_quantile,
+        ("seed", "tau", "regressor"),
         true_theta_quantile,
         lambda tau: repr(float(tau)),
     ),
     "linreg": Method(
-        _run_linreg,
+        assess_linreg,
+        ("s_index",),
         lambda b, rho, nu, tau: true_theta_linreg(b, rho, nu),
         lambda tau: "",
     ),
@@ -198,8 +196,6 @@ def _run_replication(task: tuple[MonteCarloCell, int, float, int]):
             alpha=cell.alpha,
             seed=assess_seed,
             tau=cell.tau,
-            regressor="local-linear",  # simulate has no flag for either
-            s_index=0,
         )
         return (
             abs(estimate.theta_hat - theta0),

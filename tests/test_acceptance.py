@@ -17,7 +17,7 @@ from scipy.integrate import trapezoid
 import fusiongain.cli
 from fusiongain.core import Interval, normal_cdf, normal_quantile, truncate_interval
 from fusiongain.linreg_utility import assess_linreg
-from fusiongain.mean_utility import MeanAssessmentConfig, assess_mean
+from fusiongain.mean_utility import assess_mean
 from fusiongain.nuisance import (
     N_FOLDS,
     KernelDensity,
@@ -26,7 +26,7 @@ from fusiongain.nuisance import (
     make_split_plan,
     silverman_bandwidth,
 )
-from fusiongain.quantile_utility import QuantileAssessmentConfig, assess_quantile
+from fusiongain.quantile_utility import assess_quantile
 from fusiongain.simulation import (
     DgpConfig,
     MonteCarloCell,
@@ -177,28 +177,22 @@ def test_criterion_6_property_suites():
     for seed in range(3):
         data = generate_dgp(DgpConfig(b=0.5, n=120, seed=seed))
         for nu in (0.0, 0.4, 0.8):
-            if assess_mean(
-                data, MeanAssessmentConfig(nu=nu, regressor="ols-linear", seed=seed)
-            ).theta_hat_raw < nu:
+            if assess_mean(data, nu=nu, regressor="ols-linear", seed=seed).theta_hat_raw < nu:
                 failures.append("mean >= nu")
-            if assess_quantile(
-                data, QuantileAssessmentConfig(nu=nu, tau=0.25, seed=seed)
-            ).theta_hat_raw < nu:
+            if assess_quantile(data, nu=nu, tau=0.25, seed=seed).theta_hat_raw < nu:
                 failures.append("quantile >= nu")
 
     # affine-in-nu collinearity at 1e-12, all methods
     data = generate_dgp(DgpConfig(b=0.5, n=200, seed=61))
     mean_vals = [
-        assess_mean(
-            data, MeanAssessmentConfig(nu=nu, regressor="ols-linear", seed=61)
-        ).theta_hat_raw
+        assess_mean(data, nu=nu, regressor="ols-linear", seed=61).theta_hat_raw
         for nu in (0.0, 0.25, 0.5)
     ]
     quant_vals = [
-        assess_quantile(data, QuantileAssessmentConfig(nu=nu, tau=0.5, seed=61)).theta_hat_raw
+        assess_quantile(data, nu=nu, tau=0.5, seed=61).theta_hat_raw
         for nu in (0.0, 0.25, 0.5)
     ]
-    lin_vals = [assess_linreg(data, 0, nu).theta_hat_raw for nu in (0.0, 0.25, 0.5)]
+    lin_vals = [assess_linreg(data, nu=nu).theta_hat_raw for nu in (0.0, 0.25, 0.5)]
     for name, vals in (("mean", mean_vals), ("quantile", quant_vals), ("linreg", lin_vals)):
         if abs(vals[1] - (0.75 * vals[0] + 0.25)) > 1e-12 or abs(
             vals[2] - (0.5 * vals[0] + 0.5)
@@ -208,15 +202,15 @@ def test_criterion_6_property_suites():
     # scale and location invariances
     from fusiongain.nuisance import Dataset
 
-    cfg = MeanAssessmentConfig(nu=0.5, regressor="ols-linear", seed=62)
-    base = assess_mean(data, cfg).theta_hat_raw
-    if abs(assess_mean(Dataset(data.y + 11.0, data.x), cfg).theta_hat_raw - base) > 1e-10:
+    cfg = dict(nu=0.5, regressor="ols-linear", seed=62)
+    base = assess_mean(data, **cfg).theta_hat_raw
+    if abs(assess_mean(Dataset(data.y + 11.0, data.x), **cfg).theta_hat_raw - base) > 1e-10:
         failures.append("location invariance")
-    if abs(assess_mean(Dataset(5.0 * data.y, data.x), cfg).theta_hat_raw - base) > 1e-10:
+    if abs(assess_mean(Dataset(5.0 * data.y, data.x), **cfg).theta_hat_raw - base) > 1e-10:
         failures.append("scale invariance mean")
     if (
         abs(
-            assess_linreg(Dataset(3.0 * data.y, data.x), 0, 0.5).theta_hat_raw
+            assess_linreg(Dataset(3.0 * data.y, data.x), nu=0.5).theta_hat_raw
             - lin_vals[2]
         )
         > 1e-10

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from fusiongain.cli import _cell_ok, main, parse_csv
 from fusiongain.errors import EmptyData, IoError, ParseError
-from fusiongain.mean_utility import MeanAssessmentConfig, assess_mean
+from fusiongain.mean_utility import assess_mean
 from fusiongain.nuisance import MIN_SPLIT_N, Dataset
-from fusiongain.quantile_utility import QuantileAssessmentConfig, assess_quantile
-from fusiongain.simulation import DgpConfig, generate_dgp
+from fusiongain.quantile_utility import assess_quantile
+from fusiongain.simulation import MIN_LINREG_N, DgpConfig, generate_dgp
 
 # --folds is gone (cross-fitting always uses nuisance.N_FOLDS folds), so
 # argparse rejects it as an unknown flag.
@@ -336,10 +336,7 @@ class TestAssessCommand:
         )
         assert code == 0
         out = json.loads(capsys.readouterr().out)
-        est = assess_mean(
-            data,
-            MeanAssessmentConfig(nu=0.5, regressor="local-linear", seed=11),
-        )
+        est = assess_mean(data, nu=0.5, regressor="local-linear", seed=11)
         assert out["theta_hat_raw"] == est.theta_hat_raw
         assert out["theta_tilde_raw"] == est.theta_tilde_raw
         assert out["gamma_hat"] == est.gamma_hat
@@ -370,7 +367,7 @@ class TestAssessCommand:
         from fusiongain.nuisance import Dataset
 
         centered = Dataset(data.y, data.x - data.x.mean(axis=0), data.column_names)
-        est = assess_linreg(centered, 1, 0.5)
+        est = assess_linreg(centered, nu=0.5, s_index=1)
         assert out["theta_hat_raw"] == est.theta_hat_raw
 
     def test_unknown_s_column_fails(self, tmp_path, capsys):
@@ -556,8 +553,8 @@ def test_estimates_unmoved_by_covariate_offset():
     data = generate_dgp(DgpConfig(b=0.5, n=1000, seed=3))
     shifted = Dataset(data.y, data.x * 1e-3 + 1e6, data.column_names)
     for assess in (
-        lambda d: assess_mean(d, MeanAssessmentConfig(nu=0.5, regressor="local-linear")),
-        lambda d: assess_quantile(d, QuantileAssessmentConfig(nu=0.5)),
+        lambda d: assess_mean(d, nu=0.5, regressor="local-linear"),
+        lambda d: assess_quantile(d, nu=0.5),
     ):
         base, moved = assess(data), assess(shifted)
         for key in ("theta_hat", "theta_tilde_raw", "gamma_hat"):
@@ -655,7 +652,14 @@ class TestSimulateCommand:
                  # the first half-sample must hold two rows per fold
                  ["--n", str(MIN_SPLIT_N - 1)], ["--n", f"100,{MIN_SPLIT_N - 1}"],
                  ["--n", str(MIN_SPLIT_N - 1), "--method", "mean-linear"],
-                 ["--n", str(MIN_SPLIT_N - 1), "--method", "mean-conditional"]]
+                 ["--n", str(MIN_SPLIT_N - 1), "--method", "mean-conditional"],
+                 # at n <= 2 every linreg fit to the two covariates is exact
+                 ["--n", "1", "--method", "linreg"],
+                 ["--n", str(MIN_LINREG_N - 1), "--method", "linreg"],
+                 ["--n", f"100,{MIN_LINREG_N - 1}", "--method", "linreg"],
+                 # a repeated grid value, compared as a number
+                 ["--b", "0.5,0.5"], ["--b", "0.5,1,0.50"], ["--n", "100,200,100"],
+                 ["--tau", "0.5,0.50"], ["--tau", "0.25,0.5,0.25"]]
     )
     def test_bad_setting_rejected_before_any_replication(self, tmp_path, capsys, monkeypatch,
                                                          flag):
@@ -675,11 +679,13 @@ class TestSimulateCommand:
         assert payload["message"].startswith(_usage_prefix(flag))
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("method", ["mean-linear", "mean-conditional", "quantile"])
+    @pytest.mark.parametrize("method", ["mean-linear", "mean-conditional", "quantile", "linreg"])
     def test_smallest_cross_fittable_n_runs(self, tmp_path, method):
-        # the first half-sample holds exactly two rows per fold
+        # the first half-sample holds exactly two rows per fold; linreg has
+        # one row more than the process has covariates
+        n = MIN_LINREG_N if method == "linreg" else MIN_SPLIT_N
         code = main(
-            ["simulate", "--method", method, "--b", "0.5", "--n", str(MIN_SPLIT_N), "--reps", "2",
+            ["simulate", "--method", method, "--b", "0.5", "--n", str(n), "--reps", "2",
              "--seed", "1", "--out", str(tmp_path / "x")]
         )
         assert code == 0

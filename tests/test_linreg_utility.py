@@ -30,7 +30,7 @@ def _sigma0_alpha_positive_dataset():
 
 
 def _point(data, nu):
-    return assess_linreg(data, 0, nu).theta_hat_raw
+    return assess_linreg(data, nu=nu).theta_hat_raw
 
 
 class TestComponents:
@@ -79,7 +79,7 @@ class TestPointEstimate:
 
     def test_exact_fit_raises(self):
         with pytest.raises(DegenerateResidualVariance) as exc:
-            assess_linreg(_exact_fit_dataset(), 0, 0.5)
+            assess_linreg(_exact_fit_dataset(), nu=0.5)
         assert exc.value.stage == "point"
 
     def test_near_population_value_b0(self):
@@ -106,14 +106,14 @@ class TestPointEstimate:
 class TestVariance:
     def test_matches_reference(self):
         data = generate_dgp(DgpConfig(b=1.0, n=2000, seed=13))
-        gamma_sq = assess_linreg(data, 0, 0.5).gamma_hat ** 2
+        gamma_sq = assess_linreg(data, nu=0.5).gamma_hat ** 2
         expected = ref_linreg_gamma_sq(data.y, data.x, 0, 0.5)
         assert gamma_sq == pytest.approx(expected, abs=1e-8)
 
     def test_vanishes_quadratically_as_nu_approaches_one(self):
         data = generate_dgp(DgpConfig(b=0.5, n=300, seed=34))
-        v1 = assess_linreg(data, 0, 1.0 - 1e-2).gamma_hat ** 2
-        v2 = assess_linreg(data, 0, 1.0 - 1e-3).gamma_hat ** 2
+        v1 = assess_linreg(data, nu=1.0 - 1e-2).gamma_hat ** 2
+        v2 = assess_linreg(data, nu=1.0 - 1e-3).gamma_hat ** 2
         assert v2 == pytest.approx(v1 / 100.0, rel=1e-9)
 
     def test_constant_composite_raises(self):
@@ -139,7 +139,7 @@ class TestVariance:
         influence = -(1 - nu) / (comp.alpha_hat * comp.kappa_hat) * (
             composite - comp.sigma_hat**2
         )
-        gamma_sq = assess_linreg(data, 0, nu).gamma_hat ** 2
+        gamma_sq = assess_linreg(data, nu=nu).gamma_hat ** 2
         assert float(np.var(influence, ddof=1)) == pytest.approx(gamma_sq, rel=1e-12)
 
     def test_composite_recomputation_second_pass(self):
@@ -168,7 +168,7 @@ class TestVariance:
 
 class TestAssess:
     def test_zero_noise_fixture(self):
-        est = assess_linreg(_sigma0_alpha_positive_dataset(), 0, 0.5)
+        est = assess_linreg(_sigma0_alpha_positive_dataset(), nu=0.5)
         assert est.theta_hat == 1.0
         assert est.gamma_hat == 0.0
         assert est.ci == est.ci_raw
@@ -178,7 +178,7 @@ class TestAssess:
 
     def test_ci_centered_at_point_estimate(self):
         data = generate_dgp(DgpConfig(b=0.5, n=300, seed=36))
-        est = assess_linreg(data, 0, 0.5)
+        est = assess_linreg(data, nu=0.5)
         center = 0.5 * (est.ci_raw.lo + est.ci_raw.hi)
         assert center == pytest.approx(est.theta_hat_raw, abs=1e-12)
 

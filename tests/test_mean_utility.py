@@ -4,7 +4,6 @@ import pytest
 from fusiongain.core import ratio_estimate
 from fusiongain.errors import DegenerateDenominator, DegenerateVariance, VarianceOverflow
 from fusiongain.mean_utility import (
-    MeanAssessmentConfig,
     assess_mean,
     compute_mean_intermediates,
     estimate_bounds_mean,
@@ -16,10 +15,11 @@ from reference_impl import ref_mean_gamma_sq, ref_mean_point, ref_mean_split
 
 
 def _linear_cfg(**kw):
+    """Keyword settings of assess_mean for the method mean-linear."""
     kw.setdefault("nu", 0.5)
     kw.setdefault("regressor", "ols-linear")
     kw.setdefault("seed", 0)
-    return MeanAssessmentConfig(**kw)
+    return kw
 
 
 def _exact_linear_dataset(n=40, seed=0):
@@ -31,7 +31,7 @@ def _exact_linear_dataset(n=40, seed=0):
 
 
 def _point(data, cfg):
-    return assess_mean(data, cfg).theta_hat_raw
+    return assess_mean(data, **cfg).theta_hat_raw
 
 
 class TestBounds:
@@ -84,13 +84,13 @@ class TestPointEstimate:
 class TestSplitEstimate:
     def test_perfect_fit_first_half(self):
         data = _exact_linear_dataset(n=48)
-        est = assess_mean(data, _linear_cfg())
+        est = assess_mean(data, **_linear_cfg())
         assert est.theta_tilde_raw == pytest.approx(0.5, abs=1e-10)
 
     def test_matches_reference(self):
         data = generate_dgp(DgpConfig(b=1.0, n=1000, seed=3))
         cfg = _linear_cfg(seed=3)
-        theta_tilde = assess_mean(data, cfg).theta_tilde_raw
+        theta_tilde = assess_mean(data, **cfg).theta_tilde_raw
         half_plan = make_split_plan(500, seed=3)
         expected = ref_mean_split(data.y, data.x, 0.5, half_plan.assignment, "linear")
         assert theta_tilde == pytest.approx(expected, abs=1e-8)
@@ -98,7 +98,7 @@ class TestSplitEstimate:
     def test_at_least_nu(self):
         rng = np.random.default_rng(9)
         data = Dataset(rng.normal(size=60), rng.normal(size=(60, 2)))
-        assert assess_mean(data, _linear_cfg(nu=0.25)).theta_tilde_raw >= 0.25
+        assert assess_mean(data, **_linear_cfg(nu=0.25)).theta_tilde_raw >= 0.25
 
 
 class TestVariance:
@@ -113,13 +113,13 @@ class TestVariance:
         # squares of squared residuals of a response near 1e80 leave the double range
         base = generate_dgp(DgpConfig(b=0.5, n=40, seed=8))
         data = Dataset(base.y * 1e80, base.x)
-        ghat = compute_mean_intermediates(data, _linear_cfg())
+        ghat = compute_mean_intermediates(data, "ols-linear", 0)
         with pytest.raises(VarianceOverflow):
             variance_mean(data, ghat)
 
     def test_vanishes_quadratically_as_nu_approaches_one(self):
         data = generate_dgp(DgpConfig(b=0.5, n=200, seed=4))
-        values = [assess_mean(data, _linear_cfg(nu=1.0 - eps, seed=4)).gamma_hat ** 2
+        values = [assess_mean(data, **_linear_cfg(nu=1.0 - eps, seed=4)).gamma_hat ** 2
                   for eps in (1e-2, 1e-3)]
         # gamma^2 = O(eps^2): dividing eps by 10 divides gamma^2 by ~100
         assert values[1] == pytest.approx(values[0] / 100.0, rel=0.05)
@@ -127,13 +127,13 @@ class TestVariance:
     def test_interval_length_near_table_value(self):
         # frozen band for the expected average interval length at b=0.5, n=2000
         data = generate_dgp(DgpConfig(b=0.5, n=2000, seed=21))
-        est = assess_mean(data, _linear_cfg(seed=21))
+        est = assess_mean(data, **_linear_cfg(seed=21))
         assert est.ci_raw.width == pytest.approx(0.078, abs=0.02)
 
     def test_matches_reference(self):
         data = generate_dgp(DgpConfig(b=0.5, n=400, seed=6))
         cfg = _linear_cfg(seed=6)
-        gamma_sq = assess_mean(data, cfg).gamma_hat ** 2
+        gamma_sq = assess_mean(data, **cfg).gamma_hat ** 2
         plan = make_split_plan(400, seed=6)
         expected = ref_mean_gamma_sq(data.y, data.x, 0.5, plan.assignment, "linear")
         assert gamma_sq == pytest.approx(expected, abs=1e-8)
@@ -141,7 +141,7 @@ class TestVariance:
     def test_terms_nonnegative_and_sum(self):
         data = generate_dgp(DgpConfig(b=1.0, n=300, seed=8))
         cfg = _linear_cfg(seed=8)
-        ghat = compute_mean_intermediates(data, cfg)
+        ghat = compute_mean_intermediates(data, cfg["regressor"], cfg["seed"])
         sq_g = (data.y - ghat) ** 2
         sq_mean = (data.y - data.y.mean()) ** 2
         theta2 = sq_mean.mean()
@@ -153,7 +153,7 @@ class TestVariance:
 
 class TestAssess:
     def test_perfect_fit_fixture(self):
-        est = assess_mean(_exact_linear_dataset(), _linear_cfg())
+        est = assess_mean(_exact_linear_dataset(), **_linear_cfg())
         assert est.theta_hat == pytest.approx(0.5, abs=1e-10)
         assert est.method == "mean-linear"
         assert est.theta_tilde_raw is not None
@@ -161,8 +161,7 @@ class TestAssess:
 
     def test_conditional_mode_method_tag(self):
         data = generate_dgp(DgpConfig(b=0.5, n=100, seed=2))
-        cfg = MeanAssessmentConfig(nu=0.5, regressor="local-linear", seed=2)
-        est = assess_mean(data, cfg)
+        est = assess_mean(data, nu=0.5, regressor="local-linear", seed=2)
         assert est.method == "mean-conditional"
 
     def test_b0_truncated_upper_endpoint_mostly_one(self):
@@ -172,21 +171,21 @@ class TestAssess:
         reps = 200
         for seed in range(reps):
             data = generate_dgp(DgpConfig(b=0.0, n=1000, seed=seed))
-            est = assess_mean(data, _linear_cfg(seed=seed))
+            est = assess_mean(data, **_linear_cfg(seed=seed))
             hits += est.ci.hi == 1.0
         assert hits / reps >= 0.9
 
     def test_ci_centered_at_split_estimate(self):
         data = generate_dgp(DgpConfig(b=0.5, n=200, seed=14))
         cfg = _linear_cfg(seed=14)
-        est = assess_mean(data, cfg)
+        est = assess_mean(data, **cfg)
         center = 0.5 * (est.ci_raw.lo + est.ci_raw.hi)
         assert center == pytest.approx(est.theta_tilde_raw, abs=1e-12)
 
     def test_component_errors_carry_stage(self):
         data = Dataset(np.full(20, 1.0), np.arange(20.0)[:, None])
         with pytest.raises(DegenerateDenominator) as exc:
-            assess_mean(data, _linear_cfg())
+            assess_mean(data, **_linear_cfg())
         assert exc.value.stage == "point"
         assert str(exc.value).startswith("point:")
 

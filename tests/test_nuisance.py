@@ -40,7 +40,7 @@ from fusiongain.nuisance import (
     spd_condition_number,
     split_halves,
 )
-from fusiongain.quantile_utility import QuantileAssessmentConfig, _cdf_crossfit
+from fusiongain.quantile_utility import _cdf_crossfit
 from reference_impl import (
     ref_floored_weights,
     ref_kernel_block,
@@ -495,8 +495,7 @@ class TestCrossfit:
     def test_cdf_below_minimum_gives_zero(self):
         rng = np.random.default_rng(2)
         data = Dataset(rng.normal(size=40), rng.normal(size=(40, 1)))
-        cfg = QuantileAssessmentConfig(nu=0.5, seed=3, cdf_regressor="k-nn")
-        preds = _cdf_crossfit(data, cfg, float(data.y.min()) - 10.0)
+        preds = _cdf_crossfit(data, "k-nn", 3, float(data.y.min()) - 10.0)
         assert np.all(preds == 0.0)
 
     def test_matches_reference_local_linear(self):
@@ -534,11 +533,10 @@ class TestCrossfit:
     def test_cdf_predictions_clamped_and_monotone_on_average(self):
         rng = np.random.default_rng(3)
         data = Dataset(rng.normal(size=80), rng.normal(size=(80, 2)))
-        cfg = QuantileAssessmentConfig(nu=0.5, seed=1, cdf_regressor="k-nn")
         levels = np.quantile(data.y, [0.2, 0.5, 0.8])
         means = []
         for mu in levels:
-            preds = _cdf_crossfit(data, cfg, float(mu))
+            preds = _cdf_crossfit(data, "k-nn", 1, float(mu))
             assert np.all((preds >= 0.0) & (preds <= 1.0))
             means.append(preds.mean())
         assert means[0] <= means[1] + 1e-10 <= means[2] + 2e-10

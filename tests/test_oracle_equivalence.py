@@ -11,9 +11,9 @@ import math
 import pytest
 
 from fusiongain.linreg_utility import assess_linreg
-from fusiongain.mean_utility import MeanAssessmentConfig, assess_mean
+from fusiongain.mean_utility import assess_mean
 from fusiongain.nuisance import make_split_plan
-from fusiongain.quantile_utility import QuantileAssessmentConfig, assess_quantile
+from fusiongain.quantile_utility import assess_quantile
 from fusiongain.simulation import DgpConfig, generate_dgp
 from reference_impl import (
     ref_linreg_gamma_sq,
@@ -56,12 +56,12 @@ def _dataset(case_id, n, b):
     return generate_dgp(DgpConfig(b=b, n=n, seed=1000 + case_id))
 
 
-def _assert_mean_matches_reference(case_id, n, b, nu, cfg, mode):
+def _assert_mean_matches_reference(case_id, n, b, nu, regressor, mode):
     data = _dataset(case_id, n, b)
     plan = make_split_plan(n, seed=case_id)
     half_plan = make_split_plan(math.ceil(n / 2), seed=case_id)
 
-    est = assess_mean(data, cfg)
+    est = assess_mean(data, nu=nu, regressor=regressor, seed=case_id)
     expected, _ = ref_mean_point(data.y, data.x, nu, plan.assignment, mode)
     assert est.theta_hat_raw == pytest.approx(expected, abs=TOL)
 
@@ -74,30 +74,26 @@ def _assert_mean_matches_reference(case_id, n, b, nu, cfg, mode):
 
 @pytest.mark.parametrize("case_id,n,b,nu,tau", CASES)
 def test_mean_linear_matches_reference(case_id, n, b, nu, tau):
-    cfg = MeanAssessmentConfig(nu=nu, regressor="ols-linear", seed=case_id)
-    _assert_mean_matches_reference(case_id, n, b, nu, cfg, "linear")
+    _assert_mean_matches_reference(case_id, n, b, nu, "ols-linear", "linear")
 
 
 @pytest.mark.parametrize("case_id,n,b,nu,tau", CASES)
 def test_mean_conditional_matches_reference(case_id, n, b, nu, tau):
-    cfg = MeanAssessmentConfig(nu=nu, regressor="local-linear", seed=case_id)
-    _assert_mean_matches_reference(case_id, n, b, nu, cfg, "local-linear")
+    _assert_mean_matches_reference(case_id, n, b, nu, "local-linear", "local-linear")
 
 
 @pytest.mark.parametrize("case_id,n,b,nu,tau", CASES)
 def test_mean_conditional_knn_matches_reference(case_id, n, b, nu, tau):
-    cfg = MeanAssessmentConfig(nu=nu, regressor="k-nn", seed=case_id)
-    _assert_mean_matches_reference(case_id, n, b, nu, cfg, "k-nn")
+    _assert_mean_matches_reference(case_id, n, b, nu, "k-nn", "k-nn")
 
 
 @pytest.mark.parametrize("case_id,n,b,nu,tau", CASES)
 def test_quantile_matches_reference(case_id, n, b, nu, tau):
     data = _dataset(case_id, n, b)
-    cfg = QuantileAssessmentConfig(nu=nu, tau=tau, seed=case_id)
     plan = make_split_plan(n, seed=case_id)
     half_plan = make_split_plan(math.ceil(n / 2), seed=case_id)
 
-    est = assess_quantile(data, cfg)
+    est = assess_quantile(data, nu=nu, tau=tau, seed=case_id)
     expected, _, _ = ref_quantile_point(data.y, data.x, nu, tau, plan.assignment)
     assert est.theta_hat_raw == pytest.approx(expected, abs=TOL)
 
@@ -115,7 +111,7 @@ def test_quantile_matches_reference(case_id, n, b, nu, tau):
 @pytest.mark.parametrize("case_id,n,b,nu,tau", CASES)
 def test_linreg_matches_reference(case_id, n, b, nu, tau):
     data = _dataset(case_id, n, b)
-    est = assess_linreg(data, 0, nu)
+    est = assess_linreg(data, nu=nu)
     assert est.theta_hat_raw == pytest.approx(ref_linreg_point(data.y, data.x, 0, nu), abs=TOL)
     assert est.gamma_hat**2 == pytest.approx(
         ref_linreg_gamma_sq(data.y, data.x, 0, nu), abs=TOL

@@ -17,7 +17,6 @@ from fusiongain.nuisance import (
 )
 from fusiongain.quantile_utility import (
     DENSITY_FLOOR,
-    QuantileAssessmentConfig,
     assess_quantile,
     compute_quantile_intermediates,
     split_estimate_quantile,
@@ -32,10 +31,17 @@ from reference_impl import (
 
 
 def _cfg(**kw):
+    """Keyword settings of assess_quantile."""
     kw.setdefault("nu", 0.5)
     kw.setdefault("tau", 0.5)
     kw.setdefault("seed", 0)
-    return QuantileAssessmentConfig(**kw)
+    kw.setdefault("regressor", "local-linear")
+    return kw
+
+
+def _fit_args(cfg):
+    """(tau, regressor, seed): what the cross-fitting helpers read of ``cfg``."""
+    return cfg["tau"], cfg["regressor"], cfg["seed"]
 
 
 def _separable_dataset(n=20):
@@ -47,7 +53,7 @@ def _separable_dataset(n=20):
 
 
 def _point(data, cfg):
-    return assess_quantile(data, cfg).theta_hat_raw
+    return assess_quantile(data, **cfg).theta_hat_raw
 
 
 def _variance_terms(data, cfg, mu_hat, fhat):
@@ -58,13 +64,14 @@ def _variance_terms(data, cfg, mu_hat, fhat):
     f_cond = cond_kde_profile(data.x, data.y, h_x, h_y, data.x, mu_hat)
     slope = 2.0 * float(np.mean(fhat * f_cond)) / f_y - 1.0
     gaps_sq = ((data.y < mu_hat).astype(float) - fhat) ** 2
-    return 2.0 * slope**2 / cfg.theta2, 2.0 * float(np.var(gaps_sq, ddof=1)) / cfg.theta2**2
+    theta2 = cfg["tau"] * (1.0 - cfg["tau"])
+    return 2.0 * slope**2 / theta2, 2.0 * float(np.var(gaps_sq, ddof=1)) / theta2**2
 
 
 class TestPointEstimate:
     def test_perfect_classifier_gives_nu(self):
         data = _separable_dataset()
-        cfg = _cfg(cdf_regressor="k-nn")
+        cfg = _cfg(regressor="k-nn")
         assert _point(data, cfg) == pytest.approx(0.5, abs=1e-12)
 
     def test_no_information_case_gives_one(self):
@@ -103,13 +110,13 @@ class TestSplitEstimate:
         mu_tilde = empirical_quantile(y[n_half:], 0.5)
         x = (y < mu_tilde).astype(float)[:, None]
         data = Dataset(y, x)
-        cfg = _cfg(cdf_regressor="k-nn")
-        assert split_estimate_quantile(data, cfg) == pytest.approx(0.0, abs=1e-12)
+        cfg = _cfg(regressor="k-nn")
+        assert split_estimate_quantile(data, *_fit_args(cfg)) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_reference(self):
         data = generate_dgp(DgpConfig(b=0.5, n=1000, seed=9))
         cfg = _cfg(tau=0.25, seed=9)
-        theta_tilde = assess_quantile(data, cfg).theta_tilde_raw
+        theta_tilde = assess_quantile(data, **cfg).theta_tilde_raw
         half_plan = make_split_plan(500, seed=9)
         expected = ref_quantile_split(data.y, data.x, 0.5, 0.25, half_plan.assignment)
         assert theta_tilde == pytest.approx(expected, abs=1e-8)
@@ -117,50 +124,50 @@ class TestSplitEstimate:
     def test_at_least_nu(self):
         rng = np.random.default_rng(15)
         data = Dataset(rng.normal(size=80), rng.normal(size=(80, 1)))
-        assert assess_quantile(data, _cfg(nu=0.4)).theta_tilde_raw >= 0.4
+        assert assess_quantile(data, **_cfg(nu=0.4)).theta_tilde_raw >= 0.4
 
 
 class TestVariance:
     def test_matches_reference(self):
         data = generate_dgp(DgpConfig(b=0.5, n=400, seed=17))
         cfg = _cfg(tau=0.25, seed=17)
-        gamma_sq = assess_quantile(data, cfg).gamma_hat ** 2
+        gamma_sq = assess_quantile(data, **cfg).gamma_hat ** 2
         plan = make_split_plan(400, seed=17)
         expected = ref_quantile_gamma_sq(data.y, data.x, 0.5, 0.25, plan.assignment)
         assert gamma_sq == pytest.approx(expected, abs=1e-8)
 
     def test_vanishes_quadratically_as_nu_approaches_one(self):
         data = generate_dgp(DgpConfig(b=0.5, n=200, seed=18))
-        values = [assess_quantile(data, _cfg(nu=1.0 - eps, seed=18)).gamma_hat ** 2
+        values = [assess_quantile(data, **_cfg(nu=1.0 - eps, seed=18)).gamma_hat ** 2
                   for eps in (1e-2, 1e-3)]
         assert values[1] == pytest.approx(values[0] / 100.0, rel=1e-6)
 
     def test_second_summand_zero_for_constant_squared_residuals(self):
         data = generate_dgp(DgpConfig(b=0.5, n=100, seed=19))
         cfg = _cfg(seed=19)
-        mu_hat = empirical_quantile(data.y, cfg.tau)
+        mu_hat = empirical_quantile(data.y, cfg["tau"])
         indicators = (data.y < mu_hat).astype(float)
         # wrong predictions but with an exactly constant squared gap of 0.25^2
         fhat = np.where(indicators == 1.0, 0.75, 0.25)
         term1, term2 = _variance_terms(data, cfg, mu_hat, fhat)
         assert term2 == 0.0
-        assert variance_quantile(data, cfg, mu_hat, fhat) == term1
+        assert variance_quantile(data, cfg["tau"], mu_hat, fhat) == term1
 
     def test_terms_nonnegative_and_sum(self):
         data = generate_dgp(DgpConfig(b=1.0, n=300, seed=20))
         cfg = _cfg(tau=0.25, seed=20)
-        mu_hat, fhat = compute_quantile_intermediates(data, cfg)
+        mu_hat, fhat = compute_quantile_intermediates(data, *_fit_args(cfg))
         t1, t2 = _variance_terms(data, cfg, mu_hat, fhat)
         assert t1 >= 0 and t2 >= 0
-        assert t1 + t2 == pytest.approx(variance_quantile(data, cfg, mu_hat, fhat), abs=1e-12)
+        assert t1 + t2 == pytest.approx(variance_quantile(data, cfg["tau"], mu_hat, fhat), abs=1e-12)
 
     def test_vanishing_density(self):
         data = generate_dgp(DgpConfig(b=0.0, n=100, seed=21))
         cfg = _cfg(seed=21)
-        _, fhat = compute_quantile_intermediates(data, cfg)
+        _, fhat = compute_quantile_intermediates(data, *_fit_args(cfg))
         # shift mu_hat into empty space, far beyond the rule-of-thumb bandwidth
         with pytest.raises(VanishingDensity):
-            variance_quantile(data, cfg, float(data.y.max()) + 50.0, fhat)
+            variance_quantile(data, cfg["tau"], float(data.y.max()) + 50.0, fhat)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=500),
@@ -182,22 +189,22 @@ class TestVariance:
         # predictions far outside [0, 1] drive the slope term past the double range
         data = generate_dgp(DgpConfig(b=0.5, n=100, seed=21))
         cfg = _cfg(seed=21)
-        mu_hat, fhat = compute_quantile_intermediates(data, cfg)
+        mu_hat, fhat = compute_quantile_intermediates(data, *_fit_args(cfg))
         with pytest.raises(VarianceOverflow):
-            variance_quantile(data, cfg, mu_hat, fhat + 1e200)
+            variance_quantile(data, cfg["tau"], mu_hat, fhat + 1e200)
 
 
 class TestAssess:
     def test_perfect_classifier_truncates_to_nu(self):
         data = _separable_dataset()
-        cfg = _cfg(cdf_regressor="k-nn")
-        est = assess_quantile(data, cfg)
+        cfg = _cfg(regressor="k-nn")
+        est = assess_quantile(data, **cfg)
         assert est.theta_hat == pytest.approx(0.5, abs=1e-12)
         assert est.method == "quantile"
 
     def test_ci_centered_at_split_estimate(self):
         data = generate_dgp(DgpConfig(b=0.5, n=200, seed=23))
-        est = assess_quantile(data, _cfg(seed=23))
+        est = assess_quantile(data, **_cfg(seed=23))
         center = 0.5 * (est.ci_raw.lo + est.ci_raw.hi)
         assert center == pytest.approx(est.theta_tilde_raw, abs=1e-12)
 
@@ -207,7 +214,7 @@ class TestAssess:
         reps = 60
         for seed in range(reps):
             data = generate_dgp(DgpConfig(b=0.0, n=500, seed=seed))
-            est = assess_quantile(data, _cfg(seed=seed))
+            est = assess_quantile(data, **_cfg(seed=seed))
             covered += est.ci.contains(1.0)
         assert covered / reps >= 0.9
 
@@ -224,7 +231,7 @@ class TestInvariances:
 
     def test_monotone_transform_invariance_knn(self):
         data = generate_dgp(DgpConfig(b=1.0, n=200, seed=26))
-        cfg = _cfg(tau=0.25, cdf_regressor="k-nn", seed=26)
+        cfg = _cfg(tau=0.25, regressor="k-nn", seed=26)
         base = _point(data, cfg)
         transformed = Dataset(np.exp(data.y / 2.0), data.x)
         assert _point(transformed, cfg) == pytest.approx(base, abs=1e-12)

@@ -1,3 +1,4 @@
+import inspect
 import math
 from dataclasses import replace
 
@@ -10,7 +11,9 @@ from fusiongain import rng
 from fusiongain.core import normal_cdf, normal_quantile
 from fusiongain.errors import FusionGainError, OutOfRange
 from fusiongain.linreg_utility import assess_linreg
+from fusiongain.mean_utility import assess_mean
 from fusiongain.simulation import (
+    METHODS,
     DgpConfig,
     MonteCarloCell,
     SimulationReport,
@@ -173,6 +176,45 @@ def _usable(monkeypatch, cpus):
                         raising=False)
 
 
+class TestMethods:
+    @pytest.mark.parametrize("name", list(METHODS))
+    def test_settings_are_keyword_parameters_of_assess(self, name):
+        params = inspect.signature(METHODS[name].assess).parameters
+        for setting in ("nu", "alpha", *METHODS[name].settings):
+            assert params[setting].kind is inspect.Parameter.KEYWORD_ONLY, setting
+
+    def test_every_method_flag_feeds_a_setting(self):
+        from fusiongain.cli import _FLAG_SETTINGS
+
+        read = {s for method in METHODS.values() for s in method.settings}
+        assert set(_FLAG_SETTINGS.values()) <= read
+
+    def test_unread_setting_is_ignored(self):
+        data = generate_dgp(DgpConfig(b=0.5, n=200, seed=7))
+        mean_linear = METHODS["mean-linear"]
+        base = mean_linear.run(data, nu=0.5, alpha=0.95, seed=3)
+        assert mean_linear.run(data, nu=0.5, alpha=0.95, seed=3, regressor="k-nn",
+                               tau=0.25, s_index=1) == base
+        assert base == assess_mean(data, nu=0.5, seed=3)
+        linreg = METHODS["linreg"].run(data, nu=0.5, alpha=0.95, seed=3, tau=0.25,
+                                       regressor="k-nn")
+        assert linreg == assess_linreg(data, nu=0.5)
+
+    def test_none_setting_takes_the_default(self):
+        data = generate_dgp(DgpConfig(b=0.5, n=200, seed=8))
+        quantile = METHODS["quantile"]
+        explicit = quantile.run(data, nu=0.5, alpha=0.95, seed=4, tau=0.5,
+                                regressor="local-linear")
+        assert quantile.run(data, nu=0.5, alpha=0.95, seed=4, tau=None,
+                            regressor=None) == explicit
+        conditional = METHODS["mean-conditional"]
+        explicit = conditional.run(data, nu=0.5, alpha=0.95, seed=0, regressor="local-linear")
+        assert conditional.run(data, nu=0.5, alpha=0.95, seed=None, regressor=None) == explicit
+        linreg = METHODS["linreg"]
+        explicit = linreg.run(data, nu=0.5, alpha=0.95, s_index=0)
+        assert linreg.run(data, nu=0.5, alpha=0.95, s_index=None) == explicit
+
+
 class TestMonteCarlo:
     def test_single_replication_edge(self):
         cell = MonteCarloCell(method="linreg", dgp=DgpConfig(b=0.5, n=200))
@@ -226,7 +268,7 @@ class TestMonteCarlo:
             gen = rng.substream(rng.mix64(13, rep), rng.DOMAIN_DGP)
             data = generate_dgp(cell.dgp, stream=gen)
             assess_seed = int(gen.integers(0, 1 << 63))
-            est = assess_linreg(data, 0, cell.dgp.nu, cell.alpha)
+            est = assess_linreg(data, nu=cell.dgp.nu, alpha=cell.alpha)
             hits += est.ci.contains(theta0)
         assert result.cr == hits / reps
 
@@ -243,9 +285,11 @@ class TestMonteCarlo:
         def flaky(data, *, seed, **settings):
             if seed % 3 == 0:
                 raise FusionGainError("synthetic failure")
-            return original.run(data, seed=seed, **settings)
+            return original.assess(data, **settings)
 
-        monkeypatch.setitem(sim.METHODS, "linreg", replace(original, run=flaky))
+        # linreg reads no seed: list it, so that run hands the stub one
+        flaky_linreg = replace(original, assess=flaky, settings=(*original.settings, "seed"))
+        monkeypatch.setitem(sim.METHODS, "linreg", flaky_linreg)
         cell = MonteCarloCell(method="linreg", dgp=DgpConfig(b=0.5, n=150))
         [result] = sim.run_monte_carlo([(cell, 17)], reps=30)
         assert result.n_failed > 0
@@ -258,7 +302,8 @@ class TestMonteCarlo:
         def always_fail(data, **settings):
             raise FusionGainError("nope")
 
-        monkeypatch.setitem(sim.METHODS, "linreg", replace(sim.METHODS["linreg"], run=always_fail))
+        monkeypatch.setitem(sim.METHODS, "linreg",
+                            replace(sim.METHODS["linreg"], assess=always_fail))
         cell = MonteCarloCell(method="linreg", dgp=DgpConfig(b=0.5, n=150))
         with pytest.raises(FusionGainError):
             sim.run_monte_carlo([(cell, 19)], reps=5)
@@ -281,10 +326,10 @@ def _fail_at(monkeypatch, fails):
         b = drawn[-1]
         if fails(b, drawn.count(b) - 1):
             raise FusionGainError(f"synthetic failure at b={b}")
-        return original.run(data, **settings)
+        return original.assess(data, **settings)
 
     monkeypatch.setattr(sim, "generate_dgp", recording_dgp)
-    monkeypatch.setitem(sim.METHODS, "linreg", replace(original, run=failing))
+    monkeypatch.setitem(sim.METHODS, "linreg", replace(original, assess=failing))
     return drawn
 
 
