@@ -29,7 +29,7 @@ from .errors import (
     ZeroSColumn,
     stage,
 )
-from .nuisance import MAX_CONDITION_NUMBER, Dataset, spd_condition_number
+from .nuisance import Dataset, equilibrated_gate
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ def fit_components(data: Dataset, s_index: int = 0) -> LinRegComponents:
     if not 0 <= s_index < p:
         raise OutOfRange(f"s_index must be in [0, {p - 1}], got {s_index}")
     sigma_mat = x.T @ x / n
-    if not spd_condition_number(sigma_mat) <= MAX_CONDITION_NUMBER:
+    if not equilibrated_gate(sigma_mat):
         raise SingularDesign(
             "covariate second-moment matrix is not (numerically) positive definite"
         )

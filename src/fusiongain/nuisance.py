@@ -30,7 +30,8 @@ N_FOLDS = 5
 # fold: ceil(n / 2) >= 2 * N_FOLDS.
 MIN_SPLIT_N = 4 * N_FOLDS - 1
 
-# Gram matrices at or beyond this condition number are treated as singular.
+# Gram matrices whose condition-number bound (``cholesky_gate``) exceeds this
+# are treated as singular.
 MAX_CONDITION_NUMBER = 1e12
 
 # Bytes of one (queries x training) slab of doubles in the kernel smoothers.
@@ -136,8 +137,8 @@ def split_halves(data: Dataset) -> tuple[Dataset, Dataset]:
 
 def ols_fit(x, y) -> np.ndarray:
     """Least-squares coefficients via the normal equations: the intercept
-    first, then one slope per covariate column.  The Gram matrix must be well
-    conditioned (condition number below ``MAX_CONDITION_NUMBER``).
+    first, then one slope per covariate column.  The Gram matrix must pass
+    ``equilibrated_gate``, which no change of covariate units can move.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -145,24 +146,69 @@ def ols_fit(x, y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     design = np.column_stack([np.ones(x.shape[0]), x])
     gram = design.T @ design
-    cond = float(spd_condition_number(gram))
-    if not cond <= MAX_CONDITION_NUMBER:
-        raise SingularDesign(f"Gram matrix condition number {cond:.3e} too large")
+    if not equilibrated_gate(gram):
+        raise SingularDesign("Gram matrix is singular or too ill conditioned")
     return np.linalg.solve(gram, design.T @ y)
 
 
-def spd_condition_number(gram: np.ndarray) -> np.ndarray:
-    """2-norm condition number of symmetric positive semidefinite matrices.
+def cholesky_gate(gram: np.ndarray, rhs: np.ndarray | None = None):
+    """Factor-and-bound gate for a stack of symmetric matrices.
 
-    ``gram`` is one matrix or a stack of them; only the lower triangle is
-    read.  The condition number is the ratio of the largest to the smallest
-    eigenvalue, and infinite where the smallest is not positive.  Compare it
-    with ``MAX_CONDITION_NUMBER`` to decide whether a solve is trusted.
+    Each matrix G (the last two axes of ``gram``) is factored as G = L L' by
+    one batched Cholesky.  It passes when the factorization succeeds and
+    ||G||_F ||L^-1||_F^2 is at most ``MAX_CONDITION_NUMBER``: since
+    ||G^-1||_2 = ||L^-1||_2^2, that product bounds the 2-norm condition
+    number from above (by at most a factor r^1.5 for r x r matrices), so
+    no matrix that passes is worse conditioned than the limit, up to the
+    rounding of a condition number that sits at the limit itself.  L^-1, and L^-1 rhs when ``rhs`` (one vector per matrix) is
+    given, come from one forward substitution on [I | rhs].  A batch in
+    which some matrix does not factor is factored matrix by matrix, so no
+    decision or solution depends on which matrices share a batch.  Returns
+    (passes, L^-1, L^-1 rhs or None); the last two are meaningless where a
+    matrix fails.
     """
-    eig = np.linalg.eigvalsh(gram)
-    lo, hi = eig[..., 0], eig[..., -1]
-    positive = lo > 0.0
-    return np.where(positive, hi / np.where(positive, lo, 1.0), np.inf)
+    batch, r = gram.shape[:-2], gram.shape[-1]
+    factored = np.ones(batch, dtype=bool)
+    try:
+        factor = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        factor = np.empty_like(gram)
+        for i in np.ndindex(batch):
+            try:
+                factor[i] = np.linalg.cholesky(gram[i])
+            except np.linalg.LinAlgError:
+                factor[i] = np.eye(r)
+                factored[i] = False
+    width = r if rhs is None else r + 1
+    aug = np.zeros(batch + (r, width))
+    aug[..., :r] = np.eye(r)
+    if rhs is not None:
+        aug[..., r] = rhs
+    sol = np.empty_like(aug)
+    # a tiny pivot can overflow the inverse; such a matrix fails the bound
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(r):
+            row = aug[..., i, :]
+            if i:
+                row = row - (factor[..., i, None, :i] @ sol[..., :i, :])[..., 0, :]
+            np.divide(row, factor[..., i, i, None], out=sol[..., i, :])
+        l_inv = sol[..., :r]
+        bound = np.sqrt((gram * gram).sum(axis=(-2, -1))) * (l_inv * l_inv).sum(axis=(-2, -1))
+        passes = factored & (bound <= MAX_CONDITION_NUMBER)
+    return passes, l_inv, None if rhs is None else sol[..., r]
+
+
+def equilibrated_gate(gram: np.ndarray) -> bool:
+    """``cholesky_gate`` for one Gram matrix of an uncentred design (OLS,
+    linreg), which has no natural units: the gate sees D^-1/2 G D^-1/2 with
+    D = diag(G), so rescaling a covariate column cannot move the decision.
+    A column of zeros leaves an exact zero on the diagonal and fails.
+    """
+    diag = np.diag(gram)
+    if not np.all(diag > 0.0):
+        return False
+    inv_root = 1.0 / np.sqrt(diag)
+    return bool(cholesky_gate(gram * inv_root[:, None] * inv_root[None, :])[0])
 
 
 def default_neighbor_count(n_train: int) -> int:
@@ -303,33 +349,37 @@ class _GaussianKernel:
     """Product-Gaussian kernel of a fixed sample and bandwidths, evaluated
     for blocks of queries.
 
-    The sample is centred at its column means and scaled by the bandwidths,
-    and half its squared norms are taken, once; queries get the same centre
-    and scale, so a large covariate offset cannot cancel the distances away.
-    ``log_weights`` then writes -0.5 * sum_d ((q_d - x_d) / h_d)^2 as
-    min(a.b - (|b|^2 / 2 + |a|^2 / 2), 0) for centred, scaled query a and
-    sample point b, in one GEMM and four elementwise passes: the expanded
-    bilinear form, with cancellation's tiny positives clipped at zero.  That is
-    -0.5 * max(|a|^2 + |b|^2 - 2 a.b, 0) with its steps scaled by exact
-    powers of two, so the two agree bit for bit.  Multiplying every
-    bandwidth by 2^k scales each step of the form, and so the result, by
-    exactly 4^-k, unless a scaled value falls in the subnormal range.
+    The sample is centred at its column means and scaled by the bandwidths
+    once (``scaled``); queries get the same centre and scale, so a large
+    covariate offset cannot cancel the distances away.  ``log_weights`` then
+    writes -0.5 * sum_d ((q_d - x_d) / h_d)^2 as min(a.b - |b|^2/2 - |a|^2/2, 0)
+    for centred, scaled query a and sample point b, in one GEMM of augmented
+    operands, [a, 1, |a|^2/2] times the C-contiguous (p+2) x n array
+    [b'; -|b|^2/2; -1] built here, and one clip at zero: the expanded
+    bilinear form, with cancellation's tiny positives clipped.  Multiplying
+    every bandwidth by 2^k scales every term of the GEMM, and so the result,
+    by exactly 4^-k, unless a scaled value falls in the subnormal range.
     """
 
     def __init__(self, x_sample: np.ndarray, bandwidths: np.ndarray):
         self.bandwidths = bandwidths
         self.centre = x_sample.mean(axis=0)
-        self._scaled = (x_sample - self.centre) / bandwidths
-        self._half_sq_norms = 0.5 * (self._scaled * self._scaled).sum(axis=1)
+        self.scaled = (x_sample - self.centre) / bandwidths
+        p = self.scaled.shape[1]
+        self._operand = np.empty((p + 2, self.scaled.shape[0]))
+        self._operand[:p] = self.scaled.T
+        self._operand[p] = -0.5 * (self.scaled * self.scaled).sum(axis=1)
+        self._operand[p + 1] = -1.0
 
-    def log_weights(self, xq: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        """Log-weights of a query block into ``out`` (queries x sample);
-        ``scratch``, of the same shape, is overwritten."""
-        a = (xq - self.centre) / self.bandwidths
-        np.matmul(a, self._scaled.T, out=scratch)
-        np.copyto(out, self._half_sq_norms)
-        out += 0.5 * (a * a).sum(axis=1)[:, None]
-        np.subtract(scratch, out, out=out)
+    def log_weights(self, xq: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Log-weights of a query block into ``out`` (queries x sample)."""
+        p = xq.shape[1]
+        query = np.empty((xq.shape[0], p + 2))
+        a = query[:, :p]
+        np.divide(xq - self.centre, self.bandwidths, out=a)
+        query[:, p] = 1.0
+        query[:, p + 1] = 0.5 * (a * a).sum(axis=1)
+        np.matmul(query, self._operand, out=out)
         return np.minimum(out, 0.0, out=out)
 
 
@@ -349,22 +399,29 @@ class LocalLinearRegressor:
     matches recomputing the block at the doubled bandwidths bit for bit.  A
     row sums to at most n_train times its largest weight, so each query
     starts at the first level where that bound can reach the floor (the
-    skipped levels could not pass).  Queries whose local
-    Gram matrix is still ill conditioned fall back to the kernel-weighted
-    mean, and to the global training mean if every weight underflows, so
-    predictions are always finite.
+    skipped levels could not pass).
 
     Queries run in blocks sized by ``BLOCK_BYTES``; the block's log-weights,
     weights, re-weighted pending rows and moments live in the thread's
-    workspace.  The local normal equations come from one GEMM per block:
-    the weights times a training design centred once at the training mean,
-    with columns 1, Xc, the upper triangle of Xc Xc', yc and Xc yc (yc the
-    mean-centred response).  Each query's moments are then moved from the
-    training mean to the query in closed form, giving the same
-    (p+1) x (p+1) Gram matrix and right-hand side as centring the design at
-    the query, without any (queries x training x p) temporary.  The
-    condition gate takes eigenvalues of the symmetric Gram matrices
-    (``spd_condition_number``).
+    workspace.  The local normal equations are set up in bandwidth units,
+    coordinates (X - xq) / h, which leaves the intercept unchanged.  They
+    come from one GEMM per block: the weights times a training design
+    centred once at the training mean and scaled by the bandwidths, with
+    columns 1, Xc, the upper triangle of Xc Xc', yc and Xc yc (yc the
+    mean-centred response), written once per fit.  Each query's moments are
+    then moved from the training mean to the query in closed form, giving
+    the same (p+1) x (p+1) Gram matrix and right-hand side as centring the
+    design at the query, without any (queries x training x p) temporary.
+
+    ``cholesky_gate`` decides whether a local solve is trusted, on that Gram
+    matrix in bandwidth units, and gives the intercept from the same factor.
+    A change of covariate units rescales the bandwidths with it, so the
+    decision does not move.  Scaling by the bandwidths, and not by each
+    query's own diagonal, keeps a direction with numerically no spread
+    (a covariate constant near the query) at its true, tiny size, so it
+    fails the gate.  Queries that fail fall back to the kernel-weighted
+    mean, and to the global training mean if every weight underflows, so
+    predictions are always finite.
     """
 
     MIN_EFFECTIVE_WEIGHT = 20.0
@@ -384,18 +441,22 @@ class LocalLinearRegressor:
         # solving on mean-centered responses keeps the response level out of
         # the local solve (constant responses reproduce exactly)
         self._y_mean = float(np.mean(y_train))
-        self._y_centered = y_train - self._y_mean
-        self._x_mean = self._kernel.centre
-        xc = x_train - self._x_mean
-        self._upper = np.triu_indices(xc.shape[1])
-        rows, cols = self._upper
-        self._moment_design = np.column_stack([
-            np.ones(xc.shape[0]),
-            xc,
-            xc[:, rows] * xc[:, cols],
-            self._y_centered,
-            xc * self._y_centered[:, None],
-        ])
+        y_centered = y_train - self._y_mean
+        xc = self._kernel.scaled
+        n, p = xc.shape
+        self._upper = np.triu_indices(p)
+        n_upper = self._upper[0].size
+        # columns 1 | Xc | Xc_j Xc_k for j <= k, row by row of the triangle | yc | Xc yc
+        design = np.empty((n, 2 + 2 * p + n_upper))
+        design[:, 0] = 1.0
+        design[:, 1 : 1 + p] = xc
+        start = 1 + p
+        for j in range(p):
+            np.multiply(xc[:, j : j + 1], xc[:, j:], out=design[:, start : start + p - j])
+            start += p - j
+        design[:, start] = y_centered
+        np.multiply(xc, y_centered[:, None], out=design[:, start + 1 :])
+        self._moment_design = design
 
     def predict(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -418,28 +479,36 @@ class LocalLinearRegressor:
         shape = (xq.shape[0], n_train)
         log_w = _WORKSPACE.take("log_w", shape)
         w = _WORKSPACE.take("w", shape)
-        self._kernel.log_weights(xq, out=log_w, scratch=w)
+        self._kernel.log_weights(xq, out=log_w)
         if n_train <= self.MIN_EFFECTIVE_WEIGHT:
             return np.exp(log_w, out=w)
         scales = np.ldexp(1.0, -2 * np.arange(self.MAX_INFLATIONS + 1))
         bound = n_train * np.exp(log_w.max(axis=1)[:, None] * scales)
         admits = bound >= self.MIN_EFFECTIVE_WEIGHT * (1.0 - self._SLACK)
         level = np.where(admits.any(axis=1), admits.argmax(axis=1), self.MAX_INFLATIONS)
-        if level.any():
+        raised = level > 0
+        if raised.all():
             log_w *= scales[level][:, None]
+        elif raised.any():
+            log_w[raised] *= scales[level[raised]][:, None]
         np.exp(log_w, out=w)
-        # every pending row moves up one level per step, from its start level
+        # every pending row moves up one level per step, from its start level;
+        # while every row of the block is pending, a step works in place
         pending = np.flatnonzero(
             (w.sum(axis=1) < self.MIN_EFFECTIVE_WEIGHT) & (level < self.MAX_INFLATIONS)
         )
         for step in range(1, self.MAX_INFLATIONS + 1):
             if pending.size == 0:
                 break
-            w_new = _WORKSPACE.take("pending", (pending.size, n_train))
-            np.take(log_w, pending, axis=0, out=w_new, mode="clip")
-            w_new *= scales[step]
-            np.exp(w_new, out=w_new)
-            w[pending] = w_new
+            if pending.size == shape[0]:
+                w_new = np.multiply(log_w, scales[step], out=w)
+                np.exp(w_new, out=w_new)
+            else:
+                w_new = _WORKSPACE.take("pending", (pending.size, n_train))
+                np.take(log_w, pending, axis=0, out=w_new, mode="clip")
+                w_new *= scales[step]
+                np.exp(w_new, out=w_new)
+                w[pending] = w_new
             pending = pending[
                 (w_new.sum(axis=1) < self.MIN_EFFECTIVE_WEIGHT)
                 & (level[pending] + step < self.MAX_INFLATIONS)
@@ -457,11 +526,12 @@ class LocalLinearRegressor:
         m2 = moments[:, 1 + p : 1 + p + rows.size]
         t0 = moments[:, 1 + p + rows.size]
         u1 = moments[:, 2 + p + rows.size :]
-        # Move the moments from the training mean to the query point d:
-        # sum w (X - xq) = m1 - s0 d, sum w (X - xq)(X - xq)' = M2 - m1 d' - d m1' + s0 d d',
+        # Move the moments from the training mean to the query point d, all
+        # in bandwidth units: sum w (X - xq) = m1 - s0 d,
+        # sum w (X - xq)(X - xq)' = M2 - m1 d' - d m1' + s0 d d',
         # sum w (X - xq) y = u1 - t0 d.  Both triangles are built alike, so
         # the Gram matrix is exactly symmetric.
-        d = xq - self._x_mean
+        d = (xq - self._kernel.centre) / self.bandwidths
         cross = m1[:, :, None] * d[:, None, :]
         gram = np.empty((nq, p + 1, p + 1))
         gram[:, 0, 0] = s0
@@ -474,13 +544,11 @@ class LocalLinearRegressor:
         rhs = np.empty((nq, p + 1))
         rhs[:, 0] = t0
         rhs[:, 1:] = u1 - t0[:, None] * d
-        ok = spd_condition_number(gram) <= MAX_CONDITION_NUMBER
+        ok, l_inv, z = cholesky_gate(gram, rhs)
         out = np.empty(nq)
-        if np.any(ok):
-            out[ok] = (
-                np.linalg.solve(gram[ok], rhs[ok][:, :, None])[:, 0, 0] + self._y_mean
-            )
-        if np.any(~ok):
+        # the intercept, row 0 of G^-1 rhs = L^-T (L^-1 rhs): column 0 of L^-1 dotted with z
+        out[ok] = np.einsum("qk,qk->q", l_inv[ok, :, 0], z[ok]) + self._y_mean
+        if not ok.all():
             bad_s0 = s0[~ok]
             local_mean = np.where(bad_s0 > 0, t0[~ok] / np.where(bad_s0 > 0, bad_s0, 1.0), 0.0)
             out[~ok] = local_mean + self._y_mean
@@ -607,8 +675,7 @@ def cond_kde_profile(
     for block in _query_blocks(x_queries.shape[0], x_sample.shape[0]):
         xq = x_queries[block]
         shape = (xq.shape[0], x_sample.shape[0])
-        w = kernel.log_weights(xq, out=_WORKSPACE.take("log_w", shape),
-                               scratch=_WORKSPACE.take("w", shape))
+        w = kernel.log_weights(xq, out=_WORKSPACE.take("log_w", shape))
         np.exp(w, out=w)
         sw = w.sum(axis=1)
         if np.any(sw <= 0.0):

@@ -54,22 +54,27 @@ MAX_INFLATIONS = 16
 def ref_kernel_block(x_train, bandwidths, x_test):
     """Product-Gaussian kernel weights of a block of queries, (queries x training).
 
-    Written in the same expanded bilinear form, step for step, as the package's
-    kernel smoothers, so that a floor computed from these rows can be compared
-    bit for bit.  The BLAS product's last bits can depend on how many queries
-    it is given, so the form is always evaluated on the whole block.  Both
-    sides are centred at the training column means first.
+    Written in the same one-GEMM form, with the same operand layout, as the
+    package's kernel smoothers, so that a floor computed from these rows can
+    be compared bit for bit: queries [a, 1, |a|^2/2] times a C-contiguous
+    (p+2) x n array [b'; -|b|^2/2; -1], clipped at zero, for points a and b
+    centred at the training column means and divided by the bandwidths.  The
+    BLAS product's last bits depend on the operands' layout and can depend on
+    how many queries it is given, so the form is always evaluated on the
+    whole block.
     """
     centre = x_train.mean(axis=0)
     a = (x_test - centre) / bandwidths
     b = (x_train - centre) / bandwidths
-    cross = a @ b.T
-    cross *= 2.0
-    d2 = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
-    d2 -= cross
-    np.maximum(d2, 0.0, out=d2)
-    d2 *= -0.5
-    return np.exp(d2, out=d2)
+    p = b.shape[1]
+    sample = np.empty((p + 2, len(b)))
+    sample[:p] = b.T
+    sample[p] = -0.5 * (b * b).sum(axis=1)
+    sample[p + 1] = -1.0
+    query = np.column_stack([a, np.ones(len(a)), 0.5 * (a * a).sum(axis=1)])
+    log_w = query @ sample
+    np.minimum(log_w, 0.0, out=log_w)
+    return np.exp(log_w, out=log_w)
 
 
 def ref_floored_weights(x_train, bandwidths, x_test):
@@ -121,17 +126,24 @@ def ref_local_linear_fit(x_train, y_train, x_test, bandwidths=None):
                 factor *= 2.0
                 u = (x_test[q] - x_train) / (bandwidths * factor)
                 w = np.exp(-0.5 * np.sum(u * u, axis=1))
-        centered = x_train - x_test[q]
-        design = np.hstack([np.ones((len(x_train), 1)), centered])
+        # the gate, on the Gram matrix in bandwidth units: the Cholesky
+        # factor must exist, and ||G||_F ||L^-1||_F^2, an upper bound on the
+        # condition number, must be at most COND_LIMIT
+        design = np.hstack([np.ones((len(x_train), 1)), (x_train - x_test[q]) / bandwidths])
         gram = design.T @ (w[:, None] * design)
         rhs = design.T @ (w * y_train)
-        cond = np.linalg.cond(gram)
-        solved[q] = np.isfinite(cond) and cond <= COND_LIMIT
+        try:
+            l_inv = np.linalg.inv(np.linalg.cholesky(gram))
+            with np.errstate(over="ignore"):
+                bound = np.linalg.norm(gram) * np.sum(l_inv**2)
+            solved[q] = bound <= COND_LIMIT
+        except np.linalg.LinAlgError:
+            solved[q] = False
         if not solved[q]:
             sw = w.sum()
             preds[q] = (w @ y_train) / sw if sw > 0 else y_train.mean()
         else:
-            preds[q] = np.linalg.solve(gram, rhs)[0]
+            preds[q] = (l_inv.T @ (l_inv @ rhs))[0]
     return preds, solved
 
 

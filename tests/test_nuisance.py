@@ -28,16 +28,17 @@ from fusiongain.nuisance import (
     _GaussianKernel,
     _query_blocks,
     KernelDensity,
+    cholesky_gate,
     cond_kde_profile,
     crossfit_predict,
     default_neighbor_count,
     empirical_quantile,
+    equilibrated_gate,
     fit_conditional_mean,
     kde_eval,
     make_split_plan,
     ols_fit,
     silverman_bandwidth,
-    spd_condition_number,
     split_halves,
 )
 from fusiongain.quantile_utility import _cdf_crossfit
@@ -114,13 +115,22 @@ class TestOls:
         with pytest.raises(SingularDesign):
             ols_fit(np.array([[1.0], [1.0]]), np.array([0.0, 1.0]))
 
-    def test_condition_number_matches_svd(self):
-        rng = np.random.default_rng(6)
-        a = rng.normal(size=(50, 8, 4))
-        grams = a.transpose(0, 2, 1) @ a
-        assert spd_condition_number(grams) == pytest.approx(np.linalg.cond(grams), rel=1e-8)
-        singular = np.array([[2.0, 2.0], [2.0, 2.0]])
-        assert not spd_condition_number(singular) <= MAX_CONDITION_NUMBER
+    def test_column_units_do_not_move_the_gate(self):
+        # raw condition number about 1e12: only the equilibrated matrix passes
+        x = np.random.default_rng(9).normal(size=(400, 2))
+        y = x @ np.array([0.7, -1.2]) + 0.3
+        scaled = x * np.array([1000.0, 0.001])
+        assert np.linalg.cond(np.column_stack([np.ones(400), scaled]).T
+                              @ np.column_stack([np.ones(400), scaled])) > 1e11
+        coef, coef_scaled = ols_fit(x, y), ols_fit(scaled, y)
+        assert coef_scaled * np.array([1.0, 1000.0, 0.001]) == pytest.approx(coef, rel=1e-9)
+
+    def test_zero_column_is_singular(self):
+        x = np.column_stack([np.random.default_rng(2).normal(size=20), np.zeros(20)])
+        assert not equilibrated_gate(np.column_stack([np.ones(20), x]).T
+                                     @ np.column_stack([np.ones(20), x]))
+        with pytest.raises(SingularDesign):
+            ols_fit(x, np.ones(20))
 
     def test_residuals_orthogonal_to_design(self):
         rng = np.random.default_rng(5)
@@ -133,6 +143,64 @@ class TestOls:
             col = design[:, j]
             scale = max(1.0, float(np.abs(col).max()))
             assert abs(resid @ col) <= 1e-8 * 200 * scale
+
+
+class TestConditionGate:
+    """``cholesky_gate``: one batched Cholesky, and the bound ||G||_F ||L^-1||_F^2."""
+
+    @staticmethod
+    def _batch(rng, r, log_cond, rank_deficit):
+        """Gram matrices of size r: random eigenvectors, an overall scale, and
+        spectra spread over up to 10^log_cond, plus rank-deficient products
+        B'B and a matrix with an exactly zero row and column."""
+        grams = []
+        for u in np.linspace(0.0, 1.0, 8):
+            q, _ = np.linalg.qr(rng.normal(size=(r, r)))
+            eig = 10.0 ** (-u * log_cond * np.sort(rng.uniform(size=r)))
+            eig[0], eig[-1] = 1.0, 10.0 ** (-u * log_cond)
+            grams.append(10.0 ** rng.uniform(-8, 8) * (q * eig) @ q.T)
+        for _ in range(4):
+            b = rng.normal(size=(r - 1 - rank_deficit, r)) * 10.0 ** rng.uniform(-3, 3, size=r)
+            grams.append(b.T @ b)
+        zero = grams[0].copy()
+        zero[r // 2, :] = zero[:, r // 2] = 0.0
+        grams.append(zero)
+        grams = np.array(grams)
+        return 0.5 * (grams + grams.transpose(0, 2, 1))
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), r=st.integers(2, 11),
+           log_cond=st.floats(0.0, 14.0), rank_deficit=st.integers(0, 1))
+    def test_accepts_nothing_past_the_limit(self, seed, r, log_cond, rank_deficit):
+        grams = self._batch(np.random.default_rng(seed), r, log_cond, rank_deficit)
+        passes, _, _ = cholesky_gate(grams)
+        # at the limit, a condition number is only known to about r * limit * eps
+        # relative, in the Cholesky factor and in the SVD alike: there rounding
+        # decides a tie
+        tie = r * MAX_CONDITION_NUMBER * np.finfo(float).eps
+        assert np.all(np.linalg.cond(grams[passes]) <= MAX_CONDITION_NUMBER * (1.0 + tie))
+        assert not passes[8:].any()
+        # not vacuous: the bound exceeds the condition number by at most r^1.5
+        well = np.linalg.cond(grams[:8]) <= MAX_CONDITION_NUMBER / 100.0
+        assert passes[:8][well].all()
+
+    def test_batch_decisions_match_single_matrices(self):
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(6, 30, 4))
+        grams = a.transpose(0, 2, 1) @ a
+        grams[2, 3, :] = grams[2, :, 3] = 0.0  # exactly singular: the batch Cholesky raises
+        rhs = rng.normal(size=(6, 4))
+        passes, l_inv, z = cholesky_gate(grams, rhs)
+        assert passes.tolist() == [True, True, False, True, True, True]
+        for i in range(6):
+            alone, l_inv_alone, z_alone = cholesky_gate(grams[i : i + 1], rhs[i : i + 1])
+            assert alone[0] == passes[i]
+            if passes[i]:
+                assert np.array_equal(l_inv_alone[0], l_inv[i])
+                assert np.array_equal(z_alone[0], z[i])
+                # L^-T L^-1 rhs solves the system
+                assert l_inv[i].T @ z[i] == pytest.approx(np.linalg.solve(grams[i], rhs[i]),
+                                                          rel=1e-10)
 
 
 class TestRegressors:
@@ -216,6 +284,39 @@ class TestLocalLinearEdgeCases:
         y = x[:, 0] ** 2 + 0.3 * rng.normal(size=300)
         x_test = np.column_stack([np.linspace(-2.0, 2.0, 9), np.full(9, 0.1)])
         assert not self._compare(x, y, x_test, [0.4, 1.0]).any()
+
+    def test_singular_query_leaves_its_block_alone(self):
+        # cluster A lies on x2 = 0, and cluster B, 200 bandwidths away in x1,
+        # has dyadic x2 values that sum to exactly zero.  A query in A sees
+        # only A, so its Gram matrix has an exactly zero row and column, and
+        # the block's batched Cholesky raises; the queries in B still solve.
+        rng = np.random.default_rng(12)
+        x2_b = np.repeat([-1.0, -0.5, 0.5, 1.0], 15)
+        x = np.vstack([
+            np.column_stack([rng.normal(size=60), np.zeros(60)]),
+            np.column_stack([200.0 + rng.normal(size=60), x2_b]),
+        ])
+        y = np.sin(x[:, 0]) + x[:, 1] + 0.1 * rng.normal(size=120)
+        x_test = np.array([[200.1, 0.2], [199.5, -0.3], [0.1, 0.0], [200.4, 0.6]])
+        solved = self._compare(x, y, x_test, [1.0, 1.0])
+        assert solved.tolist() == [True, True, False, True]
+        reg = LocalLinearRegressor(x, y, np.array([1.0, 1.0]))
+        preds, _ = reg._predict_block(x_test)
+        # the weights GEMM's last bits depend on the block size, and moving
+        # the moments 100 bandwidths from the training mean amplifies them
+        for q in range(4):
+            alone, solved_alone = reg._predict_block(x_test[q : q + 1])
+            assert solved_alone[0] == solved[q]
+            assert alone[0] == pytest.approx(preds[q], rel=1e-10, abs=1e-10)
+
+    def test_duplicated_covariate_falls_back_everywhere(self):
+        # S copied as a third column: every local Gram matrix is singular
+        rng = np.random.default_rng(44)
+        x = rng.normal(size=(300, 2))
+        y = x.sum(axis=1) + 0.3 * rng.normal(size=300)
+        x = np.column_stack([x, x[:, 0]])
+        bands = np.array([silverman_bandwidth(x[:, d]) for d in range(3)])
+        assert not self._compare(x, y, x[:40], bands).any()
 
     def test_queries_at_training_points(self):
         rng = np.random.default_rng(43)
@@ -314,8 +415,7 @@ class TestFlooredWeights:
         # the single kernel path that cond_kde_profile also uses
         rng = np.random.default_rng(7)
         x, x_test, bands = rng.normal(size=(300, 4)), rng.normal(size=(70, 4)), np.full(4, 0.4)
-        log_w = _GaussianKernel(x, bands).log_weights(x_test, np.empty((70, 300)),
-                                                      np.empty((70, 300)))
+        log_w = _GaussianKernel(x, bands).log_weights(x_test, np.empty((70, 300)))
         assert np.array_equal(np.exp(log_w), ref_kernel_block(x, bands, x_test))
 
 
