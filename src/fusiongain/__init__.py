@@ -13,7 +13,6 @@ from .core import (
     UtilityEstimate,
     check_settings,
     finalize,
-    normal_cdf,
     normal_quantile,
     ratio_estimate,
     relative_utility,

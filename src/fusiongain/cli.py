@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import sys
@@ -29,6 +30,7 @@ from .errors import (
     UsageError,
 )
 from .nuisance import MIN_SPLIT_N, REGRESSOR_KINDS, Dataset
+from .quantile_utility import assess_quantile
 from .simulation import (
     DgpConfig,
     METHODS,
@@ -162,6 +164,7 @@ def _float_list(text: str) -> list[float]:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fusiongain", description=__doc__)
+    defaults = {k: p.default for k, p in inspect.signature(assess_quantile).parameters.items()}
     sub = parser.add_subparsers(dest="command", required=True)
 
     assess = sub.add_parser("assess", help="assess one dataset")
@@ -170,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     assess.add_argument("--nu", required=True, type=float,
                         help="n / (n + N) for the contemplated external sample size N")
     assess.add_argument("--tau", type=float, default=None,
-                        help="quantile level for method quantile (default 0.5)")
+                        help=f"quantile level for method quantile (default {defaults['tau']})")
     assess.add_argument("--s-column", default=None,
                         help="designated covariate column for method linreg")
     assess.add_argument("--response", default=None,
@@ -182,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     assess.add_argument("--format", choices=("json", "csv", "text"), default="text")
     assess.add_argument("--regressor", choices=REGRESSOR_KINDS, default=None,
                         help="nuisance regressor for mean-conditional and quantile "
-                             "(default local-linear)")
+                             f"(default {defaults['regressor']})")
     assess.add_argument("--center", action="store_true",
                         help="subtract covariate column means before method linreg")
 
@@ -194,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="comma-separated sample sizes")
     simulate.add_argument("--tau", type=_float_list, default=None,
                           help="comma-separated quantile levels for method quantile "
-                               "(default 0.5)")
+                               f"(default {defaults['tau']})")
     simulate.add_argument("--reps", required=True, type=int)
     simulate.add_argument("--seed", required=True, type=int)
     simulate.add_argument("--out", required=True, help="output directory")

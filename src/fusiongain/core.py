@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
 
 from .errors import (
     DegenerateDenominator,
@@ -95,11 +95,6 @@ def check_settings(nu: float | None = None, alpha: float | None = None) -> None:
         raise OutOfRange(f"nu must be in [0, 1), got {nu}")
     if alpha is not None and not (0.0 < alpha and (1.0 + alpha) / 2.0 < 1.0):
         raise OutOfRange(f"alpha must be in (0, 1) with (1 + alpha)/2 < 1, got {alpha}")
-
-
-def normal_cdf(x):
-    """Standard normal distribution function (vectorized)."""
-    return ndtr(x)
 
 
 def normal_quantile(alpha: float) -> float:

@@ -9,7 +9,8 @@ supported: the conditional mean E(Y | X), for external individual covariate
 records, and the best linear predictor including an intercept, for an
 external covariate average.  The keyword ``regressor`` of :func:`assess_mean`
 picks g and so the method: ols-linear is mean-linear, k-nn or local-linear
-mean-conditional; ``seed`` draws the cross-fitting folds.
+mean-conditional; ``seed`` draws the cross-fitting folds.  The numerator,
+:func:`residual_core`, is shared: :mod:`quantile_utility` runs it on Z = 1(Y < mu).
 """
 
 from __future__ import annotations
@@ -41,9 +42,18 @@ def estimate_bounds_mean(data: Dataset, ghat) -> tuple[float, float]:
     return float(np.mean((data.y - ghat) ** 2)), theta2
 
 
+def residual_core(z: Dataset, regressor: str, seed: int,
+                  clamp: tuple[float, float] = (-np.inf, np.inf)) -> tuple[np.ndarray, float]:
+    """Cross-fitted regression g of Z = ``z.y`` on ``z.x``, clipped to ``clamp``,
+    and the residual trace mean[(Z - g)^2]: Z = Y for the mean, and the
+    indicator 1(Y < mu), clamped to [0, 1], for the quantile."""
+    g = np.clip(crossfit_predict(z, regressor, seed), *clamp)
+    return g, float(np.mean((z.y - g) ** 2))
+
+
 def compute_mean_intermediates(data: Dataset, regressor: str, seed: int) -> np.ndarray:
     """Cross-fitted predictions ghat of g on the full sample."""
-    return crossfit_predict(data, regressor, seed)
+    return residual_core(data, regressor, seed)[0]
 
 
 def split_estimate_mean(data: Dataset, regressor: str, seed: int) -> float:
@@ -55,9 +65,8 @@ def split_estimate_mean(data: Dataset, regressor: str, seed: int) -> float:
     mean.
     """
     half, rest = split_halves(data)
-    ghat = crossfit_predict(half, regressor, seed)
+    numerator = residual_core(half, regressor, seed)[1]
     mu_hat = float(np.mean(data.y))
-    numerator = float(np.mean((half.y - ghat) ** 2))
     denominator = float(np.mean((rest.y - mu_hat) ** 2))
     if denominator <= 0.0:
         raise DegenerateDenominator("second-half residuals around the mean are all zero")

@@ -2,15 +2,14 @@
 
 The utility is nu + (1 - nu) a, where nu = n / (n + N) encodes how much
 external covariate data is contemplated; :func:`core.finalize` applies that
-map.  This module computes the nu-free core.  For the tau-quantile target the
-internal-only bound trace is the known constant tau(1-tau) (the marginal
-density factor cancels in the ratio), so a is the average squared
-discrepancy between the indicator 1(Y < mu_hat) and a cross-fitted
-conditional-CDF regression at the empirical quantile mu_hat, divided by
-tau(1-tau).  The variance plug-in additionally needs kernel density
-estimates of the marginal and conditional response densities at the
-quantile.  :func:`assess_quantile` takes tau, the ``regressor`` of the
-conditional CDF and the fold ``seed`` as keywords.
+map.  This module computes the nu-free core: the mean's
+:func:`~fusiongain.mean_utility.residual_core` on the indicator Z = 1(Y < mu_hat)
+at the empirical tau-quantile mu_hat, clamped to [0, 1], over the known
+variance tau(1-tau) of Z (the marginal density factor cancels in the ratio).
+The variance plug-in adds a density-slope term from kernel density estimates
+of the marginal and conditional response densities at the quantile.
+:func:`assess_quantile` takes tau, the ``regressor`` of the conditional CDF
+and the fold ``seed`` as keywords.
 """
 
 from __future__ import annotations
@@ -24,28 +23,21 @@ from .nuisance import (
     Dataset,
     KernelDensity,
     cond_kde_profile,
-    crossfit_predict,
     empirical_quantile,
     kde_eval,
     silverman_bandwidth,
     split_halves,
 )
+from .mean_utility import residual_core
 
 # Floor on f_Y(mu) times the bandwidth of y: unit-free, so rescaling y moves
 # neither the estimate nor the floor decision.
 DENSITY_FLOOR = 1e-12
 
 
-def _cdf_crossfit(data: Dataset, regressor: str, seed: int, threshold: float) -> np.ndarray:
-    """Cross-fitted conditional CDF at ``threshold``: the regression of the
-    indicators 1(y < threshold) on x, clamped to [0, 1]."""
-    indicators = Dataset((data.y < threshold).astype(float), data.x)
-    return np.clip(crossfit_predict(indicators, regressor, seed), 0.0, 1.0)
-
-
-def _squared_gaps(y: np.ndarray, threshold: float, fhat: np.ndarray) -> np.ndarray:
-    """(1(y < threshold) - Fhat)^2, the per-observation CDF discrepancy."""
-    return ((y < threshold).astype(float) - fhat) ** 2
+def _indicator(data: Dataset, threshold: float) -> Dataset:
+    """Z = 1(y < threshold) on the covariates of ``data``."""
+    return Dataset((data.y < threshold).astype(float), data.x)
 
 
 def compute_quantile_intermediates(
@@ -54,7 +46,7 @@ def compute_quantile_intermediates(
     """The empirical tau-quantile mu_hat and the cross-fitted conditional CDF
     Fhat at mu_hat (clamped to [0, 1])."""
     mu_hat = empirical_quantile(data.y, tau)
-    return mu_hat, _cdf_crossfit(data, regressor, seed, mu_hat)
+    return mu_hat, residual_core(_indicator(data, mu_hat), regressor, seed, (0.0, 1.0))[0]
 
 
 def split_estimate_quantile(data: Dataset, tau: float, regressor: str, seed: int) -> float:
@@ -67,8 +59,8 @@ def split_estimate_quantile(data: Dataset, tau: float, regressor: str, seed: int
     """
     half, rest = split_halves(data)
     mu_tilde = empirical_quantile(rest.y, tau)
-    fhat = _cdf_crossfit(half, regressor, seed, mu_tilde)
-    return float(np.mean(_squared_gaps(half.y, mu_tilde, fhat))) / (tau * (1.0 - tau))
+    numerator = residual_core(_indicator(half, mu_tilde), regressor, seed, (0.0, 1.0))[1]
+    return numerator / (tau * (1.0 - tau))
 
 
 @typed_overflow
@@ -98,7 +90,7 @@ def variance_quantile(
     h_x = silverman_bandwidth(data.x)
     f_cond = cond_kde_profile(data.x, data.y, h_x, h_y, data.x, mu_hat)
     slope = 2.0 * float(np.mean(fhat * f_cond)) / f_y - 1.0
-    var_sq = float(np.var(_squared_gaps(data.y, mu_hat, fhat), ddof=1))
+    var_sq = float(np.var((_indicator(data, mu_hat).y - fhat) ** 2, ddof=1))
     theta2 = tau * (1.0 - tau)
     return 2.0 * slope**2 / theta2 + 2.0 * var_sq / theta2**2
 
@@ -114,7 +106,7 @@ def assess_quantile(data: Dataset, *, nu: float, alpha: float = 0.95, seed: int 
         raise OutOfRange(f"regressor must be one of {REGRESSOR_KINDS}")
     with stage("point"):
         mu_hat, fhat = compute_quantile_intermediates(data, tau, regressor, seed)
-        a_hat = ratio_estimate(float(np.mean(_squared_gaps(data.y, mu_hat, fhat))),
+        a_hat = ratio_estimate(float(np.mean((_indicator(data, mu_hat).y - fhat) ** 2)),
                                tau * (1.0 - tau))
     with stage("split"):
         a_tilde = split_estimate_quantile(data, tau, regressor, seed)

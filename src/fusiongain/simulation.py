@@ -13,6 +13,7 @@ and the settings that estimator reads.
 
 from __future__ import annotations
 
+import inspect
 import math
 import os
 from collections.abc import Callable, Sequence
@@ -165,7 +166,7 @@ class MonteCarloCell:
 
     method: str
     dgp: DgpConfig
-    tau: float = 0.5
+    tau: float = inspect.signature(assess_quantile).parameters["tau"].default
     alpha: float = 0.95
 
     def __post_init__(self):

@@ -7,9 +7,10 @@ from fusiongain.mean_utility import (
     assess_mean,
     compute_mean_intermediates,
     estimate_bounds_mean,
+    residual_core,
     variance_mean,
 )
-from fusiongain.nuisance import Dataset, make_split_plan
+from fusiongain.nuisance import Dataset, crossfit_predict, make_split_plan
 from fusiongain.simulation import DgpConfig, generate_dgp
 from reference_impl import ref_mean_gamma_sq, ref_mean_point, ref_mean_split
 
@@ -51,6 +52,15 @@ class TestBounds:
         data = Dataset(np.full(4, 2.0), np.arange(4.0)[:, None])
         with pytest.raises(DegenerateDenominator):
             estimate_bounds_mean(data, np.full(4, 2.0))
+
+
+class TestResidualCore:
+    @pytest.mark.parametrize("regressor", ["ols-linear", "k-nn", "local-linear"])
+    def test_unclamped_core_is_the_crossfit(self, regressor):
+        data = generate_dgp(DgpConfig(b=1.0, n=120, seed=4))
+        g, trace = residual_core(data, regressor, 4)
+        assert np.array_equal(g, crossfit_predict(data, regressor, 4))
+        assert trace == float(np.mean((data.y - g) ** 2))
 
 
 class TestPointEstimate:

@@ -41,7 +41,8 @@ from fusiongain.nuisance import (
     silverman_bandwidth,
     split_halves,
 )
-from fusiongain.quantile_utility import _cdf_crossfit
+from fusiongain.mean_utility import residual_core
+from fusiongain.quantile_utility import _indicator
 from reference_impl import (
     ref_floored_weights,
     ref_kernel_block,
@@ -595,8 +596,9 @@ class TestCrossfit:
     def test_cdf_below_minimum_gives_zero(self):
         rng = np.random.default_rng(2)
         data = Dataset(rng.normal(size=40), rng.normal(size=(40, 1)))
-        preds = _cdf_crossfit(data, "k-nn", 3, float(data.y.min()) - 10.0)
-        assert np.all(preds == 0.0)
+        z = _indicator(data, float(data.y.min()) - 10.0)
+        preds, trace = residual_core(z, "k-nn", 3, (0.0, 1.0))
+        assert np.all(preds == 0.0) and trace == 0.0
 
     def test_matches_reference_local_linear(self):
         # seeded synthetic dataset, cross-fitted predictions vs brute-force loop
@@ -636,7 +638,7 @@ class TestCrossfit:
         levels = np.quantile(data.y, [0.2, 0.5, 0.8])
         means = []
         for mu in levels:
-            preds = _cdf_crossfit(data, "k-nn", 1, float(mu))
+            preds, _ = residual_core(_indicator(data, float(mu)), "k-nn", 1, (0.0, 1.0))
             assert np.all((preds >= 0.0) & (preds <= 1.0))
             means.append(preds.mean())
         assert means[0] <= means[1] + 1e-10 <= means[2] + 2e-10

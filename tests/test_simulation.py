@@ -8,7 +8,7 @@ from scipy import integrate
 from scipy.special import ndtr
 
 from fusiongain import rng
-from fusiongain.core import normal_cdf, normal_quantile
+from fusiongain.core import normal_quantile
 from fusiongain.errors import FusionGainError, OutOfRange
 from fusiongain.linreg_utility import assess_linreg
 from fusiongain.mean_utility import assess_mean
@@ -110,7 +110,7 @@ class TestTruthValues:
         b, rho, nu, tau = 1.0, 0.2, 0.5, 0.5
         signal = b * math.sqrt(2.0 * (1.0 + rho)) * gen.standard_normal(10_000_000)
         total_sd = math.sqrt(2.0 * b * b * (1.0 + rho) + 1.0)
-        inner = np.asarray(normal_cdf(total_sd * normal_quantile(tau) - signal)) ** 2
+        inner = np.asarray(ndtr(total_sd * normal_quantile(tau) - signal)) ** 2
         mc = (1.0 - nu) * (tau - float(np.mean(inner))) / (tau * (1.0 - tau)) + nu
         assert true_theta_quantile(b, rho, nu, tau) == pytest.approx(mc, abs=5e-4)
 
