@@ -60,10 +60,6 @@ class DegenerateResidualVariance(FusionGainError):
     """Exact-fit data: the utility ratio for regression is 0/0."""
 
 
-class ZeroSColumn(FusionGainError):
-    """The designated summary covariate has zero sum of squares."""
-
-
 class IoError(FusionGainError):
     """An input file could not be read or written."""
 

@@ -26,7 +26,6 @@ from .errors import (
     OutOfRange,
     SingularDesign,
     TooFewObservations,
-    ZeroSColumn,
     stage,
 )
 from .nuisance import Dataset, equilibrated_gate
@@ -34,14 +33,15 @@ from .nuisance import Dataset, equilibrated_gate
 
 @dataclass(frozen=True)
 class LinRegComponents:
-    """The five moment estimators the bound traces are built from.
+    """The six moment estimators the bound traces are built from, and where S is.
 
     mu_hat: least-squares coefficients of Y on X (no intercept);
     eta_hat: univariate slope of Y on the S column;
     sigma_mat: second-moment matrix X'X / n (symmetric positive definite);
     kappa_hat: trace of its inverse;
     sigma_hat: root mean squared residual of the full regression;
-    alpha_hat: mean of S^2 (Y - eta_hat S)^2.
+    alpha_hat: mean of S^2 (Y - eta_hat S)^2;
+    s_index: the column of X that is S.
     """
 
     mu_hat: np.ndarray
@@ -66,8 +66,6 @@ def fit_components(data: Dataset, s_index: int = 0) -> LinRegComponents:
         )
     s = x[:, s_index]
     s_sq_sum = float(s @ s)
-    if s_sq_sum <= 0.0:
-        raise ZeroSColumn("designated covariate column has zero sum of squares")
     mu_hat = np.linalg.solve(x.T @ x, x.T @ y)
     eta_hat = float(s @ y) / s_sq_sum
     kappa_hat = float(np.trace(np.linalg.inv(sigma_mat)))

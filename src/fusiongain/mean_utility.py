@@ -23,7 +23,6 @@ from .errors import (
     DegenerateVariance,
     OutOfRange,
     PlanMismatch,
-    TooFewObservations,
     stage,
 )
 from .nuisance import REGRESSOR_KINDS, Dataset, crossfit_predict, split_halves
@@ -78,8 +77,6 @@ def variance_mean(data: Dataset, ghat) -> float:
     """Plug-in g^2 = 2{Var[(Y - ghat)^2] + a^2 Var[(Y - ybar)^2]} / theta2^2,
     with sample variances using divisor n - 1."""
     residual_trace, theta2 = estimate_bounds_mean(data, ghat)
-    if data.n < 2:
-        raise TooFewObservations("variance needs at least two observations")
     var_g = float(np.var((data.y - ghat) ** 2, ddof=1))
     var_mean = float(np.var((data.y - np.mean(data.y)) ** 2, ddof=1))
     if var_g == 0.0 and var_mean == 0.0:

@@ -141,8 +141,6 @@ def ols_fit(x, y) -> np.ndarray:
     ``equilibrated_gate``, which no change of covariate units can move.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
     y = np.asarray(y, dtype=float)
     design = np.column_stack([np.ones(x.shape[0]), x])
     gram = design.T @ design
@@ -222,8 +220,6 @@ class OlsLinearRegressor:
 
     def predict(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
         design = np.column_stack([np.ones(x.shape[0]), x])
         return design @ self.coef
 
@@ -299,8 +295,6 @@ class KnnRegressor:
 
     def predict(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
         out = np.empty(x.shape[0])
         for block in _query_blocks(x.shape[0], self.x_train.shape[0]):
             out[block] = self.y_train[self._neighbors(x[block])].mean(axis=1)
@@ -460,8 +454,6 @@ class LocalLinearRegressor:
 
     def predict(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
         out = np.empty(x.shape[0])
         for block in _query_blocks(x.shape[0], self.x_train.shape[0]):
             out[block], _ = self._predict_block(x[block])
@@ -657,17 +649,11 @@ def cond_kde_profile(
 ) -> np.ndarray:
     """Vectorized conditional density at one y value across many x queries."""
     x_sample = np.asarray(x_sample, dtype=float)
-    if x_sample.ndim == 1:
-        x_sample = x_sample[:, None]
     y_sample = np.asarray(y_sample, dtype=float)
-    x_bandwidths = np.broadcast_to(
-        np.asarray(x_bandwidths, dtype=float), (x_sample.shape[1],)
-    )
+    x_bandwidths = np.asarray(x_bandwidths, dtype=float)
     if np.any(x_bandwidths <= 0) or not y_bandwidth > 0:
         raise OutOfRange("bandwidths must be positive")
     x_queries = np.asarray(x_queries, dtype=float)
-    if x_queries.ndim == 1:
-        x_queries = x_queries[:, None]
     zy = (float(y_point) - y_sample) / y_bandwidth
     y_kernel = np.exp(-0.5 * zy * zy) / (y_bandwidth * _SQRT_2PI)
     kernel = _GaussianKernel(x_sample, x_bandwidths)

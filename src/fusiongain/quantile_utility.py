@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import UtilityEstimate, check_settings, finalize, ratio_estimate, typed_overflow
-from .errors import OutOfRange, TooFewObservations, VanishingDensity, stage
+from .errors import OutOfRange, VanishingDensity, stage
 from .nuisance import (
     REGRESSOR_KINDS,
     Dataset,
@@ -80,8 +80,6 @@ def variance_quantile(
     about 4e11; so the floor guards only direct calls with ``mu_hat`` off
     the sample.
     """
-    if data.n < 2:
-        raise TooFewObservations("variance needs at least two observations")
     h_y = silverman_bandwidth(data.y)
     f_y = kde_eval(KernelDensity(data.y, h_y), mu_hat)
     if f_y * h_y <= DENSITY_FLOOR:

@@ -12,7 +12,7 @@ from fusiongain.errors import EmptyData, IoError, ParseError
 from fusiongain.mean_utility import assess_mean
 from fusiongain.nuisance import MIN_SPLIT_N, Dataset
 from fusiongain.quantile_utility import assess_quantile
-from fusiongain.simulation import MIN_LINREG_N, DgpConfig, generate_dgp
+from fusiongain.simulation import MIN_LINREG_N, CellResult, DgpConfig, generate_dgp
 
 # --folds is gone (cross-fitting always uses nuisance.N_FOLDS folds), so
 # argparse rejects it as an unknown flag.
@@ -82,11 +82,16 @@ class TestParseCsv:
             parse_csv(path)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("text", ["y,x1\n\n\n", "\ny,x1"])
+    @pytest.mark.parametrize("text", ["y,x1\n\n\n", "\ny,x1", "", "\n\n"])
     def test_header_and_blank_lines_only(self, tmp_path, text):
         path = _write(tmp_path, "a.csv", text)
         with pytest.raises(EmptyData):
             parse_csv(path)
+
+    def test_unknown_response_rejected(self, tmp_path):
+        path = _write(tmp_path, "a.csv", "y,x1\n1,2\n")
+        with pytest.raises(ParseError, match="response column 'z' not in header"):
+            parse_csv(path, response="z")
 
     def test_locations_are_file_lines(self, tmp_path):
         # blank lines and a quoted cell spanning two lines still count as lines
@@ -744,6 +749,33 @@ class TestSimulateCommand:
         payload = json.loads(capsys.readouterr().err)
         assert payload["error"] == "FusionGainError"
         assert "VarianceOverflow: variance: " in payload["message"]
+
+    def test_unwritable_out_io_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        code = main(
+            ["simulate", "--method", "linreg", "--b", "0", "--n", "20", "--reps", "1",
+             "--seed", "1", "--out", str(blocker / "out")]
+        )
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "IoError"
+
+    def test_flagged_cell_warns(self, tmp_path, capsys, monkeypatch):
+        import fusiongain.cli as cli
+
+        def one_failure(table, reps, workers):
+            return [CellResult(method="linreg", b=0.0, n=20, extra="", reps=reps, seed=1,
+                               mae=0.1, sdae=0.0, al=0.2, cr=1.0, n_failed=1)]
+
+        monkeypatch.setattr(cli, "run_monte_carlo", one_failure)
+        code = main(
+            ["simulate", "--method", "linreg", "--b", "0", "--n", "20", "--reps", "2",
+             "--seed", "1", "--out", str(tmp_path / "x")]
+        )
+        assert code == 0
+        assert capsys.readouterr().err == (
+            "warning: cell linreg b=0.0 n=20 extra= had 1/2 failed replications\n"
+        )
 
     def test_missing_required_flag(self, capsys):
         code = main(["simulate", "--method", "linreg"])

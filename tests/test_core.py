@@ -17,7 +17,8 @@ from fusiongain.core import (
     truncate_point,
     wald_interval,
 )
-from fusiongain.errors import DegenerateDenominator, OutOfRange
+from fusiongain.errors import DegenerateDenominator, OutOfRange, TooFewObservations, stage
+from fusiongain.nuisance import Dataset
 from fusiongain.simulation import METHODS, DgpConfig, generate_dgp
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -96,6 +97,27 @@ class TestNormalDist:
     def test_roundtrip_on_minus6_6(self):
         for x in np.linspace(-6.0, 6.0, 121):
             assert normal_quantile(float(ndtr(x))) == pytest.approx(x, abs=1e-8)
+
+
+# One failing call per guard of this module's records.
+GUARD_CASES = {
+    "interval-nonfinite": (lambda: Interval(0.0, math.inf), OutOfRange),
+    "interval-reversed": (lambda: Interval(1.0, 0.0), OutOfRange),
+}
+
+
+@pytest.mark.parametrize("call, error", GUARD_CASES.values(), ids=GUARD_CASES)
+def test_guard_raises_typed(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_stage_names_an_error_without_args():
+    with pytest.raises(TooFewObservations) as exc:
+        with stage("point"):
+            raise TooFewObservations()
+    assert exc.value.stage == "point"
+    assert exc.value.args == ("point",)
 
 
 class TestWaldInterval:
@@ -211,8 +233,9 @@ class TestUtilityEstimateInvariants:
             {"a_hat": math.nan},
             # (1 + alpha)/2 rounds to 1, so u_{(1+alpha)/2} does not exist
             {"alpha": 1.0 - 2.0**-53},
+            {"n": 0},
         ],
-        ids=["g-negative", "g-inf", "g-nan", "a_hat-nan", "alpha-no-quantile"],
+        ids=["g-negative", "g-inf", "g-nan", "a_hat-nan", "alpha-no-quantile", "n-zero"],
     )
     def test_bad_core_rejected_at_construction(self, bad):
         # every property is then total: nothing can raise on a later read
@@ -252,3 +275,19 @@ def test_estimates_affine_in_nu_bit_for_bit(method, regressor):
         assert est.gamma_hat == (1 - nu) * base.gamma_hat
         # the record stores only the core, so re-mapping it is the run at nu
         assert dataclasses.replace(base, nu=nu) == est
+
+
+@pytest.mark.parametrize("method, regressor", [("mean-conditional", "local-linear"),
+                                               ("mean-conditional", "k-nn"),
+                                               ("quantile", "local-linear")])
+def test_one_dimensional_covariate_is_one_column(method, regressor):
+    # Dataset is the one place where a 1-d covariate becomes a column
+    data = generate_dgp(DgpConfig(b=0.5, n=200, seed=5))
+    flat = Dataset(data.y, data.x[:, 0].copy())
+    column = Dataset(data.y, data.x[:, :1].copy())
+    assert flat.x.shape == (200, 1)
+
+    def run(d):
+        return METHODS[method].run(d, nu=0.5, alpha=0.95, seed=5, tau=0.5, regressor=regressor)
+
+    assert repr(run(flat)) == repr(run(column))

@@ -4,7 +4,9 @@ import pytest
 from fusiongain.errors import (
     DegenerateResidualVariance,
     DegenerateVariance,
+    OutOfRange,
     SingularDesign,
+    TooFewObservations,
     VarianceOverflow,
 )
 from fusiongain.linreg_utility import (
@@ -220,3 +222,30 @@ class TestTableBands:
         cell = MonteCarloCell(method="linreg", dgp=DgpConfig(b=1.0, n=2000))
         [result] = run_monte_carlo([(cell, 78)], reps=300)
         assert result.cr == pytest.approx(0.947, abs=0.025)
+
+
+# One row: the S moment keeps a rounding residue, so only the row count fails.
+_ONE_ROW = Dataset([1.0], [[0.1]])
+
+
+def _scaled_s(scale):
+    data = generate_dgp(DgpConfig(b=0.5, n=20, seed=2))
+    return Dataset(data.y, data.x * [scale, 1.0])
+
+
+# One failing call per input guard of this module.
+GUARD_CASES = {
+    "s-index": (lambda: fit_components(_ONE_ROW, s_index=1), OutOfRange),
+    "one-row-variance": (lambda: variance_linreg(_ONE_ROW, fit_components(_ONE_ROW)),
+                         TooFewObservations),
+    # a (numerically) zero S column leaves a zero on the diagonal of X'X / n
+    "s-column-zero": (lambda: fit_components(_scaled_s(0.0)), SingularDesign),
+    "s-column-1e-162": (lambda: fit_components(_scaled_s(1e-162)), SingularDesign),
+    "s-column-1e-170": (lambda: fit_components(_scaled_s(1e-170)), SingularDesign),
+}
+
+
+@pytest.mark.parametrize("call, error", GUARD_CASES.values(), ids=GUARD_CASES)
+def test_guard_raises_typed(call, error):
+    with pytest.raises(error):
+        call()

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from fusiongain.core import ratio_estimate
-from fusiongain.errors import DegenerateDenominator, DegenerateVariance, VarianceOverflow
+from fusiongain.errors import (
+    DegenerateDenominator,
+    DegenerateVariance,
+    OutOfRange,
+    PlanMismatch,
+    VarianceOverflow,
+)
 from fusiongain.mean_utility import (
     assess_mean,
     compute_mean_intermediates,
@@ -223,3 +229,18 @@ class TestInvariances:
         base = _point(data, cfg)
         scaled = Dataset(4.2 * data.y, data.x)
         assert _point(scaled, cfg) == pytest.approx(base, abs=1e-10)
+
+
+_SMALL = generate_dgp(DgpConfig(b=0.5, n=40, seed=2))
+
+# One failing call per input guard of this module.
+GUARD_CASES = {
+    "ghat-length": (lambda: estimate_bounds_mean(_SMALL, np.zeros(_SMALL.n - 1)), PlanMismatch),
+    "unknown-regressor": (lambda: assess_mean(_SMALL, nu=0.5, regressor="spline"), OutOfRange),
+}
+
+
+@pytest.mark.parametrize("call, error", GUARD_CASES.values(), ids=GUARD_CASES)
+def test_guard_raises_typed(call, error):
+    with pytest.raises(error):
+        call()

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
 from fusiongain.errors import (
+    EmptyNeighborhood,
     OutOfRange,
     SingularDesign,
     TooFewObservations,
@@ -760,3 +761,38 @@ class TestCondKde:
         marginal = kde_eval(KernelDensity(y, h_y), median)
         (conditional,) = cond_kde_profile(x, y, h_x, h_y, np.array([[0.3]]), median)
         assert conditional == pytest.approx(marginal, abs=0.05)
+
+
+# One failing call per input guard of the nuisance stack.
+GUARD_CASES = {
+    "dataset-x-not-matrix": (lambda: Dataset(np.zeros(2), np.zeros((2, 1, 1))), OutOfRange),
+    "dataset-length-mismatch": (lambda: Dataset(np.zeros(3), np.zeros((2, 1))), OutOfRange),
+    "dataset-no-rows": (lambda: Dataset(np.zeros(0), np.zeros((0, 1))), OutOfRange),
+    "dataset-nonfinite": (lambda: Dataset([0.0, math.nan], [[0.0], [1.0]]), OutOfRange),
+    "dataset-column-names": (lambda: Dataset([0.0], [[0.0, 1.0]], ("a",)), OutOfRange),
+    "local-linear-bandwidth": (
+        lambda: LocalLinearRegressor(np.zeros((3, 1)), np.zeros(3), np.array([math.inf])),
+        OutOfRange,
+    ),
+    "quantile-empty": (lambda: empirical_quantile([], 0.5), TooFewObservations),
+    "bandwidth-one-row": (lambda: silverman_bandwidth([[1.0, 2.0]]), TooFewObservations),
+    "kde-empty-sample": (lambda: KernelDensity(np.zeros(0), 1.0), OutOfRange),
+    "kde-bandwidth": (lambda: KernelDensity(np.zeros(2), 0.0), OutOfRange),
+    "cond-kde-bandwidth": (
+        lambda: cond_kde_profile(np.zeros((2, 1)), np.zeros(2), np.array([0.0]), 1.0,
+                                 np.zeros((1, 1)), 0.0),
+        OutOfRange,
+    ),
+    # (100 / 0.1)^2 / 2 is far past the exp underflow, so every weight is zero
+    "cond-kde-far-query": (
+        lambda: cond_kde_profile(np.array([[0.0], [1.0]]), np.zeros(2), np.array([0.1]), 1.0,
+                                 np.array([[100.0]]), 0.0),
+        EmptyNeighborhood,
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error", GUARD_CASES.values(), ids=GUARD_CASES)
+def test_guard_raises_typed(call, error):
+    with pytest.raises(error):
+        call()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fusiongain.errors import VanishingDensity, VarianceOverflow
+from fusiongain.errors import OutOfRange, VanishingDensity, VarianceOverflow
 from fusiongain.nuisance import (
     Dataset,
     KernelDensity,
@@ -265,3 +265,19 @@ class TestTableBands:
         )
         [result] = run_monte_carlo([(cell, 99)], reps=60, workers=2)
         assert 0.5 * 0.0117 <= result.mae <= 1.5 * 0.0117
+
+
+_SMALL = generate_dgp(DgpConfig(b=0.5, n=40, seed=2))
+
+# One failing call per input guard of this module.
+GUARD_CASES = {
+    "unknown-regressor": (lambda: assess_quantile(_SMALL, nu=0.5, regressor="spline"),
+                          OutOfRange),
+    "tau-one": (lambda: assess_quantile(_SMALL, nu=0.5, tau=1.0), OutOfRange),
+}
+
+
+@pytest.mark.parametrize("call, error", GUARD_CASES.values(), ids=GUARD_CASES)
+def test_guard_raises_typed(call, error):
+    with pytest.raises(error):
+        call()

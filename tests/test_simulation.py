@@ -458,3 +458,22 @@ class TestRngContract:
         expected = ref_fisher_yates(rng.substream(seed, rng.DOMAIN_SPLIT), n)
         assert perm.dtype == expected.dtype
         assert perm.tolist() == expected.tolist()
+
+
+# One failing call per input guard of this module.
+GUARD_CASES = {
+    "dgp-rho": (lambda: DgpConfig(b=0.5, rho=1.0), OutOfRange),
+    "dgp-n": (lambda: DgpConfig(b=0.5, n=0), OutOfRange),
+    "truth-mean-rho": (lambda: true_theta_mean(0.5, -1.0, 0.5), OutOfRange),
+    "truth-linreg-rho": (lambda: true_theta_linreg(0.5, 1.0, 0.5), OutOfRange),
+    "truth-quantile-rho": (lambda: true_theta_quantile(0.5, 1.0, 0.5, 0.5), OutOfRange),
+    "truth-quantile-tau": (lambda: true_theta_quantile(0.5, 0.2, 0.5, 0.0), OutOfRange),
+    "cell-method": (lambda: MonteCarloCell(method="median", dgp=DgpConfig(b=0.5)),
+                    OutOfRange),
+}
+
+
+@pytest.mark.parametrize("call, error", GUARD_CASES.values(), ids=GUARD_CASES)
+def test_guard_raises_typed(call, error):
+    with pytest.raises(error):
+        call()
