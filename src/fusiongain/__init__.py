@@ -29,7 +29,6 @@ from .linreg_utility import (
 )
 from .mean_utility import (
     assess_mean,
-    estimate_bounds_mean,
     split_estimate_mean,
     variance_mean,
 )

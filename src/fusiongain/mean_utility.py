@@ -10,7 +10,10 @@ records, and the best linear predictor including an intercept, for an
 external covariate average.  The keyword ``regressor`` of :func:`assess_mean`
 picks g and so the method: ols-linear is mean-linear, k-nn or local-linear
 mean-conditional; ``seed`` draws the cross-fitting folds.  The numerator,
-:func:`residual_core`, is shared: :mod:`quantile_utility` runs it on Z = 1(Y < mu).
+:func:`residual_core`, is shared: :mod:`quantile_utility` runs it on Z = 1(Y < mu),
+and each module's point core is the trace it returns over the denominator.
+One helper, :func:`residual`, forms and length-checks Z - g for the core
+and for both variance plug-ins.
 """
 
 from __future__ import annotations
@@ -28,17 +31,13 @@ from .errors import (
 from .nuisance import REGRESSOR_KINDS, Dataset, crossfit_predict, split_halves
 
 
-def estimate_bounds_mean(data: Dataset, ghat) -> tuple[float, float]:
-    """Plug-in traces from given nuisance predictions: the residual trace
-    mean[(y - ghat)^2] and the internal-only trace theta2 = mean[(y - ybar)^2].
-    Their ratio is the core a."""
-    ghat = np.asarray(ghat, dtype=float)
-    if ghat.shape != (data.n,):
-        raise PlanMismatch(f"ghat must have length {data.n}, got shape {ghat.shape}")
-    theta2 = float(np.mean((data.y - np.mean(data.y)) ** 2))
-    if theta2 <= 0.0:
-        raise DegenerateDenominator("response is constant; internal-only trace is zero")
-    return float(np.mean((data.y - ghat) ** 2)), theta2
+def residual(z: np.ndarray, g) -> np.ndarray:
+    """The residual Z - g that every trace and variance plug-in squares; g
+    must hold one prediction per observation, else :class:`PlanMismatch`."""
+    g = np.asarray(g, dtype=float)
+    if g.shape != z.shape:
+        raise PlanMismatch(f"predictions must have length {z.size}, got shape {g.shape}")
+    return z - g
 
 
 def residual_core(z: Dataset, regressor: str, seed: int,
@@ -47,12 +46,15 @@ def residual_core(z: Dataset, regressor: str, seed: int,
     and the residual trace mean[(Z - g)^2]: Z = Y for the mean, and the
     indicator 1(Y < mu), clamped to [0, 1], for the quantile."""
     g = np.clip(crossfit_predict(z, regressor, seed), *clamp)
-    return g, float(np.mean((z.y - g) ** 2))
+    return g, float(np.mean(residual(z.y, g) ** 2))
 
 
-def compute_mean_intermediates(data: Dataset, regressor: str, seed: int) -> np.ndarray:
-    """Cross-fitted predictions ghat of g on the full sample."""
-    return residual_core(data, regressor, seed)[0]
+def compute_mean_intermediates(data: Dataset, regressor: str,
+                               seed: int) -> tuple[np.ndarray, float]:
+    """Cross-fitted predictions ghat of g on the full sample, and the point
+    core a_hat: their residual trace over theta2 = mean[(Y - ybar)^2]."""
+    ghat, residual_trace = residual_core(data, regressor, seed)
+    return ghat, ratio_estimate(residual_trace, np.mean((data.y - np.mean(data.y)) ** 2))
 
 
 def split_estimate_mean(data: Dataset, regressor: str, seed: int) -> float:
@@ -76,12 +78,16 @@ def split_estimate_mean(data: Dataset, regressor: str, seed: int) -> float:
 def variance_mean(data: Dataset, ghat) -> float:
     """Plug-in g^2 = 2{Var[(Y - ghat)^2] + a^2 Var[(Y - ybar)^2]} / theta2^2,
     with sample variances using divisor n - 1."""
-    residual_trace, theta2 = estimate_bounds_mean(data, ghat)
-    var_g = float(np.var((data.y - ghat) ** 2, ddof=1))
-    var_mean = float(np.var((data.y - np.mean(data.y)) ** 2, ddof=1))
+    sq_g = residual(data.y, ghat) ** 2
+    sq_mean = (data.y - np.mean(data.y)) ** 2
+    theta2 = float(np.mean(sq_mean))
+    if theta2 <= 0.0:
+        raise DegenerateDenominator("response is constant; internal-only trace is zero")
+    var_g = float(np.var(sq_g, ddof=1))
+    var_mean = float(np.var(sq_mean, ddof=1))
     if var_g == 0.0 and var_mean == 0.0:
         raise DegenerateVariance("both residual-square sequences are constant")
-    a_hat = residual_trace / theta2
+    a_hat = float(np.mean(sq_g)) / theta2
     return 2.0 * (var_g + a_hat**2 * var_mean) / theta2**2
 
 
@@ -93,8 +99,7 @@ def assess_mean(data: Dataset, *, nu: float, alpha: float = 0.95, seed: int = 0,
     if regressor not in REGRESSOR_KINDS:
         raise OutOfRange(f"regressor must be one of {REGRESSOR_KINDS}")
     with stage("point"):
-        ghat = compute_mean_intermediates(data, regressor, seed)
-        a_hat = ratio_estimate(*estimate_bounds_mean(data, ghat))
+        ghat, a_hat = compute_mean_intermediates(data, regressor, seed)
     with stage("split"):
         a_tilde = split_estimate_mean(data, regressor, seed)
     method = "mean-linear" if regressor == "ols-linear" else "mean-conditional"

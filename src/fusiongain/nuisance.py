@@ -478,29 +478,21 @@ class LocalLinearRegressor:
         bound = n_train * np.exp(log_w.max(axis=1)[:, None] * scales)
         admits = bound >= self.MIN_EFFECTIVE_WEIGHT * (1.0 - self._SLACK)
         level = np.where(admits.any(axis=1), admits.argmax(axis=1), self.MAX_INFLATIONS)
-        raised = level > 0
-        if raised.all():
-            log_w *= scales[level][:, None]
-        elif raised.any():
-            log_w[raised] *= scales[level[raised]][:, None]
+        # a row at level 0 is multiplied by 1.0, exactly
+        log_w *= scales[level][:, None]
         np.exp(log_w, out=w)
-        # every pending row moves up one level per step, from its start level;
-        # while every row of the block is pending, a step works in place
+        # every pending row moves up one level per step, from its start level
         pending = np.flatnonzero(
             (w.sum(axis=1) < self.MIN_EFFECTIVE_WEIGHT) & (level < self.MAX_INFLATIONS)
         )
         for step in range(1, self.MAX_INFLATIONS + 1):
             if pending.size == 0:
                 break
-            if pending.size == shape[0]:
-                w_new = np.multiply(log_w, scales[step], out=w)
-                np.exp(w_new, out=w_new)
-            else:
-                w_new = _WORKSPACE.take("pending", (pending.size, n_train))
-                np.take(log_w, pending, axis=0, out=w_new, mode="clip")
-                w_new *= scales[step]
-                np.exp(w_new, out=w_new)
-                w[pending] = w_new
+            w_new = _WORKSPACE.take("pending", (pending.size, n_train))
+            np.take(log_w, pending, axis=0, out=w_new, mode="clip")
+            w_new *= scales[step]
+            np.exp(w_new, out=w_new)
+            w[pending] = w_new
             pending = pending[
                 (w_new.sum(axis=1) < self.MIN_EFFECTIVE_WEIGHT)
                 & (level[pending] + step < self.MAX_INFLATIONS)

@@ -28,7 +28,7 @@ from .nuisance import (
     silverman_bandwidth,
     split_halves,
 )
-from .mean_utility import residual_core
+from .mean_utility import residual, residual_core
 
 # Floor on f_Y(mu) times the bandwidth of y: unit-free, so rescaling y moves
 # neither the estimate nor the floor decision.
@@ -42,11 +42,13 @@ def _indicator(data: Dataset, threshold: float) -> Dataset:
 
 def compute_quantile_intermediates(
     data: Dataset, tau: float, regressor: str, seed: int
-) -> tuple[float, np.ndarray]:
-    """The empirical tau-quantile mu_hat and the cross-fitted conditional CDF
-    Fhat at mu_hat (clamped to [0, 1])."""
+) -> tuple[float, np.ndarray, float]:
+    """The empirical tau-quantile mu_hat, the cross-fitted conditional CDF
+    Fhat at mu_hat (clamped to [0, 1]) and the point core a_hat: the
+    residual trace of 1(Y < mu_hat) over tau(1-tau)."""
     mu_hat = empirical_quantile(data.y, tau)
-    return mu_hat, residual_core(_indicator(data, mu_hat), regressor, seed, (0.0, 1.0))[0]
+    fhat, residual_trace = residual_core(_indicator(data, mu_hat), regressor, seed, (0.0, 1.0))
+    return mu_hat, fhat, ratio_estimate(residual_trace, tau * (1.0 - tau))
 
 
 def split_estimate_quantile(data: Dataset, tau: float, regressor: str, seed: int) -> float:
@@ -78,8 +80,9 @@ def variance_quantile(
     quantile, a sample point, the point's own kernel term alone gives
     f_Y(mu_hat) h_y >= 1 / (n sqrt(2 pi)), above the floor for every n below
     about 4e11; so the floor guards only direct calls with ``mu_hat`` off
-    the sample.
+    the sample.  An ``fhat`` of the wrong length raises :class:`PlanMismatch`.
     """
+    var_sq = float(np.var(residual(_indicator(data, mu_hat).y, fhat) ** 2, ddof=1))
     h_y = silverman_bandwidth(data.y)
     f_y = kde_eval(KernelDensity(data.y, h_y), mu_hat)
     if f_y * h_y <= DENSITY_FLOOR:
@@ -88,7 +91,6 @@ def variance_quantile(
     h_x = silverman_bandwidth(data.x)
     f_cond = cond_kde_profile(data.x, data.y, h_x, h_y, data.x, mu_hat)
     slope = 2.0 * float(np.mean(fhat * f_cond)) / f_y - 1.0
-    var_sq = float(np.var((_indicator(data, mu_hat).y - fhat) ** 2, ddof=1))
     theta2 = tau * (1.0 - tau)
     return 2.0 * slope**2 / theta2 + 2.0 * var_sq / theta2**2
 
@@ -103,9 +105,7 @@ def assess_quantile(data: Dataset, *, nu: float, alpha: float = 0.95, seed: int 
     if regressor not in REGRESSOR_KINDS:
         raise OutOfRange(f"regressor must be one of {REGRESSOR_KINDS}")
     with stage("point"):
-        mu_hat, fhat = compute_quantile_intermediates(data, tau, regressor, seed)
-        a_hat = ratio_estimate(float(np.mean((_indicator(data, mu_hat).y - fhat) ** 2)),
-                               tau * (1.0 - tau))
+        mu_hat, fhat, a_hat = compute_quantile_intermediates(data, tau, regressor, seed)
     with stage("split"):
         a_tilde = split_estimate_quantile(data, tau, regressor, seed)
     return finalize(a_hat, a_tilde, lambda: variance_quantile(data, tau, mu_hat, fhat),

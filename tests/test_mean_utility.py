@@ -12,7 +12,7 @@ from fusiongain.errors import (
 from fusiongain.mean_utility import (
     assess_mean,
     compute_mean_intermediates,
-    estimate_bounds_mean,
+    residual,
     residual_core,
     variance_mean,
 )
@@ -43,21 +43,17 @@ def _point(data, cfg):
 
 class TestBounds:
     def test_perfect_fit(self):
-        data = Dataset(np.array([0.0, 2.0]), np.array([[0.0], [1.0]]))
-        residual_trace, theta2 = estimate_bounds_mean(data, np.array([0.0, 2.0]))
-        assert residual_trace == 0.0
-        assert theta2 == pytest.approx(1.0, abs=1e-12)
+        y = np.array([0.0, 2.0])
+        assert np.mean(residual(y, np.array([0.0, 2.0])) ** 2) == 0.0
 
     def test_ghat_equal_to_mean(self):
-        data = Dataset(np.array([0.0, 2.0]), np.array([[0.0], [1.0]]))
-        residual_trace, theta2 = estimate_bounds_mean(data, np.array([1.0, 1.0]))
-        assert residual_trace == pytest.approx(1.0, abs=1e-12)
-        assert theta2 == pytest.approx(1.0, abs=1e-12)
+        y = np.array([0.0, 2.0])
+        assert np.mean(residual(y, [1.0, 1.0]) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_response(self):
         data = Dataset(np.full(4, 2.0), np.arange(4.0)[:, None])
         with pytest.raises(DegenerateDenominator):
-            estimate_bounds_mean(data, np.full(4, 2.0))
+            variance_mean(data, np.full(4, 2.0))
 
 
 class TestResidualCore:
@@ -75,9 +71,9 @@ class TestPointEstimate:
         assert _point(data, _linear_cfg()) == pytest.approx(0.5, abs=1e-10)
 
     def test_ghat_equal_mean_gives_one(self):
-        data = Dataset(np.array([0.0, 2.0, 1.0, 3.0]), np.arange(4.0)[:, None])
-        bounds = estimate_bounds_mean(data, np.full(4, data.y.mean()))
-        assert ratio_estimate(*bounds) == 1.0
+        y = np.array([0.0, 2.0, 1.0, 3.0])
+        centred = residual(y, np.full(4, y.mean()))
+        assert ratio_estimate(np.mean(centred**2), np.mean((y - np.mean(y)) ** 2)) == 1.0
 
     def test_matches_reference_and_population_value(self):
         data = generate_dgp(DgpConfig(b=0.5, n=2000, seed=11))
@@ -129,7 +125,7 @@ class TestVariance:
         # squares of squared residuals of a response near 1e80 leave the double range
         base = generate_dgp(DgpConfig(b=0.5, n=40, seed=8))
         data = Dataset(base.y * 1e80, base.x)
-        ghat = compute_mean_intermediates(data, "ols-linear", 0)
+        ghat, _ = compute_mean_intermediates(data, "ols-linear", 0)
         with pytest.raises(VarianceOverflow):
             variance_mean(data, ghat)
 
@@ -157,7 +153,7 @@ class TestVariance:
     def test_terms_nonnegative_and_sum(self):
         data = generate_dgp(DgpConfig(b=1.0, n=300, seed=8))
         cfg = _linear_cfg(seed=8)
-        ghat = compute_mean_intermediates(data, cfg["regressor"], cfg["seed"])
+        ghat, _ = compute_mean_intermediates(data, cfg["regressor"], cfg["seed"])
         sq_g = (data.y - ghat) ** 2
         sq_mean = (data.y - data.y.mean()) ** 2
         theta2 = sq_mean.mean()
@@ -235,7 +231,7 @@ _SMALL = generate_dgp(DgpConfig(b=0.5, n=40, seed=2))
 
 # One failing call per input guard of this module.
 GUARD_CASES = {
-    "ghat-length": (lambda: estimate_bounds_mean(_SMALL, np.zeros(_SMALL.n - 1)), PlanMismatch),
+    "ghat-length": (lambda: variance_mean(_SMALL, np.zeros(_SMALL.n - 1)), PlanMismatch),
     "unknown-regressor": (lambda: assess_mean(_SMALL, nu=0.5, regressor="spline"), OutOfRange),
 }
 

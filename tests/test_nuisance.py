@@ -400,6 +400,8 @@ class TestFlooredWeights:
         w = self._assert_bitwise(reg, x_test)
         assert np.array_equal(w, capped)
         assert not w[3].any()
+        # the first query alone: a block in which every row stays pending
+        self._assert_bitwise(reg, x_test[:1])
 
     @pytest.mark.parametrize("n_train", [5, 20])
     def test_tiny_training_sample_is_not_floored(self, n_train):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fusiongain.errors import OutOfRange, VanishingDensity, VarianceOverflow
+from fusiongain.errors import OutOfRange, PlanMismatch, VanishingDensity, VarianceOverflow
 from fusiongain.nuisance import (
     Dataset,
     KernelDensity,
@@ -156,7 +156,7 @@ class TestVariance:
     def test_terms_nonnegative_and_sum(self):
         data = generate_dgp(DgpConfig(b=1.0, n=300, seed=20))
         cfg = _cfg(tau=0.25, seed=20)
-        mu_hat, fhat = compute_quantile_intermediates(data, *_fit_args(cfg))
+        mu_hat, fhat, _ = compute_quantile_intermediates(data, *_fit_args(cfg))
         t1, t2 = _variance_terms(data, cfg, mu_hat, fhat)
         assert t1 >= 0 and t2 >= 0
         assert t1 + t2 == pytest.approx(variance_quantile(data, cfg["tau"], mu_hat, fhat), abs=1e-12)
@@ -164,7 +164,7 @@ class TestVariance:
     def test_vanishing_density(self):
         data = generate_dgp(DgpConfig(b=0.0, n=100, seed=21))
         cfg = _cfg(seed=21)
-        _, fhat = compute_quantile_intermediates(data, *_fit_args(cfg))
+        _, fhat, _ = compute_quantile_intermediates(data, *_fit_args(cfg))
         # shift mu_hat into empty space, far beyond the rule-of-thumb bandwidth
         with pytest.raises(VanishingDensity):
             variance_quantile(data, cfg["tau"], float(data.y.max()) + 50.0, fhat)
@@ -189,7 +189,7 @@ class TestVariance:
         # predictions far outside [0, 1] drive the slope term past the double range
         data = generate_dgp(DgpConfig(b=0.5, n=100, seed=21))
         cfg = _cfg(seed=21)
-        mu_hat, fhat = compute_quantile_intermediates(data, *_fit_args(cfg))
+        mu_hat, fhat, _ = compute_quantile_intermediates(data, *_fit_args(cfg))
         with pytest.raises(VarianceOverflow):
             variance_quantile(data, cfg["tau"], mu_hat, fhat + 1e200)
 
@@ -268,12 +268,22 @@ class TestTableBands:
 
 
 _SMALL = generate_dgp(DgpConfig(b=0.5, n=40, seed=2))
+_MEDIAN_CASE = generate_dgp(DgpConfig(b=0.5, n=200, seed=3))
+
+
+def _variance_with_fhat_length(length):
+    data = _MEDIAN_CASE
+    return variance_quantile(data, 0.5, empirical_quantile(data.y, 0.5), np.full(length, 0.5))
+
 
 # One failing call per input guard of this module.
 GUARD_CASES = {
     "unknown-regressor": (lambda: assess_quantile(_SMALL, nu=0.5, regressor="spline"),
                           OutOfRange),
     "tau-one": (lambda: assess_quantile(_SMALL, nu=0.5, tau=1.0), OutOfRange),
+    # one prediction would broadcast, n - 1 would fail inside numpy
+    "fhat-length-1": (lambda: _variance_with_fhat_length(1), PlanMismatch),
+    "fhat-length-n-minus-1": (lambda: _variance_with_fhat_length(199), PlanMismatch),
 }
 
 

@@ -2,9 +2,11 @@
 
 ``perfbench/spans.py`` wraps package functions by module and name; a renamed
 or bypassed helper would otherwise surface only in a traced benchmark run.
+The same spans pin one cross-fit per core, so a stage that refits fails here.
 This test reads ``perfbench/`` and changes nothing there.
 """
 
+from collections import Counter
 from pathlib import Path
 
 import fusiongain.cli  # noqa: F401  (install() wraps modules already imported)
@@ -29,15 +31,20 @@ def test_utility_spans_fire_once_per_assessment(monkeypatch):
     import spans
 
     recorder = spans.Recorder()
+    data = generate_dgp(DgpConfig(b=0.5, n=120, seed=2))
+    counts = []
     try:
         assert recorder.install() == []
-        data = generate_dgp(DgpConfig(b=0.5, n=120, seed=2))
-        assess_mean(data, nu=0.5, regressor="local-linear")
-        assess_quantile(data, nu=0.5)
+        for assess in (lambda: assess_mean(data, nu=0.5, regressor="local-linear"),
+                       lambda: assess_quantile(data, nu=0.5)):
+            start = len(recorder.spans)
+            assess()
+            counts.append(Counter(name for name, *_ in recorder.spans[start:]))
     finally:
         recorder.uninstall()
-    calls = {name: 0 for name in UTILITY_SPANS}
-    for name, *_ in recorder.spans:
-        if name in calls:
-            calls[name] += 1
+    calls = {name: sum(count[name] for count in counts) for name in UTILITY_SPANS}
     assert calls == {name: 1 for name in UTILITY_SPANS}
+    # one cross-fit per core, the point core and the split core, of 5 folds each
+    for count in counts:
+        assert count["nuisance.crossfit_predict"] == 2
+        assert count["nuisance.fit_conditional_mean"] == 10
