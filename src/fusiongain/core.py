@@ -5,8 +5,8 @@ best-achievable asymptotic variances (traces of efficiency bounds): the bound
 when the external information is folded in, over the bound from the internal
 sample alone.  The ratio lives in (0, 1]; this module holds the pieces every
 assessment method shares: the clamp of estimates into [0, 1], the trace
-ratio behind a method's nu-free core, the shared settings check, standard
-normal CDF/quantile evaluation, Wald intervals, the finalize step that maps
+ratio behind a method's nu-free core, the shared settings check, the
+standard normal quantile, Wald intervals, the finalize step that maps
 the nu-free core to a result, and the relative-utility transform used for
 reporting.
 """
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import (
     DegenerateDenominator,
@@ -97,12 +96,58 @@ def check_settings(nu: float | None = None, alpha: float | None = None) -> None:
         raise OutOfRange(f"alpha must be in (0, 1) with (1 + alpha)/2 < 1, got {alpha}")
 
 
+# Cephes ndtri (S. L. Moshier, Methods and Programs for Mathematical Functions,
+# 1989), the algorithm scipy.special.ndtri runs: a rational function of y^2,
+# y = u - 1/2, on (e^-2, 1 - e^-2), and of z = 1/sqrt(-2 log y) on each tail,
+# y = min(u, 1 - u).
+# A Q table starts with the 1 that Cephes p1evl leaves implicit.
+_S2PI = 2.50662827463100050242E0
+_EXPM2 = 0.13533528323661269189  # e^-2
+_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+       1.39312609387279679503E1, -1.23916583867381258016E0)
+_Q0 = (1.0, 1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+       -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+       1.59056225126211695515E1, -1.18331621121330003142E0)
+_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+       4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+       -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
+_Q1 = (1.0, 1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+       1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+       1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+       3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
+_Q2 = (1.0, 6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+       2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+       2.89247864745380683936E-6, 6.79019408009981274425E-9)
+
+
+def _horner(x: float, coef: tuple[float, ...]) -> float:
+    """Cephes polevl: the polynomial with coefficients ``coef``, highest
+    power first, by Horner's rule."""
+    acc = coef[0]
+    for c in coef[1:]:
+        acc = acc * x + c
+    return acc
+
+
 def normal_quantile(alpha: float) -> float:
-    """Standard normal quantile, accurate to well below 1e-10."""
+    """Standard normal quantile: Cephes ndtri, bit for bit scipy.special.ndtri."""
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise OutOfRange(f"quantile level must be in (0, 1), got {alpha}")
-    return float(ndtri(alpha))
+    y, upper = alpha, alpha > 1.0 - _EXPM2
+    if upper:
+        y = 1.0 - y
+    if y > _EXPM2:
+        y -= 0.5
+        y2 = y * y
+        return (y + y * (y2 * _horner(y2, _P0) / _horner(y2, _Q0))) * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    p, q = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
+    x = x - math.log(x) / x - z * _horner(z, p) / _horner(z, q)
+    return x if upper else -x
 
 
 def wald_interval(center: float, gamma_hat: float, n: int, alpha: float) -> Interval:

@@ -6,14 +6,14 @@ fold assignment or simulation cell can be regenerated in isolation, in any
 order, on any worker.  Normal variates are produced by inverse-CDF transform
 of uniforms drawn on the centered dyadic grid (k + 1/2) / 2^53, which keeps
 them strictly inside (0, 1) and makes the draws a pure function of the
-key.  Reference outputs for two keys are pinned in the test suite and listed
-in the README.
+key.  The transform is the vectorised ``scipy.special.ndtri``, imported on
+first use, so a process that draws no normals never loads scipy.  Reference
+outputs for two keys are pinned in the test suite and listed in the README.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 _MASK64 = (1 << 64) - 1
 
@@ -63,6 +63,8 @@ def uniforms_open(gen: np.random.Generator, shape) -> np.ndarray:
 
 def standard_normals(gen: np.random.Generator, shape) -> np.ndarray:
     """Standard normal draws by inverse CDF of :func:`uniforms_open`."""
+    from scipy.special import ndtri
+
     return ndtri(uniforms_open(gen, shape))
 
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import owens_t
 
 from . import rng
 from .core import UtilityEstimate, check_settings, normal_quantile
@@ -100,6 +99,8 @@ def true_theta_quantile(b: float, rho: float, nu: float, tau: float) -> float:
         raise OutOfRange(f"tau must be in (0, 1), got {tau}")
     if not abs(rho) < 1.0:
         raise OutOfRange(f"|rho| must be < 1, got {rho}")
+    from scipy.special import owens_t
+
     slope = 1.0 / math.sqrt(1.0 + 4.0 * b * b * (1.0 + rho))
     # 2 T(h, 1) = Phi(h) (1 - Phi(h)) exactly, but owens_t rounds to either
     # side of it: pin the no-signal core at 1, and keep every core at most 1
@@ -262,6 +263,10 @@ def run_monte_carlo(
     if workers <= 1:
         outcomes = list(map(_run_replication, tasks))
     else:
+        # loaded once here, the forked workers inherit scipy instead of each
+        # importing it for its first normal draw
+        import scipy.special  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(tasks) // (4 * workers))
             outcomes = list(pool.map(_run_replication, tasks, chunksize=chunk))

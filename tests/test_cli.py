@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fusiongain
 from fusiongain.cli import _cell_ok, main, parse_csv
 from fusiongain.errors import EmptyData, IoError, ParseError
 from fusiongain.mean_utility import assess_mean
@@ -442,6 +446,26 @@ def test_assess_output_bytes_pinned(tmp_path, capsys):
         code = main(["assess", "--input", path, "--nu", "0.5", "--seed", "4"] + args)
         assert code == 0
         assert capsys.readouterr().out == expected[name], name
+
+
+def test_assess_loads_no_scipy(tmp_path):
+    # assess needs only numpy: a fresh interpreter that imports the package
+    # and assesses with every method has no scipy module afterwards
+    path, _ = _dgp_csv(tmp_path, DgpConfig(b=0.5, n=200, seed=3))
+    runs = [["--method", "mean-linear"], ["--method", "mean-conditional"],
+            ["--method", "quantile", "--tau", "0.3"],
+            ["--method", "linreg", "--s-column", "S", "--relative"]]
+    script = (
+        "import json, sys\n"
+        "import fusiongain, fusiongain.cli as cli\n"
+        "for args in json.loads(sys.argv[1]):\n"
+        "    assert cli.main(['assess', '--input', sys.argv[2], '--nu', '0.5'] + args) == 0\n"
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "assert not loaded, loaded\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(fusiongain.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", script, json.dumps(runs), path], env=env, check=True,
+                   timeout=120)
 
 
 ASSESS_FLAG_MISUSES = [

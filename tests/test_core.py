@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
+from fusiongain import rng
 from fusiongain.core import (
     Interval,
     UtilityEstimate,
@@ -78,9 +79,24 @@ class TestNormalDist:
 
     def test_antisymmetry(self):
         assert normal_quantile(0.025) == pytest.approx(-normal_quantile(0.975), abs=1e-12)
+        # exact where 1 - u is exact: a central grid and both tails
+        levels = [k / 4096.0 for k in range(1, 4096)] + [math.ldexp(1.0, -k) for k in range(1, 54)]
+        for u in levels:
+            assert normal_quantile(1.0 - u) == -normal_quantile(u)
+
+    def test_bit_identical_to_scipy_ndtri(self):
+        levels = np.concatenate([
+            rng.uniforms_open(rng.substream(21, 0), 60_000),  # the package's dyadic grid
+            np.logspace(-300.0, -0.5, 20_000),
+            1.0 - np.logspace(-16.0, -0.5, 20_000),
+            (1.0 + np.linspace(1e-6, 1.0 - 1e-6, 5_001)) / 2.0,  # (1 + alpha)/2
+        ])
+        ours = np.array([normal_quantile(u) for u in levels.tolist()])
+        mismatched = levels[ours.view(np.int64) != ndtri(levels).view(np.int64)]
+        assert mismatched.size == 0, mismatched[:5].tolist()
 
     def test_out_of_range(self):
-        for bad in (0.0, 1.0, -0.2, 1.5):
+        for bad in (0.0, 1.0, -0.2, -0.1, 1.5, math.nan):
             with pytest.raises(OutOfRange):
                 normal_quantile(bad)
 

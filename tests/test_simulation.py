@@ -1,12 +1,17 @@
 import inspect
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.special import ndtr
 
+import fusiongain
 from fusiongain import rng
 from fusiongain.core import normal_quantile
 from fusiongain.errors import FusionGainError, OutOfRange
@@ -19,6 +24,7 @@ from fusiongain.simulation import (
     SimulationReport,
     cell_seed,
     generate_dgp,
+    _usable_cpus,
     run_monte_carlo,
     true_theta,
     true_theta_linreg,
@@ -234,6 +240,24 @@ class TestMonteCarlo:
         serial = run_monte_carlo([(cell, 11)], reps=16, workers=1)
         parallel = run_monte_carlo([(cell, 11)], reps=16, workers=2)
         assert serial == parallel
+
+    def test_scipy_imported_before_the_pool_starts(self):
+        # mean-linear truth values and scoring use no scipy, so after a pooled
+        # run a fresh parent holds scipy.special only if run_monte_carlo
+        # imported it before forking: the workers' own imports never reach it
+        if _usable_cpus() < 2:
+            pytest.skip("a process pool needs two usable CPUs")
+        script = (
+            "import sys\n"
+            "from fusiongain.simulation import DgpConfig, MonteCarloCell, run_monte_carlo\n"
+            "assert 'scipy.special' not in sys.modules\n"
+            "table = [(MonteCarloCell(method='mean-linear', dgp=DgpConfig(b=b, n=100)), 5)\n"
+            "         for b in (0.0, 0.5)]\n"
+            "run_monte_carlo(table, reps=4, workers=2)\n"
+            "assert 'scipy.special' in sys.modules\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(fusiongain.__file__).parents[1]))
+        subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
 
     def test_pool_size_capped_by_reps_and_cores(self, monkeypatch, pools):
         # a fork pool starts all its workers at the first submit, so an
