@@ -28,7 +28,7 @@ from .errors import (
     TooFewObservations,
     stage,
 )
-from .nuisance import Dataset, equilibrated_gate
+from .nuisance import Dataset, equilibrated_solve
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,8 @@ class LinRegComponents:
 
     mu_hat: least-squares coefficients of Y on X (no intercept);
     eta_hat: univariate slope of Y on the S column;
-    sigma_mat: second-moment matrix X'X / n (symmetric positive definite);
-    kappa_hat: trace of its inverse;
+    sigma_inv: inverse of Sigma = X'X / n, from its gated Cholesky factor;
+    kappa_hat: its trace;
     sigma_hat: root mean squared residual of the full regression;
     alpha_hat: mean of S^2 (Y - eta_hat S)^2;
     s_index: the column of X that is S.
@@ -46,7 +46,7 @@ class LinRegComponents:
 
     mu_hat: np.ndarray
     eta_hat: float
-    sigma_mat: np.ndarray
+    sigma_inv: np.ndarray
     kappa_hat: float
     sigma_hat: float
     alpha_hat: float
@@ -59,23 +59,22 @@ def fit_components(data: Dataset, s_index: int = 0) -> LinRegComponents:
     n, p = x.shape
     if not 0 <= s_index < p:
         raise OutOfRange(f"s_index must be in [0, {p - 1}], got {s_index}")
-    sigma_mat = x.T @ x / n
-    if not equilibrated_gate(sigma_mat):
-        raise SingularDesign(
-            "covariate second-moment matrix is not (numerically) positive definite"
-        )
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a non-finite Sigma
+        solved = equilibrated_solve(x.T @ x / n, x.T @ y / n)
+    if solved is None:
+        raise SingularDesign("covariate second-moment matrix is not (numerically) "
+                             "positive definite")
+    mu_hat, sigma_inv = solved
     s = x[:, s_index]
-    s_sq_sum = float(s @ s)
-    mu_hat = np.linalg.solve(x.T @ x, x.T @ y)
-    eta_hat = float(s @ y) / s_sq_sum
-    kappa_hat = float(np.trace(np.linalg.inv(sigma_mat)))
+    eta_hat = float(s @ y) / float(s @ s)
+    kappa_hat = float(np.trace(sigma_inv))
     residuals = y - x @ mu_hat
     sigma_hat = math.sqrt(float(np.mean(residuals**2)))
     alpha_hat = float(np.mean(s**2 * (y - eta_hat * s) ** 2))
     return LinRegComponents(
         mu_hat=mu_hat,
         eta_hat=eta_hat,
-        sigma_mat=sigma_mat,
+        sigma_inv=sigma_inv,
         kappa_hat=kappa_hat,
         sigma_hat=sigma_hat,
         alpha_hat=alpha_hat,
@@ -92,9 +91,8 @@ def influence_composite(data: Dataset, comp: LinRegComponents) -> np.ndarray:
     """
     x = data.x
     y = data.y
-    sigma_inv = np.linalg.inv(comp.sigma_mat)
     residuals = y - x @ comp.mu_hat
-    trace_term = np.sum((x @ sigma_inv) ** 2, axis=1)
+    trace_term = np.sum((x @ comp.sigma_inv) ** 2, axis=1)
     s = x[:, comp.s_index]
     s_resid = s * (y - comp.eta_hat * s)
     third_moment = float(np.mean(s**2 * s_resid))  # mean of S^3 (Y - eta S)

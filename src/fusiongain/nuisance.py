@@ -136,20 +136,18 @@ def split_halves(data: Dataset) -> tuple[Dataset, Dataset]:
 
 
 def ols_fit(x, y) -> np.ndarray:
-    """Least-squares coefficients via the normal equations: the intercept
-    first, then one slope per covariate column.  The Gram matrix must pass
-    ``equilibrated_gate``, which no change of covariate units can move.
+    """Least-squares coefficients via the normal equations, from
+    ``equilibrated_solve``: the intercept first, then one slope per column.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    design = np.column_stack([np.ones(x.shape[0]), x])
-    gram = design.T @ design
-    if not equilibrated_gate(gram):
+    design = np.column_stack([np.ones(len(y)), x])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a non-finite Gram
+        solved = equilibrated_solve(design.T @ design, design.T @ y)
+    if solved is None:
         raise SingularDesign("Gram matrix is singular or too ill conditioned")
-    return np.linalg.solve(gram, design.T @ y)
+    return solved[0]
 
 
-def cholesky_gate(gram: np.ndarray, rhs: np.ndarray | None = None):
+def cholesky_gate(gram: np.ndarray, rhs: np.ndarray):
     """Factor-and-bound gate for a stack of symmetric matrices.
 
     Each matrix G (the last two axes of ``gram``) is factored as G = L L' by
@@ -158,11 +156,12 @@ def cholesky_gate(gram: np.ndarray, rhs: np.ndarray | None = None):
     ||G^-1||_2 = ||L^-1||_2^2, that product bounds the 2-norm condition
     number from above (by at most a factor r^1.5 for r x r matrices), so
     no matrix that passes is worse conditioned than the limit, up to the
-    rounding of a condition number that sits at the limit itself.  L^-1, and L^-1 rhs when ``rhs`` (one vector per matrix) is
-    given, come from one forward substitution on [I | rhs].  A batch in
-    which some matrix does not factor is factored matrix by matrix, so no
-    decision or solution depends on which matrices share a batch.  Returns
-    (passes, L^-1, L^-1 rhs or None); the last two are meaningless where a
+    rounding of a condition number that sits at the limit itself.  L^-1
+    and L^-1 rhs (``rhs`` holds one vector per matrix) come from one
+    forward substitution on [I | rhs], the package's only solve.  A batch
+    in which some matrix does not factor is factored matrix by matrix, so
+    no decision or solution depends on which matrices share a batch.
+    Returns (passes, L^-1, L^-1 rhs); the last two are meaningless where a
     matrix fails.
     """
     batch, r = gram.shape[:-2], gram.shape[-1]
@@ -177,11 +176,9 @@ def cholesky_gate(gram: np.ndarray, rhs: np.ndarray | None = None):
             except np.linalg.LinAlgError:
                 factor[i] = np.eye(r)
                 factored[i] = False
-    width = r if rhs is None else r + 1
-    aug = np.zeros(batch + (r, width))
+    aug = np.zeros(batch + (r, r + 1))
     aug[..., :r] = np.eye(r)
-    if rhs is not None:
-        aug[..., r] = rhs
+    aug[..., r] = rhs
     sol = np.empty_like(aug)
     # a tiny pivot can overflow the inverse; such a matrix fails the bound
     with np.errstate(over="ignore", invalid="ignore"):
@@ -193,20 +190,25 @@ def cholesky_gate(gram: np.ndarray, rhs: np.ndarray | None = None):
         l_inv = sol[..., :r]
         bound = np.sqrt((gram * gram).sum(axis=(-2, -1))) * (l_inv * l_inv).sum(axis=(-2, -1))
         passes = factored & (bound <= MAX_CONDITION_NUMBER)
-    return passes, l_inv, None if rhs is None else sol[..., r]
+    return passes, l_inv, sol[..., r]
 
 
-def equilibrated_gate(gram: np.ndarray) -> bool:
-    """``cholesky_gate`` for one Gram matrix of an uncentred design (OLS,
+def equilibrated_solve(gram: np.ndarray, rhs: np.ndarray):
+    """``cholesky_gate`` for one Gram matrix G of an uncentred design (OLS,
     linreg), which has no natural units: the gate sees D^-1/2 G D^-1/2 with
     D = diag(G), so rescaling a covariate column cannot move the decision.
-    A column of zeros leaves an exact zero on the diagonal and fails.
+    Returns G^-1 rhs and G^-1, both from the factor that passed, or None
+    where G is not finite or fails (a column of zeros leaves a zero on D).
     """
     diag = np.diag(gram)
-    if not np.all(diag > 0.0):
-        return False
+    if not (np.all(np.isfinite(gram)) and np.all(diag > 0.0)):
+        return None
     inv_root = 1.0 / np.sqrt(diag)
-    return bool(cholesky_gate(gram * inv_root[:, None] * inv_root[None, :])[0])
+    # G^-1 = M'M with M = L^-1 D^-1/2, which a tiny column scale can overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        passes, l_inv, z = cholesky_gate(gram * inv_root[:, None] * inv_root, rhs * inv_root)
+        m = l_inv * inv_root
+        return (inv_root * (l_inv.T @ z), m.T @ m) if passes else None
 
 
 def default_neighbor_count(n_train: int) -> int:
@@ -214,14 +216,12 @@ def default_neighbor_count(n_train: int) -> int:
     return min(max(1, math.ceil(n_train**0.8 / 4.0)), n_train)
 
 
+@dataclass(frozen=True)
 class OlsLinearRegressor:
-    def __init__(self, coef: np.ndarray):
-        self.coef = np.asarray(coef, dtype=float)
+    coef: np.ndarray  # from ``ols_fit``: the intercept, then one slope per column
 
     def predict(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        design = np.column_stack([np.ones(x.shape[0]), x])
-        return design @ self.coef
+        return np.column_stack([np.ones(len(x)), x]) @ self.coef
 
 
 class _Workspace(threading.local):
@@ -597,7 +597,8 @@ def silverman_bandwidth(sample) -> float | np.ndarray:
     if sample.ndim == 0 or sample.shape[0] < 2:
         raise TooFewObservations("bandwidth rule needs at least 2 observations")
     columns = np.ascontiguousarray(sample.reshape(sample.shape[0], -1).T)
-    sd = np.std(columns, axis=1, ddof=1)
+    with np.errstate(over="ignore"):  # an overflowing column's sd is inf; its IQR is finite
+        sd = np.std(columns, axis=1, ddof=1)
     q75, q25 = np.percentile(columns, [75.0, 25.0], axis=1)
     iqr = q75 - q25
     if np.any((sd == 0.0) & (iqr == 0.0)):

@@ -557,6 +557,29 @@ def test_error_names_its_stage(tmp_path, capsys, kind, method, error, stage):
     assert payload["message"].startswith(f"{stage}: ")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method, code, error", [
+    ("mean-linear", 1, "SingularDesign"),
+    ("linreg", 1, "SingularDesign"),
+    ("mean-conditional", 0, None),
+    ("quantile", 0, None),
+])
+def test_overflowing_covariate_warns_nothing(tmp_path, capsys, method, code, error):
+    # S * 1e200 overflows the Gram products and the sd: the linear methods
+    # refuse the infinite Gram, the kernel methods take their spread from
+    # the IQR, and stderr holds at most the one JSON error line
+    data = generate_dgp(DgpConfig(b=0.5, n=50, seed=1))
+    rows = ["y,S,W"] + [f"{yi!r},{xi[0] * 1e200!r},{xi[1]!r}"
+                        for yi, xi in zip(data.y.tolist(), data.x.tolist())]
+    path = _write(tmp_path, "a.csv", "\n".join(rows) + "\n")
+    assert main(["assess", "--method", method, "--input", path, "--nu", "0.5"]) == code
+    err = capsys.readouterr().err
+    if error is None:
+        assert err == ""
+    else:
+        assert err.count("\n") == 1 and json.loads(err)["error"] == error
+
+
 def test_quantile_unmoved_by_response_scale(tmp_path, capsys):
     # the density floor compares f_Y(mu) in bandwidth units, so a response
     # scaled by 1e12 or 1e15 gives the unscaled answer

@@ -40,7 +40,7 @@ class TestComponents:
         comp = fit_components(_exact_fit_dataset(), s_index=0)
         assert comp.mu_hat == pytest.approx([1.0, 0.0], abs=1e-12)
         assert comp.eta_hat == pytest.approx(1.0, abs=1e-12)
-        assert comp.sigma_mat == pytest.approx(np.diag([0.5, 0.5]), abs=1e-12)
+        assert comp.sigma_inv == pytest.approx(np.diag([2.0, 2.0]), abs=1e-12)
         assert comp.kappa_hat == pytest.approx(4.0, abs=1e-12)
         assert comp.sigma_hat == pytest.approx(0.0, abs=1e-12)
         assert comp.alpha_hat == pytest.approx(0.0, abs=1e-12)
@@ -149,7 +149,7 @@ class TestVariance:
         comp = fit_components(data, 0)
         composite = influence_composite(data, comp)
         # second pass: plain per-observation loop with trace computed literally
-        sigma_inv = np.linalg.inv(comp.sigma_mat)
+        sigma_inv = np.linalg.inv(data.x.T @ data.x / 400)
         s = data.x[:, 0]
         e3 = np.mean(s**3 * (data.y - comp.eta_hat * s))
         es2 = np.mean(s**2)

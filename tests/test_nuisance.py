@@ -34,7 +34,7 @@ from fusiongain.nuisance import (
     crossfit_predict,
     default_neighbor_count,
     empirical_quantile,
-    equilibrated_gate,
+    equilibrated_solve,
     fit_conditional_mean,
     kde_eval,
     make_split_plan,
@@ -129,10 +129,27 @@ class TestOls:
 
     def test_zero_column_is_singular(self):
         x = np.column_stack([np.random.default_rng(2).normal(size=20), np.zeros(20)])
-        assert not equilibrated_gate(np.column_stack([np.ones(20), x]).T
-                                     @ np.column_stack([np.ones(20), x]))
+        design = np.column_stack([np.ones(20), x])
+        assert equilibrated_solve(design.T @ design, design.T @ np.ones(20)) is None
         with pytest.raises(SingularDesign):
             ols_fit(x, np.ones(20))
+
+    def test_non_finite_gram_is_singular(self):
+        gram = np.array([[np.inf, 1.0], [1.0, 2.0]])
+        assert equilibrated_solve(gram, np.ones(2)) is None
+        gram[0, 0] = np.nan
+        assert equilibrated_solve(gram, np.ones(2)) is None
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 6, 11])
+    def test_solution_and_inverse_match_lapack(self, r):
+        # column scales from 1e-4 to 1e4 on a well-conditioned correlation
+        rng = np.random.default_rng(r)
+        a = rng.normal(size=(4 * r + 10, r)) * 10.0 ** rng.uniform(-4, 4, size=r)
+        gram, rhs = a.T @ a, rng.normal(size=r)
+        solution, inverse = equilibrated_solve(gram, rhs)
+        assert solution == pytest.approx(np.linalg.solve(gram, rhs), rel=1e-9)
+        assert inverse == pytest.approx(np.linalg.inv(gram), rel=1e-9)
+        assert np.array_equal(inverse, inverse.T)
 
     def test_residuals_orthogonal_to_design(self):
         rng = np.random.default_rng(5)
@@ -145,6 +162,25 @@ class TestOls:
             col = design[:, j]
             scale = max(1.0, float(np.abs(col).max()))
             assert abs(resid @ col) <= 1e-8 * 200 * scale
+
+
+def test_least_squares_solve_from_the_gate_factor(monkeypatch):
+    # OLS and linreg take G^-1 rhs and G^-1 from the factor that passed
+    # the condition gate, so no second LAPACK solve or inverse runs
+    from fusiongain.linreg_utility import assess_linreg
+    from fusiongain.mean_utility import assess_mean
+    from fusiongain.quantile_utility import assess_quantile
+    from fusiongain.simulation import DgpConfig, generate_dgp
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Gram matrix was factored a second time")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    data = generate_dgp(DgpConfig(b=0.5, n=200, seed=6))
+    assert np.isfinite(assess_mean(data, nu=0.5, regressor="ols-linear").gamma_hat)
+    assert np.isfinite(assess_quantile(data, nu=0.5, regressor="ols-linear").gamma_hat)
+    assert np.isfinite(assess_linreg(data, nu=0.5).gamma_hat)
 
 
 class TestConditionGate:
@@ -175,7 +211,7 @@ class TestConditionGate:
            log_cond=st.floats(0.0, 14.0), rank_deficit=st.integers(0, 1))
     def test_accepts_nothing_past_the_limit(self, seed, r, log_cond, rank_deficit):
         grams = self._batch(np.random.default_rng(seed), r, log_cond, rank_deficit)
-        passes, _, _ = cholesky_gate(grams)
+        passes, _, _ = cholesky_gate(grams, np.ones(grams.shape[:-1]))
         # at the limit, a condition number is only known to about r * limit * eps
         # relative, in the Cholesky factor and in the SVD alike: there rounding
         # decides a tie
