@@ -60,13 +60,16 @@ def fit_components(data: Dataset, s_index: int = 0) -> LinRegComponents:
     if not 0 <= s_index < p:
         raise OutOfRange(f"s_index must be in [0, {p - 1}], got {s_index}")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a non-finite Sigma
-        solved = equilibrated_solve(x.T @ x / n, x.T @ y / n)
+        sigma_mat = x.T @ x / n
+    solved = equilibrated_solve(sigma_mat, x.T @ y / n)
     if solved is None:
-        raise SingularDesign("covariate second-moment matrix is not (numerically) "
-                             "positive definite")
+        raise SingularDesign(
+            "covariate second-moment matrix is not (numerically) positive definite"
+        )
     mu_hat, sigma_inv = solved
     s = x[:, s_index]
-    eta_hat = float(s @ y) / float(s @ s)
+    s_sq_sum = float(s @ s)
+    eta_hat = float(s @ y) / s_sq_sum
     kappa_hat = float(np.trace(sigma_inv))
     residuals = y - x @ mu_hat
     sigma_hat = math.sqrt(float(np.mean(residuals**2)))

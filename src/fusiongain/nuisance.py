@@ -139,9 +139,12 @@ def ols_fit(x, y) -> np.ndarray:
     """Least-squares coefficients via the normal equations, from
     ``equilibrated_solve``: the intercept first, then one slope per column.
     """
-    design = np.column_stack([np.ones(len(y)), x])
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    design = np.column_stack([np.ones(x.shape[0]), x])
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a non-finite Gram
-        solved = equilibrated_solve(design.T @ design, design.T @ y)
+        gram = design.T @ design
+    solved = equilibrated_solve(gram, design.T @ y)
     if solved is None:
         raise SingularDesign("Gram matrix is singular or too ill conditioned")
     return solved[0]
@@ -204,11 +207,14 @@ def equilibrated_solve(gram: np.ndarray, rhs: np.ndarray):
     if not (np.all(np.isfinite(gram)) and np.all(diag > 0.0)):
         return None
     inv_root = 1.0 / np.sqrt(diag)
+    passes, l_inv, z = cholesky_gate(gram * inv_root[:, None] * inv_root, rhs * inv_root)
+    if not passes:
+        return None
     # G^-1 = M'M with M = L^-1 D^-1/2, which a tiny column scale can overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        passes, l_inv, z = cholesky_gate(gram * inv_root[:, None] * inv_root, rhs * inv_root)
         m = l_inv * inv_root
-        return (inv_root * (l_inv.T @ z), m.T @ m) if passes else None
+        g_inv = m.T @ m
+    return inv_root * (l_inv.T @ z), g_inv
 
 
 def default_neighbor_count(n_train: int) -> int:
@@ -216,12 +222,14 @@ def default_neighbor_count(n_train: int) -> int:
     return min(max(1, math.ceil(n_train**0.8 / 4.0)), n_train)
 
 
-@dataclass(frozen=True)
 class OlsLinearRegressor:
-    coef: np.ndarray  # from ``ols_fit``: the intercept, then one slope per column
+    def __init__(self, coef: np.ndarray):
+        self.coef = np.asarray(coef, dtype=float)
 
     def predict(self, x) -> np.ndarray:
-        return np.column_stack([np.ones(len(x)), x]) @ self.coef
+        x = np.asarray(x, dtype=float)
+        design = np.column_stack([np.ones(x.shape[0]), x])
+        return design @ self.coef
 
 
 class _Workspace(threading.local):
