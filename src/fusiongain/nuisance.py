@@ -203,8 +203,8 @@ def equilibrated_solve(gram: np.ndarray, rhs: np.ndarray):
     Returns G^-1 rhs and G^-1, both from the factor that passed, or None
     where G is not finite or fails (a column of zeros leaves a zero on D).
     """
-    diag = np.diag(gram)
-    if not (np.all(np.isfinite(gram)) and np.all(diag > 0.0)):
+    diag = gram.diagonal()
+    if not (np.isfinite(gram).all() and (diag > 0.0).all()):
         return None
     inv_root = 1.0 / np.sqrt(diag)
     passes, l_inv, z = cholesky_gate(gram * inv_root[:, None] * inv_root, rhs * inv_root)
