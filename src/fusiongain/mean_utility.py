@@ -11,9 +11,9 @@ external covariate average.  The keyword ``regressor`` of :func:`assess_mean`
 picks g and so the method: ols-linear is mean-linear, k-nn or local-linear
 mean-conditional; ``seed`` draws the cross-fitting folds.  The numerator,
 :func:`residual_core`, is shared: :mod:`quantile_utility` runs it on Z = 1(Y < mu),
-and each module's point core is the trace it returns over the denominator.
-One helper, :func:`residual`, forms and length-checks Z - g for the core
-and for both variance plug-ins.
+and each module's point core is the mean of the squares it returns over the
+denominator.  The point core forms (Y - g)^2 and (Y - ybar)^2 once; the
+split core and the variance plug-in reduce those same arrays.
 """
 
 from __future__ import annotations
@@ -21,65 +21,50 @@ from __future__ import annotations
 import numpy as np
 
 from .core import UtilityEstimate, check_settings, finalize, ratio_estimate, typed_overflow
-from .errors import (
-    DegenerateDenominator,
-    DegenerateVariance,
-    OutOfRange,
-    PlanMismatch,
-    stage,
-)
+from .errors import DegenerateDenominator, DegenerateVariance, OutOfRange, stage
 from .nuisance import REGRESSOR_KINDS, Dataset, crossfit_predict, split_halves
 
 
-def residual(z: np.ndarray, g) -> np.ndarray:
-    """The residual Z - g that every trace and variance plug-in squares; g
-    must hold one prediction per observation, else :class:`PlanMismatch`."""
-    g = np.asarray(g, dtype=float)
-    if g.shape != z.shape:
-        raise PlanMismatch(f"predictions must have length {z.size}, got shape {g.shape}")
-    return z - g
-
-
 def residual_core(z: Dataset, regressor: str, seed: int,
-                  clamp: tuple[float, float] = (-np.inf, np.inf)) -> tuple[np.ndarray, float]:
+                  clamp: tuple[float, float] = (-np.inf, np.inf)) -> tuple[np.ndarray, np.ndarray]:
     """Cross-fitted regression g of Z = ``z.y`` on ``z.x``, clipped to ``clamp``,
-    and the residual trace mean[(Z - g)^2]: Z = Y for the mean, and the
-    indicator 1(Y < mu), clamped to [0, 1], for the quantile."""
+    and the squared residuals (Z - g)^2, whose mean is the residual trace:
+    Z = Y for the mean, and the indicator 1(Y < mu), clamped to [0, 1], for
+    the quantile."""
     g = np.clip(crossfit_predict(z, regressor, seed), *clamp)
-    return g, float(np.mean(residual(z.y, g) ** 2))
+    return g, (z.y - g) ** 2
 
 
 def compute_mean_intermediates(data: Dataset, regressor: str,
-                               seed: int) -> tuple[np.ndarray, float]:
-    """Cross-fitted predictions ghat of g on the full sample, and the point
-    core a_hat: their residual trace over theta2 = mean[(Y - ybar)^2]."""
-    ghat, residual_trace = residual_core(data, regressor, seed)
-    return ghat, ratio_estimate(residual_trace, np.mean((data.y - np.mean(data.y)) ** 2))
+                               seed: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """The squared residuals sq_g = (Y - ghat)^2 around the cross-fitted
+    predictions ghat, sq_mean = (Y - ybar)^2 around the full-sample mean,
+    and the point core a_hat = mean(sq_g) / theta2, theta2 = mean(sq_mean)."""
+    sq_g = residual_core(data, regressor, seed)[1]
+    sq_mean = (data.y - np.mean(data.y)) ** 2
+    return sq_g, sq_mean, ratio_estimate(np.mean(sq_g), np.mean(sq_mean))
 
 
-def split_estimate_mean(data: Dataset, regressor: str, seed: int) -> float:
+def split_estimate_mean(data: Dataset, sq_mean: np.ndarray, regressor: str, seed: int) -> float:
     """Half-sample core a_tilde, whose first-order term cannot vanish.
 
     The g-residual average uses the first ceil(n/2) observations (with
-    cross-fitting inside that half); the mean-residual average uses the rest,
-    each normalized by its own count.  The centering mean is the full-sample
-    mean.
+    cross-fitting inside that half); the mean-residual average is the mean
+    of ``sq_mean``, the squares around the full-sample mean, over the rest.
     """
-    half, rest = split_halves(data)
-    numerator = residual_core(half, regressor, seed)[1]
-    mu_hat = float(np.mean(data.y))
-    denominator = float(np.mean((rest.y - mu_hat) ** 2))
+    half, _ = split_halves(data)
+    numerator = float(np.mean(residual_core(half, regressor, seed)[1]))
+    denominator = float(np.mean(sq_mean[half.n:]))
     if denominator <= 0.0:
         raise DegenerateDenominator("second-half residuals around the mean are all zero")
     return numerator / denominator
 
 
 @typed_overflow
-def variance_mean(data: Dataset, ghat) -> float:
-    """Plug-in g^2 = 2{Var[(Y - ghat)^2] + a^2 Var[(Y - ybar)^2]} / theta2^2,
-    with sample variances using divisor n - 1."""
-    sq_g = residual(data.y, ghat) ** 2
-    sq_mean = (data.y - np.mean(data.y)) ** 2
+def variance_mean(sq_g: np.ndarray, sq_mean: np.ndarray) -> float:
+    """Plug-in g^2 = 2{Var[(Y - ghat)^2] + a^2 Var[(Y - ybar)^2]} / theta2^2
+    from the two squared-residual arrays, with sample variances using
+    divisor n - 1."""
     theta2 = float(np.mean(sq_mean))
     if theta2 <= 0.0:
         raise DegenerateDenominator("response is constant; internal-only trace is zero")
@@ -99,9 +84,9 @@ def assess_mean(data: Dataset, *, nu: float, alpha: float = 0.95, seed: int = 0,
     if regressor not in REGRESSOR_KINDS:
         raise OutOfRange(f"regressor must be one of {REGRESSOR_KINDS}")
     with stage("point"):
-        ghat, a_hat = compute_mean_intermediates(data, regressor, seed)
+        sq_g, sq_mean, a_hat = compute_mean_intermediates(data, regressor, seed)
     with stage("split"):
-        a_tilde = split_estimate_mean(data, regressor, seed)
+        a_tilde = split_estimate_mean(data, sq_mean, regressor, seed)
     method = "mean-linear" if regressor == "ols-linear" else "mean-conditional"
-    return finalize(a_hat, a_tilde, lambda: variance_mean(data, ghat),
+    return finalize(a_hat, a_tilde, lambda: variance_mean(sq_g, sq_mean),
                     data.n, nu, alpha, method)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import UtilityEstimate, check_settings, finalize, ratio_estimate, typed_overflow
-from .errors import OutOfRange, VanishingDensity, stage
+from .errors import OutOfRange, PlanMismatch, VanishingDensity, stage
 from .nuisance import (
     REGRESSOR_KINDS,
     Dataset,
@@ -28,7 +28,7 @@ from .nuisance import (
     silverman_bandwidth,
     split_halves,
 )
-from .mean_utility import residual, residual_core
+from .mean_utility import residual_core
 
 # Floor on f_Y(mu) times the bandwidth of y: unit-free, so rescaling y moves
 # neither the estimate nor the floor decision.
@@ -47,8 +47,8 @@ def compute_quantile_intermediates(
     Fhat at mu_hat (clamped to [0, 1]) and the point core a_hat: the
     residual trace of 1(Y < mu_hat) over tau(1-tau)."""
     mu_hat = empirical_quantile(data.y, tau)
-    fhat, residual_trace = residual_core(_indicator(data, mu_hat), regressor, seed, (0.0, 1.0))
-    return mu_hat, fhat, ratio_estimate(residual_trace, tau * (1.0 - tau))
+    fhat, sq = residual_core(_indicator(data, mu_hat), regressor, seed, (0.0, 1.0))
+    return mu_hat, fhat, ratio_estimate(np.mean(sq), tau * (1.0 - tau))
 
 
 def split_estimate_quantile(data: Dataset, tau: float, regressor: str, seed: int) -> float:
@@ -61,8 +61,8 @@ def split_estimate_quantile(data: Dataset, tau: float, regressor: str, seed: int
     """
     half, rest = split_halves(data)
     mu_tilde = empirical_quantile(rest.y, tau)
-    numerator = residual_core(_indicator(half, mu_tilde), regressor, seed, (0.0, 1.0))[1]
-    return numerator / (tau * (1.0 - tau))
+    sq = residual_core(_indicator(half, mu_tilde), regressor, seed, (0.0, 1.0))[1]
+    return float(np.mean(sq)) / (tau * (1.0 - tau))
 
 
 @typed_overflow
@@ -82,7 +82,10 @@ def variance_quantile(
     about 4e11; so the floor guards only direct calls with ``mu_hat`` off
     the sample.  An ``fhat`` of the wrong length raises :class:`PlanMismatch`.
     """
-    var_sq = float(np.var(residual(_indicator(data, mu_hat).y, fhat) ** 2, ddof=1))
+    fhat = np.asarray(fhat, dtype=float)
+    if fhat.shape != data.y.shape:
+        raise PlanMismatch(f"predictions must have length {data.n}, got shape {fhat.shape}")
+    var_sq = float(np.var((_indicator(data, mu_hat).y - fhat) ** 2, ddof=1))
     h_y = silverman_bandwidth(data.y)
     f_y = kde_eval(KernelDensity(data.y, h_y), mu_hat)
     if f_y * h_y <= DENSITY_FLOOR:

@@ -1,18 +1,16 @@
 import numpy as np
 import pytest
 
-from fusiongain.core import ratio_estimate
 from fusiongain.errors import (
     DegenerateDenominator,
     DegenerateVariance,
     OutOfRange,
-    PlanMismatch,
     VarianceOverflow,
 )
+import fusiongain.mean_utility as mean_utility
 from fusiongain.mean_utility import (
     assess_mean,
     compute_mean_intermediates,
-    residual,
     residual_core,
     variance_mean,
 )
@@ -41,28 +39,36 @@ def _point(data, cfg):
     return assess_mean(data, **cfg).theta_hat_raw
 
 
-class TestBounds:
-    def test_perfect_fit(self):
-        y = np.array([0.0, 2.0])
-        assert np.mean(residual(y, np.array([0.0, 2.0])) ** 2) == 0.0
+def _predicting(monkeypatch, g):
+    """Make every cross-fit of this module return the predictions ``g``."""
+    monkeypatch.setattr(mean_utility, "crossfit_predict", lambda *args: np.asarray(g))
 
-    def test_ghat_equal_to_mean(self):
+
+class TestBounds:
+    def test_perfect_fit(self, monkeypatch):
         y = np.array([0.0, 2.0])
-        assert np.mean(residual(y, [1.0, 1.0]) ** 2) == pytest.approx(1.0, abs=1e-12)
+        _predicting(monkeypatch, [0.0, 2.0])
+        assert np.mean(residual_core(Dataset(y, np.zeros((2, 1))), "ols-linear", 0)[1]) == 0.0
+
+    def test_ghat_equal_to_mean(self, monkeypatch):
+        y = np.array([0.0, 2.0])
+        _predicting(monkeypatch, [1.0, 1.0])
+        sq = residual_core(Dataset(y, np.zeros((2, 1))), "ols-linear", 0)[1]
+        assert np.mean(sq) == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_response(self):
-        data = Dataset(np.full(4, 2.0), np.arange(4.0)[:, None])
+        y = np.full(4, 2.0)
         with pytest.raises(DegenerateDenominator):
-            variance_mean(data, np.full(4, 2.0))
+            variance_mean(np.zeros(4), (y - np.mean(y)) ** 2)
 
 
 class TestResidualCore:
     @pytest.mark.parametrize("regressor", ["ols-linear", "k-nn", "local-linear"])
     def test_unclamped_core_is_the_crossfit(self, regressor):
         data = generate_dgp(DgpConfig(b=1.0, n=120, seed=4))
-        g, trace = residual_core(data, regressor, 4)
+        g, sq = residual_core(data, regressor, 4)
         assert np.array_equal(g, crossfit_predict(data, regressor, 4))
-        assert trace == float(np.mean((data.y - g) ** 2))
+        assert np.array_equal(sq, (data.y - g) ** 2)
 
 
 class TestPointEstimate:
@@ -70,10 +76,11 @@ class TestPointEstimate:
         data = _exact_linear_dataset()
         assert _point(data, _linear_cfg()) == pytest.approx(0.5, abs=1e-10)
 
-    def test_ghat_equal_mean_gives_one(self):
+    def test_ghat_equal_mean_gives_one(self, monkeypatch):
         y = np.array([0.0, 2.0, 1.0, 3.0])
-        centred = residual(y, np.full(4, y.mean()))
-        assert ratio_estimate(np.mean(centred**2), np.mean((y - np.mean(y)) ** 2)) == 1.0
+        _predicting(monkeypatch, np.full(4, y.mean()))
+        data = Dataset(y, np.zeros((4, 1)))
+        assert compute_mean_intermediates(data, "ols-linear", 0)[2] == 1.0
 
     def test_matches_reference_and_population_value(self):
         data = generate_dgp(DgpConfig(b=0.5, n=2000, seed=11))
@@ -117,17 +124,16 @@ class TestVariance:
     def test_both_residual_squares_constant(self):
         # y symmetric around its mean with |residual| constant; ghat = -y
         y = np.array([1.0, -1.0, 1.0, -1.0])
-        data = Dataset(y, np.arange(4.0)[:, None])
         with pytest.raises(DegenerateVariance):
-            variance_mean(data, -y)
+            variance_mean((y - -y) ** 2, (y - np.mean(y)) ** 2)
 
     def test_overflow_typed_on_direct_call(self):
         # squares of squared residuals of a response near 1e80 leave the double range
         base = generate_dgp(DgpConfig(b=0.5, n=40, seed=8))
         data = Dataset(base.y * 1e80, base.x)
-        ghat, _ = compute_mean_intermediates(data, "ols-linear", 0)
+        sq_g, sq_mean, _ = compute_mean_intermediates(data, "ols-linear", 0)
         with pytest.raises(VarianceOverflow):
-            variance_mean(data, ghat)
+            variance_mean(sq_g, sq_mean)
 
     def test_vanishes_quadratically_as_nu_approaches_one(self):
         data = generate_dgp(DgpConfig(b=0.5, n=200, seed=4))
@@ -153,14 +159,16 @@ class TestVariance:
     def test_terms_nonnegative_and_sum(self):
         data = generate_dgp(DgpConfig(b=1.0, n=300, seed=8))
         cfg = _linear_cfg(seed=8)
-        ghat, _ = compute_mean_intermediates(data, cfg["regressor"], cfg["seed"])
-        sq_g = (data.y - ghat) ** 2
-        sq_mean = (data.y - data.y.mean()) ** 2
+        sq_g, sq_mean, a_hat = compute_mean_intermediates(data, cfg["regressor"], cfg["seed"])
+        ghat = crossfit_predict(data, cfg["regressor"], cfg["seed"])
+        assert np.array_equal(sq_g, (data.y - ghat) ** 2)
+        assert np.array_equal(sq_mean, (data.y - data.y.mean()) ** 2)
         theta2 = sq_mean.mean()
+        assert a_hat == sq_g.mean() / theta2
         t1 = 2 * np.var(sq_g, ddof=1) / theta2**2
-        t2 = 2 * (sq_g.mean() / theta2) ** 2 * np.var(sq_mean, ddof=1) / theta2**2
+        t2 = 2 * a_hat**2 * np.var(sq_mean, ddof=1) / theta2**2
         assert t1 >= 0 and t2 >= 0
-        assert t1 + t2 == pytest.approx(variance_mean(data, ghat), abs=1e-15)
+        assert t1 + t2 == pytest.approx(variance_mean(sq_g, sq_mean), abs=1e-15)
 
 
 class TestAssess:
@@ -231,7 +239,6 @@ _SMALL = generate_dgp(DgpConfig(b=0.5, n=40, seed=2))
 
 # One failing call per input guard of this module.
 GUARD_CASES = {
-    "ghat-length": (lambda: variance_mean(_SMALL, np.zeros(_SMALL.n - 1)), PlanMismatch),
     "unknown-regressor": (lambda: assess_mean(_SMALL, nu=0.5, regressor="spline"), OutOfRange),
 }
 

@@ -636,8 +636,8 @@ class TestCrossfit:
         rng = np.random.default_rng(2)
         data = Dataset(rng.normal(size=40), rng.normal(size=(40, 1)))
         z = _indicator(data, float(data.y.min()) - 10.0)
-        preds, trace = residual_core(z, "k-nn", 3, (0.0, 1.0))
-        assert np.all(preds == 0.0) and trace == 0.0
+        preds, sq = residual_core(z, "k-nn", 3, (0.0, 1.0))
+        assert np.all(preds == 0.0) and np.all(sq == 0.0)
 
     def test_matches_reference_local_linear(self):
         # seeded synthetic dataset, cross-fitted predictions vs brute-force loop
