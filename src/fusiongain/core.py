@@ -232,6 +232,19 @@ class UtilityEstimate:
         return truncate_interval(self.ci_raw)
 
 
+def residual_squares(z: np.ndarray, center) -> np.ndarray:
+    """The squared residuals (Z - center)^2 behind a residual trace; a sum
+    that leaves the double range raises :class:`VarianceOverflow`, without
+    a numpy warning."""
+    with np.errstate(over="ignore"):
+        squares = (z - center) ** 2
+        total = squares.sum()
+    if not math.isfinite(total):
+        raise VarianceOverflow(f"squared residuals sum to {total}: the response "
+                               "scale is too large for its squares")
+    return squares
+
+
 def typed_overflow(variance: Callable[..., float]) -> Callable[..., float]:
     """Make a plug-in variance raise :class:`VarianceOverflow` where its value
     leaves the double range, instead of an ``OverflowError`` or a non-finite

@@ -25,7 +25,8 @@ class DegenerateDenominator(FusionGainError):
 
 
 class VarianceOverflow(FusionGainError):
-    """A plug-in variance estimate is not a finite double."""
+    """A plug-in variance estimate, or a residual trace it is built from, is
+    not a finite double: the response scale is too large for its squares."""
 
 
 class TooFewObservations(FusionGainError):

@@ -26,6 +26,7 @@ from .errors import (
     OutOfRange,
     SingularDesign,
     TooFewObservations,
+    VarianceOverflow,
     stage,
 )
 from .nuisance import Dataset, equilibrated_solve
@@ -67,13 +68,20 @@ def fit_components(data: Dataset, s_index: int = 0) -> LinRegComponents:
             "covariate second-moment matrix is not (numerically) positive definite"
         )
     mu_hat, sigma_inv = solved
+    if not np.isfinite(sigma_inv).all():
+        raise SingularDesign("inverse of the covariate second-moment matrix is not finite")
     s = x[:, s_index]
     s_sq_sum = float(s @ s)
     eta_hat = float(s @ y) / s_sq_sum
     kappa_hat = float(np.trace(sigma_inv))
     residuals = y - x @ mu_hat
-    sigma_hat = math.sqrt(float(np.mean(residuals**2)))
-    alpha_hat = float(np.mean(s**2 * (y - eta_hat * s) ** 2))
+    with np.errstate(over="ignore"):  # a huge response overflows the squares
+        sigma_sq = float(np.mean(residuals**2))
+        alpha_hat = float(np.mean(s**2 * (y - eta_hat * s) ** 2))
+    if not (math.isfinite(sigma_sq) and math.isfinite(alpha_hat)):
+        raise VarianceOverflow(f"residual traces are {sigma_sq} and {alpha_hat}: the "
+                               "response scale is too large for its squares")
+    sigma_hat = math.sqrt(sigma_sq)
     return LinRegComponents(
         mu_hat=mu_hat,
         eta_hat=eta_hat,

@@ -20,7 +20,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import UtilityEstimate, check_settings, finalize, ratio_estimate, typed_overflow
+from .core import (
+    UtilityEstimate,
+    check_settings,
+    finalize,
+    ratio_estimate,
+    residual_squares,
+    typed_overflow,
+)
 from .errors import DegenerateDenominator, DegenerateVariance, OutOfRange, stage
 from .nuisance import REGRESSOR_KINDS, Dataset, crossfit_predict, split_halves
 
@@ -32,7 +39,7 @@ def residual_core(z: Dataset, regressor: str, seed: int,
     Z = Y for the mean, and the indicator 1(Y < mu), clamped to [0, 1], for
     the quantile."""
     g = np.clip(crossfit_predict(z, regressor, seed), *clamp)
-    return g, (z.y - g) ** 2
+    return g, residual_squares(z.y, g)
 
 
 def compute_mean_intermediates(data: Dataset, regressor: str,
@@ -41,7 +48,7 @@ def compute_mean_intermediates(data: Dataset, regressor: str,
     predictions ghat, sq_mean = (Y - ybar)^2 around the full-sample mean,
     and the point core a_hat = mean(sq_g) / theta2, theta2 = mean(sq_mean)."""
     sq_g = residual_core(data, regressor, seed)[1]
-    sq_mean = (data.y - np.mean(data.y)) ** 2
+    sq_mean = residual_squares(data.y, np.mean(data.y))
     return sq_g, sq_mean, ratio_estimate(np.mean(sq_g), np.mean(sq_mean))
 
 

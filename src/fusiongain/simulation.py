@@ -17,7 +17,6 @@ import inspect
 import math
 import os
 from collections.abc import Callable, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -264,7 +263,10 @@ def run_monte_carlo(
         outcomes = list(map(_run_replication, tasks))
     else:
         # loaded once here, the forked workers inherit scipy instead of each
-        # importing it for its first normal draw
+        # importing it for its first normal draw; the pool machinery is
+        # imported only where a pool opens
+        from concurrent.futures import ProcessPoolExecutor
+
         import scipy.special  # noqa: F401
 
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -450,7 +450,8 @@ def test_assess_output_bytes_pinned(tmp_path, capsys):
 
 def test_assess_loads_no_scipy(tmp_path):
     # assess needs only numpy: a fresh interpreter that imports the package
-    # and assesses with every method has no scipy module afterwards
+    # and assesses with every method has no scipy module afterwards, and
+    # none of the process-pool machinery that only simulate --workers opens
     path, _ = _dgp_csv(tmp_path, DgpConfig(b=0.5, n=200, seed=3))
     runs = [["--method", "mean-linear"], ["--method", "mean-conditional"],
             ["--method", "quantile", "--tau", "0.3"],
@@ -460,7 +461,9 @@ def test_assess_loads_no_scipy(tmp_path):
         "import fusiongain, fusiongain.cli as cli\n"
         "for args in json.loads(sys.argv[1]):\n"
         "    assert cli.main(['assess', '--input', sys.argv[2], '--nu', '0.5'] + args) == 0\n"
-        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "forbidden = {'scipy', 'multiprocessing', 'logging', 'socket', 'subprocess'}\n"
+        "loaded = [m for m in sys.modules\n"
+        "          if m.split('.')[0] in forbidden or m == 'concurrent.futures.process']\n"
         "assert not loaded, loaded\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(fusiongain.__file__).parents[1]))
@@ -558,18 +561,36 @@ def test_error_names_its_stage(tmp_path, capsys, kind, method, error, stage):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("method, code, error", [
-    ("mean-linear", 1, "SingularDesign"),
-    ("linreg", 1, "SingularDesign"),
-    ("mean-conditional", 0, None),
-    ("quantile", 0, None),
-])
-def test_overflowing_covariate_warns_nothing(tmp_path, capsys, method, code, error):
+@pytest.mark.parametrize("column, scale, method, code, error, stage", [
     # S * 1e200 overflows the Gram products and the sd: the linear methods
     # refuse the infinite Gram, the kernel methods take their spread from
-    # the IQR, and stderr holds at most the one JSON error line
+    # the IQR (these cases keep their established ids)
+    pytest.param("S", 1e200, "mean-linear", 1, "SingularDesign", "point",
+                 id="mean-linear-1-SingularDesign"),
+    pytest.param("S", 1e200, "linreg", 1, "SingularDesign", "components",
+                 id="linreg-1-SingularDesign"),
+    pytest.param("S", 1e200, "mean-conditional", 0, None, None, id="mean-conditional-0-None"),
+    pytest.param("S", 1e200, "quantile", 0, None, None, id="quantile-0-None"),
+    # S * 1e-156 passes the equilibrated gate, but Sigma^-1 overflows: only
+    # linreg reads Sigma^-1, and it refuses the design, not the response
+    ("S", 1e-156, "mean-linear", 0, None, None),
+    ("S", 1e-156, "linreg", 1, "SingularDesign", "components"),
+    ("S", 1e-156, "mean-conditional", 0, None, None),
+    ("S", 1e-156, "quantile", 0, None, None),
+    # y * 1e306 overflows the squared residuals where they are formed; the
+    # quantile squares only indicator residuals
+    ("y", 1e306, "mean-linear", 1, "VarianceOverflow", "point"),
+    ("y", 1e306, "linreg", 1, "VarianceOverflow", "components"),
+    ("y", 1e306, "mean-conditional", 1, "VarianceOverflow", "point"),
+    ("y", 1e306, "quantile", 0, None, None),
+])
+def test_overflowing_covariate_warns_nothing(tmp_path, capsys, column, scale, method, code,
+                                             error, stage):
+    # one column scaled to the edge of the double range: stderr holds at most
+    # the one JSON error line
     data = generate_dgp(DgpConfig(b=0.5, n=50, seed=1))
-    rows = ["y,S,W"] + [f"{yi!r},{xi[0] * 1e200!r},{xi[1]!r}"
+    y_scale, s_scale = (scale, 1.0) if column == "y" else (1.0, scale)
+    rows = ["y,S,W"] + [f"{yi * y_scale!r},{xi[0] * s_scale!r},{xi[1]!r}"
                         for yi, xi in zip(data.y.tolist(), data.x.tolist())]
     path = _write(tmp_path, "a.csv", "\n".join(rows) + "\n")
     assert main(["assess", "--method", method, "--input", path, "--nu", "0.5"]) == code
@@ -577,7 +598,9 @@ def test_overflowing_covariate_warns_nothing(tmp_path, capsys, method, code, err
     if error is None:
         assert err == ""
     else:
-        assert err.count("\n") == 1 and json.loads(err)["error"] == error
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert (payload["error"], payload["stage"]) == (error, stage)
 
 
 def test_quantile_unmoved_by_response_scale(tmp_path, capsys):

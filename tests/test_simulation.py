@@ -150,7 +150,7 @@ class TestTruthValues:
 def pools(monkeypatch):
     """Swap the process pool for an in-process one; list [workers, tasks,
     chunksize] for each pool opened."""
-    import fusiongain.simulation as simulation
+    import concurrent.futures
 
     opened = []
 
@@ -170,7 +170,7 @@ def pools(monkeypatch):
             self.record[1:] = [len(items), chunksize]
             return map(fn, items)
 
-    monkeypatch.setattr(simulation, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return opened
 
 
