@@ -34,7 +34,6 @@ from .mean_utility import (
 )
 from .nuisance import (
     Dataset,
-    KernelDensity,
     SplitPlan,
     crossfit_predict,
     empirical_quantile,

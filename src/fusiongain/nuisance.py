@@ -361,9 +361,13 @@ class _GaussianKernel:
     bilinear form, with cancellation's tiny positives clipped.  Multiplying
     every bandwidth by 2^k scales every term of the GEMM, and so the result,
     by exactly 4^-k, unless a scaled value falls in the subnormal range.
+    The bandwidths must be positive and finite.
     """
 
-    def __init__(self, x_sample: np.ndarray, bandwidths: np.ndarray):
+    def __init__(self, x_sample: np.ndarray, bandwidths):
+        bandwidths = np.asarray(bandwidths, dtype=float)
+        if np.any(bandwidths <= 0) or not np.all(np.isfinite(bandwidths)):
+            raise OutOfRange("bandwidths must be positive and finite")
         self.bandwidths = bandwidths
         self.centre = x_sample.mean(axis=0)
         self.scaled = (x_sample - self.centre) / bandwidths
@@ -432,14 +436,11 @@ class LocalLinearRegressor:
     # exp and of the row sums, so no level that could pass is skipped.
     _SLACK = 1e-9
 
-    def __init__(self, x_train: np.ndarray, y_train: np.ndarray, bandwidths: np.ndarray):
-        bandwidths = np.asarray(bandwidths, dtype=float)
-        if np.any(bandwidths <= 0) or not np.all(np.isfinite(bandwidths)):
-            raise OutOfRange("bandwidths must be positive and finite")
+    def __init__(self, x_train: np.ndarray, y_train: np.ndarray, bandwidths):
+        self._kernel = _GaussianKernel(x_train, bandwidths)
         self.x_train = x_train
         self.y_train = y_train
-        self.bandwidths = bandwidths
-        self._kernel = _GaussianKernel(x_train, bandwidths)
+        self.bandwidths = self._kernel.bandwidths
         # solving on mean-centered responses keeps the response level out of
         # the local solve (constant responses reproduce exactly)
         self._y_mean = float(np.mean(y_train))
@@ -616,28 +617,17 @@ def silverman_bandwidth(sample) -> float | np.ndarray:
     return float(bands[0]) if sample.ndim == 1 else bands
 
 
-@dataclass(frozen=True)
-class KernelDensity:
-    """Sample plus bandwidth, evaluated with a Gaussian kernel."""
-
-    sample: np.ndarray
-    bandwidth: float
-
-    def __post_init__(self):
-        sample = np.asarray(self.sample, dtype=float)
-        if sample.ndim != 1 or sample.size < 1:
-            raise OutOfRange("kernel density needs a nonempty 1-d sample")
-        if not (self.bandwidth > 0 and math.isfinite(self.bandwidth)):
-            raise OutOfRange(f"bandwidth must be positive, got {self.bandwidth}")
-        sample.setflags(write=False)
-        object.__setattr__(self, "sample", sample)
-        object.__setattr__(self, "bandwidth", float(self.bandwidth))
-
-
-def kde_eval(kd: KernelDensity, point: float) -> float:
-    """Marginal density estimate (nh)^-1 sum K((point - s_i)/h)."""
-    z = (float(point) - kd.sample) / kd.bandwidth
-    return float(np.mean(np.exp(-0.5 * z * z)) / (kd.bandwidth * _SQRT_2PI))
+def kde_eval(sample, bandwidth: float, point: float) -> float:
+    """Gaussian kernel density estimate (nh)^-1 sum K((point - s_i)/h) of a
+    nonempty 1-d sample at bandwidth h > 0."""
+    sample = np.asarray(sample, dtype=float)
+    if sample.ndim != 1 or sample.size < 1:
+        raise OutOfRange("kernel density needs a nonempty 1-d sample")
+    if not (bandwidth > 0 and math.isfinite(bandwidth)):
+        raise OutOfRange(f"bandwidth must be positive, got {bandwidth}")
+    bandwidth = float(bandwidth)
+    z = (float(point) - sample) / bandwidth
+    return float(np.mean(np.exp(-0.5 * z * z)) / (bandwidth * _SQRT_2PI))
 
 
 def cond_kde_profile(
@@ -649,11 +639,10 @@ def cond_kde_profile(
     y_point: float,
 ) -> np.ndarray:
     """Vectorized conditional density at one y value across many x queries."""
+    if not y_bandwidth > 0:
+        raise OutOfRange(f"y bandwidth must be positive, got {y_bandwidth}")
     x_sample = np.asarray(x_sample, dtype=float)
     y_sample = np.asarray(y_sample, dtype=float)
-    x_bandwidths = np.asarray(x_bandwidths, dtype=float)
-    if np.any(x_bandwidths <= 0) or not y_bandwidth > 0:
-        raise OutOfRange("bandwidths must be positive")
     x_queries = np.asarray(x_queries, dtype=float)
     zy = (float(y_point) - y_sample) / y_bandwidth
     y_kernel = np.exp(-0.5 * zy * zy) / (y_bandwidth * _SQRT_2PI)

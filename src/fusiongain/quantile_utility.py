@@ -17,11 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from .core import UtilityEstimate, check_settings, finalize, ratio_estimate, typed_overflow
-from .errors import OutOfRange, PlanMismatch, VanishingDensity, stage
+from .errors import PlanMismatch, VanishingDensity, stage
 from .nuisance import (
-    REGRESSOR_KINDS,
     Dataset,
-    KernelDensity,
     cond_kde_profile,
     empirical_quantile,
     kde_eval,
@@ -87,7 +85,7 @@ def variance_quantile(
         raise PlanMismatch(f"predictions must have length {data.n}, got shape {fhat.shape}")
     var_sq = float(np.var((_indicator(data, mu_hat).y - fhat) ** 2, ddof=1))
     h_y = silverman_bandwidth(data.y)
-    f_y = kde_eval(KernelDensity(data.y, h_y), mu_hat)
+    f_y = kde_eval(data.y, h_y, mu_hat)
     if f_y * h_y <= DENSITY_FLOOR:
         raise VanishingDensity(f"marginal density estimate at the quantile is {f_y:.3e}, "
                                f"{f_y * h_y:.3e} per bandwidth")
@@ -103,10 +101,6 @@ def assess_quantile(data: Dataset, *, nu: float, alpha: float = 0.95, seed: int 
     """Full assessment: the point and half-sample cores, then :func:`finalize`
     (the interval is centered at the split estimate)."""
     check_settings(nu, alpha)
-    if not 0.0 < tau < 1.0:
-        raise OutOfRange(f"tau must be in (0, 1), got {tau}")
-    if regressor not in REGRESSOR_KINDS:
-        raise OutOfRange(f"regressor must be one of {REGRESSOR_KINDS}")
     with stage("point"):
         mu_hat, fhat, a_hat = compute_quantile_intermediates(data, tau, regressor, seed)
     with stage("split"):

@@ -21,7 +21,6 @@ from fusiongain.linreg_utility import assess_linreg
 from fusiongain.mean_utility import assess_mean
 from fusiongain.nuisance import (
     N_FOLDS,
-    KernelDensity,
     empirical_quantile,
     kde_eval,
     make_split_plan,
@@ -240,9 +239,8 @@ def test_criterion_6_property_suites():
     # kde normalization to 1e-3
     sample = rng_local.normal(size=500)
     h = silverman_bandwidth(sample)
-    kd = KernelDensity(sample, h)
     grid = np.linspace(sample.mean() - 10 * h - 4, sample.mean() + 10 * h + 4, 4001)
-    mass = trapezoid([kde_eval(kd, g) for g in grid], grid)
+    mass = trapezoid([kde_eval(sample, h, g) for g in grid], grid)
     if abs(mass - 1.0) > 1e-3:
         failures.append("kde normalization")
 

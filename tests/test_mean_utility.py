@@ -237,13 +237,16 @@ class TestInvariances:
 
 _SMALL = generate_dgp(DgpConfig(b=0.5, n=40, seed=2))
 
-# One failing call per input guard of this module.
+# One failing call per input guard of this module, and the stage it fails in:
+# the regressor menu is checked by the first fit.
 GUARD_CASES = {
-    "unknown-regressor": (lambda: assess_mean(_SMALL, nu=0.5, regressor="spline"), OutOfRange),
+    "unknown-regressor": (lambda: assess_mean(_SMALL, nu=0.5, regressor="spline"), OutOfRange,
+                          "point"),
 }
 
 
-@pytest.mark.parametrize("call, error", GUARD_CASES.values(), ids=GUARD_CASES)
-def test_guard_raises_typed(call, error):
-    with pytest.raises(error):
+@pytest.mark.parametrize("call, error, stage", GUARD_CASES.values(), ids=GUARD_CASES)
+def test_guard_raises_typed(call, error, stage):
+    with pytest.raises(error) as exc:
         call()
+    assert exc.value.stage == stage

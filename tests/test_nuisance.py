@@ -28,7 +28,6 @@ from fusiongain.nuisance import (
     LocalLinearRegressor,
     _GaussianKernel,
     _query_blocks,
-    KernelDensity,
     cholesky_gate,
     cond_kde_profile,
     crossfit_predict,
@@ -748,28 +747,24 @@ class TestSilvermanBandwidth:
 
 class TestKde:
     def test_single_observation_at_mode(self):
-        kd = KernelDensity(np.array([0.0]), 1.0)
-        assert kde_eval(kd, 0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-12)
+        assert kde_eval(np.array([0.0]), 1.0, 0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-12)
 
     def test_far_tail(self):
-        kd = KernelDensity(np.array([0.0, 0.5]), 0.3)
-        assert kde_eval(kd, 0.5 + 10 * 0.3) <= 1e-8
+        assert kde_eval(np.array([0.0, 0.5]), 0.3, 0.5 + 10 * 0.3) <= 1e-8
 
     def test_monte_carlo_standard_normal(self):
         rng = np.random.default_rng(12)
         sample = rng.normal(size=5000)
-        kd = KernelDensity(sample, silverman_bandwidth(sample))
-        assert kde_eval(kd, 0.0) == pytest.approx(0.3989, abs=0.02)
+        assert kde_eval(sample, silverman_bandwidth(sample), 0.0) == pytest.approx(0.3989, abs=0.02)
 
     def test_normalization_by_quadrature(self):
         rng = np.random.default_rng(13)
         sample = rng.normal(size=400)
         h = silverman_bandwidth(sample)
-        kd = KernelDensity(sample, h)
         lo = sample.mean() - 10 * h - 4.0
         hi = sample.mean() + 10 * h + 4.0
         grid = np.linspace(lo, hi, 4001)
-        values = np.array([kde_eval(kd, g) for g in grid])
+        values = np.array([kde_eval(sample, h, g) for g in grid])
         assert trapezoid(values, grid) == pytest.approx(1.0, abs=1e-3)
 
 
@@ -796,7 +791,7 @@ class TestCondKde:
         h_y = silverman_bandwidth(y)
         h_x = np.array([silverman_bandwidth(x[:, 0])])
         median = float(np.median(y))
-        marginal = kde_eval(KernelDensity(y, h_y), median)
+        marginal = kde_eval(y, h_y, median)
         (conditional,) = cond_kde_profile(x, y, h_x, h_y, np.array([[0.3]]), median)
         assert conditional == pytest.approx(marginal, abs=0.05)
 
@@ -814,10 +809,16 @@ GUARD_CASES = {
     ),
     "quantile-empty": (lambda: empirical_quantile([], 0.5), TooFewObservations),
     "bandwidth-one-row": (lambda: silverman_bandwidth([[1.0, 2.0]]), TooFewObservations),
-    "kde-empty-sample": (lambda: KernelDensity(np.zeros(0), 1.0), OutOfRange),
-    "kde-bandwidth": (lambda: KernelDensity(np.zeros(2), 0.0), OutOfRange),
+    "kde-empty-sample": (lambda: kde_eval(np.zeros(0), 1.0, 0.0), OutOfRange),
+    "kde-bandwidth": (lambda: kde_eval(np.zeros(2), 0.0, 0.0), OutOfRange),
     "cond-kde-bandwidth": (
         lambda: cond_kde_profile(np.zeros((2, 1)), np.zeros(2), np.array([0.0]), 1.0,
+                                 np.zeros((1, 1)), 0.0),
+        OutOfRange,
+    ),
+    # the covariate kernel, which local-linear shares, refuses it too
+    "cond-kde-infinite-bandwidth": (
+        lambda: cond_kde_profile(np.zeros((2, 1)), np.zeros(2), np.array([math.inf]), 1.0,
                                  np.zeros((1, 1)), 0.0),
         OutOfRange,
     ),

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fusiongain.errors import OutOfRange, PlanMismatch, VanishingDensity, VarianceOverflow
 from fusiongain.nuisance import (
     Dataset,
-    KernelDensity,
     cond_kde_profile,
     empirical_quantile,
     kde_eval,
@@ -59,7 +58,7 @@ def _point(data, cfg):
 def _variance_terms(data, cfg, mu_hat, fhat):
     """The density and dispersion summands of g^2, recomputed term by term."""
     h_y = silverman_bandwidth(data.y)
-    f_y = kde_eval(KernelDensity(data.y, h_y), mu_hat)
+    f_y = kde_eval(data.y, h_y, mu_hat)
     h_x = np.array([silverman_bandwidth(data.x[:, d]) for d in range(data.p)])
     f_cond = cond_kde_profile(data.x, data.y, h_x, h_y, data.x, mu_hat)
     slope = 2.0 * float(np.mean(fhat * f_cond)) / f_y - 1.0
@@ -180,7 +179,7 @@ class TestVariance:
         assume(len(set(ints)) > 1)
         y = np.array(ints, dtype=float) * scale
         h_y = silverman_bandwidth(y)
-        f_y = kde_eval(KernelDensity(y, h_y), empirical_quantile(y, tau))
+        f_y = kde_eval(y, h_y, empirical_quantile(y, tau))
         bound = 1.0 / (y.size * math.sqrt(2.0 * math.pi))
         assert f_y * h_y >= bound * (1.0 - 1e-12)  # up to rounding
         assert bound > DENSITY_FLOOR
@@ -276,18 +275,20 @@ def _variance_with_fhat_length(length):
     return variance_quantile(data, 0.5, empirical_quantile(data.y, 0.5), np.full(length, 0.5))
 
 
-# One failing call per input guard of this module.
+# One failing call per input guard of this module, and the stage it fails in:
+# tau and the regressor menu are checked by the point stage's first reads.
 GUARD_CASES = {
     "unknown-regressor": (lambda: assess_quantile(_SMALL, nu=0.5, regressor="spline"),
-                          OutOfRange),
-    "tau-one": (lambda: assess_quantile(_SMALL, nu=0.5, tau=1.0), OutOfRange),
+                          OutOfRange, "point"),
+    "tau-one": (lambda: assess_quantile(_SMALL, nu=0.5, tau=1.0), OutOfRange, "point"),
     # one prediction would broadcast, n - 1 would fail inside numpy
-    "fhat-length-1": (lambda: _variance_with_fhat_length(1), PlanMismatch),
-    "fhat-length-n-minus-1": (lambda: _variance_with_fhat_length(199), PlanMismatch),
+    "fhat-length-1": (lambda: _variance_with_fhat_length(1), PlanMismatch, None),
+    "fhat-length-n-minus-1": (lambda: _variance_with_fhat_length(199), PlanMismatch, None),
 }
 
 
-@pytest.mark.parametrize("call, error", GUARD_CASES.values(), ids=GUARD_CASES)
-def test_guard_raises_typed(call, error):
-    with pytest.raises(error):
+@pytest.mark.parametrize("call, error, stage", GUARD_CASES.values(), ids=GUARD_CASES)
+def test_guard_raises_typed(call, error, stage):
+    with pytest.raises(error) as exc:
         call()
+    assert exc.value.stage == stage
