@@ -4,7 +4,8 @@ Two subcommands: ``assess`` runs one utility assessment on a CSV dataset,
 ``simulate`` reproduces Monte Carlo summary tables over a (b, n) grid.  All
 randomness flows from --seed; repeated invocations with identical flags
 produce identical output, byte for byte.  Errors are written to stderr as a
-single JSON line with the error class name as machine-readable code.
+single JSON line with the error class name as machine-readable code; a stdout
+closed by its reader is an :class:`IoError` too.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import csv
 import inspect
 import json
 import math
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -375,9 +377,16 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _check_flags(args)
-        if args.command == "assess":
-            return _run_assess(args)
-        return _run_simulate(args)
+        run = _run_assess if args.command == "assess" else _run_simulate
+        try:
+            code = run(args)
+            sys.stdout.flush()
+        except BrokenPipeError as err:
+            # the reader is gone: send what is still buffered, and the flush
+            # at exit, to the null device instead
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise IoError(f"cannot write to stdout: {err}") from None
+        return code
     except UsageError as err:
         print(json.dumps({"error": "UsageError", "message": str(err)}), file=sys.stderr)
         return 2

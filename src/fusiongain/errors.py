@@ -25,8 +25,9 @@ class DegenerateDenominator(FusionGainError):
 
 
 class VarianceOverflow(FusionGainError):
-    """A plug-in variance estimate, or a residual trace it is built from, is
-    not a finite double: the response scale is too large for its squares."""
+    """A plug-in variance estimate, a residual trace it is built from, or the
+    least-squares fit behind that trace is not a finite double: the response
+    scale is too large for its squares or cross products."""
 
 
 class TooFewObservations(FusionGainError):

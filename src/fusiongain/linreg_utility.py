@@ -62,7 +62,8 @@ def fit_components(data: Dataset, s_index: int = 0) -> LinRegComponents:
         raise OutOfRange(f"s_index must be in [0, {p - 1}], got {s_index}")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a non-finite Sigma
         sigma_mat = x.T @ x / n
-    solved = equilibrated_solve(sigma_mat, x.T @ y / n)
+        moments = x.T @ y / n
+    solved = equilibrated_solve(sigma_mat, moments)
     if solved is None:
         raise SingularDesign(
             "covariate second-moment matrix is not (numerically) positive definite"
@@ -71,11 +72,11 @@ def fit_components(data: Dataset, s_index: int = 0) -> LinRegComponents:
     if not np.isfinite(sigma_inv).all():
         raise SingularDesign("inverse of the covariate second-moment matrix is not finite")
     s = x[:, s_index]
-    s_sq_sum = float(s @ s)
-    eta_hat = float(s @ y) / s_sq_sum
     kappa_hat = float(np.trace(sigma_inv))
-    residuals = y - x @ mu_hat
-    with np.errstate(over="ignore"):  # a huge response overflows the squares
+    # a huge response overflows its products; the two traces report it
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta_hat = float(s @ y) / float(s @ s)
+        residuals = y - x @ mu_hat
         sigma_sq = float(np.mean(residuals**2))
         alpha_hat = float(np.mean(s**2 * (y - eta_hat * s) ** 2))
     if not (math.isfinite(sigma_sq) and math.isfinite(alpha_hat)):

@@ -21,6 +21,7 @@ from .errors import (
     OutOfRange,
     SingularDesign,
     TooFewObservations,
+    VarianceOverflow,
     ZeroDispersion,
 )
 
@@ -144,9 +145,13 @@ def ols_fit(x, y) -> np.ndarray:
     design = np.column_stack([np.ones(x.shape[0]), x])
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a non-finite Gram
         gram = design.T @ design
-    solved = equilibrated_solve(gram, design.T @ y)
+        moments = design.T @ y
+    solved = equilibrated_solve(gram, moments)
     if solved is None:
         raise SingularDesign("Gram matrix is singular or too ill conditioned")
+    if not np.isfinite(solved[0]).all():
+        raise VarianceOverflow("least-squares coefficients are not finite: the response "
+                               "scale is too large for its cross products")
     return solved[0]
 
 
@@ -202,6 +207,7 @@ def equilibrated_solve(gram: np.ndarray, rhs: np.ndarray):
     D = diag(G), so rescaling a covariate column cannot move the decision.
     Returns G^-1 rhs and G^-1, both from the factor that passed, or None
     where G is not finite or fails (a column of zeros leaves a zero on D).
+    A non-finite ``rhs`` leaves G^-1 rhs non-finite, for the caller to refuse.
     """
     diag = gram.diagonal()
     if not (np.isfinite(gram).all() and (diag > 0.0).all()):
@@ -214,7 +220,8 @@ def equilibrated_solve(gram: np.ndarray, rhs: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):
         m = l_inv * inv_root
         g_inv = m.T @ m
-    return inv_root * (l_inv.T @ z), g_inv
+        solution = inv_root * (l_inv.T @ z)
+    return solution, g_inv
 
 
 def default_neighbor_count(n_train: int) -> int:
@@ -441,10 +448,6 @@ class LocalLinearRegressor:
         self.x_train = x_train
         self.y_train = y_train
         self.bandwidths = self._kernel.bandwidths
-        # solving on mean-centered responses keeps the response level out of
-        # the local solve (constant responses reproduce exactly)
-        self._y_mean = float(np.mean(y_train))
-        y_centered = y_train - self._y_mean
         xc = self._kernel.scaled
         n, p = xc.shape
         self._upper = np.triu_indices(p)
@@ -457,15 +460,24 @@ class LocalLinearRegressor:
         for j in range(p):
             np.multiply(xc[:, j : j + 1], xc[:, j:], out=design[:, start : start + p - j])
             start += p - j
-        design[:, start] = y_centered
-        np.multiply(xc, y_centered[:, None], out=design[:, start + 1 :])
+        # solving on mean-centered responses keeps the response level out of
+        # the local solve (constant responses reproduce exactly); a response
+        # near the double limit overflows, and ``predict`` returns non-finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._y_mean = float(np.mean(y_train))
+            y_centered = y_train - self._y_mean
+            design[:, start] = y_centered
+            np.multiply(xc, y_centered[:, None], out=design[:, start + 1 :])
         self._moment_design = design
 
     def predict(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         out = np.empty(x.shape[0])
-        for block in _query_blocks(x.shape[0], self.x_train.shape[0]):
-            out[block], _ = self._predict_block(x[block])
+        # a response near the double limit overflows the moments; the
+        # caller's residual trace reports the non-finite predictions
+        with np.errstate(over="ignore", invalid="ignore"):
+            for block in _query_blocks(x.shape[0], self.x_train.shape[0]):
+                out[block], _ = self._predict_block(x[block])
         return out
 
     def _floored_weights(self, xq: np.ndarray) -> np.ndarray:

@@ -471,6 +471,32 @@ def test_assess_loads_no_scipy(tmp_path):
                    timeout=120)
 
 
+@pytest.mark.parametrize("command", ["assess", "simulate"])
+def test_closed_stdout_is_one_io_error(tmp_path, command):
+    # the reader of stdout is gone before the run starts, so every write
+    # fails whatever the timing: one IoError line, and no traceback from the
+    # write or from the flush at exit
+    path, _ = _dgp_csv(tmp_path, DgpConfig(b=0.5, n=40, seed=3))
+    args = {
+        "assess": ["assess", "--method", "mean-linear", "--input", path, "--nu", "0.5"],
+        "simulate": ["simulate", "--method", "mean-linear", "--b", "0.5", "--n", "40",
+                     "--reps", "2", "--seed", "1", "--out", str(tmp_path / "out")],
+    }[command]
+    env = dict(os.environ, PYTHONPATH=str(Path(fusiongain.__file__).parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run([sys.executable, "-m", "fusiongain.cli"] + args, stdout=write_end,
+                             stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert run.returncode == 1
+    assert run.stderr.count(b"\n") == 1
+    payload = json.loads(run.stderr)
+    assert payload["error"] == "IoError"
+    assert payload["message"].startswith("cannot write to stdout")
+
+
 ASSESS_FLAG_MISUSES = [
     (flag, method)
     for flag, methods in (
@@ -583,6 +609,12 @@ def test_error_names_its_stage(tmp_path, capsys, kind, method, error, stage):
     ("y", 1e306, "linreg", 1, "VarianceOverflow", "components"),
     ("y", 1e306, "mean-conditional", 1, "VarianceOverflow", "point"),
     ("y", 1e306, "quantile", 0, None, None),
+    # y * 1e307 already overflows the products with y that come before the
+    # squares: the least-squares moments and the local-linear moments
+    ("y", 1e307, "mean-linear", 1, "VarianceOverflow", "point"),
+    ("y", 1e307, "linreg", 1, "VarianceOverflow", "components"),
+    ("y", 1e307, "mean-conditional", 1, "VarianceOverflow", "point"),
+    ("y", 1e307, "quantile", 0, None, None),
 ])
 def test_overflowing_covariate_warns_nothing(tmp_path, capsys, column, scale, method, code,
                                              error, stage):
