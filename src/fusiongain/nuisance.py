@@ -651,8 +651,8 @@ def cond_kde_profile(
     y_point: float,
 ) -> np.ndarray:
     """Vectorized conditional density at one y value across many x queries."""
-    if not y_bandwidth > 0:
-        raise OutOfRange(f"y bandwidth must be positive, got {y_bandwidth}")
+    if not (y_bandwidth > 0 and math.isfinite(y_bandwidth)):
+        raise OutOfRange(f"y bandwidth must be positive and finite, got {y_bandwidth}")
     x_sample = np.asarray(x_sample, dtype=float)
     y_sample = np.asarray(y_sample, dtype=float)
     x_queries = np.asarray(x_queries, dtype=float)

@@ -822,6 +822,12 @@ GUARD_CASES = {
                                  np.zeros((1, 1)), 0.0),
         OutOfRange,
     ),
+    # an infinite y bandwidth would give a zero density everywhere
+    "cond-kde-infinite-y-bandwidth": (
+        lambda: cond_kde_profile(np.zeros((2, 1)), np.zeros(2), np.array([1.0]), math.inf,
+                                 np.zeros((1, 1)), 0.0),
+        OutOfRange,
+    ),
     # (100 / 0.1)^2 / 2 is far past the exp underflow, so every weight is zero
     "cond-kde-far-query": (
         lambda: cond_kde_profile(np.array([[0.0], [1.0]]), np.zeros(2), np.array([0.1]), 1.0,
