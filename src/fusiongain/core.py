@@ -70,13 +70,21 @@ def truncate_interval(interval: Interval) -> Interval:
     return Interval(truncate_point(interval.lo), truncate_point(interval.hi))
 
 
-def ratio_estimate(theta1_hat: float, theta2_hat: float) -> float:
+def ratio_estimate(theta1_hat: float | np.ndarray, theta2_hat: float | np.ndarray) -> float:
     """Ratio of a nu-free residual trace over the internal-only bound trace:
-    the core a of a utility nu + (1 - nu) a."""
-    theta1_hat = float(theta1_hat)
-    theta2_hat = float(theta2_hat)
+    the core a of a utility nu + (1 - nu) a.
+
+    Each argument is a trace or the per-row terms whose mean it is.  This is
+    the one place a trace is checked: a non-finite one raises
+    :class:`VarianceOverflow`, without a numpy warning, and a denominator
+    that is not positive :class:`DegenerateDenominator`.
+    """
+    with np.errstate(over="ignore"):
+        theta1_hat = float(np.mean(theta1_hat))
+        theta2_hat = float(np.mean(theta2_hat))
     if not (math.isfinite(theta1_hat) and math.isfinite(theta2_hat)):
-        raise OutOfRange("bound estimates must be finite")
+        raise VarianceOverflow(f"residual traces {theta1_hat} and {theta2_hat} "
+                               "are not both finite doubles")
     if not theta2_hat > 0.0:
         raise DegenerateDenominator(
             f"internal-only bound estimate must be positive, got {theta2_hat}"
@@ -190,13 +198,10 @@ class UtilityEstimate:
 
     def __post_init__(self):
         check_settings(nu=self.nu, alpha=self.alpha)
-        if self.n < 1:
-            raise OutOfRange("n must be >= 1")
-        finite = (math.isfinite(self.a_hat) and math.isfinite(self.g_hat)
-                  and (self.a_tilde is None or math.isfinite(self.a_tilde)))
-        if not (finite and self.g_hat >= 0.0):
-            raise OutOfRange(f"core must be finite with g_hat >= 0, got a_hat={self.a_hat}, "
-                             f"a_tilde={self.a_tilde}, g_hat={self.g_hat}")
+        # the interval need not read a_hat, so it is checked here; building
+        # the interval checks g_hat, n and its centre
+        if not math.isfinite(self.a_hat):
+            raise OutOfRange(f"a_hat must be finite, got {self.a_hat}")
         self.ci_raw  # an interval that cannot be built fails here, not on a read
 
     @classmethod
@@ -232,19 +237,6 @@ class UtilityEstimate:
         return truncate_interval(self.ci_raw)
 
 
-def residual_squares(z: np.ndarray, center) -> np.ndarray:
-    """The squared residuals (Z - center)^2 behind a residual trace; a sum
-    that leaves the double range raises :class:`VarianceOverflow`, without
-    a numpy warning."""
-    with np.errstate(over="ignore"):
-        squares = (z - center) ** 2
-        total = squares.sum()
-    if not math.isfinite(total):
-        raise VarianceOverflow(f"squared residuals sum to {total}: the response "
-                               "scale is too large for its squares")
-    return squares
-
-
 def typed_overflow(variance: Callable[..., float]) -> Callable[..., float]:
     """Make a plug-in variance raise :class:`VarianceOverflow` where its value
     leaves the double range, instead of an ``OverflowError`` or a non-finite
@@ -259,8 +251,7 @@ def typed_overflow(variance: Callable[..., float]) -> Callable[..., float]:
         except OverflowError:
             value = math.inf
         if not math.isfinite(value):
-            raise VarianceOverflow(f"plug-in variance is {value}: the response "
-                                   "scale is too large for its squares")
+            raise VarianceOverflow(f"plug-in variance {value} is not a finite double")
         return value
 
     return checked

@@ -21,13 +21,14 @@ class OutOfRange(FusionGainError, ValueError):
 
 
 class DegenerateDenominator(FusionGainError):
-    """A ratio denominator is zero, negative or non-finite."""
+    """A ratio denominator is zero or negative."""
 
 
 class VarianceOverflow(FusionGainError):
-    """A plug-in variance estimate, a residual trace it is built from, or the
-    least-squares fit behind that trace is not a finite double: the response
-    scale is too large for its squares or cross products."""
+    """A number the estimate is built from is not a finite double: a residual
+    trace (checked once, by ``core.ratio_estimate``), a plug-in variance,
+    least-squares coefficients, a rule-of-thumb bandwidth, or a covariate
+    row's squared distance from its sample centre."""
 
 
 class TooFewObservations(FusionGainError):

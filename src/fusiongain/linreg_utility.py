@@ -19,14 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UtilityEstimate, check_settings, finalize, typed_overflow
+from .core import UtilityEstimate, check_settings, finalize, ratio_estimate, typed_overflow
 from .errors import (
     DegenerateResidualVariance,
     DegenerateVariance,
     OutOfRange,
     SingularDesign,
     TooFewObservations,
-    VarianceOverflow,
     stage,
 )
 from .nuisance import Dataset, equilibrated_solve
@@ -73,15 +72,12 @@ def fit_components(data: Dataset, s_index: int = 0) -> LinRegComponents:
         raise SingularDesign("inverse of the covariate second-moment matrix is not finite")
     s = x[:, s_index]
     kappa_hat = float(np.trace(sigma_inv))
-    # a huge response overflows its products; the two traces report it
+    # a huge response overflows its products; ratio_estimate reports the traces
     with np.errstate(over="ignore", invalid="ignore"):
         eta_hat = float(s @ y) / float(s @ s)
         residuals = y - x @ mu_hat
         sigma_sq = float(np.mean(residuals**2))
         alpha_hat = float(np.mean(s**2 * (y - eta_hat * s) ** 2))
-    if not (math.isfinite(sigma_sq) and math.isfinite(alpha_hat)):
-        raise VarianceOverflow(f"residual traces are {sigma_sq} and {alpha_hat}: the "
-                               "response scale is too large for its squares")
     sigma_hat = math.sqrt(sigma_sq)
     return LinRegComponents(
         mu_hat=mu_hat,
@@ -150,6 +146,6 @@ def assess_linreg(
     with stage("components"):
         comp = fit_components(data, s_index)
     with stage("point"):
-        a_hat = 1.0 - comp.sigma_hat**2 / _alpha_kappa(comp)
+        a_hat = 1.0 - ratio_estimate(comp.sigma_hat**2, _alpha_kappa(comp))
     return finalize(a_hat, None, lambda: variance_linreg(data, comp),
                     data.n, nu, alpha, "linreg")

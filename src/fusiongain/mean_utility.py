@@ -20,15 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (
-    UtilityEstimate,
-    check_settings,
-    finalize,
-    ratio_estimate,
-    residual_squares,
-    typed_overflow,
-)
-from .errors import DegenerateDenominator, DegenerateVariance, stage
+from .core import UtilityEstimate, check_settings, finalize, ratio_estimate, typed_overflow
+from .errors import DegenerateVariance, stage
 from .nuisance import Dataset, crossfit_predict, split_halves
 
 
@@ -39,7 +32,8 @@ def residual_core(z: Dataset, regressor: str, seed: int,
     Z = Y for the mean, and the indicator 1(Y < mu), clamped to [0, 1], for
     the quantile."""
     g = np.clip(crossfit_predict(z, regressor, seed), *clamp)
-    return g, residual_squares(z.y, g)
+    with np.errstate(over="ignore"):  # ratio_estimate reports an overflow
+        return g, (z.y - g) ** 2
 
 
 def compute_mean_intermediates(data: Dataset, regressor: str,
@@ -48,8 +42,9 @@ def compute_mean_intermediates(data: Dataset, regressor: str,
     predictions ghat, sq_mean = (Y - ybar)^2 around the full-sample mean,
     and the point core a_hat = mean(sq_g) / theta2, theta2 = mean(sq_mean)."""
     sq_g = residual_core(data, regressor, seed)[1]
-    sq_mean = residual_squares(data.y, np.mean(data.y))
-    return sq_g, sq_mean, ratio_estimate(np.mean(sq_g), np.mean(sq_mean))
+    with np.errstate(over="ignore"):  # ratio_estimate reports an overflow
+        sq_mean = (data.y - np.mean(data.y)) ** 2
+    return sq_g, sq_mean, ratio_estimate(sq_g, sq_mean)
 
 
 def split_estimate_mean(data: Dataset, sq_mean: np.ndarray, regressor: str, seed: int) -> float:
@@ -60,11 +55,7 @@ def split_estimate_mean(data: Dataset, sq_mean: np.ndarray, regressor: str, seed
     of ``sq_mean``, the squares around the full-sample mean, over the rest.
     """
     half, _ = split_halves(data)
-    numerator = float(np.mean(residual_core(half, regressor, seed)[1]))
-    denominator = float(np.mean(sq_mean[half.n:]))
-    if denominator <= 0.0:
-        raise DegenerateDenominator("second-half residuals around the mean are all zero")
-    return numerator / denominator
+    return ratio_estimate(residual_core(half, regressor, seed)[1], sq_mean[half.n:])
 
 
 @typed_overflow
@@ -72,14 +63,12 @@ def variance_mean(sq_g: np.ndarray, sq_mean: np.ndarray) -> float:
     """Plug-in g^2 = 2{Var[(Y - ghat)^2] + a^2 Var[(Y - ybar)^2]} / theta2^2
     from the two squared-residual arrays, with sample variances using
     divisor n - 1."""
+    a_hat = ratio_estimate(sq_g, sq_mean)
     theta2 = float(np.mean(sq_mean))
-    if theta2 <= 0.0:
-        raise DegenerateDenominator("response is constant; internal-only trace is zero")
     var_g = float(np.var(sq_g, ddof=1))
     var_mean = float(np.var(sq_mean, ddof=1))
     if var_g == 0.0 and var_mean == 0.0:
         raise DegenerateVariance("both residual-square sequences are constant")
-    a_hat = float(np.mean(sq_g)) / theta2
     return 2.0 * (var_g + a_hat**2 * var_mean) / theta2**2
 
 

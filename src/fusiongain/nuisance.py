@@ -229,6 +229,16 @@ def default_neighbor_count(n_train: int) -> int:
     return min(max(1, math.ceil(n_train**0.8 / 4.0)), n_train)
 
 
+def _finite_norms(half_sq_norms: np.ndarray) -> np.ndarray:
+    """Half the squared norms of centred covariate rows, refused with
+    :class:`VarianceOverflow` where one is not a finite double (a row far
+    from the sample centre)."""
+    if not np.isfinite(half_sq_norms).all():
+        raise VarianceOverflow("a covariate row's squared distance from the sample "
+                               "centre is not a finite double")
+    return half_sq_norms
+
+
 class OlsLinearRegressor:
     def __init__(self, coef: np.ndarray):
         self.coef = np.asarray(coef, dtype=float)
@@ -290,7 +300,9 @@ class KnnRegressor:
     squared distance: by a fast sort, or by a stable sort in a block where
     some row has equal distances.  Neighbour sets, their order and the
     predictions are therefore the same, bit for bit, as a stable argsort of
-    all exact distances, in memory bounded by the block budget.
+    all exact distances, in memory bounded by the block budget.  A training
+    or query row whose squared norm about the training mean is not finite
+    raises :class:`VarianceOverflow`.
     """
 
     # Candidate slack, relative to (|q|^2 + max |t|^2) / 2 about the training mean.
@@ -303,9 +315,11 @@ class KnnRegressor:
         self.x_train = x_train
         self.y_train = y_train
         self.k = k
-        self._x_mean = x_train.mean(axis=0)
-        self._x_centered = x_train - self._x_mean
-        self._half_sq_norms = 0.5 * (self._x_centered * self._x_centered).sum(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # _finite_norms reports it
+            self._x_mean = x_train.mean(axis=0)
+            self._x_centered = x_train - self._x_mean
+            self._half_sq_norms = _finite_norms(
+                0.5 * (self._x_centered * self._x_centered).sum(axis=1))
         self._half_max_sq_norm = float(self._half_sq_norms.max())
 
     def predict(self, x) -> np.ndarray:
@@ -318,8 +332,9 @@ class KnnRegressor:
     def _neighbors(self, xq: np.ndarray) -> np.ndarray:
         """Training indices of each query's k nearest points, nearest first."""
         nq, n_train = xq.shape[0], self.x_train.shape[0]
-        qc = xq - self._x_mean
-        half_q_sq = 0.5 * (qc * qc).sum(axis=1)
+        with np.errstate(over="ignore"):  # _finite_norms reports it
+            qc = xq - self._x_mean
+            half_q_sq = _finite_norms(0.5 * (qc * qc).sum(axis=1))
         approx = _WORKSPACE.take("knn_approx", (nq, n_train))
         work = _WORKSPACE.take("knn_work", (nq, n_train))
         np.matmul(qc, self._x_centered.T, out=work)
@@ -368,7 +383,9 @@ class _GaussianKernel:
     bilinear form, with cancellation's tiny positives clipped.  Multiplying
     every bandwidth by 2^k scales every term of the GEMM, and so the result,
     by exactly 4^-k, unless a scaled value falls in the subnormal range.
-    The bandwidths must be positive and finite.
+    The bandwidths must be positive and finite, and a sample or query row
+    whose centred, scaled squared norm is not finite raises
+    :class:`VarianceOverflow`.
     """
 
     def __init__(self, x_sample: np.ndarray, bandwidths):
@@ -376,12 +393,15 @@ class _GaussianKernel:
         if np.any(bandwidths <= 0) or not np.all(np.isfinite(bandwidths)):
             raise OutOfRange("bandwidths must be positive and finite")
         self.bandwidths = bandwidths
-        self.centre = x_sample.mean(axis=0)
-        self.scaled = (x_sample - self.centre) / bandwidths
+        # finite norms keep every product of two scaled coordinates finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.centre = x_sample.mean(axis=0)
+            self.scaled = (x_sample - self.centre) / bandwidths
+            half_sq_norms = _finite_norms(0.5 * (self.scaled * self.scaled).sum(axis=1))
         p = self.scaled.shape[1]
         self._operand = np.empty((p + 2, self.scaled.shape[0]))
         self._operand[:p] = self.scaled.T
-        self._operand[p] = -0.5 * (self.scaled * self.scaled).sum(axis=1)
+        self._operand[p] = -half_sq_norms
         self._operand[p + 1] = -1.0
 
     def log_weights(self, xq: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -389,9 +409,10 @@ class _GaussianKernel:
         p = xq.shape[1]
         query = np.empty((xq.shape[0], p + 2))
         a = query[:, :p]
-        np.divide(xq - self.centre, self.bandwidths, out=a)
+        with np.errstate(over="ignore"):  # _finite_norms reports it
+            np.divide(xq - self.centre, self.bandwidths, out=a)
+            query[:, p + 1] = _finite_norms(0.5 * (a * a).sum(axis=1))
         query[:, p] = 1.0
-        query[:, p + 1] = 0.5 * (a * a).sum(axis=1)
         np.matmul(query, self._operand, out=out)
         return np.minimum(out, 0.0, out=out)
 
@@ -612,20 +633,24 @@ def silverman_bandwidth(sample) -> float | np.ndarray:
     one pass over its rows (each column reduced as a vector would be).  The
     sample standard deviation uses divisor n-1.  A zero IQR with positive
     dispersion falls back to the standard deviation alone (the literal min
-    would return a zero bandwidth).
+    would return a zero bandwidth).  A bandwidth that is not a finite double
+    (the spread overflows) raises :class:`VarianceOverflow`.
     """
     sample = np.asarray(sample, dtype=float)
     if sample.ndim == 0 or sample.shape[0] < 2:
         raise TooFewObservations("bandwidth rule needs at least 2 observations")
     columns = np.ascontiguousarray(sample.reshape(sample.shape[0], -1).T)
-    with np.errstate(over="ignore"):  # an overflowing column's sd is inf; its IQR is finite
+    # a spread that overflows is inf or, from inf - inf, NaN; the check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
         sd = np.std(columns, axis=1, ddof=1)
-    q75, q25 = np.percentile(columns, [75.0, 25.0], axis=1)
-    iqr = q75 - q25
-    if np.any((sd == 0.0) & (iqr == 0.0)):
-        raise ZeroDispersion("sample has zero dispersion")
-    spread = np.where(iqr > 0.0, np.minimum(sd, iqr / 1.34), sd)
-    bands = 1.06 * spread * columns.shape[1] ** (-0.2)
+        q75, q25 = np.percentile(columns, [75.0, 25.0], axis=1)
+        iqr = q75 - q25
+        if np.any((sd == 0.0) & (iqr == 0.0)):
+            raise ZeroDispersion("sample has zero dispersion")
+        spread = np.where(iqr > 0.0, np.minimum(sd, iqr / 1.34), sd)
+        bands = 1.06 * spread * columns.shape[1] ** (-0.2)
+    if not np.isfinite(bands).all():
+        raise VarianceOverflow("rule-of-thumb bandwidth is not a finite double")
     return float(bands[0]) if sample.ndim == 1 else bands
 
 

@@ -46,7 +46,7 @@ def compute_quantile_intermediates(
     residual trace of 1(Y < mu_hat) over tau(1-tau)."""
     mu_hat = empirical_quantile(data.y, tau)
     fhat, sq = residual_core(_indicator(data, mu_hat), regressor, seed, (0.0, 1.0))
-    return mu_hat, fhat, ratio_estimate(np.mean(sq), tau * (1.0 - tau))
+    return mu_hat, fhat, ratio_estimate(sq, tau * (1.0 - tau))
 
 
 def split_estimate_quantile(data: Dataset, tau: float, regressor: str, seed: int) -> float:
@@ -60,7 +60,7 @@ def split_estimate_quantile(data: Dataset, tau: float, regressor: str, seed: int
     half, rest = split_halves(data)
     mu_tilde = empirical_quantile(rest.y, tau)
     sq = residual_core(_indicator(half, mu_tilde), regressor, seed, (0.0, 1.0))[1]
-    return float(np.mean(sq)) / (tau * (1.0 - tau))
+    return ratio_estimate(sq, tau * (1.0 - tau))
 
 
 @typed_overflow

@@ -606,13 +606,13 @@ def test_error_names_its_stage(tmp_path, capsys, kind, method, error, stage):
     # y * 1e306 overflows the squared residuals where they are formed; the
     # quantile squares only indicator residuals
     ("y", 1e306, "mean-linear", 1, "VarianceOverflow", "point"),
-    ("y", 1e306, "linreg", 1, "VarianceOverflow", "components"),
+    ("y", 1e306, "linreg", 1, "VarianceOverflow", "point"),
     ("y", 1e306, "mean-conditional", 1, "VarianceOverflow", "point"),
     ("y", 1e306, "quantile", 0, None, None),
     # y * 1e307 already overflows the products with y that come before the
     # squares: the least-squares moments and the local-linear moments
     ("y", 1e307, "mean-linear", 1, "VarianceOverflow", "point"),
-    ("y", 1e307, "linreg", 1, "VarianceOverflow", "components"),
+    ("y", 1e307, "linreg", 1, "VarianceOverflow", "point"),
     ("y", 1e307, "mean-conditional", 1, "VarianceOverflow", "point"),
     ("y", 1e307, "quantile", 0, None, None),
 ])
@@ -633,6 +633,72 @@ def test_overflowing_covariate_warns_nothing(tmp_path, capsys, column, scale, me
         assert err.count("\n") == 1
         payload = json.loads(err)
         assert (payload["error"], payload["stage"]) == (error, stage)
+
+
+def _far_data(kind: str) -> tuple[np.ndarray, np.ndarray]:
+    # "far-<v>": S in row 17 set to v; "<col>-spread": that column is 1 except
+    # for rows 0-3, whose spread overflows while the IQR is zero
+    data = generate_dgp(DgpConfig(b=0.5, n=50, seed=1))
+    y, x = data.y.copy(), data.x.copy()
+    if kind.startswith("far-"):
+        x[17, 0] = float(kind[4:])
+    else:
+        column = y if kind == "y-spread" else x[:, 0]
+        column[:] = 1.0
+        column[:4] = [1.5e308, -1.5e308, 2.0, 0.5]
+    return y, x
+
+
+_FAR_METHODS = [("mean-linear", None), ("mean-conditional", "local-linear"),
+                ("mean-conditional", "k-nn"), ("quantile", "local-linear"),
+                ("quantile", "k-nn"), ("linreg", None)]
+# (error, stage) per method above: the linear fits refuse the infinite Gram
+# matrix; the kernel regressors refuse a far row's squared norm or an
+# infinite bandwidth; the trace checks refuse an overflowing response
+_FAR_CODES = {
+    "far-1e200": ["SingularDesign point", "VarianceOverflow point", "VarianceOverflow point",
+                  "VarianceOverflow point", "VarianceOverflow point",
+                  "SingularDesign components"],
+    "S-spread": ["SingularDesign point", "VarianceOverflow point", "VarianceOverflow point",
+                 "VarianceOverflow point", "VarianceOverflow point",
+                 "SingularDesign components"],
+    "y-spread": ["VarianceOverflow point", "VarianceOverflow point", "VarianceOverflow point",
+                 "VarianceOverflow variance", "VarianceOverflow variance",
+                 "VarianceOverflow point"],
+}
+_FAR_CODES["far-1e300"] = _FAR_CODES["far-1e200"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", sorted(_FAR_CODES))
+@pytest.mark.parametrize("index", range(len(_FAR_METHODS)),
+                         ids=[f"{m}-{r}" for m, r in _FAR_METHODS])
+def test_far_row_and_overflowing_spread_fail_typed(tmp_path, capsys, kind, index):
+    y, x = _far_data(kind)
+    rows = ["y,S,W"] + [f"{yi!r},{xi[0]!r},{xi[1]!r}" for yi, xi in zip(y.tolist(), x.tolist())]
+    path = _write(tmp_path, "a.csv", "\n".join(rows) + "\n")
+    method, regressor = _FAR_METHODS[index]
+    argv = ["assess", "--method", method, "--input", path, "--nu", "0.5"]
+    if regressor is not None:
+        argv += ["--regressor", regressor]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert f"{payload['error']} {payload['stage']}" == _FAR_CODES[kind][index]
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_plug_in_blames_no_response(tmp_path, capsys):
+    # S = 1e150 in one row overflows the mean-linear variance plug-in; y is of
+    # order 1, so the message must not blame the response
+    y, x = _far_data("far-1e150")
+    rows = ["y,S,W"] + [f"{yi!r},{xi[0]!r},{xi[1]!r}" for yi, xi in zip(y.tolist(), x.tolist())]
+    path = _write(tmp_path, "a.csv", "\n".join(rows) + "\n")
+    assert main(["assess", "--method", "mean-linear", "--input", path, "--nu", "0.5"]) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert (payload["error"], payload["stage"]) == ("VarianceOverflow", "variance")
+    assert "response" not in payload["message"]
 
 
 def test_quantile_unmoved_by_response_scale(tmp_path, capsys):

@@ -17,6 +17,7 @@ from fusiongain.errors import (
     OutOfRange,
     SingularDesign,
     TooFewObservations,
+    VarianceOverflow,
     ZeroDispersion,
 )
 import fusiongain
@@ -834,9 +835,37 @@ GUARD_CASES = {
                                  np.array([[100.0]]), 0.0),
         EmptyNeighborhood,
     ),
+    # a spread or a squared norm that leaves the double range is refused
+    # where it is formed
+    "bandwidth-overflowing-sd": (
+        lambda: silverman_bandwidth([1.5e308, -1.5e308, 2.0, 0.5] + [1.0] * 46),
+        VarianceOverflow,
+    ),
+    "bandwidth-overflowing-iqr": (
+        lambda: silverman_bandwidth(np.repeat([-1.5e308, 1.5e308], 25)), VarianceOverflow),
+    "local-linear-far-row": (
+        lambda: LocalLinearRegressor(np.array([[0.0], [1.0], [1e200]]), np.zeros(3),
+                                     np.array([1.0])),
+        VarianceOverflow,
+    ),
+    "local-linear-far-query": (
+        lambda: LocalLinearRegressor(np.array([[0.0], [1.0], [2.0]]), np.zeros(3),
+                                     np.array([1.0])).predict(np.array([[1e200]])),
+        VarianceOverflow,
+    ),
+    "knn-far-row": (
+        lambda: KnnRegressor(np.array([[0.0], [1.0], [1e200]]), np.zeros(3), 1),
+        VarianceOverflow,
+    ),
+    "knn-far-query": (
+        lambda: KnnRegressor(np.array([[0.0], [1.0], [2.0]]), np.zeros(3), 1).predict(
+            np.array([[1e200]])),
+        VarianceOverflow,
+    ),
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("call, error", GUARD_CASES.values(), ids=GUARD_CASES)
 def test_guard_raises_typed(call, error):
     with pytest.raises(error):
