@@ -315,7 +315,7 @@ class KnnRegressor:
         self.x_train = x_train
         self.y_train = y_train
         self.k = k
-        with np.errstate(over="ignore", invalid="ignore"):  # _finite_norms reports it
+        with np.errstate(over="ignore", invalid="ignore"):  # _finite_norms reports an overflow
             self._x_mean = x_train.mean(axis=0)
             self._x_centered = x_train - self._x_mean
             self._half_sq_norms = _finite_norms(
@@ -332,7 +332,7 @@ class KnnRegressor:
     def _neighbors(self, xq: np.ndarray) -> np.ndarray:
         """Training indices of each query's k nearest points, nearest first."""
         nq, n_train = xq.shape[0], self.x_train.shape[0]
-        with np.errstate(over="ignore"):  # _finite_norms reports it
+        with np.errstate(over="ignore"):  # _finite_norms reports an overflow
             qc = xq - self._x_mean
             half_q_sq = _finite_norms(0.5 * (qc * qc).sum(axis=1))
         approx = _WORKSPACE.take("knn_approx", (nq, n_train))
@@ -409,7 +409,7 @@ class _GaussianKernel:
         p = xq.shape[1]
         query = np.empty((xq.shape[0], p + 2))
         a = query[:, :p]
-        with np.errstate(over="ignore"):  # _finite_norms reports it
+        with np.errstate(over="ignore"):  # _finite_norms reports an overflow
             np.divide(xq - self.centre, self.bandwidths, out=a)
             query[:, p + 1] = _finite_norms(0.5 * (a * a).sum(axis=1))
         query[:, p] = 1.0
@@ -633,21 +633,22 @@ def silverman_bandwidth(sample) -> float | np.ndarray:
     one pass over its rows (each column reduced as a vector would be).  The
     sample standard deviation uses divisor n-1.  A zero IQR with positive
     dispersion falls back to the standard deviation alone (the literal min
-    would return a zero bandwidth).  A bandwidth that is not a finite double
-    (the spread overflows) raises :class:`VarianceOverflow`.
+    would return a zero bandwidth).  A standard deviation that overflows,
+    to inf or, by the order of its sum, to NaN, leaves the IQR; a bandwidth
+    that is still not a finite double raises :class:`VarianceOverflow`.
     """
     sample = np.asarray(sample, dtype=float)
     if sample.ndim == 0 or sample.shape[0] < 2:
         raise TooFewObservations("bandwidth rule needs at least 2 observations")
     columns = np.ascontiguousarray(sample.reshape(sample.shape[0], -1).T)
-    # a spread that overflows is inf or, from inf - inf, NaN; the check below reports it
+    # a spread that overflows is inf or NaN; fmin and the check below handle it
     with np.errstate(over="ignore", invalid="ignore"):
         sd = np.std(columns, axis=1, ddof=1)
         q75, q25 = np.percentile(columns, [75.0, 25.0], axis=1)
         iqr = q75 - q25
         if np.any((sd == 0.0) & (iqr == 0.0)):
             raise ZeroDispersion("sample has zero dispersion")
-        spread = np.where(iqr > 0.0, np.minimum(sd, iqr / 1.34), sd)
+        spread = np.where(iqr > 0.0, np.fmin(sd, iqr / 1.34), sd)
         bands = 1.06 * spread * columns.shape[1] ** (-0.2)
     if not np.isfinite(bands).all():
         raise VarianceOverflow("rule-of-thumb bandwidth is not a finite double")

@@ -745,6 +745,23 @@ class TestSilvermanBandwidth:
         with pytest.raises(ZeroDispersion):  # one constant column of a matrix
             silverman_bandwidth(np.column_stack([np.arange(20.0), np.full(20, 1.0)]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_sd_leaves_the_iqr_in_any_row_order(self):
+        # the sd of these values overflows: to inf in the first row order,
+        # and to NaN in the second, where numpy's pairwise sum meets +inf
+        # and -inf
+        first = np.ones(64)
+        first[:8] = [1.5e308, -1.5e308] * 4
+        first[32:] = np.linspace(-3.0, 3.0, 32)
+        second = first.copy()
+        second[:8] = 1.0
+        second[[0, 8, 16, 24]] = 1.5e308
+        second[[1, 9, 17, 25]] = -1.5e308
+        q75, q25 = np.percentile(first, [75.0, 25.0])
+        expected = 1.06 * ((q75 - q25) / 1.34) * 64 ** (-0.2)
+        assert silverman_bandwidth(first) == expected
+        assert silverman_bandwidth(second) == expected
+
 
 class TestKde:
     def test_single_observation_at_mode(self):
@@ -841,7 +858,7 @@ GUARD_CASES = {
         lambda: silverman_bandwidth([1.5e308, -1.5e308, 2.0, 0.5] + [1.0] * 46),
         VarianceOverflow,
     ),
-    "bandwidth-overflowing-iqr": (
+    "bandwidth-overflowing-both": (
         lambda: silverman_bandwidth(np.repeat([-1.5e308, 1.5e308], 25)), VarianceOverflow),
     "local-linear-far-row": (
         lambda: LocalLinearRegressor(np.array([[0.0], [1.0], [1e200]]), np.zeros(3),
