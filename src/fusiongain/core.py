@@ -13,7 +13,6 @@ reporting.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -25,7 +24,6 @@ from .errors import (
     DegenerateDenominator,
     DegenerateVariance,
     OutOfRange,
-    VarianceOverflow,
     stage,
 )
 
@@ -75,16 +73,11 @@ def ratio_estimate(theta1_hat: float | np.ndarray, theta2_hat: float | np.ndarra
     the core a of a utility nu + (1 - nu) a.
 
     Each argument is a trace or the per-row terms whose mean it is.  This is
-    the one place a trace is checked: a non-finite one raises
-    :class:`VarianceOverflow`, without a numpy warning, and a denominator
-    that is not positive :class:`DegenerateDenominator`.
+    the one place a trace is checked: a denominator that is not positive
+    raises :class:`DegenerateDenominator`.
     """
-    with np.errstate(over="ignore"):
-        theta1_hat = float(np.mean(theta1_hat))
-        theta2_hat = float(np.mean(theta2_hat))
-    if not (math.isfinite(theta1_hat) and math.isfinite(theta2_hat)):
-        raise VarianceOverflow(f"residual traces {theta1_hat} and {theta2_hat} "
-                               "are not both finite doubles")
+    theta1_hat = float(np.mean(theta1_hat))
+    theta2_hat = float(np.mean(theta2_hat))
     if not theta2_hat > 0.0:
         raise DegenerateDenominator(
             f"internal-only bound estimate must be positive, got {theta2_hat}"
@@ -235,26 +228,6 @@ class UtilityEstimate:
     @property
     def ci(self) -> Interval:
         return truncate_interval(self.ci_raw)
-
-
-def typed_overflow(variance: Callable[..., float]) -> Callable[..., float]:
-    """Make a plug-in variance raise :class:`VarianceOverflow` where its value
-    leaves the double range, instead of an ``OverflowError`` or a non-finite
-    return."""
-
-    @functools.wraps(variance)
-    def checked(*args, **kwargs) -> float:
-        try:
-            # an overflow, and the inf - inf it leads to, are reported below
-            with np.errstate(over="ignore", invalid="ignore"):
-                value = variance(*args, **kwargs)
-        except OverflowError:
-            value = math.inf
-        if not math.isfinite(value):
-            raise VarianceOverflow(f"plug-in variance {value} is not a finite double")
-        return value
-
-    return checked
 
 
 def finalize(

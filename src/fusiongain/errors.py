@@ -24,13 +24,6 @@ class DegenerateDenominator(FusionGainError):
     """A ratio denominator is zero or negative."""
 
 
-class VarianceOverflow(FusionGainError):
-    """A number the estimate is built from is not a finite double: a residual
-    trace (checked once, by ``core.ratio_estimate``), a plug-in variance,
-    least-squares coefficients, a rule-of-thumb bandwidth, or a covariate
-    row's squared distance from its sample centre."""
-
-
 class TooFewObservations(FusionGainError):
     """The sample is too small for the requested operation."""
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UtilityEstimate, check_settings, finalize, ratio_estimate, typed_overflow
+from .core import UtilityEstimate, check_settings, finalize, ratio_estimate
 from .errors import (
     DegenerateResidualVariance,
     DegenerateVariance,
@@ -28,7 +28,7 @@ from .errors import (
     TooFewObservations,
     stage,
 )
-from .nuisance import Dataset, equilibrated_solve
+from .nuisance import Dataset, equilibrated_solve, unit_scaled
 
 
 @dataclass(frozen=True)
@@ -59,25 +59,18 @@ def fit_components(data: Dataset, s_index: int = 0) -> LinRegComponents:
     n, p = x.shape
     if not 0 <= s_index < p:
         raise OutOfRange(f"s_index must be in [0, {p - 1}], got {s_index}")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a non-finite Sigma
-        sigma_mat = x.T @ x / n
-        moments = x.T @ y / n
-    solved = equilibrated_solve(sigma_mat, moments)
+    solved = equilibrated_solve(x.T @ x / n, x.T @ y / n)
     if solved is None:
         raise SingularDesign(
             "covariate second-moment matrix is not (numerically) positive definite"
         )
     mu_hat, sigma_inv = solved
-    if not np.isfinite(sigma_inv).all():
-        raise SingularDesign("inverse of the covariate second-moment matrix is not finite")
     s = x[:, s_index]
     kappa_hat = float(np.trace(sigma_inv))
-    # a huge response overflows its products; ratio_estimate reports the traces
-    with np.errstate(over="ignore", invalid="ignore"):
-        eta_hat = float(s @ y) / float(s @ s)
-        residuals = y - x @ mu_hat
-        sigma_sq = float(np.mean(residuals**2))
-        alpha_hat = float(np.mean(s**2 * (y - eta_hat * s) ** 2))
+    eta_hat = float(s @ y) / float(s @ s)
+    residuals = y - x @ mu_hat
+    sigma_sq = float(np.mean(residuals**2))
+    alpha_hat = float(np.mean(s**2 * (y - eta_hat * s) ** 2))
     sigma_hat = math.sqrt(sigma_sq)
     return LinRegComponents(
         mu_hat=mu_hat,
@@ -123,7 +116,6 @@ def _alpha_kappa(comp: LinRegComponents) -> float:
     return comp.alpha_hat * comp.kappa_hat
 
 
-@typed_overflow
 def variance_linreg(data: Dataset, comp: LinRegComponents) -> float:
     """Plug-in g^2 = Var(v) / (alpha kappa)^2, divisor n - 1."""
     alpha_kappa = _alpha_kappa(comp)
@@ -139,10 +131,13 @@ def variance_linreg(data: Dataset, comp: LinRegComponents) -> float:
 def assess_linreg(
     data: Dataset, *, nu: float, alpha: float = 0.95, s_index: int = 0
 ) -> UtilityEstimate:
-    """Full assessment: moment components and the point core
-    a = 1 - sigma^2 / (alpha kappa), then :func:`finalize` (no split
-    estimator, so the interval is centered at the point estimate)."""
+    """Full assessment: the data through :func:`unit_scaled`, moment
+    components and the point core a = 1 - sigma^2 / (alpha kappa), then
+    :func:`finalize` (no split estimator, so the interval is centered at the
+    point estimate)."""
     check_settings(nu=nu, alpha=alpha)
+    with stage("data"):
+        data = unit_scaled(data, common_x=True)
     with stage("components"):
         comp = fit_components(data, s_index)
     with stage("point"):

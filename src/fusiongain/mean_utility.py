@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import UtilityEstimate, check_settings, finalize, ratio_estimate, typed_overflow
+from .core import UtilityEstimate, check_settings, finalize, ratio_estimate
 from .errors import DegenerateVariance, stage
-from .nuisance import Dataset, crossfit_predict, split_halves
+from .nuisance import Dataset, crossfit_predict, split_halves, unit_scaled
 
 
 def residual_core(z: Dataset, regressor: str, seed: int,
@@ -32,8 +32,7 @@ def residual_core(z: Dataset, regressor: str, seed: int,
     Z = Y for the mean, and the indicator 1(Y < mu), clamped to [0, 1], for
     the quantile."""
     g = np.clip(crossfit_predict(z, regressor, seed), *clamp)
-    with np.errstate(over="ignore"):  # ratio_estimate reports an overflow
-        return g, (z.y - g) ** 2
+    return g, (z.y - g) ** 2
 
 
 def compute_mean_intermediates(data: Dataset, regressor: str,
@@ -42,8 +41,7 @@ def compute_mean_intermediates(data: Dataset, regressor: str,
     predictions ghat, sq_mean = (Y - ybar)^2 around the full-sample mean,
     and the point core a_hat = mean(sq_g) / theta2, theta2 = mean(sq_mean)."""
     sq_g = residual_core(data, regressor, seed)[1]
-    with np.errstate(over="ignore"):  # ratio_estimate reports an overflow
-        sq_mean = (data.y - np.mean(data.y)) ** 2
+    sq_mean = (data.y - np.mean(data.y)) ** 2
     return sq_g, sq_mean, ratio_estimate(sq_g, sq_mean)
 
 
@@ -58,7 +56,6 @@ def split_estimate_mean(data: Dataset, sq_mean: np.ndarray, regressor: str, seed
     return ratio_estimate(residual_core(half, regressor, seed)[1], sq_mean[half.n:])
 
 
-@typed_overflow
 def variance_mean(sq_g: np.ndarray, sq_mean: np.ndarray) -> float:
     """Plug-in g^2 = 2{Var[(Y - ghat)^2] + a^2 Var[(Y - ybar)^2]} / theta2^2
     from the two squared-residual arrays, with sample variances using
@@ -74,9 +71,12 @@ def variance_mean(sq_g: np.ndarray, sq_mean: np.ndarray) -> float:
 
 def assess_mean(data: Dataset, *, nu: float, alpha: float = 0.95, seed: int = 0,
                 regressor: str = "ols-linear") -> UtilityEstimate:
-    """Full assessment: the point and half-sample cores, then :func:`finalize`
-    (the interval is centered at the split estimate)."""
+    """Full assessment: the data through :func:`unit_scaled`, the point and
+    half-sample cores, then :func:`finalize` (the interval is centered at
+    the split estimate)."""
     check_settings(nu, alpha)
+    with stage("data"):
+        data = unit_scaled(data, common_x=regressor == "k-nn")
     with stage("point"):
         sq_g, sq_mean, a_hat = compute_mean_intermediates(data, regressor, seed)
     with stage("split"):

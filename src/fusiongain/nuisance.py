@@ -1,6 +1,7 @@
 """Nuisance-function estimation stack.
 
-Cross-fitting partitions, the regressor menu (pooled least squares, k-nearest
+The door that scales every input by powers of two (``unit_scaled``),
+cross-fitting partitions, the regressor menu (pooled least squares, k-nearest
 neighbors, local linear smoothing) with fixed smoothing rules, cross-fitted
 predictions, Gaussian kernel density estimation with rule-of-thumb
 bandwidths, and empirical quantiles.  Everything here is deterministic given
@@ -21,7 +22,6 @@ from .errors import (
     OutOfRange,
     SingularDesign,
     TooFewObservations,
-    VarianceOverflow,
     ZeroDispersion,
 )
 
@@ -45,6 +45,10 @@ MIN_BLOCK_ROWS = 8
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 REGRESSOR_KINDS = ("local-linear", "k-nn", "ols-linear")
+
+# The least robust spread a column may have on the door's unit scale
+# (``unit_scaled``), where every entry lies below 1 in magnitude.
+MIN_SPREAD = 2.0**-100
 
 
 @dataclass(frozen=True)
@@ -136,6 +140,48 @@ def split_halves(data: Dataset) -> tuple[Dataset, Dataset]:
     return data.take(np.arange(n_half)), data.take(slice(n_half, None))
 
 
+def unit_scaled(data: Dataset, common_x: bool = False) -> Dataset:
+    """The door every assessment passes its data through: y and each
+    covariate column multiplied by the power of two that puts its largest
+    magnitude in [0.5, 1), or, with ``common_x``, every covariate column by
+    the one power that does so for the largest of them (linreg, whose kappa
+    depends on each column's units, and k-NN, which ranks neighbours in raw
+    units).  The products are exact, so no ratio of traces moves.
+
+    A scaled column whose robust spread, the IQR or, where that is 0, the
+    smallest nonzero distance from the median, is below ``MIN_SPREAD``
+    raises :class:`OutOfRange`, naming its row farthest from the median
+    (1-based), or, under ``common_x``, the column that is small next to the
+    largest covariate column.  A constant column passes, for the method's
+    own check.
+    """
+    own = np.frexp(np.abs(data.x).max(axis=0))[1]
+    powers = np.full_like(own, own.max()) if common_x else own
+    y = np.ldexp(data.y, -np.frexp(np.abs(data.y).max())[1])
+    x = np.ldexp(data.x, -powers)
+    columns = np.vstack([y, x.T])
+    q75, q25 = np.percentile(columns, [75.0, 25.0], axis=1)
+    for j in np.flatnonzero(q75 - q25 < MIN_SPREAD):
+        raw = data.y if j == 0 else data.x[:, j - 1]
+        if raw.min() == raw.max():
+            continue
+        distance = np.abs(columns[j] - np.median(columns[j]))
+        nonzero = distance[distance > 0.0]
+        # a column that the common scale flushed to zero has no spread left
+        spread = q75[j] - q25[j] or (nonzero.min() if nonzero.size else 0.0)
+        if spread >= MIN_SPREAD:
+            continue
+        name = "the response" if j == 0 else (
+            f"covariate {data.column_names[j - 1]}" if data.column_names else f"covariate {j}")
+        if j and spread >= np.ldexp(MIN_SPREAD, own[j - 1] - powers[j - 1]):
+            raise OutOfRange(f"{name} is too small next to the largest covariate column: on "
+                             f"their common scale its robust spread is {spread:.3g}, below 2^-100")
+        raise OutOfRange(f"{name}: row {int(np.argmax(distance)) + 1} lies so far from the "
+                         f"median that the robust spread is {spread:.3g} of the largest "
+                         "magnitude, below 2^-100")
+    return Dataset(y, x, data.column_names)
+
+
 def ols_fit(x, y) -> np.ndarray:
     """Least-squares coefficients via the normal equations, from
     ``equilibrated_solve``: the intercept first, then one slope per column.
@@ -143,15 +189,9 @@ def ols_fit(x, y) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     design = np.column_stack([np.ones(x.shape[0]), x])
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a non-finite Gram
-        gram = design.T @ design
-        moments = design.T @ y
-    solved = equilibrated_solve(gram, moments)
+    solved = equilibrated_solve(design.T @ design, design.T @ y)
     if solved is None:
         raise SingularDesign("Gram matrix is singular or too ill conditioned")
-    if not np.isfinite(solved[0]).all():
-        raise VarianceOverflow("least-squares coefficients are not finite: the response "
-                               "scale is too large for its cross products")
     return solved[0]
 
 
@@ -206,37 +246,22 @@ def equilibrated_solve(gram: np.ndarray, rhs: np.ndarray):
     linreg), which has no natural units: the gate sees D^-1/2 G D^-1/2 with
     D = diag(G), so rescaling a covariate column cannot move the decision.
     Returns G^-1 rhs and G^-1, both from the factor that passed, or None
-    where G is not finite or fails (a column of zeros leaves a zero on D).
-    A non-finite ``rhs`` leaves G^-1 rhs non-finite, for the caller to refuse.
+    where G fails (a column of zeros leaves a zero on D).
     """
     diag = gram.diagonal()
-    if not (np.isfinite(gram).all() and (diag > 0.0).all()):
+    if not (diag > 0.0).all():
         return None
     inv_root = 1.0 / np.sqrt(diag)
     passes, l_inv, z = cholesky_gate(gram * inv_root[:, None] * inv_root, rhs * inv_root)
     if not passes:
         return None
-    # G^-1 = M'M with M = L^-1 D^-1/2, which a tiny column scale can overflow
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = l_inv * inv_root
-        g_inv = m.T @ m
-        solution = inv_root * (l_inv.T @ z)
-    return solution, g_inv
+    m = l_inv * inv_root  # G^-1 = M'M
+    return inv_root * (l_inv.T @ z), m.T @ m
 
 
 def default_neighbor_count(n_train: int) -> int:
     """Default k for k-NN regression, ceil(n^(4/5) / 4), clipped to [1, n]."""
     return min(max(1, math.ceil(n_train**0.8 / 4.0)), n_train)
-
-
-def _finite_norms(half_sq_norms: np.ndarray) -> np.ndarray:
-    """Half the squared norms of centred covariate rows, refused with
-    :class:`VarianceOverflow` where one is not a finite double (a row far
-    from the sample centre)."""
-    if not np.isfinite(half_sq_norms).all():
-        raise VarianceOverflow("a covariate row's squared distance from the sample "
-                               "centre is not a finite double")
-    return half_sq_norms
 
 
 class OlsLinearRegressor:
@@ -300,9 +325,7 @@ class KnnRegressor:
     squared distance: by a fast sort, or by a stable sort in a block where
     some row has equal distances.  Neighbour sets, their order and the
     predictions are therefore the same, bit for bit, as a stable argsort of
-    all exact distances, in memory bounded by the block budget.  A training
-    or query row whose squared norm about the training mean is not finite
-    raises :class:`VarianceOverflow`.
+    all exact distances, in memory bounded by the block budget.
     """
 
     # Candidate slack, relative to (|q|^2 + max |t|^2) / 2 about the training mean.
@@ -315,11 +338,9 @@ class KnnRegressor:
         self.x_train = x_train
         self.y_train = y_train
         self.k = k
-        with np.errstate(over="ignore", invalid="ignore"):  # _finite_norms reports an overflow
-            self._x_mean = x_train.mean(axis=0)
-            self._x_centered = x_train - self._x_mean
-            self._half_sq_norms = _finite_norms(
-                0.5 * (self._x_centered * self._x_centered).sum(axis=1))
+        self._x_mean = x_train.mean(axis=0)
+        self._x_centered = x_train - self._x_mean
+        self._half_sq_norms = 0.5 * (self._x_centered * self._x_centered).sum(axis=1)
         self._half_max_sq_norm = float(self._half_sq_norms.max())
 
     def predict(self, x) -> np.ndarray:
@@ -332,9 +353,8 @@ class KnnRegressor:
     def _neighbors(self, xq: np.ndarray) -> np.ndarray:
         """Training indices of each query's k nearest points, nearest first."""
         nq, n_train = xq.shape[0], self.x_train.shape[0]
-        with np.errstate(over="ignore"):  # _finite_norms reports an overflow
-            qc = xq - self._x_mean
-            half_q_sq = _finite_norms(0.5 * (qc * qc).sum(axis=1))
+        qc = xq - self._x_mean
+        half_q_sq = 0.5 * (qc * qc).sum(axis=1)
         approx = _WORKSPACE.take("knn_approx", (nq, n_train))
         work = _WORKSPACE.take("knn_work", (nq, n_train))
         np.matmul(qc, self._x_centered.T, out=work)
@@ -383,9 +403,7 @@ class _GaussianKernel:
     bilinear form, with cancellation's tiny positives clipped.  Multiplying
     every bandwidth by 2^k scales every term of the GEMM, and so the result,
     by exactly 4^-k, unless a scaled value falls in the subnormal range.
-    The bandwidths must be positive and finite, and a sample or query row
-    whose centred, scaled squared norm is not finite raises
-    :class:`VarianceOverflow`.
+    The bandwidths must be positive and finite.
     """
 
     def __init__(self, x_sample: np.ndarray, bandwidths):
@@ -393,15 +411,12 @@ class _GaussianKernel:
         if np.any(bandwidths <= 0) or not np.all(np.isfinite(bandwidths)):
             raise OutOfRange("bandwidths must be positive and finite")
         self.bandwidths = bandwidths
-        # finite norms keep every product of two scaled coordinates finite
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.centre = x_sample.mean(axis=0)
-            self.scaled = (x_sample - self.centre) / bandwidths
-            half_sq_norms = _finite_norms(0.5 * (self.scaled * self.scaled).sum(axis=1))
+        self.centre = x_sample.mean(axis=0)
+        self.scaled = (x_sample - self.centre) / bandwidths
         p = self.scaled.shape[1]
         self._operand = np.empty((p + 2, self.scaled.shape[0]))
         self._operand[:p] = self.scaled.T
-        self._operand[p] = -half_sq_norms
+        self._operand[p] = -0.5 * (self.scaled * self.scaled).sum(axis=1)
         self._operand[p + 1] = -1.0
 
     def log_weights(self, xq: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -409,9 +424,8 @@ class _GaussianKernel:
         p = xq.shape[1]
         query = np.empty((xq.shape[0], p + 2))
         a = query[:, :p]
-        with np.errstate(over="ignore"):  # _finite_norms reports an overflow
-            np.divide(xq - self.centre, self.bandwidths, out=a)
-            query[:, p + 1] = _finite_norms(0.5 * (a * a).sum(axis=1))
+        np.divide(xq - self.centre, self.bandwidths, out=a)
+        query[:, p + 1] = 0.5 * (a * a).sum(axis=1)
         query[:, p] = 1.0
         np.matmul(query, self._operand, out=out)
         return np.minimum(out, 0.0, out=out)
@@ -482,23 +496,18 @@ class LocalLinearRegressor:
             np.multiply(xc[:, j : j + 1], xc[:, j:], out=design[:, start : start + p - j])
             start += p - j
         # solving on mean-centered responses keeps the response level out of
-        # the local solve (constant responses reproduce exactly); a response
-        # near the double limit overflows, and ``predict`` returns non-finite
-        with np.errstate(over="ignore", invalid="ignore"):
-            self._y_mean = float(np.mean(y_train))
-            y_centered = y_train - self._y_mean
-            design[:, start] = y_centered
-            np.multiply(xc, y_centered[:, None], out=design[:, start + 1 :])
+        # the local solve (constant responses reproduce exactly)
+        self._y_mean = float(np.mean(y_train))
+        y_centered = y_train - self._y_mean
+        design[:, start] = y_centered
+        np.multiply(xc, y_centered[:, None], out=design[:, start + 1 :])
         self._moment_design = design
 
     def predict(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         out = np.empty(x.shape[0])
-        # a response near the double limit overflows the moments; the
-        # caller's residual trace reports the non-finite predictions
-        with np.errstate(over="ignore", invalid="ignore"):
-            for block in _query_blocks(x.shape[0], self.x_train.shape[0]):
-                out[block], _ = self._predict_block(x[block])
+        for block in _query_blocks(x.shape[0], self.x_train.shape[0]):
+            out[block], _ = self._predict_block(x[block])
         return out
 
     def _floored_weights(self, xq: np.ndarray) -> np.ndarray:
@@ -633,25 +642,19 @@ def silverman_bandwidth(sample) -> float | np.ndarray:
     one pass over its rows (each column reduced as a vector would be).  The
     sample standard deviation uses divisor n-1.  A zero IQR with positive
     dispersion falls back to the standard deviation alone (the literal min
-    would return a zero bandwidth).  A standard deviation that overflows,
-    to inf or, by the order of its sum, to NaN, leaves the IQR; a bandwidth
-    that is still not a finite double raises :class:`VarianceOverflow`.
+    would return a zero bandwidth).
     """
     sample = np.asarray(sample, dtype=float)
     if sample.ndim == 0 or sample.shape[0] < 2:
         raise TooFewObservations("bandwidth rule needs at least 2 observations")
     columns = np.ascontiguousarray(sample.reshape(sample.shape[0], -1).T)
-    # a spread that overflows is inf or NaN; fmin and the check below handle it
-    with np.errstate(over="ignore", invalid="ignore"):
-        sd = np.std(columns, axis=1, ddof=1)
-        q75, q25 = np.percentile(columns, [75.0, 25.0], axis=1)
-        iqr = q75 - q25
-        if np.any((sd == 0.0) & (iqr == 0.0)):
-            raise ZeroDispersion("sample has zero dispersion")
-        spread = np.where(iqr > 0.0, np.fmin(sd, iqr / 1.34), sd)
-        bands = 1.06 * spread * columns.shape[1] ** (-0.2)
-    if not np.isfinite(bands).all():
-        raise VarianceOverflow("rule-of-thumb bandwidth is not a finite double")
+    sd = np.std(columns, axis=1, ddof=1)
+    q75, q25 = np.percentile(columns, [75.0, 25.0], axis=1)
+    iqr = q75 - q25
+    if np.any((sd == 0.0) & (iqr == 0.0)):
+        raise ZeroDispersion("sample has zero dispersion")
+    spread = np.where(iqr > 0.0, np.minimum(sd, iqr / 1.34), sd)
+    bands = 1.06 * spread * columns.shape[1] ** (-0.2)
     return float(bands[0]) if sample.ndim == 1 else bands
 
 

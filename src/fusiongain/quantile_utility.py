@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import UtilityEstimate, check_settings, finalize, ratio_estimate, typed_overflow
-from .errors import PlanMismatch, VanishingDensity, stage
+from .core import UtilityEstimate, check_settings, finalize, ratio_estimate
+from .errors import PlanMismatch, TooFewObservations, VanishingDensity, stage
 from .nuisance import (
     Dataset,
     cond_kde_profile,
@@ -25,6 +25,7 @@ from .nuisance import (
     kde_eval,
     silverman_bandwidth,
     split_halves,
+    unit_scaled,
 )
 from .mean_utility import residual_core
 
@@ -43,8 +44,12 @@ def compute_quantile_intermediates(
 ) -> tuple[float, np.ndarray, float]:
     """The empirical tau-quantile mu_hat, the cross-fitted conditional CDF
     Fhat at mu_hat (clamped to [0, 1]) and the point core a_hat: the
-    residual trace of 1(Y < mu_hat) over tau(1-tau)."""
+    residual trace of 1(Y < mu_hat) over tau(1-tau).  With no Y below mu_hat
+    the indicator is 0 in every row and a_hat is 0 by construction, so that
+    sample raises :class:`TooFewObservations`."""
     mu_hat = empirical_quantile(data.y, tau)
+    if not np.any(data.y < mu_hat):
+        raise TooFewObservations(f"no observation lies below the empirical {tau}-quantile")
     fhat, sq = residual_core(_indicator(data, mu_hat), regressor, seed, (0.0, 1.0))
     return mu_hat, fhat, ratio_estimate(sq, tau * (1.0 - tau))
 
@@ -63,7 +68,6 @@ def split_estimate_quantile(data: Dataset, tau: float, regressor: str, seed: int
     return ratio_estimate(sq, tau * (1.0 - tau))
 
 
-@typed_overflow
 def variance_quantile(
     data: Dataset, tau: float, mu_hat: float, fhat: np.ndarray
 ) -> float:
@@ -98,9 +102,12 @@ def variance_quantile(
 
 def assess_quantile(data: Dataset, *, nu: float, alpha: float = 0.95, seed: int = 0,
                     tau: float = 0.5, regressor: str = "local-linear") -> UtilityEstimate:
-    """Full assessment: the point and half-sample cores, then :func:`finalize`
-    (the interval is centered at the split estimate)."""
+    """Full assessment: the data through :func:`unit_scaled`, the point and
+    half-sample cores, then :func:`finalize` (the interval is centered at
+    the split estimate)."""
     check_settings(nu, alpha)
+    with stage("data"):
+        data = unit_scaled(data, common_x=regressor == "k-nn")
     with stage("point"):
         mu_hat, fhat, a_hat = compute_quantile_intermediates(data, tau, regressor, seed)
     with stage("split"):

@@ -22,7 +22,6 @@ from fusiongain.errors import (
     DegenerateDenominator,
     OutOfRange,
     TooFewObservations,
-    VarianceOverflow,
     stage,
 )
 from fusiongain.nuisance import Dataset
@@ -69,12 +68,6 @@ class TestRatio:
         with pytest.raises(DegenerateDenominator):
             ratio_estimate(0.3, 0.0)
 
-    def test_nonfinite_bounds_rejected(self):
-        with pytest.raises(VarianceOverflow):
-            ratio_estimate(math.inf, 1.0)
-        with pytest.raises(VarianceOverflow):
-            ratio_estimate(0.5, math.nan)
-
     def test_per_row_terms_give_the_ratio_of_their_means(self):
         gen = np.random.default_rng(5)
         for n in (1, 7, 1000):
@@ -82,13 +75,6 @@ class TestRatio:
             expected = float(np.mean(terms1)) / float(np.mean(terms2))
             assert ratio_estimate(terms1, terms2) == expected  # bit for bit
             assert ratio_estimate(terms1, float(np.mean(terms2))) == expected
-
-    @pytest.mark.filterwarnings("error")
-    def test_terms_whose_sum_overflows_raise_quietly(self):
-        with pytest.raises(VarianceOverflow, match="not both finite"):
-            ratio_estimate(np.full(4, 1e308), np.ones(4))
-        with pytest.raises(VarianceOverflow):
-            ratio_estimate(np.ones(4), np.full(4, 1e308))
 
     def test_zero_mean_terms_are_a_degenerate_denominator(self):
         with pytest.raises(DegenerateDenominator):

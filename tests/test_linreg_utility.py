@@ -7,7 +7,6 @@ from fusiongain.errors import (
     OutOfRange,
     SingularDesign,
     TooFewObservations,
-    VarianceOverflow,
 )
 from fusiongain.linreg_utility import (
     assess_linreg,
@@ -124,11 +123,14 @@ class TestVariance:
         with pytest.raises(DegenerateVariance):
             variance_linreg(data, comp)
 
-    def test_overflow_typed_on_direct_call(self):
+    @pytest.mark.filterwarnings("error")
+    def test_large_response_gives_the_unscaled_answer(self):
+        # the door scales the response before any square of it is formed
         base = generate_dgp(DgpConfig(b=0.5, n=40, seed=8))
-        data = Dataset(base.y * 1e80, base.x)
-        with pytest.raises(VarianceOverflow):
-            variance_linreg(data, fit_components(data, s_index=0))
+        est = assess_linreg(Dataset(base.y * 1e80, base.x), nu=0.5)
+        ref = assess_linreg(base, nu=0.5)
+        assert (est.theta_hat_raw, est.gamma_hat) == pytest.approx(
+            (ref.theta_hat_raw, ref.gamma_hat), rel=1e-12)
 
     def test_agrees_with_influence_function_form(self):
         # diagnostic: the ratio's plug-in influence function is an affine map

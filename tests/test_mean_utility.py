@@ -5,7 +5,6 @@ from fusiongain.errors import (
     DegenerateDenominator,
     DegenerateVariance,
     OutOfRange,
-    VarianceOverflow,
 )
 import fusiongain.mean_utility as mean_utility
 from fusiongain.mean_utility import (
@@ -127,13 +126,15 @@ class TestVariance:
         with pytest.raises(DegenerateVariance):
             variance_mean((y - -y) ** 2, (y - np.mean(y)) ** 2)
 
-    def test_overflow_typed_on_direct_call(self):
-        # squares of squared residuals of a response near 1e80 leave the double range
+    @pytest.mark.filterwarnings("error")
+    def test_large_response_gives_the_unscaled_answer(self):
+        # squares of squared residuals of a response near 1e80 would leave the
+        # double range; the door scales the response before they are formed
         base = generate_dgp(DgpConfig(b=0.5, n=40, seed=8))
-        data = Dataset(base.y * 1e80, base.x)
-        sq_g, sq_mean, _ = compute_mean_intermediates(data, "ols-linear", 0)
-        with pytest.raises(VarianceOverflow):
-            variance_mean(sq_g, sq_mean)
+        est = assess_mean(Dataset(base.y * 1e80, base.x), **_linear_cfg())
+        ref = assess_mean(base, **_linear_cfg())
+        assert (est.theta_hat_raw, est.theta_tilde_raw, est.gamma_hat) == pytest.approx(
+            (ref.theta_hat_raw, ref.theta_tilde_raw, ref.gamma_hat), rel=1e-12)
 
     def test_vanishes_quadratically_as_nu_approaches_one(self):
         data = generate_dgp(DgpConfig(b=0.5, n=200, seed=4))

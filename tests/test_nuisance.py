@@ -17,12 +17,12 @@ from fusiongain.errors import (
     OutOfRange,
     SingularDesign,
     TooFewObservations,
-    VarianceOverflow,
     ZeroDispersion,
 )
 import fusiongain
 from fusiongain.nuisance import (
     MAX_CONDITION_NUMBER,
+    MIN_SPREAD,
     N_FOLDS,
     Dataset,
     KnnRegressor,
@@ -41,6 +41,7 @@ from fusiongain.nuisance import (
     ols_fit,
     silverman_bandwidth,
     split_halves,
+    unit_scaled,
 )
 from fusiongain.mean_utility import residual_core
 from fusiongain.quantile_utility import _indicator
@@ -102,6 +103,50 @@ class TestSplitPlan:
         assert np.array_equal(np.sort(all_indices), np.arange(n))
 
 
+class TestUnitScaled:
+    def test_columns_scaled_exactly_by_powers_of_two(self):
+        rng = np.random.default_rng(3)
+        y = rng.normal(size=40) * 1e-200
+        x = np.asfortranarray(rng.normal(size=(40, 3)) * [1e100, 1.0, 1e-100])
+        scaled = unit_scaled(Dataset(y, x, ("a", "b", "c")))
+        for raw, out in zip([y] + list(x.T), [scaled.y] + list(scaled.x.T)):
+            assert 0.5 <= np.abs(out).max() < 1.0
+            ratio = raw / out
+            assert np.all(ratio == ratio[0]) and np.frexp(ratio[0])[0] == 0.5
+        assert scaled.x.flags.f_contiguous and scaled.column_names == ("a", "b", "c")
+
+    def test_common_scale_is_the_largest_columns(self):
+        x = np.column_stack([np.linspace(-3.0, 3.0, 20), np.linspace(-1e3, 1e3, 20)])
+        scaled = unit_scaled(Dataset(np.arange(20.0), x), common_x=True)
+        assert np.array_equal(scaled.x / x, np.full_like(x, 2.0**-10))
+
+    def test_constant_and_binary_columns_pass(self):
+        x = np.column_stack([np.full(30, 7.0), (np.arange(30) < 1).astype(float)])
+        scaled = unit_scaled(Dataset(np.full(30, -2.0), x))
+        assert np.array_equal(scaled.y, np.full(30, -0.5))
+        assert np.array_equal(scaled.x, np.column_stack([np.full(30, 0.875), x[:, 1] * 0.5]))
+
+    def test_spread_at_the_bound(self):
+        # IQR 0: the smallest nonzero distance from the median is the spread
+        x = np.zeros(21)
+        x[0] = 0.5
+        x[1] = MIN_SPREAD
+        unit_scaled(Dataset(np.arange(21.0), x.copy()))
+        x[1] = 0.5 * MIN_SPREAD
+        with pytest.raises(OutOfRange, match="covariate 1: row 1 lies so far"):
+            unit_scaled(Dataset(np.arange(21.0), x))
+
+    def test_small_column_under_the_common_scale(self):
+        x = np.column_stack([np.linspace(-1.0, 1.0, 20), np.linspace(-1e-40, 1e-40, 20)])
+        unit_scaled(Dataset(np.arange(20.0), x), common_x=False)
+        with pytest.raises(OutOfRange, match="W is too small next to the largest covariate"):
+            unit_scaled(Dataset(np.arange(20.0), x, ("S", "W")), common_x=True)
+        # a column that the common scale flushes to zero is not constant
+        flushed = x * [1e300, 1e-280]
+        with pytest.raises(OutOfRange, match="covariate 2 is too small"):
+            unit_scaled(Dataset(np.arange(20.0), flushed), common_x=True)
+
+
 class TestOls:
     def test_two_point_line(self):
         coef = ols_fit(np.array([[1.0], [-1.0]]), np.array([2.0, 0.0]))
@@ -133,12 +178,6 @@ class TestOls:
         assert equilibrated_solve(design.T @ design, design.T @ np.ones(20)) is None
         with pytest.raises(SingularDesign):
             ols_fit(x, np.ones(20))
-
-    def test_non_finite_gram_is_singular(self):
-        gram = np.array([[np.inf, 1.0], [1.0, 2.0]])
-        assert equilibrated_solve(gram, np.ones(2)) is None
-        gram[0, 0] = np.nan
-        assert equilibrated_solve(gram, np.ones(2)) is None
 
     @pytest.mark.parametrize("r", [1, 2, 3, 6, 11])
     def test_solution_and_inverse_match_lapack(self, r):
@@ -745,23 +784,6 @@ class TestSilvermanBandwidth:
         with pytest.raises(ZeroDispersion):  # one constant column of a matrix
             silverman_bandwidth(np.column_stack([np.arange(20.0), np.full(20, 1.0)]))
 
-    @pytest.mark.filterwarnings("error")
-    def test_overflowing_sd_leaves_the_iqr_in_any_row_order(self):
-        # the sd of these values overflows: to inf in the first row order,
-        # and to NaN in the second, where numpy's pairwise sum meets +inf
-        # and -inf
-        first = np.ones(64)
-        first[:8] = [1.5e308, -1.5e308] * 4
-        first[32:] = np.linspace(-3.0, 3.0, 32)
-        second = first.copy()
-        second[:8] = 1.0
-        second[[0, 8, 16, 24]] = 1.5e308
-        second[[1, 9, 17, 25]] = -1.5e308
-        q75, q25 = np.percentile(first, [75.0, 25.0])
-        expected = 1.06 * ((q75 - q25) / 1.34) * 64 ** (-0.2)
-        assert silverman_bandwidth(first) == expected
-        assert silverman_bandwidth(second) == expected
-
 
 class TestKde:
     def test_single_observation_at_mode(self):
@@ -852,32 +874,22 @@ GUARD_CASES = {
                                  np.array([[100.0]]), 0.0),
         EmptyNeighborhood,
     ),
-    # a spread or a squared norm that leaves the double range is refused
-    # where it is formed
+    # a column whose spread or squared norms would leave the double range is
+    # refused at the door, before a bandwidth or a regressor sees it: under
+    # the per-column scale of local-linear and the common scale of k-NN
     "bandwidth-overflowing-sd": (
-        lambda: silverman_bandwidth([1.5e308, -1.5e308, 2.0, 0.5] + [1.0] * 46),
-        VarianceOverflow,
+        lambda: unit_scaled(Dataset([1.5e308, -1.5e308, 2.0, 0.5] + [1.0] * 46,
+                                    np.arange(50.0))),
+        OutOfRange,
     ),
-    "bandwidth-overflowing-both": (
-        lambda: silverman_bandwidth(np.repeat([-1.5e308, 1.5e308], 25)), VarianceOverflow),
     "local-linear-far-row": (
-        lambda: LocalLinearRegressor(np.array([[0.0], [1.0], [1e200]]), np.zeros(3),
-                                     np.array([1.0])),
-        VarianceOverflow,
-    ),
-    "local-linear-far-query": (
-        lambda: LocalLinearRegressor(np.array([[0.0], [1.0], [2.0]]), np.zeros(3),
-                                     np.array([1.0])).predict(np.array([[1e200]])),
-        VarianceOverflow,
+        lambda: unit_scaled(Dataset(np.arange(10.0), np.arange(9.0).tolist() + [1e200])),
+        OutOfRange,
     ),
     "knn-far-row": (
-        lambda: KnnRegressor(np.array([[0.0], [1.0], [1e200]]), np.zeros(3), 1),
-        VarianceOverflow,
-    ),
-    "knn-far-query": (
-        lambda: KnnRegressor(np.array([[0.0], [1.0], [2.0]]), np.zeros(3), 1).predict(
-            np.array([[1e200]])),
-        VarianceOverflow,
+        lambda: unit_scaled(Dataset(np.arange(10.0), np.column_stack(
+            [np.arange(9.0).tolist() + [1e200], np.arange(10.0)])), common_x=True),
+        OutOfRange,
     ),
 }
 
