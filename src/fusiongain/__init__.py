@@ -34,7 +34,6 @@ from .mean_utility import (
 )
 from .nuisance import (
     Dataset,
-    SplitPlan,
     crossfit_predict,
     empirical_quantile,
     fit_conditional_mean,

@@ -21,8 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from .core import UtilityEstimate, check_settings, finalize, ratio_estimate
-from .errors import DegenerateVariance, stage
-from .nuisance import Dataset, crossfit_predict, split_halves, unit_scaled
+from .errors import DegenerateVariance, TooFewObservations, stage
+from .nuisance import MIN_SPLIT_N, Dataset, crossfit_predict, split_halves, unit_scaled
 
 
 def residual_core(z: Dataset, regressor: str, seed: int,
@@ -52,8 +52,8 @@ def split_estimate_mean(data: Dataset, sq_mean: np.ndarray, regressor: str, seed
     cross-fitting inside that half); the mean-residual average is the mean
     of ``sq_mean``, the squares around the full-sample mean, over the rest.
     """
-    half, _ = split_halves(data)
-    return ratio_estimate(residual_core(half, regressor, seed)[1], sq_mean[half.n:])
+    half, rest = split_halves(data.n)
+    return ratio_estimate(residual_core(data.take(half), regressor, seed)[1], sq_mean[rest])
 
 
 def variance_mean(sq_g: np.ndarray, sq_mean: np.ndarray) -> float:
@@ -71,11 +71,14 @@ def variance_mean(sq_g: np.ndarray, sq_mean: np.ndarray) -> float:
 
 def assess_mean(data: Dataset, *, nu: float, alpha: float = 0.95, seed: int = 0,
                 regressor: str = "ols-linear") -> UtilityEstimate:
-    """Full assessment: the data through :func:`unit_scaled`, the point and
-    half-sample cores, then :func:`finalize` (the interval is centered at
-    the split estimate)."""
+    """Full assessment: at least ``MIN_SPLIT_N`` rows through
+    :func:`unit_scaled`, the point and half-sample cores, then
+    :func:`finalize` (the interval is centered at the split estimate)."""
     check_settings(nu, alpha)
     with stage("data"):
+        if data.n < MIN_SPLIT_N:
+            raise TooFewObservations(
+                f"the half-sample split needs n >= {MIN_SPLIT_N}, got n={data.n}")
         data = unit_scaled(data, common_x=regressor == "k-nn")
     with stage("point"):
         sq_g, sq_mean, a_hat = compute_mean_intermediates(data, regressor, seed)

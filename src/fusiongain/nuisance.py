@@ -60,8 +60,9 @@ class Dataset:
     column_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
-        x = np.asarray(self.x, dtype=float)
+        # own copies, so freezing them leaves the caller's arrays writable
+        y = np.array(self.y, dtype=float)
+        x = np.array(self.x, dtype=float)
         if x.ndim == 1:
             x = x[:, None]
         if y.ndim != 1 or x.ndim != 2:
@@ -96,48 +97,31 @@ class Dataset:
         return Dataset(self.y[indices], self.x[indices], self.column_names)
 
 
-@dataclass(frozen=True)
-class SplitPlan:
-    """Deterministic ``N_FOLDS``-fold partition of 0..n-1."""
+def make_split_plan(n: int, seed: int) -> np.ndarray:
+    """The fold id (int64, 0-based) of each row of 0..n-1, for ``N_FOLDS``
+    folds of near-equal size.
 
-    assignment: np.ndarray  # fold id per observation, 0-based
-
-    def fold(self, m: int) -> np.ndarray:
-        return np.flatnonzero(self.assignment == m)
-
-    def complement(self, m: int) -> np.ndarray:
-        return np.flatnonzero(self.assignment != m)
-
-
-def make_split_plan(n: int, seed: int) -> SplitPlan:
-    """Partition 0..n-1 into ``N_FOLDS`` folds of near-equal size.
-
-    A seeded Fisher-Yates shuffle is cut into contiguous blocks; the first
-    ``n mod N_FOLDS`` folds are one observation larger.  Identical (n, seed)
-    always reproduces the identical plan.
+    A seeded Fisher-Yates order is cut into contiguous blocks by
+    ``np.array_split``, which makes the first ``n mod N_FOLDS`` folds one
+    row larger.  Identical (n, seed) always reproduces the identical folds.
     """
     if n < 2 * N_FOLDS:
         raise TooFewObservations(
             f"need n >= {2 * N_FOLDS} for {N_FOLDS} usable folds, got n={n}"
         )
-    gen = rng.substream(seed, rng.DOMAIN_SPLIT)
-    order = rng.fisher_yates(gen, n)
-    base, rem = divmod(n, N_FOLDS)
-    assignment = np.empty(n, dtype=np.int64)
-    start = 0
-    for fold_id in range(N_FOLDS):
-        size = base + (1 if fold_id < rem else 0)
-        assignment[order[start : start + size]] = fold_id
-        start += size
-    return SplitPlan(assignment)
+    order = rng.fisher_yates(rng.substream(seed, rng.DOMAIN_SPLIT), n)
+    folds = np.empty(n, dtype=np.int64)
+    for fold_id, rows in enumerate(np.array_split(order, N_FOLDS)):
+        folds[rows] = fold_id
+    return folds
 
 
-def split_halves(data: Dataset) -> tuple[Dataset, Dataset]:
-    """The half-sample split: the first ceil(n/2) observations and the rest."""
-    n_half = math.ceil(data.n / 2)
-    if data.n - n_half < 1:
+def split_halves(n: int) -> tuple[slice, slice]:
+    """The half-sample split of rows 0..n-1: the first ceil(n/2) rows and the rest."""
+    n_half = math.ceil(n / 2)
+    if n - n_half < 1:
         raise TooFewObservations("split estimate needs a nonempty second half")
-    return data.take(np.arange(n_half)), data.take(slice(n_half, None))
+    return slice(0, n_half), slice(n_half, n)
 
 
 def unit_scaled(data: Dataset, common_x: bool = False) -> Dataset:
@@ -615,11 +599,11 @@ def crossfit_predict(data: Dataset, kind: str, seed: int) -> np.ndarray:
     regressor trained on the complement of i's fold, so it never depends on
     observation i itself.
     """
-    plan = make_split_plan(data.n, seed)
+    folds = make_split_plan(data.n, seed)
     predictions = np.empty(data.n)
     for m in range(N_FOLDS):
-        test = plan.fold(m)
-        regressor = fit_conditional_mean(data.take(plan.complement(m)), kind)
+        test = np.flatnonzero(folds == m)
+        regressor = fit_conditional_mean(data.take(np.flatnonzero(folds != m)), kind)
         predictions[test] = regressor.predict(data.x[test])
     return predictions
 

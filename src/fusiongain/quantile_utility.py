@@ -19,6 +19,7 @@ import numpy as np
 from .core import UtilityEstimate, check_settings, finalize, ratio_estimate
 from .errors import PlanMismatch, TooFewObservations, VanishingDensity, stage
 from .nuisance import (
+    MIN_SPLIT_N,
     Dataset,
     cond_kde_profile,
     empirical_quantile,
@@ -62,9 +63,9 @@ def split_estimate_quantile(data: Dataset, tau: float, regressor: str, seed: int
     conditional-CDF regression is cross-fitted within the first half at that
     threshold.
     """
-    half, rest = split_halves(data)
-    mu_tilde = empirical_quantile(rest.y, tau)
-    sq = residual_core(_indicator(half, mu_tilde), regressor, seed, (0.0, 1.0))[1]
+    half, rest = split_halves(data.n)
+    mu_tilde = empirical_quantile(data.y[rest], tau)
+    sq = residual_core(_indicator(data.take(half), mu_tilde), regressor, seed, (0.0, 1.0))[1]
     return ratio_estimate(sq, tau * (1.0 - tau))
 
 
@@ -102,11 +103,14 @@ def variance_quantile(
 
 def assess_quantile(data: Dataset, *, nu: float, alpha: float = 0.95, seed: int = 0,
                     tau: float = 0.5, regressor: str = "local-linear") -> UtilityEstimate:
-    """Full assessment: the data through :func:`unit_scaled`, the point and
-    half-sample cores, then :func:`finalize` (the interval is centered at
-    the split estimate)."""
+    """Full assessment: at least ``MIN_SPLIT_N`` rows through
+    :func:`unit_scaled`, the point and half-sample cores, then
+    :func:`finalize` (the interval is centered at the split estimate)."""
     check_settings(nu, alpha)
     with stage("data"):
+        if data.n < MIN_SPLIT_N:
+            raise TooFewObservations(
+                f"the half-sample split needs n >= {MIN_SPLIT_N}, got n={data.n}")
         data = unit_scaled(data, common_x=regressor == "k-nn")
     with stage("point"):
         mu_hat, fhat, a_hat = compute_quantile_intermediates(data, tau, regressor, seed)

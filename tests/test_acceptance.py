@@ -231,7 +231,7 @@ def test_criterion_6_property_suites():
     for _ in range(200):
         n = int(rng_local.integers(2 * N_FOLDS, 120))
         plan = make_split_plan(n, int(rng_local.integers(0, 2**32)))
-        sizes = np.bincount(plan.assignment, minlength=N_FOLDS)
+        sizes = np.bincount(plan, minlength=N_FOLDS)
         if sizes.size != N_FOLDS or sizes.sum() != n or sizes.max() - sizes.min() > 1:
             failures.append("split plan")
             break

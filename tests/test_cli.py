@@ -589,6 +589,18 @@ def test_error_names_its_stage(tmp_path, capsys, kind, method, error, stage):
     assert payload["message"].startswith(f"{stage}: ")
 
 
+@pytest.mark.parametrize("method", ["mean-linear", "mean-conditional", "quantile"])
+def test_split_methods_name_their_row_minimum(tmp_path, capsys, method):
+    # the first half-sample must hold two rows per fold: n >= MIN_SPLIT_N
+    data = generate_dgp(DgpConfig(b=0.5, n=MIN_SPLIT_N, seed=4))
+    for n in (9, 12, MIN_SPLIT_N - 1):
+        code, got = _assess_probe(tmp_path, capsys, data.y[:n], data.x[:n], ["--method", method])
+        assert (code, got[:2]) == (1, ("TooFewObservations", "data")), n
+        assert f"n >= {MIN_SPLIT_N}" in got[2] and f"n={n}" in got[2], got[2]
+    code, _ = _assess_probe(tmp_path, capsys, data.y, data.x, ["--method", method])
+    assert code == 0
+
+
 _KEYS = ("theta_hat_raw", "theta_tilde_raw", "gamma_hat")
 
 

@@ -86,7 +86,7 @@ class TestPointEstimate:
         cfg = _linear_cfg(seed=11)
         theta = _point(data, cfg)
         plan = make_split_plan(2000, seed=11)
-        expected, _ = ref_mean_point(data.y, data.x, 0.5, plan.assignment, "linear")
+        expected, _ = ref_mean_point(data.y, data.x, 0.5, plan, "linear")
         assert theta == pytest.approx(expected, abs=1e-8)
         assert abs(theta - 0.8125) <= 0.05
 
@@ -110,7 +110,7 @@ class TestSplitEstimate:
         cfg = _linear_cfg(seed=3)
         theta_tilde = assess_mean(data, **cfg).theta_tilde_raw
         half_plan = make_split_plan(500, seed=3)
-        expected = ref_mean_split(data.y, data.x, 0.5, half_plan.assignment, "linear")
+        expected = ref_mean_split(data.y, data.x, 0.5, half_plan, "linear")
         assert theta_tilde == pytest.approx(expected, abs=1e-8)
 
     def test_at_least_nu(self):
@@ -154,7 +154,7 @@ class TestVariance:
         cfg = _linear_cfg(seed=6)
         gamma_sq = assess_mean(data, **cfg).gamma_hat ** 2
         plan = make_split_plan(400, seed=6)
-        expected = ref_mean_gamma_sq(data.y, data.x, 0.5, plan.assignment, "linear")
+        expected = ref_mean_gamma_sq(data.y, data.x, 0.5, plan, "linear")
         assert gamma_sq == pytest.approx(expected, abs=1e-8)
 
     def test_terms_nonnegative_and_sum(self):

@@ -55,15 +55,25 @@ from reference_impl import (
 )
 
 
+class TestDataset:
+    def test_caller_arrays_stay_writable_and_apart(self):
+        y, x = np.zeros(20), np.zeros((20, 2))
+        data = Dataset(y, x)
+        y[0] = 1.0
+        x[0, 0] = 1.0
+        assert data.y[0] == 0.0 and data.x[0, 0] == 0.0
+        assert not (data.y.flags.writeable or data.x.flags.writeable)
+
+
 class TestSplitPlan:
     def test_exact_division(self):
         plan = make_split_plan(10, seed=123)
-        sizes = np.bincount(plan.assignment, minlength=5)
+        sizes = np.bincount(plan, minlength=5)
         assert list(sizes) == [2, 2, 2, 2, 2]
 
     def test_remainder_spread(self):
         plan = make_split_plan(11, seed=9)
-        sizes = sorted(np.bincount(plan.assignment, minlength=5))
+        sizes = sorted(np.bincount(plan, minlength=5))
         assert sizes == [2, 2, 2, 2, 3]
 
     def test_too_few_observations(self):
@@ -72,34 +82,40 @@ class TestSplitPlan:
 
     def test_halves(self):
         data = Dataset(np.arange(5.0), np.arange(10.0).reshape(5, 2))
-        half, rest = split_halves(data)
-        assert half.y.tolist() == [0.0, 1.0, 2.0]
-        assert rest.y.tolist() == [3.0, 4.0]
-        assert np.array_equal(np.vstack([half.x, rest.x]), data.x)
+        half, rest = split_halves(data.n)
+        assert data.y[half].tolist() == [0.0, 1.0, 2.0]
+        assert data.y[rest].tolist() == [3.0, 4.0]
+        assert np.array_equal(np.vstack([data.x[half], data.x[rest]]), data.x)
+        # the two selectors partition 0..n-1, the first ceil(n/2) rows first
+        for n in range(2, 121):
+            half, rest = split_halves(n)
+            rows = np.arange(n)
+            assert rows[half].size == -(-n // 2)
+            assert np.array_equal(np.concatenate([rows[half], rows[rest]]), rows)
         with pytest.raises(TooFewObservations):
-            split_halves(data.take([0]))
+            split_halves(1)
 
     def test_deterministic_reconstruction(self):
         a = make_split_plan(137, seed=77)
         b = make_split_plan(137, seed=77)
-        assert np.array_equal(a.assignment, b.assignment)
+        assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
         a = make_split_plan(137, seed=77)
         b = make_split_plan(137, seed=78)
-        assert not np.array_equal(a.assignment, b.assignment)
+        assert not np.array_equal(a, b)
 
     @given(st.integers(min_value=2 * N_FOLDS, max_value=120),
            st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=60)
     def test_partition_laws(self, n, seed):
         plan = make_split_plan(n, seed)
-        sizes = np.bincount(plan.assignment, minlength=N_FOLDS)
+        sizes = np.bincount(plan, minlength=N_FOLDS)
         assert len(sizes) == N_FOLDS
         assert sizes.sum() == n
         assert sizes.max() - sizes.min() <= 1
         # every index appears exactly once across folds
-        all_indices = np.concatenate([plan.fold(m) for m in range(N_FOLDS)])
+        all_indices = np.concatenate([np.flatnonzero(plan == m) for m in range(N_FOLDS)])
         assert np.array_equal(np.sort(all_indices), np.arange(n))
 
 
@@ -508,7 +524,7 @@ def _fold_through_kernel_paths(data):
     """Fold 0 of a 5-fold plan through the local-linear, k-NN and
     conditional-KDE paths, concatenated."""
     plan = make_split_plan(data.n, seed=1)
-    train, test = data.take(plan.complement(0)), data.x[plan.fold(0)]
+    train, test = data.take(np.flatnonzero(plan != 0)), data.x[np.flatnonzero(plan == 0)]
     local_linear = fit_conditional_mean(train, "local-linear")
     return np.concatenate([
         local_linear.predict(test),
@@ -529,7 +545,8 @@ class TestBlocking:
         data = _blocking_sample(p, 1003, seed=p)
         plan = make_split_plan(1003, seed=p)
         for m in range(5):
-            assert len(list(_query_blocks(plan.fold(m).size, plan.complement(m).size))) >= 2
+            fold, complement = np.flatnonzero(plan == m), np.flatnonzero(plan != m)
+            assert len(list(_query_blocks(fold.size, complement.size))) >= 2
         return data, plan
 
     @pytest.mark.parametrize("p", [2, 10])
@@ -537,7 +554,7 @@ class TestBlocking:
         data, plan = self._uneven(p)
         preds = crossfit_predict(data, "k-nn", seed=p)
         for m in range(5):
-            test, train = plan.fold(m), plan.complement(m)
+            test, train = np.flatnonzero(plan == m), np.flatnonzero(plan != m)
             # every ninth query of each fold keeps the loop reference quick
             check = test[m::9]
             expected = ref_knn_predict(data.x[train], data.y[train], data.x[check])
@@ -546,7 +563,7 @@ class TestBlocking:
     @pytest.mark.parametrize("p", [2, 10])
     def test_local_linear_blocks_bitwise_floor(self, p, monkeypatch):
         data, plan = self._uneven(p)
-        train, test = plan.complement(1), plan.fold(1)
+        train, test = np.flatnonzero(plan != 1), np.flatnonzero(plan == 1)
         reg = fit_conditional_mean(data.take(train), "local-linear")
         blocks = []
         floored = reg._floored_weights
@@ -687,8 +704,8 @@ class TestCrossfit:
         preds = crossfit_predict(data, "local-linear", seed=7)
         expected = np.empty(400)
         for m in range(5):
-            test = plan.fold(m)
-            train = plan.complement(m)
+            test = np.flatnonzero(plan == m)
+            train = np.flatnonzero(plan != m)
             expected[test] = ref_local_linear_predict(
                 data.x[train], data.y[train], data.x[test]
             )
@@ -700,11 +717,11 @@ class TestCrossfit:
         plan = make_split_plan(60, seed=5)
         preds = crossfit_predict(data, "local-linear", seed=5)
         i = 17
-        m = int(plan.assignment[i])
-        train = plan.complement(m)
+        m = int(plan[i])
+        train = np.flatnonzero(plan != m)
         reg = fit_conditional_mean(Dataset(data.y[train], data.x[train]), "local-linear")
         # re-predicting the whole fold reproduces the cross-fit entries exactly
-        fold = plan.fold(m)
+        fold = np.flatnonzero(plan == m)
         refit = reg.predict(data.x[fold])
         assert np.array_equal(refit, preds[fold])
         # a lone query for observation i agrees up to batching round-off

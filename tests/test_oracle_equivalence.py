@@ -62,13 +62,13 @@ def _assert_mean_matches_reference(case_id, n, b, nu, regressor, mode):
     half_plan = make_split_plan(math.ceil(n / 2), seed=case_id)
 
     est = assess_mean(data, nu=nu, regressor=regressor, seed=case_id)
-    expected, _ = ref_mean_point(data.y, data.x, nu, plan.assignment, mode)
+    expected, _ = ref_mean_point(data.y, data.x, nu, plan, mode)
     assert est.theta_hat_raw == pytest.approx(expected, abs=TOL)
 
-    expected_tilde = ref_mean_split(data.y, data.x, nu, half_plan.assignment, mode)
+    expected_tilde = ref_mean_split(data.y, data.x, nu, half_plan, mode)
     assert est.theta_tilde_raw == pytest.approx(expected_tilde, abs=TOL)
 
-    expected_gamma = ref_mean_gamma_sq(data.y, data.x, nu, plan.assignment, mode)
+    expected_gamma = ref_mean_gamma_sq(data.y, data.x, nu, plan, mode)
     assert est.gamma_hat**2 == pytest.approx(expected_gamma, abs=TOL)
 
 
@@ -94,16 +94,16 @@ def test_quantile_matches_reference(case_id, n, b, nu, tau):
     half_plan = make_split_plan(math.ceil(n / 2), seed=case_id)
 
     est = assess_quantile(data, nu=nu, tau=tau, seed=case_id)
-    expected, _, _ = ref_quantile_point(data.y, data.x, nu, tau, plan.assignment)
+    expected, _, _ = ref_quantile_point(data.y, data.x, nu, tau, plan)
     assert est.theta_hat_raw == pytest.approx(expected, abs=TOL)
 
     expected_tilde = ref_quantile_split(
-        data.y, data.x, nu, tau, half_plan.assignment
+        data.y, data.x, nu, tau, half_plan
     )
     assert est.theta_tilde_raw == pytest.approx(expected_tilde, abs=TOL)
 
     expected_gamma = ref_quantile_gamma_sq(
-        data.y, data.x, nu, tau, plan.assignment
+        data.y, data.x, nu, tau, plan
     )
     assert est.gamma_hat**2 == pytest.approx(expected_gamma, abs=TOL)
 

@@ -87,7 +87,7 @@ class TestPointEstimate:
         cfg = _cfg(tau=0.5, seed=5)
         theta = _point(data, cfg)
         plan = make_split_plan(2000, seed=5)
-        expected, _, _ = ref_quantile_point(data.y, data.x, 0.5, 0.5, plan.assignment)
+        expected, _, _ = ref_quantile_point(data.y, data.x, 0.5, 0.5, plan)
         assert theta == pytest.approx(expected, abs=1e-8)
 
     def test_at_least_nu_and_below_ceiling(self):
@@ -117,7 +117,7 @@ class TestSplitEstimate:
         cfg = _cfg(tau=0.25, seed=9)
         theta_tilde = assess_quantile(data, **cfg).theta_tilde_raw
         half_plan = make_split_plan(500, seed=9)
-        expected = ref_quantile_split(data.y, data.x, 0.5, 0.25, half_plan.assignment)
+        expected = ref_quantile_split(data.y, data.x, 0.5, 0.25, half_plan)
         assert theta_tilde == pytest.approx(expected, abs=1e-8)
 
     def test_at_least_nu(self):
@@ -132,7 +132,7 @@ class TestVariance:
         cfg = _cfg(tau=0.25, seed=17)
         gamma_sq = assess_quantile(data, **cfg).gamma_hat ** 2
         plan = make_split_plan(400, seed=17)
-        expected = ref_quantile_gamma_sq(data.y, data.x, 0.5, 0.25, plan.assignment)
+        expected = ref_quantile_gamma_sq(data.y, data.x, 0.5, 0.25, plan)
         assert gamma_sq == pytest.approx(expected, abs=1e-8)
 
     def test_vanishes_quadratically_as_nu_approaches_one(self):
