@@ -59,7 +59,8 @@ def fit_components(data: Dataset, s_index: int = 0) -> LinRegComponents:
     n, p = x.shape
     if not 0 <= s_index < p:
         raise OutOfRange(f"s_index must be in [0, {p - 1}], got {s_index}")
-    solved = equilibrated_solve(x.T @ x / n, x.T @ y / n)
+    gram, xty = x.T @ x, x.T @ y
+    solved = equilibrated_solve(gram / n, xty / n)
     if solved is None:
         raise SingularDesign(
             "covariate second-moment matrix is not (numerically) positive definite"
@@ -67,7 +68,9 @@ def fit_components(data: Dataset, s_index: int = 0) -> LinRegComponents:
     mu_hat, sigma_inv = solved
     s = x[:, s_index]
     kappa_hat = float(np.trace(sigma_inv))
-    eta_hat = float(s @ y) / float(s @ s)
+    # S'y and S'S from the products above: a BLAS dot of more than 10,000
+    # entries is split across threads, which moves its last bits
+    eta_hat = float(xty[s_index] / gram[s_index, s_index])
     residuals = y - x @ mu_hat
     sigma_sq = float(np.mean(residuals**2))
     alpha_hat = float(np.mean(s**2 * (y - eta_hat * s) ** 2))

@@ -94,7 +94,21 @@ class Dataset:
         return self.x.shape[1]
 
     def take(self, indices) -> "Dataset":
-        return Dataset(self.y[indices], self.x[indices], self.column_names)
+        """The rows ``indices`` (a slice, a mask or row numbers), copied once
+        and frozen, without the constructor's second copy and finite check
+        (a Dataset's rows are finite already).  An empty selection still
+        meets the constructor's refusal."""
+        y, x = self.y[indices], self.x[indices]
+        if y.ndim != 1 or y.size == 0:
+            return Dataset(y, x, self.column_names)
+        if np.may_share_memory(x, self.x):  # a slice gives views
+            y, x = y.copy(), x.copy()
+        y.setflags(write=False)
+        x.setflags(write=False)
+        taken = object.__new__(Dataset)
+        for name, value in (("y", y), ("x", x), ("column_names", self.column_names)):
+            object.__setattr__(taken, name, value)
+        return taken
 
 
 def make_split_plan(n: int, seed: int) -> np.ndarray:
@@ -144,7 +158,7 @@ def unit_scaled(data: Dataset, common_x: bool = False) -> Dataset:
     y = np.ldexp(data.y, -np.frexp(np.abs(data.y).max())[1])
     x = np.ldexp(data.x, -powers)
     columns = np.vstack([y, x.T])
-    q75, q25 = np.percentile(columns, [75.0, 25.0], axis=1)
+    q75, q25 = _quartiles(columns)
     for j in np.flatnonzero(q75 - q25 < MIN_SPREAD):
         raw = data.y if j == 0 else data.x[:, j - 1]
         if raw.min() == raw.max():
@@ -164,6 +178,28 @@ def unit_scaled(data: Dataset, common_x: bool = False) -> Dataset:
                          f"median that the robust spread is {spread:.3g} of the largest "
                          "magnitude, below 2^-100")
     return Dataset(y, x, data.column_names)
+
+
+def _quartiles(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 75th and 25th percentiles along the last axis, bit for bit those of
+    ``np.percentile``'s default linear rule, from one ``np.partition``.
+
+    For n values and q in {0.75, 0.25}, the rule reads the order statistics
+    a and b at floor(v) and the next index (the last, when n = 1) for the
+    virtual index v = (n - 1) q, exact here, and with g = v - floor(v) takes
+    a + (b - a) g, or b - (b - a)(1 - g) when g >= 0.5.
+    """
+    n = columns.shape[-1]
+    v = (n - 1) * np.array([0.75, 0.25])
+    below = np.floor(v).astype(np.intp)
+    above = np.minimum(below + 1, n - 1)
+    g = v - below
+    ordered = np.partition(columns, np.unique(np.concatenate([below, above])), axis=-1)
+    a, b = ordered[..., below], ordered[..., above]
+    diff = b - a
+    value = a + diff * g
+    np.subtract(b, diff * (1 - g), out=value, where=g >= 0.5)
+    return value[..., 0], value[..., 1]
 
 
 def ols_fit(x, y) -> np.ndarray:
@@ -388,6 +424,10 @@ class _GaussianKernel:
     every bandwidth by 2^k scales every term of the GEMM, and so the result,
     by exactly 4^-k, unless a scaled value falls in the subnormal range.
     The bandwidths must be positive and finite.
+
+    The sample (n x p) and its bandwidths (p) may carry leading axes, one
+    kernel per matrix of a stack; the queries then carry the same axes, and
+    each matrix gets the GEMM, reductions and layout it would get alone.
     """
 
     def __init__(self, x_sample: np.ndarray, bandwidths):
@@ -395,22 +435,22 @@ class _GaussianKernel:
         if np.any(bandwidths <= 0) or not np.all(np.isfinite(bandwidths)):
             raise OutOfRange("bandwidths must be positive and finite")
         self.bandwidths = bandwidths
-        self.centre = x_sample.mean(axis=0)
-        self.scaled = (x_sample - self.centre) / bandwidths
-        p = self.scaled.shape[1]
-        self._operand = np.empty((p + 2, self.scaled.shape[0]))
-        self._operand[:p] = self.scaled.T
-        self._operand[p] = -0.5 * (self.scaled * self.scaled).sum(axis=1)
-        self._operand[p + 1] = -1.0
+        self.centre = x_sample.mean(axis=-2)
+        self.scaled = (x_sample - self.centre[..., None, :]) / bandwidths[..., None, :]
+        p = self.scaled.shape[-1]
+        self._operand = np.empty(self.scaled.shape[:-2] + (p + 2, self.scaled.shape[-2]))
+        self._operand[..., :p, :] = np.swapaxes(self.scaled, -1, -2)
+        self._operand[..., p, :] = -0.5 * (self.scaled * self.scaled).sum(axis=-1)
+        self._operand[..., p + 1, :] = -1.0
 
     def log_weights(self, xq: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Log-weights of a query block into ``out`` (queries x sample)."""
-        p = xq.shape[1]
-        query = np.empty((xq.shape[0], p + 2))
-        a = query[:, :p]
-        np.divide(xq - self.centre, self.bandwidths, out=a)
-        query[:, p + 1] = 0.5 * (a * a).sum(axis=1)
-        query[:, p] = 1.0
+        p = xq.shape[-1]
+        query = np.empty(xq.shape[:-1] + (p + 2,))
+        a = query[..., :p]
+        np.divide(xq - self.centre[..., None, :], self.bandwidths[..., None, :], out=a)
+        query[..., p + 1] = 0.5 * (a * a).sum(axis=-1)
+        query[..., p] = 1.0
         np.matmul(query, self._operand, out=out)
         return np.minimum(out, 0.0, out=out)
 
@@ -454,6 +494,15 @@ class LocalLinearRegressor:
     fails the gate.  Queries that fail fall back to the kernel-weighted
     mean, and to the global training mean if every weight underflows, so
     predictions are always finite.
+
+    A fold group is one fit: ``x_train`` (n x p), ``y_train`` (n) and the
+    bandwidths (p) may carry a leading fold axis, and ``predict`` then takes
+    one (queries x p) matrix per fold, all of the same size.  A block spans
+    every fold and stays within ``BLOCK_BYTES``, so the folds share one floor
+    pass, one Gram assembly and one ``cholesky_gate`` call, while each keeps
+    its own log-weight and moment GEMMs.  Every step is per fold or per
+    query, so a fold's predictions equal its own fit's bit for bit whenever
+    its queries form the same blocks, as they do when the stack fits one.
     """
 
     MIN_EFFECTIVE_WEIGHT = 20.0
@@ -468,30 +517,31 @@ class LocalLinearRegressor:
         self.y_train = y_train
         self.bandwidths = self._kernel.bandwidths
         xc = self._kernel.scaled
-        n, p = xc.shape
+        n, p = xc.shape[-2:]
         self._upper = np.triu_indices(p)
         n_upper = self._upper[0].size
         # columns 1 | Xc | Xc_j Xc_k for j <= k, row by row of the triangle | yc | Xc yc
-        design = np.empty((n, 2 + 2 * p + n_upper))
-        design[:, 0] = 1.0
-        design[:, 1 : 1 + p] = xc
+        design = np.empty(xc.shape[:-2] + (n, 2 + 2 * p + n_upper))
+        design[..., 0] = 1.0
+        design[..., 1 : 1 + p] = xc
         start = 1 + p
         for j in range(p):
-            np.multiply(xc[:, j : j + 1], xc[:, j:], out=design[:, start : start + p - j])
+            np.multiply(xc[..., j : j + 1], xc[..., j:], out=design[..., start : start + p - j])
             start += p - j
         # solving on mean-centered responses keeps the response level out of
         # the local solve (constant responses reproduce exactly)
-        self._y_mean = float(np.mean(y_train))
-        y_centered = y_train - self._y_mean
-        design[:, start] = y_centered
-        np.multiply(xc, y_centered[:, None], out=design[:, start + 1 :])
+        self._y_mean = np.mean(y_train, axis=-1)
+        y_centered = y_train - self._y_mean[..., None]
+        design[..., start] = y_centered
+        np.multiply(xc, y_centered[..., None], out=design[..., start + 1 :])
         self._moment_design = design
 
     def predict(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape[0])
-        for block in _query_blocks(x.shape[0], self.x_train.shape[0]):
-            out[block], _ = self._predict_block(x[block])
+        out = np.empty(x.shape[:-1])
+        slab = math.prod(x.shape[:-2]) * self.x_train.shape[-2]
+        for block in _query_blocks(x.shape[-2], slab):
+            out[..., block], _ = self._predict_block(x[..., block, :])
         return out
 
     def _floored_weights(self, xq: np.ndarray) -> np.ndarray:
@@ -499,35 +549,38 @@ class LocalLinearRegressor:
         h * 2^k for the first k whose row sum reaches ``MIN_EFFECTIVE_WEIGHT``,
         or k = ``MAX_INFLATIONS``.  Level k is exp(L * 4^-k) of the block's
         log-weights L; a row starts at the first level where n_train times its
-        largest weight, exp(max(L) * 4^-k), can reach the floor.  The result
-        is workspace memory, valid until the thread's next block.
+        largest weight, exp(max(L) * 4^-k), can reach the floor.  The rows of
+        every fold go through one pass.  The result is workspace memory,
+        valid until the thread's next block.
         """
-        n_train = self.x_train.shape[0]
-        shape = (xq.shape[0], n_train)
+        n_train = self.x_train.shape[-2]
+        shape = xq.shape[:-1] + (n_train,)
         log_w = _WORKSPACE.take("log_w", shape)
         w = _WORKSPACE.take("w", shape)
         self._kernel.log_weights(xq, out=log_w)
         if n_train <= self.MIN_EFFECTIVE_WEIGHT:
             return np.exp(log_w, out=w)
+        rows = log_w.reshape(-1, n_train)
         scales = np.ldexp(1.0, -2 * np.arange(self.MAX_INFLATIONS + 1))
-        bound = n_train * np.exp(log_w.max(axis=1)[:, None] * scales)
+        bound = n_train * np.exp(rows.max(axis=1)[:, None] * scales)
         admits = bound >= self.MIN_EFFECTIVE_WEIGHT * (1.0 - self._SLACK)
         level = np.where(admits.any(axis=1), admits.argmax(axis=1), self.MAX_INFLATIONS)
-        # a row at level 0 is multiplied by 1.0, exactly
-        log_w *= scales[level][:, None]
+        raised = np.flatnonzero(level)
+        rows[raised] *= scales[level[raised]][:, None]
         np.exp(log_w, out=w)
+        w_rows = w.reshape(-1, n_train)
         # every pending row moves up one level per step, from its start level
         pending = np.flatnonzero(
-            (w.sum(axis=1) < self.MIN_EFFECTIVE_WEIGHT) & (level < self.MAX_INFLATIONS)
+            (w_rows.sum(axis=1) < self.MIN_EFFECTIVE_WEIGHT) & (level < self.MAX_INFLATIONS)
         )
         for step in range(1, self.MAX_INFLATIONS + 1):
             if pending.size == 0:
                 break
             w_new = _WORKSPACE.take("pending", (pending.size, n_train))
-            np.take(log_w, pending, axis=0, out=w_new, mode="clip")
+            np.take(rows, pending, axis=0, out=w_new, mode="clip")
             w_new *= scales[step]
             np.exp(w_new, out=w_new)
-            w[pending] = w_new
+            w_rows[pending] = w_new
             pending = pending[
                 (w_new.sum(axis=1) < self.MIN_EFFECTIVE_WEIGHT)
                 & (level[pending] + step < self.MAX_INFLATIONS)
@@ -536,60 +589,84 @@ class LocalLinearRegressor:
 
     def _predict_block(self, xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Predictions for one block of queries, and which passed the condition gate."""
-        nq, p = xq.shape
+        p = xq.shape[-1]
+        batch = xq.shape[:-1]
         rows, cols = self._upper
-        moments = _WORKSPACE.take("moments", (nq, self._moment_design.shape[1]))
+        moments = _WORKSPACE.take("moments", batch + (self._moment_design.shape[-1],))
         np.matmul(self._floored_weights(xq), self._moment_design, out=moments)
-        s0 = moments[:, 0]
-        m1 = moments[:, 1 : 1 + p]
-        m2 = moments[:, 1 + p : 1 + p + rows.size]
-        t0 = moments[:, 1 + p + rows.size]
-        u1 = moments[:, 2 + p + rows.size :]
+        s0 = moments[..., 0]
+        m1 = moments[..., 1 : 1 + p]
+        m2 = moments[..., 1 + p : 1 + p + rows.size]
+        t0 = moments[..., 1 + p + rows.size]
+        u1 = moments[..., 2 + p + rows.size :]
         # Move the moments from the training mean to the query point d, all
         # in bandwidth units: sum w (X - xq) = m1 - s0 d,
         # sum w (X - xq)(X - xq)' = M2 - m1 d' - d m1' + s0 d d',
         # sum w (X - xq) y = u1 - t0 d.  Both triangles are built alike, so
         # the Gram matrix is exactly symmetric.
-        d = (xq - self._kernel.centre) / self.bandwidths
-        cross = m1[:, :, None] * d[:, None, :]
-        gram = np.empty((nq, p + 1, p + 1))
-        gram[:, 0, 0] = s0
-        gram[:, 0, 1:] = gram[:, 1:, 0] = m1 - s0[:, None] * d
-        s2 = gram[:, 1:, 1:]
-        s2[:, rows, cols] = m2
-        s2[:, cols, rows] = m2
-        s2 -= cross + cross.transpose(0, 2, 1)
-        s2 += s0[:, None, None] * (d[:, :, None] * d[:, None, :])
-        rhs = np.empty((nq, p + 1))
-        rhs[:, 0] = t0
-        rhs[:, 1:] = u1 - t0[:, None] * d
+        d = (xq - self._kernel.centre[..., None, :]) / self.bandwidths[..., None, :]
+        cross = m1[..., :, None] * d[..., None, :]
+        gram = np.empty(batch + (p + 1, p + 1))
+        gram[..., 0, 0] = s0
+        gram[..., 0, 1:] = gram[..., 1:, 0] = m1 - s0[..., None] * d
+        s2 = gram[..., 1:, 1:]
+        s2[..., rows, cols] = m2
+        s2[..., cols, rows] = m2
+        s2 -= cross + np.swapaxes(cross, -1, -2)
+        s2 += s0[..., None, None] * (d[..., :, None] * d[..., None, :])
+        rhs = np.empty(batch + (p + 1,))
+        rhs[..., 0] = t0
+        rhs[..., 1:] = u1 - t0[..., None] * d
         ok, l_inv, z = cholesky_gate(gram, rhs)
-        out = np.empty(nq)
+        y_mean = np.broadcast_to(self._y_mean[..., None], batch)
+        out = np.empty(batch)
         # the intercept, row 0 of G^-1 rhs = L^-T (L^-1 rhs): column 0 of L^-1 dotted with z
-        out[ok] = np.einsum("qk,qk->q", l_inv[ok, :, 0], z[ok]) + self._y_mean
+        out[ok] = np.einsum("qk,qk->q", l_inv[ok, :, 0], z[ok]) + y_mean[ok]
         if not ok.all():
             bad_s0 = s0[~ok]
             local_mean = np.where(bad_s0 > 0, t0[~ok] / np.where(bad_s0 > 0, bad_s0, 1.0), 0.0)
-            out[~ok] = local_mean + self._y_mean
+            out[~ok] = local_mean + y_mean[~ok]
         return out, ok
 
 
 def fit_conditional_mean(
-    train: Dataset, kind: str
+    train: Dataset, kind: str, rows=None
 ) -> OlsLinearRegressor | KnnRegressor | LocalLinearRegressor:
-    """Fit one regressor from the menu on the training subsample; ``predict``
-    on the result is pure and deterministic.
+    """Fit one regressor from the menu on the training subsample ``train``,
+    or on its rows ``rows``; ``predict`` on the result is pure and
+    deterministic.  For local-linear, ``rows`` may be a (folds x rows)
+    matrix, one row of training rows per fold: one stacked fit, whose
+    ``predict`` takes one query matrix per fold.
 
     Smoothing follows fixed rules: k-NN uses k = ceil(n^(4/5)/4), local-linear
     the rule-of-thumb bandwidth per covariate dimension.
     """
-    if kind == "ols-linear":
-        return OlsLinearRegressor(ols_fit(train.x, train.y))
-    if kind == "k-nn":
-        return KnnRegressor(train.x, train.y, default_neighbor_count(train.n))
+    x, y = (train.x, train.y) if rows is None else (train.x[rows], train.y[rows])
     if kind == "local-linear":
-        return LocalLinearRegressor(train.x, train.y, silverman_bandwidth(train.x))
+        return LocalLinearRegressor(x, y, silverman_bandwidth(x))
+    if y.ndim != 1:
+        raise OutOfRange(f"only local-linear fits a stack of folds, not {kind!r}")
+    if kind == "ols-linear":
+        return OlsLinearRegressor(ols_fit(x, y))
+    if kind == "k-nn":
+        return KnnRegressor(x, y, default_neighbor_count(y.size))
     raise OutOfRange(f"unknown regressor kind {kind!r}")
+
+
+def _fold_groups(fold_sizes: np.ndarray, kind: str) -> list[np.ndarray]:
+    """The folds of each fit.  Local-linear fits consecutive folds of one
+    size together, as many as keep their (queries x training) slab of
+    doubles within ``BLOCK_BYTES``, or one; every other kind fits fold by
+    fold."""
+    n = int(fold_sizes.sum())
+    groups = []
+    for size in np.unique(fold_sizes):
+        folds = np.flatnonzero(fold_sizes == size)
+        per_fit = max(1, BLOCK_BYTES // (8 * int(size) * (n - int(size))))
+        if kind != "local-linear":
+            per_fit = 1
+        groups += [folds[i : i + per_fit] for i in range(0, folds.size, per_fit)]
+    return groups
 
 
 def crossfit_predict(data: Dataset, kind: str, seed: int) -> np.ndarray:
@@ -597,13 +674,19 @@ def crossfit_predict(data: Dataset, kind: str, seed: int) -> np.ndarray:
 
     The folds are ``make_split_plan(data.n, seed)``.  Entry i comes from the
     regressor trained on the complement of i's fold, so it never depends on
-    observation i itself.
+    observation i itself.  The folds are fitted in the groups of
+    ``_fold_groups``: one stacked local-linear fit per group, whose
+    predictions equal fold-by-fold fits bit for bit.
     """
     folds = make_split_plan(data.n, seed)
     predictions = np.empty(data.n)
-    for m in range(N_FOLDS):
-        test = np.flatnonzero(folds == m)
-        regressor = fit_conditional_mean(data.take(np.flatnonzero(folds != m)), kind)
+    for group in _fold_groups(np.bincount(folds, minlength=N_FOLDS), kind):
+        member = folds == group[:, None]
+        test = np.nonzero(member)[1].reshape(group.size, -1)
+        train = np.nonzero(~member)[1].reshape(group.size, -1)
+        if group.size == 1:  # a fold alone is a plain fit
+            test, train = test[0], train[0]
+        regressor = fit_conditional_mean(data, kind, train)
         predictions[test] = regressor.predict(data.x[test])
     return predictions
 
@@ -623,22 +706,25 @@ def silverman_bandwidth(sample) -> float | np.ndarray:
     """Rule-of-thumb bandwidth 1.06 * min(sd, IQR/1.34) * n^(-1/5).
 
     A vector gives one float; a matrix gives one bandwidth per column, from
-    one pass over its rows (each column reduced as a vector would be).  The
-    sample standard deviation uses divisor n-1.  A zero IQR with positive
+    one pass over its rows (each column reduced as a vector would be), and a
+    stack of matrices with a leading fold axis one row of bandwidths per
+    matrix, each equal bit for bit to that matrix's own.  The sample
+    standard deviation uses divisor n-1.  A zero IQR with positive
     dispersion falls back to the standard deviation alone (the literal min
     would return a zero bandwidth).
     """
     sample = np.asarray(sample, dtype=float)
-    if sample.ndim == 0 or sample.shape[0] < 2:
+    if sample.ndim == 0 or sample.shape[max(sample.ndim - 2, 0)] < 2:
         raise TooFewObservations("bandwidth rule needs at least 2 observations")
-    columns = np.ascontiguousarray(sample.reshape(sample.shape[0], -1).T)
-    sd = np.std(columns, axis=1, ddof=1)
-    q75, q25 = np.percentile(columns, [75.0, 25.0], axis=1)
+    columns = np.ascontiguousarray(
+        sample[None] if sample.ndim == 1 else np.swapaxes(sample, -1, -2))
+    sd = np.std(columns, axis=-1, ddof=1)
+    q75, q25 = _quartiles(columns)
     iqr = q75 - q25
     if np.any((sd == 0.0) & (iqr == 0.0)):
         raise ZeroDispersion("sample has zero dispersion")
     spread = np.where(iqr > 0.0, np.minimum(sd, iqr / 1.34), sd)
-    bands = 1.06 * spread * columns.shape[1] ** (-0.2)
+    bands = 1.06 * spread * columns.shape[-1] ** (-0.2)
     return float(bands[0]) if sample.ndim == 1 else bands
 
 

@@ -448,6 +448,19 @@ def test_assess_output_bytes_pinned(tmp_path, capsys):
         assert capsys.readouterr().out == expected[name], name
 
 
+def test_linreg_output_bytes_pinned_above_threaded_dot(tmp_path, capsys):
+    # at n = 12000, a BLAS dot of the S column is split across threads, so a
+    # slope from two dots would move its last bits with the thread count
+    path, _ = _dgp_csv(tmp_path, DgpConfig(b=0.5, n=12000, seed=4))
+    code = main(["assess", "--input", path, "--nu", "0.5", "--seed", "4", "--method", "linreg",
+                 "--relative", "--format", "csv"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "linreg,12000,0.5,0.95,4,0.8068980790097646,0.8068980790097646,,0.47366935292078766,"
+        "0.798423214686723,0.8153729433328063,0.798423214686723,0.8153729433328063,"
+        "0.38620384198047075,0.3692541133343874,0.4031535706265541")
+
+
 def test_assess_loads_no_scipy(tmp_path):
     # assess needs only numpy: a fresh interpreter that imports the package
     # and assesses with every method has no scipy module afterwards, and

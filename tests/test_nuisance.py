@@ -28,6 +28,8 @@ from fusiongain.nuisance import (
     KnnRegressor,
     LocalLinearRegressor,
     _GaussianKernel,
+    _fold_groups,
+    _quartiles,
     _query_blocks,
     cholesky_gate,
     cond_kde_profile,
@@ -63,6 +65,24 @@ class TestDataset:
         x[0, 0] = 1.0
         assert data.y[0] == 0.0 and data.x[0, 0] == 0.0
         assert not (data.y.flags.writeable or data.x.flags.writeable)
+
+    @pytest.mark.parametrize("rows", [np.array([4, 0, 7, 7]), np.arange(10) % 3 == 1,
+                                      slice(2, 9)])
+    def test_take_copies_the_rows_once_and_freezes_them(self, rows):
+        rng = np.random.default_rng(3)
+        y, x = rng.normal(size=10), rng.normal(size=(10, 3))
+        data = Dataset(y, x, ("a", "b", "c"))
+        taken = data.take(rows)
+        assert np.array_equal(taken.y, y[rows]) and np.array_equal(taken.x, x[rows])
+        assert not (taken.y.flags.writeable or taken.x.flags.writeable)
+        assert not (np.shares_memory(taken.x, data.x) or np.shares_memory(taken.y, data.y))
+        assert taken.column_names == data.column_names
+        assert np.array_equal(data.y, y) and np.array_equal(data.x, x)
+
+    def test_take_of_no_rows_is_refused(self):
+        data = Dataset(np.zeros(5), np.zeros((5, 2)))
+        with pytest.raises(OutOfRange):
+            data.take(np.zeros(5, dtype=bool))
 
 
 class TestSplitPlan:
@@ -739,6 +759,63 @@ class TestCrossfit:
         assert means[0] <= means[1] + 1e-10 <= means[2] + 2e-10
 
 
+class TestFoldGroups:
+    """Cross-fitting in fold groups against fold-by-fold single fits, bit for bit."""
+
+    @staticmethod
+    def _sample(n, p, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, p))
+        x[0] = 40.0  # a far tail: its query inflates the bandwidths
+        return Dataset(np.sin(x[:, 0]) + x.sum(axis=1) + 0.5 * rng.normal(size=n), x)
+
+    @staticmethod
+    def _fold_by_fold(data, seed):
+        folds = make_split_plan(data.n, seed)
+        expected = np.empty(data.n)
+        for m in range(N_FOLDS):
+            test = np.flatnonzero(folds == m)
+            regressor = fit_conditional_mean(data.take(np.flatnonzero(folds != m)), "local-linear")
+            expected[test] = regressor.predict(data.x[test])
+        return expected
+
+    @pytest.mark.parametrize("p", [1, 2, 10])
+    @pytest.mark.parametrize("n", [60, 61, 62, 63, 64, 1003])
+    def test_fold_groups_bitwise_single_fits(self, n, p):
+        data = self._sample(n, p, seed=n + p)
+        assert np.array_equal(crossfit_predict(data, "local-linear", seed=p),
+                              self._fold_by_fold(data, seed=p))
+
+    def test_fold_groups_bitwise_single_fits_when_every_query_falls_back(self):
+        # S copied as a third column: every local Gram matrix is singular
+        rng = np.random.default_rng(44)
+        x = rng.normal(size=(62, 2))
+        data = Dataset(x.sum(axis=1) + 0.3 * rng.normal(size=62), np.column_stack([x, x[:, 0]]))
+        folds = make_split_plan(62, seed=1)
+        train = np.flatnonzero(folds != 0)
+        _, solved = fit_conditional_mean(data.take(train), "local-linear")._predict_block(
+            data.x[np.flatnonzero(folds == 0)])
+        assert not solved.any()
+        assert np.array_equal(crossfit_predict(data, "local-linear", seed=1),
+                              self._fold_by_fold(data, seed=1))
+
+    def test_groups_fill_the_block_budget(self):
+        # 100 queries x 400 training rows is 320 KB: three folds per 1 MB slab
+        assert [g.tolist() for g in _fold_groups(np.full(5, 100), "local-linear")] == [
+            [0, 1, 2], [3, 4]]
+        # folds of 13 and 12 queries at n = 61: one group per size
+        assert [g.tolist() for g in _fold_groups(np.array([13, 12, 12, 12, 12]),
+                                                 "local-linear")] == [[1, 2, 3, 4], [0]]
+        # 400 x 1600 is over the slab; k-NN always fits fold by fold
+        for sizes, kind in ((np.full(5, 400), "local-linear"), (np.full(5, 12), "k-nn")):
+            assert [g.tolist() for g in _fold_groups(sizes, kind)] == [[m] for m in range(5)]
+
+    def test_only_local_linear_stacks(self):
+        data = Dataset(np.arange(10.0), np.arange(20.0).reshape(10, 2))
+        with pytest.raises(OutOfRange):
+            fit_conditional_mean(data, "k-nn", np.arange(8).reshape(2, 4))
+
+
 class TestEmpiricalQuantile:
     def test_order_statistic_median(self):
         assert empirical_quantile([3.0, 1.0, 2.0], 0.5) == 2.0
@@ -795,11 +872,35 @@ class TestSilvermanBandwidth:
         assert np.array_equal(silverman_bandwidth(x), [ref_silverman(c) for c in x.T])
         assert silverman_bandwidth(x[:, 1]) == ref_silverman(x[:, 1])
 
+    def test_stack_gives_each_matrix_its_own_bits(self):
+        rng = np.random.default_rng(6)
+        for p in (1, 2, 10):
+            stack = rng.normal(size=(4, 97, p)) * rng.uniform(0.1, 10.0, size=p)
+            assert np.array_equal(silverman_bandwidth(stack),
+                                  [silverman_bandwidth(matrix) for matrix in stack])
+
     def test_constant_sample(self):
         with pytest.raises(ZeroDispersion):
             silverman_bandwidth(np.full(20, 1.0))
         with pytest.raises(ZeroDispersion):  # one constant column of a matrix
             silverman_bandwidth(np.column_stack([np.arange(20.0), np.full(20, 1.0)]))
+
+
+def _quartile_samples(rng, n):
+    """Columns of n values: normal, with ties, integer-valued and constant."""
+    return np.stack([rng.normal(size=n), np.round(rng.normal(size=n), 1),
+                     rng.integers(-5, 6, size=n).astype(float), np.full(n, 2.5)])
+
+
+@pytest.mark.parametrize("sizes", [range(2, 301), [1600, 20000]], ids=["2-300", "large"])
+def test_quartiles_bitwise_percentile(sizes):
+    rng = np.random.default_rng(0)
+    for n in sizes:
+        columns = _quartile_samples(rng, n)
+        for sample in (columns, np.stack([columns, columns[::-1] * 3.0])):
+            q75, q25 = _quartiles(sample)
+            expected = np.percentile(sample, [75.0, 25.0], axis=-1)
+            assert np.array_equal(q75, expected[0]) and np.array_equal(q25, expected[1]), n
 
 
 class TestKde:

@@ -10,6 +10,7 @@ from collections import Counter
 from pathlib import Path
 
 import fusiongain.cli  # noqa: F401  (install() wraps modules already imported)
+from fusiongain import nuisance
 from fusiongain.mean_utility import assess_mean
 from fusiongain.quantile_utility import assess_quantile
 from fusiongain.simulation import DgpConfig, generate_dgp
@@ -30,21 +31,34 @@ def test_utility_spans_fire_once_per_assessment(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import spans
 
+    # the folds of each fit: a fold group stacks its folds' training rows
+    folds_fitted = []
+    fit = nuisance.fit_conditional_mean
+
+    def counted(train, kind, rows=None):
+        folds_fitted.append(1 if rows is None or rows.ndim == 1 else len(rows))
+        return fit(train, kind, rows)
+
+    monkeypatch.setattr(nuisance, "fit_conditional_mean", counted)
     recorder = spans.Recorder()
     data = generate_dgp(DgpConfig(b=0.5, n=120, seed=2))
-    counts = []
+    counts, folds = [], []
     try:
         assert recorder.install() == []
         for assess in (lambda: assess_mean(data, nu=0.5, regressor="local-linear"),
                        lambda: assess_quantile(data, nu=0.5)):
             start = len(recorder.spans)
+            folds_fitted.clear()
             assess()
             counts.append(Counter(name for name, *_ in recorder.spans[start:]))
+            folds.append(sum(folds_fitted))
     finally:
         recorder.uninstall()
     calls = {name: sum(count[name] for count in counts) for name in UTILITY_SPANS}
     assert calls == {name: 1 for name in UTILITY_SPANS}
-    # one cross-fit per core, the point core and the split core, of 5 folds each
-    for count in counts:
+    # one cross-fit per core, the point core and the split core, of 5 folds
+    # each; at n = 120 each cross-fit's folds fit one block, so one fit each
+    for count, fitted in zip(counts, folds):
         assert count["nuisance.crossfit_predict"] == 2
-        assert count["nuisance.fit_conditional_mean"] == 10
+        assert count["nuisance.fit_conditional_mean"] == 2
+        assert fitted == 10
