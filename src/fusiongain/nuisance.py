@@ -565,8 +565,10 @@ class LocalLinearRegressor:
         bound = n_train * np.exp(rows.max(axis=1)[:, None] * scales)
         admits = bound >= self.MIN_EFFECTIVE_WEIGHT * (1.0 - self._SLACK)
         level = np.where(admits.any(axis=1), admits.argmax(axis=1), self.MAX_INFLATIONS)
-        raised = np.flatnonzero(level)
-        rows[raised] *= scales[level[raised]][:, None]
+        # a row at level 0 is multiplied by 1.0, exactly; at p = 10 nearly
+        # every row starts above it, and gathering and scattering only those
+        # rows would cost three passes over the block instead of this one
+        rows *= scales[level][:, None]
         np.exp(log_w, out=w)
         w_rows = w.reshape(-1, n_train)
         # every pending row moves up one level per step, from its start level
@@ -662,9 +664,8 @@ def _fold_groups(fold_sizes: np.ndarray, kind: str) -> list[np.ndarray]:
     groups = []
     for size in np.unique(fold_sizes):
         folds = np.flatnonzero(fold_sizes == size)
-        per_fit = max(1, BLOCK_BYTES // (8 * int(size) * (n - int(size))))
-        if kind != "local-linear":
-            per_fit = 1
+        per_fit = 1 if kind != "local-linear" else max(
+            1, BLOCK_BYTES // (8 * int(size) * (n - int(size))))
         groups += [folds[i : i + per_fit] for i in range(0, folds.size, per_fit)]
     return groups
 
