@@ -539,8 +539,9 @@ class LocalLinearRegressor:
     def predict(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         out = np.empty(x.shape[:-1])
-        slab = math.prod(x.shape[:-2]) * self.x_train.shape[-2]
-        for block in _query_blocks(x.shape[-2], slab):
+        # a block's row holds one query's weights in every fold
+        width = math.prod(x.shape[:-2]) * self.x_train.shape[-2]
+        for block in _query_blocks(x.shape[-2], width):
             out[..., block], _ = self._predict_block(x[..., block, :])
         return out
 
