@@ -85,7 +85,7 @@ def parse_csv(path: str, response: str | None = None) -> Dataset:
             f"missing or non-numeric cells: {listing}{more}", locations=bad
         )
 
-    y = table[:, response_idx].copy()
+    y = table[:, response_idx]
     x = np.delete(table, response_idx, axis=1)
     names = tuple(name for j, name in enumerate(header) if j != response_idx)
     return Dataset(y, x, names)

@@ -12,8 +12,9 @@ picks g and so the method: ols-linear is mean-linear, k-nn or local-linear
 mean-conditional; ``seed`` draws the cross-fitting folds.  The numerator,
 :func:`residual_core`, is shared: :mod:`quantile_utility` runs it on Z = 1(Y < mu),
 and each module's point core is the mean of the squares it returns over the
-denominator.  The point core forms (Y - g)^2 and (Y - ybar)^2 once; the
-split core and the variance plug-in reduce those same arrays.
+denominator; so is the data stage, :func:`split_data_stage`.  The point core
+forms (Y - g)^2 and (Y - ybar)^2 once; the split core and the variance
+plug-in reduce those same arrays.
 """
 
 from __future__ import annotations
@@ -23,6 +24,19 @@ import numpy as np
 from .core import UtilityEstimate, check_settings, finalize, ratio_estimate
 from .errors import DegenerateVariance, TooFewObservations, stage
 from .nuisance import MIN_SPLIT_N, Dataset, crossfit_predict, split_halves, unit_scaled
+
+
+def split_data_stage(data: Dataset, nu: float, alpha: float, regressor: str) -> Dataset:
+    """What the mean and the quantile do first: check the settings, then, in
+    stage ``data``, refuse fewer than ``MIN_SPLIT_N`` rows and pass the rest
+    through the door :func:`unit_scaled`, with one covariate scale for k-NN,
+    which ranks neighbours in raw units."""
+    check_settings(nu, alpha)
+    with stage("data"):
+        if data.n < MIN_SPLIT_N:
+            raise TooFewObservations(
+                f"the half-sample split needs n >= {MIN_SPLIT_N}, got n={data.n}")
+        return unit_scaled(data, common_x=regressor == "k-nn")
 
 
 def residual_core(z: Dataset, regressor: str, seed: int,
@@ -71,15 +85,10 @@ def variance_mean(sq_g: np.ndarray, sq_mean: np.ndarray) -> float:
 
 def assess_mean(data: Dataset, *, nu: float, alpha: float = 0.95, seed: int = 0,
                 regressor: str = "ols-linear") -> UtilityEstimate:
-    """Full assessment: at least ``MIN_SPLIT_N`` rows through
-    :func:`unit_scaled`, the point and half-sample cores, then
-    :func:`finalize` (the interval is centered at the split estimate)."""
-    check_settings(nu, alpha)
-    with stage("data"):
-        if data.n < MIN_SPLIT_N:
-            raise TooFewObservations(
-                f"the half-sample split needs n >= {MIN_SPLIT_N}, got n={data.n}")
-        data = unit_scaled(data, common_x=regressor == "k-nn")
+    """Full assessment: :func:`split_data_stage`, the point and half-sample
+    cores, then :func:`finalize` (the interval is centered at the split
+    estimate)."""
+    data = split_data_stage(data, nu, alpha, regressor)
     with stage("point"):
         sq_g, sq_mean, a_hat = compute_mean_intermediates(data, regressor, seed)
     with stage("split"):

@@ -94,21 +94,8 @@ class Dataset:
         return self.x.shape[1]
 
     def take(self, indices) -> "Dataset":
-        """The rows ``indices`` (a slice, a mask or row numbers), copied once
-        and frozen, without the constructor's second copy and finite check
-        (a Dataset's rows are finite already).  An empty selection still
-        meets the constructor's refusal."""
-        y, x = self.y[indices], self.x[indices]
-        if y.ndim != 1 or y.size == 0:
-            return Dataset(y, x, self.column_names)
-        if np.may_share_memory(x, self.x):  # a slice gives views
-            y, x = y.copy(), x.copy()
-        y.setflags(write=False)
-        x.setflags(write=False)
-        taken = object.__new__(Dataset)
-        for name, value in (("y", y), ("x", x), ("column_names", self.column_names)):
-            object.__setattr__(taken, name, value)
-        return taken
+        """The rows ``indices`` (a slice, a mask or row numbers) as a new Dataset."""
+        return Dataset(self.y[indices], self.x[indices], self.column_names)
 
 
 def make_split_plan(n: int, seed: int) -> np.ndarray:
@@ -463,7 +450,9 @@ class LocalLinearRegressor:
     prediction is the fitted intercept.  Queries in sparse regions, where the
     total kernel weight falls below ``MIN_EFFECTIVE_WEIGHT``, have their
     bandwidths doubled (up to ``MAX_INFLATIONS`` times) until enough effective
-    neighbors contribute; with a fixed bandwidth the prediction variance is
+    neighbors contribute (a training sample of at most ``MIN_EFFECTIVE_WEIGHT``
+    rows, whose weights of at most 1 each cannot sum past the floor, keeps
+    its bandwidths); with a fixed bandwidth the prediction variance is
     unbounded in the tails of an unbounded design, while a weighted linear fit
     stays exact for linear targets under any weights.  The log-weights of a
     query block are computed once: doubling the bandwidths k times multiplies
@@ -548,7 +537,9 @@ class LocalLinearRegressor:
     def _floored_weights(self, xq: np.ndarray) -> np.ndarray:
         """Kernel weights of a query block: row i is the kernel row at bandwidths
         h * 2^k for the first k whose row sum reaches ``MIN_EFFECTIVE_WEIGHT``,
-        or k = ``MAX_INFLATIONS``.  Level k is exp(L * 4^-k) of the block's
+        or k = ``MAX_INFLATIONS``.  A training sample of at most
+        ``MIN_EFFECTIVE_WEIGHT`` rows is not floored: every row is the plain
+        kernel row, k = 0.  Level k is exp(L * 4^-k) of the block's
         log-weights L; a row starts at the first level where n_train times its
         largest weight, exp(max(L) * 4^-k), can reach the floor.  The rows of
         every fold go through one pass.  The result is workspace memory,

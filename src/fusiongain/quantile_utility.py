@@ -16,19 +16,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import UtilityEstimate, check_settings, finalize, ratio_estimate
+from .core import UtilityEstimate, finalize, ratio_estimate
 from .errors import PlanMismatch, TooFewObservations, VanishingDensity, stage
 from .nuisance import (
-    MIN_SPLIT_N,
     Dataset,
     cond_kde_profile,
     empirical_quantile,
     kde_eval,
     silverman_bandwidth,
     split_halves,
-    unit_scaled,
 )
-from .mean_utility import residual_core
+from .mean_utility import residual_core, split_data_stage
 
 # Floor on f_Y(mu) times the bandwidth of y: unit-free, so rescaling y moves
 # neither the estimate nor the floor decision.
@@ -47,10 +45,13 @@ def compute_quantile_intermediates(
     Fhat at mu_hat (clamped to [0, 1]) and the point core a_hat: the
     residual trace of 1(Y < mu_hat) over tau(1-tau).  With no Y below mu_hat
     the indicator is 0 in every row and a_hat is 0 by construction, so that
-    sample raises :class:`TooFewObservations`."""
+    sample raises :class:`TooFewObservations`; so does the mirror case, no Y
+    above mu_hat, where the empirical quantile is the sample maximum."""
     mu_hat = empirical_quantile(data.y, tau)
     if not np.any(data.y < mu_hat):
         raise TooFewObservations(f"no observation lies below the empirical {tau}-quantile")
+    if not np.any(data.y > mu_hat):
+        raise TooFewObservations(f"no observation lies above the empirical {tau}-quantile")
     fhat, sq = residual_core(_indicator(data, mu_hat), regressor, seed, (0.0, 1.0))
     return mu_hat, fhat, ratio_estimate(sq, tau * (1.0 - tau))
 
@@ -88,7 +89,7 @@ def variance_quantile(
     fhat = np.asarray(fhat, dtype=float)
     if fhat.shape != data.y.shape:
         raise PlanMismatch(f"predictions must have length {data.n}, got shape {fhat.shape}")
-    var_sq = float(np.var((_indicator(data, mu_hat).y - fhat) ** 2, ddof=1))
+    var_sq = float(np.var(((data.y < mu_hat) - fhat) ** 2, ddof=1))
     h_y = silverman_bandwidth(data.y)
     f_y = kde_eval(data.y, h_y, mu_hat)
     if f_y * h_y <= DENSITY_FLOOR:
@@ -103,15 +104,10 @@ def variance_quantile(
 
 def assess_quantile(data: Dataset, *, nu: float, alpha: float = 0.95, seed: int = 0,
                     tau: float = 0.5, regressor: str = "local-linear") -> UtilityEstimate:
-    """Full assessment: at least ``MIN_SPLIT_N`` rows through
-    :func:`unit_scaled`, the point and half-sample cores, then
-    :func:`finalize` (the interval is centered at the split estimate)."""
-    check_settings(nu, alpha)
-    with stage("data"):
-        if data.n < MIN_SPLIT_N:
-            raise TooFewObservations(
-                f"the half-sample split needs n >= {MIN_SPLIT_N}, got n={data.n}")
-        data = unit_scaled(data, common_x=regressor == "k-nn")
+    """Full assessment: the mean's :func:`~fusiongain.mean_utility.split_data_stage`,
+    the point and half-sample cores, then :func:`finalize` (the interval is
+    centered at the split estimate)."""
+    data = split_data_stage(data, nu, alpha, regressor)
     with stage("point"):
         mu_hat, fhat, a_hat = compute_quantile_intermediates(data, tau, regressor, seed)
     with stage("split"):

@@ -787,22 +787,40 @@ def test_overflowing_plug_in_blames_no_response(tmp_path, capsys):
     assert "covariate S" in message and "response" not in message
 
 
-@pytest.mark.filterwarnings("error")
-def test_quantile_without_observations_below_it_is_refused(tmp_path, capsys):
-    # no y lies below the empirical quantile, so 1(Y < mu_hat) is 0 in every
-    # row: the point core would be 0 by construction, not a measured gain
+def _no_y_below_the_quantile():
+    """(y, x, tau) samples in which no y lies below the empirical tau-quantile."""
     base = generate_dgp(DgpConfig(b=0.5, n=200, seed=7))
     probe = generate_dgp(DgpConfig(b=0.5, n=1000, seed=3))
     small = generate_dgp(DgpConfig(b=0.5, n=50, seed=1))
-    cases = [
+    return [
         (np.random.default_rng(1).integers(0, 2, 200).astype(float), base.x, "0.25"),
         (np.maximum(probe.y + 0.3, 0.0), probe.x, "0.25"),
         (small.y, small.x, "0.01"),
         (small.y, small.x, "1e-300"),
+        (-probe.y, probe.x, "0.0005"),
     ]
-    for y, x, tau in cases:
+
+
+@pytest.mark.filterwarnings("error")
+def test_quantile_without_observations_below_it_is_refused(tmp_path, capsys):
+    # no y lies below the empirical quantile, so 1(Y < mu_hat) is 0 in every
+    # row: the point core would be 0 by construction, not a measured gain
+    for y, x, tau in _no_y_below_the_quantile():
         code, got = _assess_probe(tmp_path, capsys, y, x, ["--method", "quantile", "--tau", tau])
         assert (code, got[:2]) == (1, ("TooFewObservations", "point")), tau
+
+
+@pytest.mark.filterwarnings("error")
+def test_quantile_without_observations_above_it_is_refused(tmp_path, capsys):
+    # each case above mirrored as (-y, 1 - tau): the empirical quantile is the
+    # sample maximum, and the answer would rest on the top row (at 0.9995 the
+    # probe printed theta_hat_raw 1.517 with ci [1, 1]); 1 - 1e-300 rounds to
+    # 1, so that case mirrors to 0.9999999
+    mirrored = {"0.25": "0.75", "0.01": "0.99", "1e-300": "0.9999999", "0.0005": "0.9995"}
+    for y, x, tau in _no_y_below_the_quantile():
+        code, got = _assess_probe(tmp_path, capsys, -y, x,
+                                  ["--method", "quantile", "--tau", mirrored[tau]])
+        assert (code, got[:2]) == (1, ("TooFewObservations", "point")), mirrored[tau]
 
 
 def test_quantile_unmoved_by_response_scale(tmp_path, capsys):

@@ -15,6 +15,10 @@ unless ``__init__.py`` exports it.
 it needs to silence an overflow; ``np.errstate`` is allowed only in
 ``nuisance.cholesky_gate``, whose tiny pivots come from ill-conditioned
 matrices, not from scale.
+
+A frozen dataclass is built only through its constructor, so its checks
+and copies cannot be skipped: ``object.__new__`` appears nowhere, and
+``object.__setattr__`` only inside a ``__post_init__``.
 """
 
 import ast
@@ -104,21 +108,30 @@ def test_checker_finds_an_unread_definition():
                                            ("a", 9, "Left"), ("b", 4, "stale")]
 
 
-def errstate_uses(source: str) -> list[tuple[int, str | None]]:
-    """(line, enclosing function) of each ``errstate`` the module reads."""
-    uses = []
+def matches_by_function(source: str, matches) -> list[tuple[ast.AST, str | None]]:
+    """(node, enclosing function) of each node of the module that ``matches``
+    accepts."""
+    found = []
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        if (isinstance(node, ast.Attribute) and node.attr == "errstate") or (
-                isinstance(node, ast.Name) and node.id == "errstate"):
-            uses.append((node.lineno, function))
+        if matches(node):
+            found.append((node, function))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
     visit(ast.parse(source), None)
-    return uses
+    return found
+
+
+def errstate_uses(source: str) -> list[tuple[int, str | None]]:
+    """(line, enclosing function) of each ``errstate`` the module reads."""
+    def is_errstate(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "errstate") or (
+            isinstance(node, ast.Name) and node.id == "errstate")
+
+    return [(node.lineno, function) for node, function in matches_by_function(source, is_errstate)]
 
 
 def test_errstate_only_in_cholesky_gate():
@@ -133,3 +146,30 @@ def test_checker_finds_errstate():
               "def cholesky_gate():\n    with np.errstate(over='ignore'):\n        pass\n"
               "def other():\n    with errstate():\n        pass\n")
     assert errstate_uses(source) == [(3, None), (5, "cholesky_gate"), (8, "other")]
+
+
+def object_hooks(source: str) -> list[tuple[int, str, str | None]]:
+    """(line, attribute, enclosing function) of each ``object.__new__`` and
+    ``object.__setattr__`` the module reads."""
+    def is_hook(node):
+        return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "object" and node.attr in ("__new__", "__setattr__"))
+
+    return [(node.lineno, node.attr, function)
+            for node, function in matches_by_function(source, is_hook)]
+
+
+def test_frozen_objects_built_only_by_their_constructor():
+    uses = {path.name: object_hooks(path.read_text(encoding="utf-8")) for path in SOURCES}
+    bypasses = {name: [u for u in found if u[1:] != ("__setattr__", "__post_init__")]
+                for name, found in uses.items()}
+    assert {name: found for name, found in bypasses.items() if found} == {}
+
+
+def test_checker_finds_object_hooks():
+    source = ("class A:\n    def __post_init__(self):\n        object.__setattr__(self, 'v', 1)\n"
+              "    def take(self):\n        new = object.__new__(A)\n"
+              "        object.__setattr__(new, 'v', 2)\n        return new\n"
+              "make = object.__new__\n")
+    assert object_hooks(source) == [(3, "__setattr__", "__post_init__"), (5, "__new__", "take"),
+                                    (6, "__setattr__", "take"), (8, "__new__", None)]
