@@ -59,15 +59,14 @@ def compute_mean_intermediates(data: Dataset, regressor: str,
     return sq_g, sq_mean, ratio_estimate(sq_g, sq_mean)
 
 
-def split_estimate_mean(data: Dataset, sq_mean: np.ndarray, regressor: str, seed: int) -> float:
-    """Half-sample core a_tilde, whose first-order term cannot vanish.
-
-    The g-residual average uses the first ceil(n/2) observations (with
-    cross-fitting inside that half); the mean-residual average is the mean
-    of ``sq_mean``, the squares around the full-sample mean, over the rest.
-    """
-    half, rest = split_halves(data.n)
-    return ratio_estimate(residual_core(data.take(half), regressor, seed)[1], sq_mean[rest])
+def split_estimate_mean(sq_g: np.ndarray, sq_mean: np.ndarray) -> float:
+    """Half-sample core a_tilde, whose first-order term cannot vanish: the
+    point stage's squares ``sq_g`` averaged over the first ceil(n/2) rows,
+    over ``sq_mean`` averaged over the rest.  The paper refits g inside the
+    first half; the residual trace is Neyman-orthogonal in g, so reading the
+    full-sample cross-fit there moves a_tilde only at second order."""
+    half, rest = split_halves(sq_g.size)
+    return ratio_estimate(sq_g[half], sq_mean[rest])
 
 
 def variance_mean(sq_g: np.ndarray, sq_mean: np.ndarray) -> float:
@@ -92,7 +91,7 @@ def assess_mean(data: Dataset, *, nu: float, alpha: float = 0.95, seed: int = 0,
     with stage("point"):
         sq_g, sq_mean, a_hat = compute_mean_intermediates(data, regressor, seed)
     with stage("split"):
-        a_tilde = split_estimate_mean(data, sq_mean, regressor, seed)
+        a_tilde = split_estimate_mean(sq_g, sq_mean)
     method = "mean-linear" if regressor == "ols-linear" else "mean-conditional"
     return finalize(a_hat, a_tilde, lambda: variance_mean(sq_g, sq_mean),
                     data.n, nu, alpha, method)

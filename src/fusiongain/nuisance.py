@@ -27,8 +27,8 @@ from .errors import (
 
 # Cross-fitting folds: a fixed rule, like the bandwidth and neighbour rules.
 N_FOLDS = 5
-# The smallest n whose first half (``split_halves``) still holds two rows per
-# fold: ceil(n / 2) >= 2 * N_FOLDS.
+# The smallest n whose first half (``split_halves``) holds two rows per fold,
+# for the quantile's split cross-fit; the mean keeps it so both accept one n.
 MIN_SPLIT_N = 4 * N_FOLDS - 1
 
 # Gram matrices whose condition-number bound (``cholesky_gate``) exceeds this
@@ -692,7 +692,7 @@ def empirical_quantile(y, tau: float) -> float:
     if y.size == 0:
         raise TooFewObservations("empirical quantile of an empty sample")
     k = math.ceil(y.size * tau)
-    return float(np.sort(y, kind="stable")[k - 1])
+    return float(np.partition(y, k - 1)[k - 1])
 
 
 def silverman_bandwidth(sample) -> float | np.ndarray:

@@ -191,9 +191,10 @@ def ref_mean_point(y, x, nu, assignment, mode):
     return theta1 / theta2, ghat
 
 
-def ref_mean_split(y, x, nu, half_assignment, mode):
+def ref_mean_split(y, x, nu, assignment, mode):
+    # the numerator reads the first-half rows of the full-sample cross-fit
     n_half = math.ceil(len(y) / 2)
-    ghat = ref_crossfit(x[:n_half], y[:n_half], half_assignment, _predictor(mode))
+    ghat = ref_crossfit(x, y, assignment, _predictor(mode))[:n_half]
     mu = y.mean()
     num = np.mean((y[:n_half] - ghat) ** 2)
     den = np.mean((y[n_half:] - mu) ** 2)

@@ -604,7 +604,8 @@ def test_error_names_its_stage(tmp_path, capsys, kind, method, error, stage):
 
 @pytest.mark.parametrize("method", ["mean-linear", "mean-conditional", "quantile"])
 def test_split_methods_name_their_row_minimum(tmp_path, capsys, method):
-    # the first half-sample must hold two rows per fold: n >= MIN_SPLIT_N
+    # the quantile's first half-sample must hold two rows per fold, n >=
+    # MIN_SPLIT_N; the mean keeps the same minimum, so both accept one n
     data = generate_dgp(DgpConfig(b=0.5, n=MIN_SPLIT_N, seed=4))
     for n in (9, 12, MIN_SPLIT_N - 1):
         code, got = _assess_probe(tmp_path, capsys, data.y[:n], data.x[:n], ["--method", method])
@@ -883,7 +884,8 @@ def test_kernel_estimates_unmoved_by_column_units(monkeypatch):
         base, scaled = assess(data), assess(_rescaled_columns(data))
         for key in ("theta_hat", "theta_tilde_raw", "gamma_hat"):
             assert getattr(scaled, key) == pytest.approx(getattr(base, key), rel=1e-8), key
-    assert sum(queries) == 2 * 2 * 1500 and sum(fallbacks) == 0
+    # the mean cross-fits the full sample once, the quantile also its first half
+    assert sum(queries) == 2 * (1000 + 1500) and sum(fallbacks) == 0
 
 
 def test_linear_methods_accept_column_units():
@@ -989,7 +991,8 @@ class TestSimulateCommand:
         "flag", [["--nu", "1.2"], ["--alpha", "1.5"], _ALPHA_EDGE, ["--tau", "0.5,1.0"],
                  _REMOVED_FLAG, ["--rho", "1.5"], ["--n", "0"], ["--workers", "-3"],
                  ["--b", ","], ["--n", ","], ["--tau", ","], ["--b", "nan"], ["--b", "0,inf"],
-                 # the first half-sample must hold two rows per fold
+                 # the quantile's first half-sample must hold two rows per
+                 # fold, and the mean shares its minimum
                  ["--n", str(MIN_SPLIT_N - 1)], ["--n", f"100,{MIN_SPLIT_N - 1}"],
                  ["--n", str(MIN_SPLIT_N - 1), "--method", "mean-linear"],
                  ["--n", str(MIN_SPLIT_N - 1), "--method", "mean-conditional"],
@@ -1021,8 +1024,9 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("method", ["mean-linear", "mean-conditional", "quantile", "linreg"])
     def test_smallest_cross_fittable_n_runs(self, tmp_path, method):
-        # the first half-sample holds exactly two rows per fold; linreg has
-        # one row more than the process has covariates
+        # the quantile's first half-sample holds exactly two rows per fold
+        # (the mean shares its minimum); linreg has one row more than the
+        # process has covariates
         n = MIN_LINREG_N if method == "linreg" else MIN_SPLIT_N
         code = main(
             ["simulate", "--method", method, "--b", "0.5", "--n", str(n), "--reps", "2",

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fusiongain.core import ratio_estimate
 from fusiongain.errors import (
     DegenerateDenominator,
     DegenerateVariance,
@@ -11,9 +12,10 @@ from fusiongain.mean_utility import (
     assess_mean,
     compute_mean_intermediates,
     residual_core,
+    split_data_stage,
     variance_mean,
 )
-from fusiongain.nuisance import Dataset, crossfit_predict, make_split_plan
+from fusiongain.nuisance import Dataset, crossfit_predict, make_split_plan, split_halves
 from fusiongain.simulation import DgpConfig, generate_dgp
 from reference_impl import ref_mean_gamma_sq, ref_mean_point, ref_mean_split
 
@@ -105,12 +107,27 @@ class TestSplitEstimate:
         est = assess_mean(data, **_linear_cfg())
         assert est.theta_tilde_raw == pytest.approx(0.5, abs=1e-10)
 
+    @pytest.mark.parametrize("regressor", ["ols-linear", "local-linear", "k-nn"])
+    def test_reduces_the_point_stage_squares(self, monkeypatch, regressor):
+        # no refit: the numerator is the point stage's sq_g over the first
+        # half, the denominator its sq_mean over the rest, bit for bit
+        cores = []
+        finalize = mean_utility.finalize
+        monkeypatch.setattr(mean_utility, "finalize",
+                            lambda *args: cores.append(args[:2]) or finalize(*args))
+        data = generate_dgp(DgpConfig(b=0.5, n=101, seed=6))
+        assess_mean(data, **_linear_cfg(regressor=regressor, seed=6))
+        scaled = split_data_stage(data, 0.5, 0.95, regressor)
+        sq_g, sq_mean, a_hat = compute_mean_intermediates(scaled, regressor, 6)
+        half, rest = split_halves(data.n)
+        assert cores == [(a_hat, ratio_estimate(sq_g[half], sq_mean[rest]))]
+
     def test_matches_reference(self):
         data = generate_dgp(DgpConfig(b=1.0, n=1000, seed=3))
         cfg = _linear_cfg(seed=3)
         theta_tilde = assess_mean(data, **cfg).theta_tilde_raw
-        half_plan = make_split_plan(500, seed=3)
-        expected = ref_mean_split(data.y, data.x, 0.5, half_plan, "linear")
+        plan = make_split_plan(1000, seed=3)
+        expected = ref_mean_split(data.y, data.x, 0.5, plan, "linear")
         assert theta_tilde == pytest.approx(expected, abs=1e-8)
 
     def test_at_least_nu(self):

@@ -59,13 +59,12 @@ def _dataset(case_id, n, b):
 def _assert_mean_matches_reference(case_id, n, b, nu, regressor, mode):
     data = _dataset(case_id, n, b)
     plan = make_split_plan(n, seed=case_id)
-    half_plan = make_split_plan(math.ceil(n / 2), seed=case_id)
 
     est = assess_mean(data, nu=nu, regressor=regressor, seed=case_id)
     expected, _ = ref_mean_point(data.y, data.x, nu, plan, mode)
     assert est.theta_hat_raw == pytest.approx(expected, abs=TOL)
 
-    expected_tilde = ref_mean_split(data.y, data.x, nu, half_plan, mode)
+    expected_tilde = ref_mean_split(data.y, data.x, nu, plan, mode)
     assert est.theta_tilde_raw == pytest.approx(expected_tilde, abs=TOL)
 
     expected_gamma = ref_mean_gamma_sq(data.y, data.x, nu, plan, mode)

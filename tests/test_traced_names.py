@@ -2,7 +2,7 @@
 
 ``perfbench/spans.py`` wraps package functions by module and name; a renamed
 or bypassed helper would otherwise surface only in a traced benchmark run.
-The same spans pin one cross-fit per core, so a stage that refits fails here.
+The same spans pin each assessment's cross-fits, so a stage that refits fails here.
 This test reads ``perfbench/`` and changes nothing there.
 """
 
@@ -56,9 +56,10 @@ def test_utility_spans_fire_once_per_assessment(monkeypatch):
         recorder.uninstall()
     calls = {name: sum(count[name] for count in counts) for name in UTILITY_SPANS}
     assert calls == {name: 1 for name in UTILITY_SPANS}
-    # one cross-fit per core, the point core and the split core, of 5 folds
-    # each; at n = 120 each cross-fit's folds fit one block, so one fit each
-    for count, fitted in zip(counts, folds):
-        assert count["nuisance.crossfit_predict"] == 2
-        assert count["nuisance.fit_conditional_mean"] == 2
-        assert fitted == 10
+    # cross-fits of 5 folds each: the mean's split core reduces the point
+    # core's squares, so one; the quantile refits in its first half, so two.
+    # At n = 120 each cross-fit's folds fit one block, so one fit each
+    for count, fitted, fits in zip(counts, folds, (1, 2)):
+        assert count["nuisance.crossfit_predict"] == fits
+        assert count["nuisance.fit_conditional_mean"] == fits
+        assert fitted == 5 * fits
