@@ -308,8 +308,8 @@ def _check_flags(args) -> None:
             raise UsageError(f"--b must be finite, got {args.b}")
         if not abs(args.rho) < 1.0:
             raise UsageError(f"--rho must be in (-1, 1), got {args.rho}")
-        # the quantile cross-fits its first ceil(n/2) rows (the mean shares
-        # its minimum); linreg needs more rows than the DGP has covariates
+        # the mean and the quantile share the half-sample minimum;
+        # linreg needs more rows than the DGP has covariates
         min_n = MIN_LINREG_N if args.method == "linreg" else MIN_SPLIT_N
         if min(args.n) < min_n:
             raise UsageError(f"--n must be >= {min_n} for --method {args.method}, got {args.n}")

@@ -43,8 +43,9 @@ def residual_core(z: Dataset, regressor: str, seed: int,
                   clamp: tuple[float, float] = (-np.inf, np.inf)) -> tuple[np.ndarray, np.ndarray]:
     """Cross-fitted regression g of Z = ``z.y`` on ``z.x``, clipped to ``clamp``,
     and the squared residuals (Z - g)^2, whose mean is the residual trace:
-    Z = Y for the mean, and the indicator 1(Y < mu), clamped to [0, 1], for
-    the quantile."""
+    Z = Y for the mean, and, clamped to [0, 1], the indicators 1(Y < mu_hat)
+    and 1(Y < mu_tilde) for the quantile.  A Z with r columns is cross-fitted
+    in one pass, and g and the squares have a column per response."""
     g = np.clip(crossfit_predict(z, regressor, seed), *clamp)
     return g, (z.y - g) ** 2
 

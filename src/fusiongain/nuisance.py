@@ -3,9 +3,10 @@
 The door that scales every input by powers of two (``unit_scaled``),
 cross-fitting partitions, the regressor menu (pooled least squares, k-nearest
 neighbors, local linear smoothing) with fixed smoothing rules, cross-fitted
-predictions, Gaussian kernel density estimation with rule-of-thumb
-bandwidths, and empirical quantiles.  Everything here is deterministic given
-its inputs; the only randomness is the seeded fold assignment.
+predictions of one response or of r responses in one pass, Gaussian kernel
+density estimation with rule-of-thumb bandwidths, and empirical quantiles.
+Everything here is deterministic given its inputs; the only randomness is
+the seeded fold assignment.
 """
 
 from __future__ import annotations
@@ -27,8 +28,10 @@ from .errors import (
 
 # Cross-fitting folds: a fixed rule, like the bandwidth and neighbour rules.
 N_FOLDS = 5
-# The smallest n whose first half (``split_halves``) holds two rows per fold,
-# for the quantile's split cross-fit; the mean keeps it so both accept one n.
+# The least n the half-sample methods accept: the n whose first half
+# (``split_halves``) holds two rows per fold.  The split cores that
+# cross-fitted that half are gone; the bound stays so that no sample the
+# mean or the quantile accepted, or refused, changes its answer.
 MIN_SPLIT_N = 4 * N_FOLDS - 1
 
 # Gram matrices whose condition-number bound (``cholesky_gate``) exceeds this
@@ -53,7 +56,12 @@ MIN_SPREAD = 2.0**-100
 
 @dataclass(frozen=True)
 class Dataset:
-    """Internal sample: response vector ``y`` and covariate matrix ``x``."""
+    """Internal sample: response ``y`` and covariate matrix ``x``.
+
+    ``y`` is a vector, or an (n, r) matrix of r responses on the same
+    covariates, which the nuisance stack fits in one pass; an assessment
+    takes a vector (``unit_scaled``).
+    """
 
     y: np.ndarray
     x: np.ndarray
@@ -65,13 +73,13 @@ class Dataset:
         x = np.array(self.x, dtype=float)
         if x.ndim == 1:
             x = x[:, None]
-        if y.ndim != 1 or x.ndim != 2:
-            raise OutOfRange("y must be a vector and x a matrix")
+        if y.ndim not in (1, 2) or x.ndim != 2:
+            raise OutOfRange("y must be a vector or a matrix and x a matrix")
         if y.shape[0] != x.shape[0]:
             raise OutOfRange(
                 f"response length {y.shape[0]} != covariate rows {x.shape[0]}"
             )
-        if y.shape[0] < 1 or x.shape[1] < 1:
+        if y.size < 1 or x.shape[1] < 1:
             raise OutOfRange("dataset needs at least one row and one covariate")
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
             raise OutOfRange("dataset entries must be finite")
@@ -138,8 +146,11 @@ def unit_scaled(data: Dataset, common_x: bool = False) -> Dataset:
     raises :class:`OutOfRange`, naming its row farthest from the median
     (1-based), or, under ``common_x``, the column that is small next to the
     largest covariate column.  A constant column passes, for the method's
-    own check.
+    own check.  A response that is not a vector raises :class:`OutOfRange`:
+    an assessment answers for one response.
     """
+    if data.y.ndim != 1:
+        raise OutOfRange("an assessment takes one response vector, not a matrix")
     own = np.frexp(np.abs(data.x).max(axis=0))[1]
     powers = np.full_like(own, own.max()) if common_x else own
     y = np.ldexp(data.y, -np.frexp(np.abs(data.y).max())[1])
@@ -191,7 +202,8 @@ def _quartiles(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def ols_fit(x, y) -> np.ndarray:
     """Least-squares coefficients via the normal equations, from
-    ``equilibrated_solve``: the intercept first, then one slope per column.
+    ``equilibrated_solve``: the intercept first, then one slope per column;
+    for an (n, r) response ``y``, one column of coefficients per response.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -212,14 +224,18 @@ def cholesky_gate(gram: np.ndarray, rhs: np.ndarray):
     number from above (by at most a factor r^1.5 for r x r matrices), so
     no matrix that passes is worse conditioned than the limit, up to the
     rounding of a condition number that sits at the limit itself.  L^-1
-    and L^-1 rhs (``rhs`` holds one vector per matrix) come from one
-    forward substitution on [I | rhs], the package's only solve.  A batch
+    and L^-1 rhs come from one forward substitution on [I | rhs], the
+    package's only solve.  ``rhs`` holds one vector per matrix, or, with one
+    axis more, one matrix per matrix whose columns are right-hand sides that
+    share the factor.  A batch
     in which some matrix does not factor is factored matrix by matrix, so
     no decision or solution depends on which matrices share a batch.
     Returns (passes, L^-1, L^-1 rhs); the last two are meaningless where a
     matrix fails.
     """
     batch, r = gram.shape[:-2], gram.shape[-1]
+    columns = rhs.ndim == gram.ndim
+    rhs = rhs if columns else rhs[..., None]
     factored = np.ones(batch, dtype=bool)
     try:
         factor = np.linalg.cholesky(gram)
@@ -231,9 +247,9 @@ def cholesky_gate(gram: np.ndarray, rhs: np.ndarray):
             except np.linalg.LinAlgError:
                 factor[i] = np.eye(r)
                 factored[i] = False
-    aug = np.zeros(batch + (r, r + 1))
+    aug = np.zeros(batch + (r, r + rhs.shape[-1]))
     aug[..., :r] = np.eye(r)
-    aug[..., r] = rhs
+    aug[..., r:] = rhs
     sol = np.empty_like(aug)
     # a tiny pivot can overflow the inverse; such a matrix fails the bound
     with np.errstate(over="ignore", invalid="ignore"):
@@ -245,7 +261,7 @@ def cholesky_gate(gram: np.ndarray, rhs: np.ndarray):
         l_inv = sol[..., :r]
         bound = np.sqrt((gram * gram).sum(axis=(-2, -1))) * (l_inv * l_inv).sum(axis=(-2, -1))
         passes = factored & (bound <= MAX_CONDITION_NUMBER)
-    return passes, l_inv, sol[..., r]
+    return passes, l_inv, sol[..., r:] if columns else sol[..., r]
 
 
 def equilibrated_solve(gram: np.ndarray, rhs: np.ndarray):
@@ -253,17 +269,19 @@ def equilibrated_solve(gram: np.ndarray, rhs: np.ndarray):
     linreg), which has no natural units: the gate sees D^-1/2 G D^-1/2 with
     D = diag(G), so rescaling a covariate column cannot move the decision.
     Returns G^-1 rhs and G^-1, both from the factor that passed, or None
-    where G fails (a column of zeros leaves a zero on D).
+    where G fails (a column of zeros leaves a zero on D).  ``rhs`` is a
+    vector or a matrix of right-hand-side columns.
     """
     diag = gram.diagonal()
     if not (diag > 0.0).all():
         return None
     inv_root = 1.0 / np.sqrt(diag)
-    passes, l_inv, z = cholesky_gate(gram * inv_root[:, None] * inv_root, rhs * inv_root)
+    passes, l_inv, z = cholesky_gate(gram * inv_root[:, None] * inv_root,
+                                     (rhs.T * inv_root).T)
     if not passes:
         return None
     m = l_inv * inv_root  # G^-1 = M'M
-    return inv_root * (l_inv.T @ z), m.T @ m
+    return (inv_root * (l_inv.T @ z).T).T, m.T @ m
 
 
 def default_neighbor_count(n_train: int) -> int:
@@ -276,6 +294,8 @@ class OlsLinearRegressor:
         self.coef = np.asarray(coef, dtype=float)
 
     def predict(self, x) -> np.ndarray:
+        """Predictions at the rows of ``x``: a vector, or one column per
+        response for coefficients fitted to an (n, r) response."""
         x = np.asarray(x, dtype=float)
         design = np.column_stack([np.ones(x.shape[0]), x])
         return design @ self.coef
@@ -333,6 +353,11 @@ class KnnRegressor:
     some row has equal distances.  Neighbour sets, their order and the
     predictions are therefore the same, bit for bit, as a stable argsort of
     all exact distances, in memory bounded by the block budget.
+
+    An (n, r) response ``y_train`` gives r columns of predictions from one
+    neighbour search.  Each response is kept as a contiguous row and averaged
+    over the neighbours as a vector response is, so every column equals its
+    own single-response fit bit for bit.
     """
 
     # Candidate slack, relative to (|q|^2 + max |t|^2) / 2 about the training mean.
@@ -345,6 +370,7 @@ class KnnRegressor:
         self.x_train = x_train
         self.y_train = y_train
         self.k = k
+        self._y_rows = np.ascontiguousarray(np.atleast_2d(y_train.T))
         self._x_mean = x_train.mean(axis=0)
         self._x_centered = x_train - self._x_mean
         self._half_sq_norms = 0.5 * (self._x_centered * self._x_centered).sum(axis=1)
@@ -352,10 +378,10 @@ class KnnRegressor:
 
     def predict(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape[0])
+        out = np.empty((self._y_rows.shape[0], x.shape[0]))
         for block in _query_blocks(x.shape[0], self.x_train.shape[0]):
-            out[block] = self.y_train[self._neighbors(x[block])].mean(axis=1)
-        return out
+            out[:, block] = self._y_rows[:, self._neighbors(x[block])].mean(axis=-1)
+        return out.T if self.y_train.ndim == 2 else out[0]
 
     def _neighbors(self, xq: np.ndarray) -> np.ndarray:
         """Training indices of each query's k nearest points, nearest first."""
@@ -468,9 +494,9 @@ class LocalLinearRegressor:
     coordinates (X - xq) / h, which leaves the intercept unchanged.  They
     come from one GEMM per block: the weights times a training design
     centred once at the training mean and scaled by the bandwidths, with
-    columns 1, Xc, the upper triangle of Xc Xc', yc and Xc yc (yc the
-    mean-centred response), written once per fit.  Each query's moments are
-    then moved from the training mean to the query in closed form, giving
+    columns 1, Xc, the upper triangle of Xc Xc', then yc and Xc yc (yc the
+    mean-centred response) for each response, written once per fit.  Each
+    query's moments are then moved from the training mean to the query in closed form, giving
     the same (p+1) x (p+1) Gram matrix and right-hand side as centring the
     design at the query, without any (queries x training x p) temporary.
 
@@ -492,6 +518,15 @@ class LocalLinearRegressor:
     its own log-weight and moment GEMMs.  Every step is per fold or per
     query, so a fold's predictions equal its own fit's bit for bit whenever
     its queries form the same blocks, as they do when the stack fits one.
+
+    Several responses are one fit too: ``y_train`` may carry a trailing axis
+    of r responses, (n, r) or (folds, n, r), and ``predict`` then returns one
+    column per response.  The weights, the floor pass, the Gram matrices and
+    their ``cholesky_gate`` factors depend only on X, so the responses share
+    them, and each adds p + 1 moment columns and one right-hand side.  A
+    vector response is the one-column case, bit for bit.  A column's
+    prediction matches its own fit's to rounding: the wider moment GEMM and
+    solve may sum in another order.
     """
 
     MIN_EFFECTIVE_WEIGHT = 20.0
@@ -509,29 +544,38 @@ class LocalLinearRegressor:
         n, p = xc.shape[-2:]
         self._upper = np.triu_indices(p)
         n_upper = self._upper[0].size
-        # columns 1 | Xc | Xc_j Xc_k for j <= k, row by row of the triangle | yc | Xc yc
-        design = np.empty(xc.shape[:-2] + (n, 2 + 2 * p + n_upper))
+        # each response as a contiguous row, centred as a vector response is:
+        # solving on mean-centered responses keeps the response level out of
+        # the local solve (constant responses reproduce exactly)
+        self._columns = y_train.ndim == x_train.ndim
+        y_rows = np.ascontiguousarray(np.moveaxis(y_train, -1, -2)) if self._columns else (
+            y_train[..., None, :])
+        self._y_mean = np.mean(y_rows, axis=-1)
+        y_centered = y_rows - self._y_mean[..., None]
+        # columns 1 | Xc | Xc_j Xc_k for j <= k, row by row of the triangle,
+        # then yc | Xc yc for each response
+        design = np.empty(xc.shape[:-2] + (n, 1 + p + n_upper + y_rows.shape[-2] * (1 + p)))
         design[..., 0] = 1.0
         design[..., 1 : 1 + p] = xc
         start = 1 + p
         for j in range(p):
             np.multiply(xc[..., j : j + 1], xc[..., j:], out=design[..., start : start + p - j])
             start += p - j
-        # solving on mean-centered responses keeps the response level out of
-        # the local solve (constant responses reproduce exactly)
-        self._y_mean = np.mean(y_train, axis=-1)
-        y_centered = y_train - self._y_mean[..., None]
-        design[..., start] = y_centered
-        np.multiply(xc, y_centered[..., None], out=design[..., start + 1 :])
+        for j in range(y_rows.shape[-2]):
+            design[..., start] = y_centered[..., j, :]
+            np.multiply(xc, y_centered[..., j, :, None], out=design[..., start + 1 : start + 1 + p])
+            start += 1 + p
         self._moment_design = design
 
     def predict(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape[:-1])
+        responses = self.y_train.shape[self.x_train.ndim - 1 :]
+        out = np.empty(x.shape[:-1] + responses)
         # a block's row holds one query's weights in every fold
         width = math.prod(x.shape[:-2]) * self.x_train.shape[-2]
         for block in _query_blocks(x.shape[-2], width):
-            out[..., block], _ = self._predict_block(x[..., block, :])
+            out[(..., block) + (slice(None),) * len(responses)], _ = self._predict_block(
+                x[..., block, :])
         return out
 
     def _floored_weights(self, xq: np.ndarray) -> np.ndarray:
@@ -582,7 +626,8 @@ class LocalLinearRegressor:
         return w
 
     def _predict_block(self, xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Predictions for one block of queries, and which passed the condition gate."""
+        """Predictions for one block of queries (one column per response of an
+        (n, r) fit), and which queries passed the condition gate."""
         p = xq.shape[-1]
         batch = xq.shape[:-1]
         rows, cols = self._upper
@@ -591,13 +636,14 @@ class LocalLinearRegressor:
         s0 = moments[..., 0]
         m1 = moments[..., 1 : 1 + p]
         m2 = moments[..., 1 + p : 1 + p + rows.size]
-        t0 = moments[..., 1 + p + rows.size]
-        u1 = moments[..., 2 + p + rows.size :]
+        responses = moments[..., 1 + p + rows.size :].reshape(batch + (-1, 1 + p))
+        t0 = responses[..., 0]
+        u1 = responses[..., 1:]
         # Move the moments from the training mean to the query point d, all
         # in bandwidth units: sum w (X - xq) = m1 - s0 d,
         # sum w (X - xq)(X - xq)' = M2 - m1 d' - d m1' + s0 d d',
-        # sum w (X - xq) y = u1 - t0 d.  Both triangles are built alike, so
-        # the Gram matrix is exactly symmetric.
+        # sum w (X - xq) y = u1 - t0 d for each response.  Both triangles are
+        # built alike, so the Gram matrix is exactly symmetric.
         d = (xq - self._kernel.centre[..., None, :]) / self.bandwidths[..., None, :]
         cross = m1[..., :, None] * d[..., None, :]
         gram = np.empty(batch + (p + 1, p + 1))
@@ -608,19 +654,19 @@ class LocalLinearRegressor:
         s2[..., cols, rows] = m2
         s2 -= cross + np.swapaxes(cross, -1, -2)
         s2 += s0[..., None, None] * (d[..., :, None] * d[..., None, :])
-        rhs = np.empty(batch + (p + 1,))
-        rhs[..., 0] = t0
-        rhs[..., 1:] = u1 - t0[..., None] * d
+        rhs = np.empty(batch + (p + 1, t0.shape[-1]))
+        rhs[..., 0, :] = t0
+        rhs[..., 1:, :] = np.swapaxes(u1 - t0[..., None] * d[..., None, :], -1, -2)
         ok, l_inv, z = cholesky_gate(gram, rhs)
-        y_mean = np.broadcast_to(self._y_mean[..., None], batch)
-        out = np.empty(batch)
+        y_mean = np.broadcast_to(self._y_mean[..., None, :], t0.shape)
+        out = np.empty(t0.shape)
         # the intercept, row 0 of G^-1 rhs = L^-T (L^-1 rhs): column 0 of L^-1 dotted with z
-        out[ok] = np.einsum("qk,qk->q", l_inv[ok, :, 0], z[ok]) + y_mean[ok]
+        out[ok] = np.einsum("qk,qkr->qr", l_inv[ok, :, 0], z[ok]) + y_mean[ok]
         if not ok.all():
-            bad_s0 = s0[~ok]
+            bad_s0 = s0[~ok, None]
             local_mean = np.where(bad_s0 > 0, t0[~ok] / np.where(bad_s0 > 0, bad_s0, 1.0), 0.0)
             out[~ok] = local_mean + y_mean[~ok]
-        return out, ok
+        return (out if self._columns else out[..., 0]), ok
 
 
 def fit_conditional_mean(
@@ -638,12 +684,12 @@ def fit_conditional_mean(
     x, y = (train.x, train.y) if rows is None else (train.x[rows], train.y[rows])
     if kind == "local-linear":
         return LocalLinearRegressor(x, y, silverman_bandwidth(x))
-    if y.ndim != 1:
+    if x.ndim != 2:
         raise OutOfRange(f"only local-linear fits a stack of folds, not {kind!r}")
     if kind == "ols-linear":
         return OlsLinearRegressor(ols_fit(x, y))
     if kind == "k-nn":
-        return KnnRegressor(x, y, default_neighbor_count(y.size))
+        return KnnRegressor(x, y, default_neighbor_count(x.shape[0]))
     raise OutOfRange(f"unknown regressor kind {kind!r}")
 
 
@@ -663,7 +709,10 @@ def _fold_groups(fold_sizes: np.ndarray, kind: str) -> list[np.ndarray]:
 
 
 def crossfit_predict(data: Dataset, kind: str, seed: int) -> np.ndarray:
-    """Cross-fitted predictions of ``data.y`` at every observation.
+    """Cross-fitted predictions of ``data.y`` at every observation: a
+    vector, or, for an (n, r) response, one column per response from one
+    pass, each matching its own cross-fit (bit for bit for k-NN, to rounding
+    for local-linear and OLS).
 
     The folds are ``make_split_plan(data.n, seed)``.  Entry i comes from the
     regressor trained on the complement of i's fold, so it never depends on
@@ -672,7 +721,7 @@ def crossfit_predict(data: Dataset, kind: str, seed: int) -> np.ndarray:
     predictions equal fold-by-fold fits bit for bit.
     """
     folds = make_split_plan(data.n, seed)
-    predictions = np.empty(data.n)
+    predictions = np.empty(data.y.shape)
     for group in _fold_groups(np.bincount(folds, minlength=N_FOLDS), kind):
         member = folds == group[:, None]
         test = np.nonzero(member)[1].reshape(group.size, -1)

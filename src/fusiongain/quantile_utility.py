@@ -6,8 +6,15 @@ map.  This module computes the nu-free core: the mean's
 :func:`~fusiongain.mean_utility.residual_core` on the indicator Z = 1(Y < mu_hat)
 at the empirical tau-quantile mu_hat, clamped to [0, 1], over the known
 variance tau(1-tau) of Z (the marginal density factor cancels in the ratio).
-The variance plug-in adds a density-slope term from kernel density estimates
-of the marginal and conditional response densities at the quantile.
+The half-sample core takes its threshold mu_tilde from the second half, and
+its numerator from the first-half rows of a full-sample cross-fit of
+1(Y < mu_tilde), fitted in the point stage's pass as a second column of Z.
+The paper cross-fits that indicator within the first half instead; the
+residual trace is Neyman-orthogonal in the conditional CDF, so reading the
+full-sample fit moves a_tilde only at second order, and a quantile
+assessment runs one cross-fit instead of two.  The variance plug-in adds a
+density-slope term from kernel density estimates of the marginal and
+conditional response densities at the quantile.
 :func:`assess_quantile` takes tau, the ``regressor`` of the conditional CDF
 and the fold ``seed`` as keywords.
 """
@@ -33,41 +40,43 @@ from .mean_utility import residual_core, split_data_stage
 DENSITY_FLOOR = 1e-12
 
 
-def _indicator(data: Dataset, threshold: float) -> Dataset:
-    """Z = 1(y < threshold) on the covariates of ``data``."""
-    return Dataset((data.y < threshold).astype(float), data.x)
+def _indicator(data: Dataset, threshold) -> Dataset:
+    """Z = 1(y < threshold) on the covariates of ``data``: a vector, or one
+    column per threshold for a sequence of thresholds."""
+    y = data.y if np.ndim(threshold) == 0 else data.y[:, None]
+    return Dataset((y < np.asarray(threshold)).astype(float), data.x)
 
 
 def compute_quantile_intermediates(
     data: Dataset, tau: float, regressor: str, seed: int
-) -> tuple[float, np.ndarray, float]:
+) -> tuple[float, np.ndarray, np.ndarray, float]:
     """The empirical tau-quantile mu_hat, the cross-fitted conditional CDF
-    Fhat at mu_hat (clamped to [0, 1]) and the point core a_hat: the
-    residual trace of 1(Y < mu_hat) over tau(1-tau).  With no Y below mu_hat
-    the indicator is 0 in every row and a_hat is 0 by construction, so that
-    sample raises :class:`TooFewObservations`; so does the mirror case, no Y
-    above mu_hat, where the empirical quantile is the sample maximum."""
+    Fhat at mu_hat (clamped to [0, 1]), the squares (1(Y < mu_tilde) - Ftilde)^2
+    of the split core, and the point core a_hat: the residual trace of
+    1(Y < mu_hat) over tau(1-tau).  mu_tilde is the second half's empirical
+    tau-quantile; both indicators are cross-fitted in one pass.  With no Y
+    below mu_hat the indicator is 0 in every row and a_hat is 0 by
+    construction, so that sample raises :class:`TooFewObservations`; so does
+    the mirror case, no Y above mu_hat, where the empirical quantile is the
+    sample maximum."""
     mu_hat = empirical_quantile(data.y, tau)
     if not np.any(data.y < mu_hat):
         raise TooFewObservations(f"no observation lies below the empirical {tau}-quantile")
     if not np.any(data.y > mu_hat):
         raise TooFewObservations(f"no observation lies above the empirical {tau}-quantile")
-    fhat, sq = residual_core(_indicator(data, mu_hat), regressor, seed, (0.0, 1.0))
-    return mu_hat, fhat, ratio_estimate(sq, tau * (1.0 - tau))
+    mu_tilde = empirical_quantile(data.y[split_halves(data.n)[1]], tau)
+    fits, sq = residual_core(_indicator(data, (mu_hat, mu_tilde)), regressor, seed, (0.0, 1.0))
+    return mu_hat, fits[:, 0], sq[:, 1], ratio_estimate(sq[:, 0], tau * (1.0 - tau))
 
 
-def split_estimate_quantile(data: Dataset, tau: float, regressor: str, seed: int) -> float:
+def split_estimate_quantile(sq_tilde: np.ndarray, tau: float) -> float:
     """Half-sample core a_tilde: quantile from the second half, discrepancies
-    from the first.
-
-    The threshold is the empirical tau-quantile of the second half, the
-    conditional-CDF regression is cross-fitted within the first half at that
-    threshold.
-    """
-    half, rest = split_halves(data.n)
-    mu_tilde = empirical_quantile(data.y[rest], tau)
-    sq = residual_core(_indicator(data.take(half), mu_tilde), regressor, seed, (0.0, 1.0))[1]
-    return ratio_estimate(sq, tau * (1.0 - tau))
+    from the first.  ``sq_tilde`` holds the squared gaps of 1(Y < mu_tilde)
+    from its full-sample cross-fit, at the second half's empirical
+    tau-quantile mu_tilde; their mean over the first ceil(n/2) rows, over
+    tau(1-tau)."""
+    half, _ = split_halves(sq_tilde.size)
+    return ratio_estimate(sq_tilde[half], tau * (1.0 - tau))
 
 
 def variance_quantile(
@@ -109,8 +118,8 @@ def assess_quantile(data: Dataset, *, nu: float, alpha: float = 0.95, seed: int 
     centered at the split estimate)."""
     data = split_data_stage(data, nu, alpha, regressor)
     with stage("point"):
-        mu_hat, fhat, a_hat = compute_quantile_intermediates(data, tau, regressor, seed)
+        mu_hat, fhat, sq_tilde, a_hat = compute_quantile_intermediates(data, tau, regressor, seed)
     with stage("split"):
-        a_tilde = split_estimate_quantile(data, tau, regressor, seed)
+        a_tilde = split_estimate_quantile(sq_tilde, tau)
     return finalize(a_hat, a_tilde, lambda: variance_quantile(data, tau, mu_hat, fhat),
                     data.n, nu, alpha, "quantile")

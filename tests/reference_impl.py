@@ -226,16 +226,17 @@ def ref_quantile_point(y, x, nu, tau, assignment):
     return theta1 / (tau * (1 - tau)), mu, fhat
 
 
-def ref_quantile_split(y, x, nu, tau, half_assignment):
+def ref_quantile_split(y, x, nu, tau, assignment):
+    # the numerator reads the first-half rows of the full-sample cross-fit of
+    # the indicator at the second half's quantile
     n_half = math.ceil(len(y) / 2)
     mu_tilde = ref_empirical_quantile(y[n_half:], tau)
-    indicators = (y[:n_half] < mu_tilde).astype(float)
+    indicators = (y < mu_tilde).astype(float)
     fhat = np.clip(
-        ref_crossfit(x[:n_half], indicators, half_assignment, ref_local_linear_predict),
-        0.0,
-        1.0,
-    )
-    return (1 - nu) * np.mean((indicators - fhat) ** 2) / (tau * (1 - tau)) + nu
+        ref_crossfit(x, indicators, assignment, ref_local_linear_predict), 0.0, 1.0
+    )[:n_half]
+    num = np.mean((indicators[:n_half] - fhat) ** 2)
+    return (1 - nu) * num / (tau * (1 - tau)) + nu
 
 
 def ref_quantile_gamma_sq(y, x, nu, tau, assignment):

@@ -884,8 +884,8 @@ def test_kernel_estimates_unmoved_by_column_units(monkeypatch):
         base, scaled = assess(data), assess(_rescaled_columns(data))
         for key in ("theta_hat", "theta_tilde_raw", "gamma_hat"):
             assert getattr(scaled, key) == pytest.approx(getattr(base, key), rel=1e-8), key
-    # the mean cross-fits the full sample once, the quantile also its first half
-    assert sum(queries) == 2 * (1000 + 1500) and sum(fallbacks) == 0
+    # the mean and the quantile each cross-fit the full sample once
+    assert sum(queries) == 2 * (1000 + 1000) and sum(fallbacks) == 0
 
 
 def test_linear_methods_accept_column_units():

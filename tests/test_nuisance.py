@@ -816,6 +816,54 @@ class TestFoldGroups:
             fit_conditional_mean(data, "k-nn", np.arange(8).reshape(2, 4))
 
 
+class TestMultiResponse:
+    """An (n, r) response cross-fitted in one pass against one cross-fit per column."""
+
+    @staticmethod
+    def _sample(n, p, seed, duplicated=False):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, p))
+        x[0] = 40.0  # a far tail: its query inflates the bandwidths
+        y = np.sin(x[:, 0]) + x.sum(axis=1) + 0.5 * rng.normal(size=n)
+        if duplicated:  # S copied as a last column: every local Gram matrix is singular
+            x = np.column_stack([x, x[:, 0]])
+        # a response, its median indicator and an indicator at another scale
+        return x, np.column_stack([y, y < np.median(y), 1e3 * (y < 0.3)])
+
+    SAMPLES = [(60, 1, False), (61, 2, False), (62, 10, False), (63, 2, False),
+               (64, 1, False), (1003, 2, False), (1003, 10, False), (62, 2, True)]
+
+    @pytest.mark.parametrize("kind", ["local-linear", "k-nn", "ols-linear"])
+    @pytest.mark.parametrize("n, p, duplicated", SAMPLES)
+    def test_multi_response_columns_match_single_fits(self, kind, n, p, duplicated):
+        x, z = self._sample(n, p, seed=n + p, duplicated=duplicated)
+        if duplicated and kind == "ols-linear":
+            # the gate reads only the Gram matrix: one response or three, refused alike
+            for response in (z[:, 0], z):
+                with pytest.raises(SingularDesign):
+                    crossfit_predict(Dataset(response, x), kind, seed=p)
+            return
+        single = [crossfit_predict(Dataset(z[:, j], x), kind, seed=p) for j in range(3)]
+        one = crossfit_predict(Dataset(z[:, :1], x), kind, seed=p)
+        assert one.shape == (n, 1) and np.array_equal(one[:, 0], single[0])
+        for r in (2, 3):
+            multi = crossfit_predict(Dataset(z[:, :r], x), kind, seed=p)
+            assert multi.shape == (n, r)
+            for j in range(r):
+                scale = np.abs(single[j]).max()
+                assert np.abs(multi[:, j] - single[j]).max() <= 1e-14 * scale, (r, j)
+
+    def test_multi_response_fallback_everywhere(self):
+        # the duplicated sample sends every local-linear query of a fold to
+        # the kernel-weighted mean, for every column
+        x, z = self._sample(62, 2, seed=64, duplicated=True)
+        folds = make_split_plan(62, seed=2)
+        train, test = np.flatnonzero(folds != 0), np.flatnonzero(folds == 0)
+        regressor = fit_conditional_mean(Dataset(z, x).take(train), "local-linear")
+        preds, solved = regressor._predict_block(x[test])
+        assert not solved.any() and preds.shape == (test.size, 3)
+
+
 class TestEmpiricalQuantile:
     def test_order_statistic_median(self):
         assert empirical_quantile([3.0, 1.0, 2.0], 0.5) == 2.0
@@ -1007,6 +1055,11 @@ GUARD_CASES = {
     "knn-far-row": (
         lambda: unit_scaled(Dataset(np.arange(10.0), np.column_stack(
             [np.arange(9.0).tolist() + [1e200], np.arange(10.0)])), common_x=True),
+        OutOfRange,
+    ),
+    # the nuisance stack fits several responses at once; an assessment, one
+    "door-matrix-response": (
+        lambda: unit_scaled(Dataset(np.zeros((10, 2)), np.arange(10.0))),
         OutOfRange,
     ),
 }

@@ -6,8 +6,6 @@ regressor) are compared against the loop-based transcription in
 reference_impl.py, with fold assignments passed through as data.
 """
 
-import math
-
 import pytest
 
 from fusiongain.linreg_utility import assess_linreg
@@ -90,14 +88,13 @@ def test_mean_conditional_knn_matches_reference(case_id, n, b, nu, tau):
 def test_quantile_matches_reference(case_id, n, b, nu, tau):
     data = _dataset(case_id, n, b)
     plan = make_split_plan(n, seed=case_id)
-    half_plan = make_split_plan(math.ceil(n / 2), seed=case_id)
 
     est = assess_quantile(data, nu=nu, tau=tau, seed=case_id)
     expected, _, _ = ref_quantile_point(data.y, data.x, nu, tau, plan)
     assert est.theta_hat_raw == pytest.approx(expected, abs=TOL)
 
     expected_tilde = ref_quantile_split(
-        data.y, data.x, nu, tau, half_plan
+        data.y, data.x, nu, tau, plan
     )
     assert est.theta_tilde_raw == pytest.approx(expected_tilde, abs=TOL)
 

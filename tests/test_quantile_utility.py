@@ -5,14 +5,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fusiongain import quantile_utility
+from fusiongain.core import ratio_estimate
 from fusiongain.errors import OutOfRange, PlanMismatch, VanishingDensity
+from fusiongain.mean_utility import residual_core, split_data_stage
 from fusiongain.nuisance import (
     Dataset,
     cond_kde_profile,
+    crossfit_predict,
     empirical_quantile,
     kde_eval,
     make_split_plan,
     silverman_bandwidth,
+    split_halves,
 )
 from fusiongain.quantile_utility import (
     DENSITY_FLOOR,
@@ -103,6 +108,8 @@ class TestPointEstimate:
 
 class TestSplitEstimate:
     def test_perfect_classifier_on_first_half(self):
+        # the covariate is 1(y < mu_tilde): on the first-half rows every
+        # neighbour of the full-sample cross-fit shares the row's indicator
         n = 24
         y = np.arange(1.0, n + 1.0)
         n_half = n // 2
@@ -110,14 +117,36 @@ class TestSplitEstimate:
         x = (y < mu_tilde).astype(float)[:, None]
         data = Dataset(y, x)
         cfg = _cfg(regressor="k-nn")
-        assert split_estimate_quantile(data, *_fit_args(cfg)) == pytest.approx(0.0, abs=1e-12)
+        sq_tilde = compute_quantile_intermediates(data, *_fit_args(cfg))[2]
+        assert split_estimate_quantile(sq_tilde, cfg["tau"]) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("regressor", ["ols-linear", "local-linear", "k-nn"])
+    def test_reads_the_point_stage_pass(self, monkeypatch, regressor):
+        # one cross-fit: the split numerator is the first-half mean of the
+        # squared gaps of 1(Y < mu_tilde), fitted as the second column of
+        # the point stage's pass, bit for bit
+        calls = []
+        monkeypatch.setattr(quantile_utility, "residual_core",
+                            lambda z, *args: calls.append(z.y.shape) or residual_core(z, *args))
+        data = generate_dgp(DgpConfig(b=0.5, n=101, seed=6))
+        est = assess_quantile(data, **_cfg(tau=0.25, seed=6, regressor=regressor))
+        assert calls == [(101, 2)]
+        scaled = split_data_stage(data, 0.5, 0.95, regressor)
+        half, rest = split_halves(data.n)
+        mu_tilde = empirical_quantile(scaled.y[rest], 0.25)
+        mu_hat = empirical_quantile(scaled.y, 0.25)
+        z = (scaled.y[:, None] < np.array([mu_hat, mu_tilde])).astype(float)
+        g = np.clip(crossfit_predict(Dataset(z, scaled.x), regressor, 6), 0.0, 1.0)
+        sq = (z - g) ** 2
+        assert est.a_hat == ratio_estimate(sq[:, 0], 0.25 * 0.75)
+        assert est.a_tilde == ratio_estimate(sq[half, 1], 0.25 * 0.75)
 
     def test_matches_reference(self):
         data = generate_dgp(DgpConfig(b=0.5, n=1000, seed=9))
         cfg = _cfg(tau=0.25, seed=9)
         theta_tilde = assess_quantile(data, **cfg).theta_tilde_raw
-        half_plan = make_split_plan(500, seed=9)
-        expected = ref_quantile_split(data.y, data.x, 0.5, 0.25, half_plan)
+        plan = make_split_plan(1000, seed=9)
+        expected = ref_quantile_split(data.y, data.x, 0.5, 0.25, plan)
         assert theta_tilde == pytest.approx(expected, abs=1e-8)
 
     def test_at_least_nu(self):
@@ -155,7 +184,7 @@ class TestVariance:
     def test_terms_nonnegative_and_sum(self):
         data = generate_dgp(DgpConfig(b=1.0, n=300, seed=20))
         cfg = _cfg(tau=0.25, seed=20)
-        mu_hat, fhat, _ = compute_quantile_intermediates(data, *_fit_args(cfg))
+        mu_hat, fhat, _, _ = compute_quantile_intermediates(data, *_fit_args(cfg))
         t1, t2 = _variance_terms(data, cfg, mu_hat, fhat)
         assert t1 >= 0 and t2 >= 0
         assert t1 + t2 == pytest.approx(variance_quantile(data, cfg["tau"], mu_hat, fhat), abs=1e-12)
@@ -163,7 +192,7 @@ class TestVariance:
     def test_vanishing_density(self):
         data = generate_dgp(DgpConfig(b=0.0, n=100, seed=21))
         cfg = _cfg(seed=21)
-        _, fhat, _ = compute_quantile_intermediates(data, *_fit_args(cfg))
+        _, fhat, _, _ = compute_quantile_intermediates(data, *_fit_args(cfg))
         # shift mu_hat into empty space, far beyond the rule-of-thumb bandwidth
         with pytest.raises(VanishingDensity):
             variance_quantile(data, cfg["tau"], float(data.y.max()) + 50.0, fhat)

@@ -56,10 +56,10 @@ def test_utility_spans_fire_once_per_assessment(monkeypatch):
         recorder.uninstall()
     calls = {name: sum(count[name] for count in counts) for name in UTILITY_SPANS}
     assert calls == {name: 1 for name in UTILITY_SPANS}
-    # cross-fits of 5 folds each: the mean's split core reduces the point
-    # core's squares, so one; the quantile refits in its first half, so two.
-    # At n = 120 each cross-fit's folds fit one block, so one fit each
-    for count, fitted, fits in zip(counts, folds, (1, 2)):
-        assert count["nuisance.crossfit_predict"] == fits
-        assert count["nuisance.fit_conditional_mean"] == fits
-        assert fitted == 5 * fits
+    # one cross-fit of 5 folds each: both split cores reduce the point
+    # core's squares, and the quantile fits its two indicators in one pass.
+    # At n = 120 the cross-fit's folds fit one block, so one fit each
+    for count, fitted in zip(counts, folds):
+        assert count["nuisance.crossfit_predict"] == 1
+        assert count["nuisance.fit_conditional_mean"] == 1
+        assert fitted == 5
