@@ -380,7 +380,7 @@ class KnnRegressor:
         x = np.asarray(x, dtype=float)
         out = np.empty((self._y_rows.shape[0], x.shape[0]))
         for block in _query_blocks(x.shape[0], self.x_train.shape[0]):
-            out[:, block] = self._y_rows[:, self._neighbors(x[block])].mean(axis=-1)
+            out[:, block] = self._y_rows.take(self._neighbors(x[block]), axis=1).mean(axis=-1)
         return out.T if self.y_train.ndim == 2 else out[0]
 
     def _neighbors(self, xq: np.ndarray) -> np.ndarray:
