@@ -28,10 +28,10 @@ from .errors import (
 
 # Cross-fitting folds: a fixed rule, like the bandwidth and neighbour rules.
 N_FOLDS = 5
-# The least n the half-sample methods accept: the n whose first half
-# (``split_halves``) holds two rows per fold.  The split cores that
-# cross-fitted that half are gone; the bound stays so that no sample the
-# mean or the quantile accepted, or refused, changes its answer.
+# The least n the mean and the quantile accept: their first half
+# (``split_halves``) then holds ceil(19/2) = 10 rows, two per fold.  The
+# bound is a contract, kept so that the samples both methods accept or
+# refuse stay the same.
 MIN_SPLIT_N = 4 * N_FOLDS - 1
 
 # Gram matrices whose condition-number bound (``cholesky_gate``) exceeds this
