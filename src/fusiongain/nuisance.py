@@ -601,10 +601,13 @@ class LocalLinearRegressor:
         bound = n_train * np.exp(rows.max(axis=1)[:, None] * scales)
         admits = bound >= self.MIN_EFFECTIVE_WEIGHT * (1.0 - self._SLACK)
         level = np.where(admits.any(axis=1), admits.argmax(axis=1), self.MAX_INFLATIONS)
-        # a row at level 0 is multiplied by 1.0, exactly; at p = 10 nearly
-        # every row starts above it, and gathering and scattering only those
-        # rows would cost three passes over the block instead of this one
-        rows *= scales[level][:, None]
+        # a row at level 0 would be multiplied by 1.0, exactly, so a block
+        # whose rows all start there (most at p = 2) skips the pass; at
+        # p = 10 nearly every row starts above it, and gathering and
+        # scattering only those rows would cost three passes over the block
+        # instead of this one
+        if level.any():
+            rows *= scales[level][:, None]
         np.exp(log_w, out=w)
         w_rows = w.reshape(-1, n_train)
         # every pending row moves up one level per step, from its start level

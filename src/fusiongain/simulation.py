@@ -244,38 +244,99 @@ def run_monte_carlo(
     draws its data from the stream keyed by (seed, r), so each result is a
     pure function of (cell, reps, seed) no matter how many workers execute
     it or which cells share the table.  The truth value is computed once per
-    cell.  Every (cell, replication) task of the table then goes through one
-    process pool, in the order of the serial loop, and the outcomes are
-    sliced back into cells.  The pool has min(workers, tasks in the table,
-    usable CPUs) processes; with one, the tasks run in this process.
-    Failed replications are counted, never silently dropped; a cell with
-    more than 1% failures is flagged.  Once every task has run, the first
-    cell in table order whose replications all failed raises.
+    cell.  The (cell, replication) tasks of the table, in the order of the
+    serial loop, are dealt into w = min(workers, tasks in the table, usable
+    CPUs) shares: task i goes to share i mod w, so every cell is split
+    evenly and none waits for another.  This process runs share 0; each
+    other share runs in one child process, started with the platform's
+    default start method, which sends its outcomes back over a pipe.  The
+    outcomes are put back in task order and sliced into cells; with w = 1
+    no child starts.  If any share raises, the children still running are
+    terminated, every child is joined, and the exception reaches the caller
+    with its own type.  Failed replications are counted, never silently
+    dropped; a cell with more than 1% failures is flagged.  Once every task
+    has run, the first cell in table order whose replications all failed
+    raises.
     """
     if reps < 1:
         raise OutOfRange("reps must be >= 1")
     thetas = [true_theta(cell) for cell, _ in table]
     tasks = [(cell, seed, theta0, rep)
              for (cell, seed), theta0 in zip(table, thetas) for rep in range(reps)]
-    # the fork start method launches every worker at the first submit
-    workers = min(workers, len(tasks), _usable_cpus())
-    if workers <= 1:
-        outcomes = list(map(_run_replication, tasks))
-    else:
-        # loaded once here, the forked workers inherit scipy instead of each
-        # importing it for its first normal draw; the pool machinery is
-        # imported only where a pool opens
-        from concurrent.futures import ProcessPoolExecutor
-
-        import scipy.special  # noqa: F401
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(tasks) // (4 * workers))
-            outcomes = list(pool.map(_run_replication, tasks, chunksize=chunk))
+    shares = min(workers, len(tasks), _usable_cpus())
+    outcomes: list = [None] * len(tasks)
+    children = []
+    try:
+        for k in range(1, shares):
+            children.append(_start_share(tasks[k::shares]))
+        outcomes[0::shares] = [_run_replication(task) for task in tasks[0::shares]]
+        for k, (child, receiver) in enumerate(children, 1):
+            outcomes[k::shares] = _receive(child, receiver)
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, receiver in children:
+            child.join()
+            receiver.close()
     return [
         _score(cell, reps, seed, outcomes[i * reps:(i + 1) * reps])
         for i, (cell, seed) in enumerate(table)
     ]
+
+
+class _ChildTraceback(Exception):
+    """The formatted traceback of an exception raised in a child process."""
+
+
+def _run_share(share: list, sender) -> None:
+    """Child process body: run one share of the tasks and send back
+    (True, outcomes), or (False, (exception, traceback text))."""
+    try:
+        message = (True, [_run_replication(task) for task in share])
+    except Exception as err:
+        import traceback
+
+        message = (False, (err, traceback.format_exc()))
+    sender.send(message)
+    sender.close()
+
+
+def _start_share(share: list):
+    """Start one child running ``share``; return it and the pipe end its
+    outcomes arrive on."""
+    # multiprocessing is imported only where a child starts, so assess never
+    # loads it; scipy is loaded once, before the first fork, so the children
+    # inherit it instead of each importing it for its first normal draw
+    import multiprocessing
+
+    import scipy.special  # noqa: F401
+
+    receiver, sender = multiprocessing.Pipe(duplex=False)
+    child = multiprocessing.Process(target=_run_share, args=(share, sender))
+    try:
+        child.start()
+    finally:
+        # the child holds the only sending end, so its exit ends the pipe
+        sender.close()
+    return child, receiver
+
+
+def _receive(child, receiver) -> list:
+    """The outcomes a child sent, or the exception its share raised."""
+    try:
+        ok, payload = receiver.recv()
+    except EOFError:
+        child.join()
+        raise ChildProcessError(
+            f"a simulate child process exited with code {child.exitcode} "
+            "before sending its outcomes"
+        ) from None
+    if not ok:
+        err, trace = payload
+        raise err from _ChildTraceback(trace)
+    return payload
 
 
 def _score(cell: MonteCarloCell, reps: int, seed: int, outcomes: list) -> CellResult:

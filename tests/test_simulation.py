@@ -1,8 +1,11 @@
 import inspect
 import math
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -147,31 +150,25 @@ class TestTruthValues:
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """Swap the process pool for an in-process one; list [workers, tasks,
-    chunksize] for each pool opened."""
-    import concurrent.futures
+def children(monkeypatch):
+    """List every child process started while the test runs."""
+    started = []
+    start = multiprocessing.Process.start
 
-    opened = []
+    def recording_start(self):
+        start(self)
+        started.append(self)
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            self.record = [max_workers, 0, 0]
-            opened.append(self.record)
+    monkeypatch.setattr(multiprocessing.Process, "start", recording_start)
+    return started
 
-        def __enter__(self):
-            return self
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            items = list(items)
-            self.record[1:] = [len(items), chunksize]
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    return opened
+# The failure-path tests patch a method in this process; only a forked child
+# sees the patch.
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the child must inherit this process's patched METHODS",
+)
 
 
 def _usable(monkeypatch, cpus):
@@ -259,28 +256,35 @@ class TestMonteCarlo:
         env = dict(os.environ, PYTHONPATH=str(Path(fusiongain.__file__).parents[1]))
         subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
 
-    def test_pool_size_capped_by_reps_and_cores(self, monkeypatch, pools):
-        # a fork pool starts all its workers at the first submit, so an
-        # oversized --workers must never reach ProcessPoolExecutor: the cap is
-        # the table's replications and the CPUs this process may run on
+    def test_pool_size_capped_by_reps_and_cores(self, monkeypatch, children):
+        # every share beyond the first starts a process at once, so an
+        # oversized --workers must never reach the fan-out: the cap is the
+        # table's replications and the CPUs this process may run on
         import fusiongain.simulation as simulation
 
         cell = MonteCarloCell(method="linreg", dgp=DgpConfig(b=1.0, n=100))
         one = [(cell, 11)]
         two = [(cell, 11), (replace(cell, dgp=replace(cell.dgp, b=0.5)), 12)]
         monkeypatch.setattr(simulation.os, "cpu_count", lambda: 64)
+        started = []
         # (usable CPUs, table, reps); one usable CPU of 64 is `taskset -c 0`
         for cpus, table, reps in ((64, one, 2), (3, one, 4), (64, two, 1), (1, one, 4)):
             serial = run_monte_carlo(table, reps)
             _usable(monkeypatch, cpus)
+            before = len(children)
             assert run_monte_carlo(table, reps, workers=5000) == serial
-        # without an affinity mask the CPU count caps the pool
+            started.append(len(children) - before)
+        # without an affinity mask the CPU count caps the fan-out
         monkeypatch.delattr(simulation.os, "sched_getaffinity", raising=False)
         serial = run_monte_carlo(one, 4)
         for cores in (3, None):
             monkeypatch.setattr(simulation.os, "cpu_count", lambda: cores)
+            before = len(children)
             assert run_monte_carlo(one, 4, workers=5000) == serial
-        assert [workers for workers, _, _ in pools] == [2, 3, 2, 3]
+            started.append(len(children) - before)
+        # w - 1 children for w shares of [2, 3, 2, 1, 3, 1]; the serial runs start none
+        assert started == [1, 2, 1, 0, 2, 0]
+        assert all(child.exitcode == 0 for child in children)
 
     def test_coverage_is_exact_mean_of_indicators(self):
         cell = MonteCarloCell(method="linreg", dgp=DgpConfig(b=0.5, n=200))
@@ -363,16 +367,23 @@ def _linreg_table(signals, n=150):
 
 
 class TestTable:
-    def test_one_pool_per_simulate(self, tmp_path, monkeypatch, pools):
+    def test_one_pool_per_simulate(self, tmp_path, monkeypatch, children):
         from fusiongain.cli import main
 
         _usable(monkeypatch, 2)
-        code = main(["simulate", "--method", "linreg", "--b", "0,0.5,1", "--n", "100",
-                     "--reps", "4", "--seed", "1", "--workers", "2",
-                     "--out", str(tmp_path / "x")])
-        assert code == 0
-        # 3 cells x 4 replications, chunksize max(1, 12 // (4 x 2))
-        assert pools == [[2, 12, 1]]
+        outputs = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            code = main(["simulate", "--method", "linreg", "--b", "0,0.5,1", "--n", "100",
+                         "--reps", "4", "--seed", "1", "--workers", str(workers),
+                         "--out", str(out)])
+            assert code == 0
+            outputs.append((out / "simulation.csv").read_bytes())
+            # one worker runs every task here; two start one child for the
+            # whole 3-cell table, which runs every other of its 12 tasks
+            assert len(children) == workers - 1
+        assert outputs[0] == outputs[1]
+        assert children[0].exitcode == 0
 
     def test_mixed_table_bytes_independent_of_workers(self, tmp_path, monkeypatch):
         from fusiongain.cli import main
@@ -416,6 +427,81 @@ class TestTable:
         assert str(err.value) == ("all 3 replications failed; first error: "
                                   "FusionGainError: synthetic failure at b=0.5")
         assert len(drawn) == 4 * 3
+
+
+def _linreg_in(monkeypatch, replace_assess):
+    """Make linreg run ``replace_assess(original assess, data, **settings)``."""
+    import fusiongain.simulation as sim
+
+    original = sim.METHODS["linreg"]
+    monkeypatch.setitem(sim.METHODS, "linreg", replace(
+        original, assess=lambda data, **settings: replace_assess(original.assess, data,
+                                                                 **settings)))
+
+
+class TestChildren:
+    """The child processes of run_monte_carlo: none outlives the call."""
+
+    def test_no_child_left_running(self, monkeypatch, children):
+        _usable(monkeypatch, 2)
+        table = _linreg_table([0.0, 0.5])
+        assert run_monte_carlo(table, reps=4, workers=2) == run_monte_carlo(table, reps=4)
+        assert len(children) == 1
+        assert multiprocessing.active_children() == []
+        assert children[0].exitcode == 0
+
+    @needs_fork
+    def test_child_exception_keeps_its_type(self, monkeypatch, children):
+        parent = os.getpid()
+
+        def child_fails(assess, data, **settings):
+            if os.getpid() != parent:
+                raise KeyError("raised in a child")
+            return assess(data, **settings)
+
+        _linreg_in(monkeypatch, child_fails)
+        _usable(monkeypatch, 2)
+        with pytest.raises(KeyError, match="raised in a child") as err:
+            run_monte_carlo(_linreg_table([0.0, 0.5]), reps=4, workers=2)
+        # the child's traceback rides along as the cause
+        assert "child_fails" in str(err.value.__cause__)
+        assert len(children) == 1
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_own_share_failure_terminates_children(self, monkeypatch, children):
+        parent = os.getpid()
+
+        def parent_fails(assess, data, **settings):
+            if os.getpid() == parent:
+                raise ValueError("raised in the calling process")
+            time.sleep(60)  # the test fails on time unless the child is terminated
+            return assess(data, **settings)
+
+        _linreg_in(monkeypatch, parent_fails)
+        _usable(monkeypatch, 3)
+        began = time.monotonic()
+        with pytest.raises(ValueError, match="calling process"):
+            run_monte_carlo(_linreg_table([0.0, 0.5]), reps=3, workers=3)
+        assert time.monotonic() - began < 30
+        assert len(children) == 2
+        assert [child.exitcode for child in children] == [-signal.SIGTERM] * 2
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_child_that_dies_silently(self, monkeypatch, children):
+        parent = os.getpid()
+
+        def child_exits(assess, data, **settings):
+            if os.getpid() != parent:
+                os._exit(3)
+            return assess(data, **settings)
+
+        _linreg_in(monkeypatch, child_exits)
+        _usable(monkeypatch, 2)
+        with pytest.raises(ChildProcessError, match="exited with code 3"):
+            run_monte_carlo(_linreg_table([0.0]), reps=2, workers=2)
+        assert multiprocessing.active_children() == []
 
 
 class TestReportFormats:
