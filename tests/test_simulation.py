@@ -447,6 +447,9 @@ class TestChildren:
         table = _linreg_table([0.0, 0.5])
         assert run_monte_carlo(table, reps=4, workers=2) == run_monte_carlo(table, reps=4)
         assert len(children) == 1
+        # joined, so already reaped: active_children() alone would reap it here
+        with pytest.raises(ChildProcessError):
+            os.waitpid(children[0].pid, os.WNOHANG)
         assert multiprocessing.active_children() == []
         assert children[0].exitcode == 0
 
