@@ -4,16 +4,21 @@ All randomness in the package flows through counter-based Philox-4x64-10
 streams keyed by (seed, domain) pairs of 64-bit words, so any replication,
 fold assignment or simulation cell can be regenerated in isolation, in any
 order, on any worker.  Normal variates are produced by inverse-CDF transform
-of uniforms drawn on the centered dyadic grid (k + 1/2) / 2^53, which keeps
-them strictly inside (0, 1) and makes the draws a pure function of the
-key.  The transform is the vectorised ``scipy.special.ndtri``, imported on
-first use, so a process that draws no normals never loads scipy.  Reference
-outputs for two keys are pinned in the test suite and listed in the README.
+of uniforms (k + 1/2) / 2^53 for a 53-bit integer k, which makes the draws a
+pure function of the key.  Below 1/2 that value is exact; above it, k + 1/2
+needs one bit more than a double holds and rounds to whichever of k and
+k + 1 is even, so the
+largest k would give exactly 1 and is moved down to 1 - 2^-53.  Every
+uniform is therefore strictly inside (0, 1).  The transform is
+:func:`core.normal_quantiles`, Cephes ndtri in numpy.  Reference outputs for
+two keys are pinned in the test suite and listed in the README.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .core import normal_quantiles
 
 _MASK64 = (1 << 64) - 1
 
@@ -56,16 +61,15 @@ def substream(key: int, domain: int) -> np.random.Generator:
 
 
 def uniforms_open(gen: np.random.Generator, shape) -> np.ndarray:
-    """Uniforms on the open interval (0, 1), centered dyadic grid."""
+    """Uniforms on the open interval (0, 1): (k + 1/2) / 2^53 for a 53-bit
+    k, rounded, with the one value that rounds to 1 moved to 1 - 2^-53."""
     grid = gen.integers(0, 1 << 53, size=shape, dtype=np.int64)
-    return (grid + 0.5) * 2.0**-53
+    return np.minimum((grid + 0.5) * 2.0**-53, 1.0 - 2.0**-53)
 
 
 def standard_normals(gen: np.random.Generator, shape) -> np.ndarray:
     """Standard normal draws by inverse CDF of :func:`uniforms_open`."""
-    from scipy.special import ndtri
-
-    return ndtri(uniforms_open(gen, shape))
+    return normal_quantiles(uniforms_open(gen, shape))
 
 
 def fisher_yates(gen: np.random.Generator, n: int) -> np.ndarray:

@@ -12,6 +12,7 @@ from fusiongain.core import (
     Interval,
     UtilityEstimate,
     normal_quantile,
+    normal_quantiles,
     ratio_estimate,
     relative_utility,
     truncate_interval,
@@ -102,14 +103,40 @@ class TestNormalDist:
             1.0 - np.logspace(-16.0, -0.5, 20_000),
             (1.0 + np.linspace(1e-6, 1.0 - 1e-6, 5_001)) / 2.0,  # (1 + alpha)/2
         ])
-        ours = np.array([normal_quantile(u) for u in levels.tolist()])
-        mismatched = levels[ours.view(np.int64) != ndtri(levels).view(np.int64)]
+        expected = ndtri(levels).view(np.int64)
+        mismatched = levels[normal_quantiles(levels).view(np.int64) != expected]
         assert mismatched.size == 0, mismatched[:5].tolist()
+        # the scalar view, on every 97th level
+        some = levels[::97]
+        scalar = np.array([normal_quantile(u) for u in some.tolist()])
+        assert np.array_equal(scalar.view(np.int64), expected[::97])
+
+    def test_vectorised_bit_identical_on_two_million_draws(self):
+        # the DGP's normals: a numpy log in place of the C library's misses
+        # scipy's bits in a few of every 10,000 tail draws
+        levels = rng.uniforms_open(rng.substream(34, rng.DOMAIN_DGP), (1_000_000, 2))
+        ours = normal_quantiles(levels)
+        assert ours.shape == levels.shape
+        assert np.array_equal(ours.view(np.int64), ndtri(levels).view(np.int64))
+
+    def test_branch_edges_bit_identical(self):
+        e2, e32 = math.exp(-2.0), math.exp(-32.0)  # x = sqrt(-2 log y) = 8 at y = e^-32
+        edges = [e2, 1.0 - e2, e32, 1.0 - e32, 0.5]
+        levels = edges + [math.nextafter(v, 0.0) for v in edges]
+        levels += [math.nextafter(v, 1.0) for v in edges]
+        levels += [2.0**-54, 1.0 - 2.0**-53, 5e-324, 2.0**-1074 * 3, 1e-300]
+        levels = np.array(levels)
+        expected = ndtri(levels).view(np.int64)
+        assert np.array_equal(normal_quantiles(levels).view(np.int64), expected)
+        scalar = np.array([normal_quantile(u) for u in levels.tolist()])
+        assert np.array_equal(scalar.view(np.int64), expected)
 
     def test_out_of_range(self):
         for bad in (0.0, 1.0, -0.2, -0.1, 1.5, math.nan):
             with pytest.raises(OutOfRange):
                 normal_quantile(bad)
+            with pytest.raises(OutOfRange):
+                normal_quantiles(np.array([0.25, bad, 0.75]))
 
     def test_quantile_inverts_cdf_to_1e10(self):
         # independent Phi via the C library's erfc

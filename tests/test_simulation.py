@@ -1,4 +1,5 @@
 import inspect
+import json
 import math
 import multiprocessing
 import os
@@ -12,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
+from scipy.special import owens_t as scipy_owens_t
 
 import fusiongain
 from fusiongain import rng
@@ -27,6 +29,7 @@ from fusiongain.simulation import (
     SimulationReport,
     cell_seed,
     generate_dgp,
+    owens_t,
     _usable_cpus,
     run_monte_carlo,
     true_theta,
@@ -128,6 +131,31 @@ class TestTruthValues:
             low = true_theta_quantile(b, 0.2, 0.5, 0.25)
             high = true_theta_quantile(b, 0.2, 0.5, 0.75)
             assert low == pytest.approx(high, abs=1e-9)
+
+    # Owen's T at the slopes the quantile truth uses (rho = 0.2).  On this grid
+    # scipy's owens_t is itself up to 6 ulps (8.6e-16 relative) from the
+    # correctly rounded T, and the quadrature up to 1.1e-15 (both measured
+    # against 40-digit mpmath quadrature), so no double can be held within
+    # 1e-15 of scipy everywhere: the bound is the sum of the two errors.
+    OWENS_T_TAUS = [k / 100 for k in range(1, 100)]
+    OWENS_T_SLOPES = [1.0 / math.sqrt(1.0 + 4.0 * b * b * 1.2)
+                      for b in (0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0)]
+
+    def test_owens_t_matches_scipy(self):
+        for tau in self.OWENS_T_TAUS:
+            h = normal_quantile(tau)
+            for a in self.OWENS_T_SLOPES:
+                assert owens_t(h, a) == pytest.approx(float(scipy_owens_t(h, a)), rel=2e-15, abs=0)
+
+    def test_owens_t_closed_forms(self):
+        # T(0, a) = atan(a) / (2 pi); T(h, 1) = Phi(h) (1 - Phi(h)) / 2, with
+        # 1 - Phi(h) taken as Phi(-h) so that it keeps its digits
+        for a in self.OWENS_T_SLOPES + [k / 64 for k in range(1, 65)]:
+            assert owens_t(0.0, a) == pytest.approx(math.atan(a) / (2.0 * math.pi), rel=1e-15, abs=0)
+        for tau in self.OWENS_T_TAUS:
+            h = normal_quantile(tau)
+            phi_h, phi_minus_h = (0.5 * math.erfc(-v / math.sqrt(2.0)) for v in (h, -h))
+            assert owens_t(h, 1.0) == pytest.approx(phi_h * phi_minus_h / 2.0, rel=2e-15, abs=0)
 
     def test_all_truths_in_unit_interval(self):
         for b in (0.0, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0):
@@ -238,23 +266,39 @@ class TestMonteCarlo:
         parallel = run_monte_carlo([(cell, 11)], reps=16, workers=2)
         assert serial == parallel
 
-    def test_scipy_imported_before_the_pool_starts(self):
-        # mean-linear truth values and scoring use no scipy, so after a pooled
-        # run a fresh parent holds scipy.special only if run_monte_carlo
-        # imported it before forking: the workers' own imports never reach it
-        if _usable_cpus() < 2:
-            pytest.skip("a process pool needs two usable CPUs")
+    def test_runs_without_scipy(self, tmp_path):
+        # numpy is the only runtime dependency: with scipy made unimportable,
+        # a fresh interpreter assesses and simulates with every method, at one
+        # worker and at two
+        data = generate_dgp(DgpConfig(b=0.5, n=200, seed=3))
+        rows = "".join(f"{float(yi)!r},{float(xi[0])!r},{float(xi[1])!r}\n"
+                       for yi, xi in zip(data.y, data.x))
+        path = tmp_path / "data.csv"
+        path.write_text("y,S,W\n" + rows)
+        settings = {"mean-linear": [], "mean-conditional": [], "quantile": ["--tau", "0.3"],
+                    "linreg": ["--s-column", "S"]}
         script = (
-            "import sys\n"
-            "from fusiongain.simulation import DgpConfig, MonteCarloCell, run_monte_carlo\n"
-            "assert 'scipy.special' not in sys.modules\n"
-            "table = [(MonteCarloCell(method='mean-linear', dgp=DgpConfig(b=b, n=100)), 5)\n"
-            "         for b in (0.0, 0.5)]\n"
-            "run_monte_carlo(table, reps=4, workers=2)\n"
-            "assert 'scipy.special' in sys.modules\n"
+            "import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import fusiongain.cli as cli\n"
+            "settings, path, out = json.loads(sys.argv[1]), sys.argv[2], sys.argv[3]\n"
+            "for method, extra in settings.items():\n"
+            "    args = ['assess', '--method', method, '--input', path, '--nu', '0.5']\n"
+            "    assert cli.main(args + extra) == 0, method\n"
+            "    tau = ['--tau', '0.3'] if method == 'quantile' else []\n"
+            "    for workers in ('1', '2'):\n"
+            "        args = ['simulate', '--method', method, '--b', '0,0.5', '--n', '60',\n"
+            "                '--reps', '4', '--seed', '5', '--workers', workers,\n"
+            "                '--out', f'{out}/{method}-{workers}']\n"
+            "        assert cli.main(args + tau) == 0, (method, workers)\n"
+            "assert not [m for m in sys.modules if m.startswith('scipy.')]\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(fusiongain.__file__).parents[1]))
-        subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
+        subprocess.run([sys.executable, "-c", script, json.dumps(settings), str(path),
+                        str(tmp_path)], env=env, check=True, timeout=300, capture_output=True)
+        for method in settings:
+            one = (tmp_path / f"{method}-1" / "simulation.csv").read_bytes()
+            assert (tmp_path / f"{method}-2" / "simulation.csv").read_bytes() == one
 
     def test_pool_size_capped_by_reps_and_cores(self, monkeypatch, children):
         # every share beyond the first starts a process at once, so an
@@ -558,6 +602,24 @@ class TestRngContract:
         gen = rng.substream(5, 5)
         u = rng.uniforms_open(gen, 10_000)
         assert u.min() > 0.0 and u.max() < 1.0
+
+    def test_largest_grid_point_stays_below_one(self):
+        # (2^53 - 1 + 1/2) / 2^53 rounds to 1, the one grid value moved
+        # (to 1 - 2^-53); 10,000 real draws never reach it
+        class Stub:
+            def __init__(self, k):
+                self.k = k
+
+            def integers(self, low, high, size, dtype):
+                assert (low, high) == (0, 1 << 53)
+                return np.full(size, self.k, dtype=dtype)
+
+        top = rng.uniforms_open(Stub((1 << 53) - 1), 3)
+        assert top.tolist() == [1.0 - 2.0**-53] * 3
+        z = rng.standard_normals(Stub((1 << 53) - 1), (2, 3))
+        assert np.isfinite(z).all() and z[0, 0] == float(ndtri(1.0 - 2.0**-53))
+        for k in (0, 1, (1 << 52) - 1, 1 << 52, (1 << 52) + 1, (1 << 53) - 2):
+            assert rng.uniforms_open(Stub(k), 1)[0] == (k + 0.5) * 2.0**-53, k
 
     def test_fisher_yates_is_permutation(self):
         gen = rng.substream(1, 2)
