@@ -123,20 +123,22 @@ _Q2 = (1.0, 6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081
        2.89247864745380683936E-6, 6.79019408009981274425E-9)
 
 
+def _polevl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
+    """Cephes polevl: the polynomial with coefficients ``coef``, highest
+    power first, by Horner's rule."""
+    acc = x * coef[0]
+    acc += coef[1]
+    for c in coef[2:]:
+        acc *= x
+        acc += c
+    return acc
+
+
 def _ratio(x: np.ndarray, p: tuple[float, ...], q: tuple[float, ...]) -> np.ndarray:
-    """x P(x) / Q(x), left to right, each polynomial by Horner's rule from
-    its highest power (Cephes polevl and p1evl)."""
+    """x P(x) / Q(x), left to right."""
     if not x.size:  # a branch no element takes
         return x
-    num = np.full_like(x, p[0])
-    for c in p[1:]:
-        num *= x
-        num += c
-    den = np.full_like(x, q[0])
-    for c in q[1:]:
-        den *= x
-        den += c
-    return x * num / den
+    return x * _polevl(x, p) / _polevl(x, q)
 
 
 def _logs(x: np.ndarray) -> np.ndarray:
@@ -169,7 +171,7 @@ def normal_quantiles(u) -> np.ndarray:
     x = np.sqrt(-2.0 * _logs(y[tail]))
     z = 1.0 / x
     step = _ratio(z, _P1, _Q1)
-    far = x >= 8.0  # y < e^-32
+    far = x >= 8.0  # y <= e^-32
     step[far] = _ratio(z[far], _P2, _Q2)
     x = x - _logs(x) / x - step
     out[tail] = np.where(upper[tail], x, -x)

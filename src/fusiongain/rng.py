@@ -7,11 +7,11 @@ order, on any worker.  Normal variates are produced by inverse-CDF transform
 of uniforms (k + 1/2) / 2^53 for a 53-bit integer k, which makes the draws a
 pure function of the key.  Below 1/2 that value is exact; above it, k + 1/2
 needs one bit more than a double holds and rounds to whichever of k and
-k + 1 is even, so the
-largest k would give exactly 1 and is moved down to 1 - 2^-53.  Every
-uniform is therefore strictly inside (0, 1).  The transform is
-:func:`core.normal_quantiles`, Cephes ndtri in numpy.  Reference outputs for
-two keys are pinned in the test suite and listed in the README.
+k + 1 is even, so the largest k would give exactly 1 and is moved down to
+1 - 2^-53.  Every uniform is therefore strictly inside (0, 1).  The
+transform is :func:`core.normal_quantiles`, Cephes ndtri in numpy.
+Reference outputs for two keys are pinned in the test suite and listed in
+the README.
 """
 
 from __future__ import annotations

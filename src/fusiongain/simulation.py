@@ -85,7 +85,7 @@ def true_theta_linreg(b: float, rho: float, nu: float) -> float:
 
 
 @cache
-def _legendre_rule() -> tuple[list[float], list[float]]:
+def _legendre_rule() -> tuple[tuple[float, ...], tuple[float, ...]]:
     """60 Gauss-Legendre nodes and weights on [0, 1], computed once.
 
     Owen's T integrand below is analytic with poles at x = +-i, at least one
@@ -93,7 +93,7 @@ def _legendre_rule() -> tuple[list[float], list[float]]:
     error far below rounding.
     """
     nodes, weights = np.polynomial.legendre.leggauss(60)
-    return ((nodes + 1.0) / 2.0).tolist(), (weights / 2.0).tolist()
+    return tuple(((nodes + 1.0) / 2.0).tolist()), tuple((weights / 2.0).tolist())
 
 
 def owens_t(h: float, a: float) -> float:
