@@ -160,8 +160,14 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _float(text: str) -> float:
+    """A float flag's value, with -0 read as 0: the sign of a zero would
+    reach the printed settings and the cell seeds, and nothing else."""
+    return float(text) + 0.0
+
+
 def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    return [_float(tok) for tok in text.split(",") if tok.strip()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -172,15 +178,15 @@ def build_parser() -> argparse.ArgumentParser:
     assess = sub.add_parser("assess", help="assess one dataset")
     assess.add_argument("--method", required=True, choices=METHODS)
     assess.add_argument("--input", required=True, help="CSV file with a header row")
-    assess.add_argument("--nu", required=True, type=float,
+    assess.add_argument("--nu", required=True, type=_float,
                         help="n / (n + N) for the contemplated external sample size N")
-    assess.add_argument("--tau", type=float, default=None,
+    assess.add_argument("--tau", type=_float, default=None,
                         help=f"quantile level for method quantile (default {defaults['tau']})")
     assess.add_argument("--s-column", default=None,
                         help="designated covariate column for method linreg")
     assess.add_argument("--response", default=None,
                         help="response column name (default: first column)")
-    assess.add_argument("--alpha", type=float, default=0.95)
+    assess.add_argument("--alpha", type=_float, default=0.95)
     assess.add_argument("--seed", type=int, default=0)
     assess.add_argument("--relative", action="store_true",
                         help="also report utility relative to direct response data")
@@ -203,9 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--reps", required=True, type=int)
     simulate.add_argument("--seed", required=True, type=int)
     simulate.add_argument("--out", required=True, help="output directory")
-    simulate.add_argument("--nu", type=float, default=0.5)
-    simulate.add_argument("--rho", type=float, default=0.2)
-    simulate.add_argument("--alpha", type=float, default=0.95)
+    simulate.add_argument("--nu", type=_float, default=0.5)
+    simulate.add_argument("--rho", type=_float, default=0.2)
+    simulate.add_argument("--alpha", type=_float, default=0.95)
     simulate.add_argument("--workers", type=int, default=1)
     return parser
 

@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import (
     DegenerateDenominator,
-    DegenerateVariance,
     OutOfRange,
     stage,
 )
@@ -192,8 +191,7 @@ def normal_quantile(alpha: float) -> float:
 def wald_interval(center: float, gamma_hat: float, n: int, alpha: float) -> Interval:
     """Two-sided interval center +- gamma_hat * u_{(1+alpha)/2} / sqrt(n).
 
-    gamma_hat = 0 is allowed and yields a zero-width interval; degenerate
-    variance estimates are the caller's policy decision, not an error here.
+    gamma_hat = 0 is allowed and yields a zero-width interval.
     """
     if gamma_hat < 0 or not math.isfinite(gamma_hat):
         raise OutOfRange(f"gamma_hat must be nonnegative, got {gamma_hat}")
@@ -279,15 +277,12 @@ def finalize(
 ) -> UtilityEstimate:
     """The estimate at ``nu`` from a method's nu-free core and g = sqrt(``g_sq()``).
 
-    A :class:`DegenerateVariance` gives g = 0 (a zero-width interval) instead
-    of an error, so that simulation loops stay total.  The record is built in
-    the ``interval`` stage, so a core no interval fits fails there.
+    A plug-in variance of exactly 0 gives g = 0 and a zero-width interval by
+    the same arithmetic as any other value.  The record is built in the
+    ``interval`` stage, so a core no interval fits fails there.
     """
     with stage("variance"):
-        try:
-            g_hat = math.sqrt(g_sq())
-        except DegenerateVariance:
-            g_hat = 0.0
+        g_hat = math.sqrt(g_sq())
     with stage("interval"):
         return UtilityEstimate.from_raw(a_hat, a_tilde, g_hat, nu, n, alpha, method)
 

@@ -44,10 +44,6 @@ class EmptyNeighborhood(FusionGainError):
     """All kernel weights underflowed to zero at the evaluation point."""
 
 
-class DegenerateVariance(FusionGainError):
-    """A plug-in variance estimate is exactly zero on degenerate input."""
-
-
 class VanishingDensity(FusionGainError):
     """A kernel density plug-in evaluated to (numerically) zero."""
 

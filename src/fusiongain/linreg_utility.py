@@ -22,7 +22,6 @@ import numpy as np
 from .core import UtilityEstimate, check_settings, finalize, ratio_estimate
 from .errors import (
     DegenerateResidualVariance,
-    DegenerateVariance,
     OutOfRange,
     SingularDesign,
     TooFewObservations,
@@ -120,14 +119,13 @@ def _alpha_kappa(comp: LinRegComponents) -> float:
 
 
 def variance_linreg(data: Dataset, comp: LinRegComponents) -> float:
-    """Plug-in g^2 = Var(v) / (alpha kappa)^2, divisor n - 1."""
+    """Plug-in g^2 = Var(v) / (alpha kappa)^2, divisor n - 1; a constant
+    composite gives 0."""
     alpha_kappa = _alpha_kappa(comp)
     if data.n < 2:
         raise TooFewObservations("variance needs at least two observations")
     composite = influence_composite(data, comp)
     var_composite = float(np.var(composite, ddof=1))
-    if var_composite == 0.0:
-        raise DegenerateVariance("influence composite is constant")
     return var_composite / alpha_kappa**2
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import UtilityEstimate, check_settings, finalize, ratio_estimate
-from .errors import DegenerateVariance, TooFewObservations, stage
+from .errors import TooFewObservations, stage
 from .nuisance import MIN_SPLIT_N, Dataset, crossfit_predict, split_halves, unit_scaled
 
 
@@ -73,13 +73,11 @@ def split_estimate_mean(sq_g: np.ndarray, sq_mean: np.ndarray) -> float:
 def variance_mean(sq_g: np.ndarray, sq_mean: np.ndarray) -> float:
     """Plug-in g^2 = 2{Var[(Y - ghat)^2] + a^2 Var[(Y - ybar)^2]} / theta2^2
     from the two squared-residual arrays, with sample variances using
-    divisor n - 1."""
+    divisor n - 1; two constant arrays give 0."""
     a_hat = ratio_estimate(sq_g, sq_mean)
     theta2 = float(np.mean(sq_mean))
     var_g = float(np.var(sq_g, ddof=1))
     var_mean = float(np.var(sq_mean, ddof=1))
-    if var_g == 0.0 and var_mean == 0.0:
-        raise DegenerateVariance("both residual-square sequences are constant")
     return 2.0 * (var_g + a_hat**2 * var_mean) / theta2**2
 
 

@@ -544,6 +544,22 @@ def test_explicit_defaults_give_default_bytes(tmp_path, capsys):
     assert capsys.readouterr().out == expected["quantile"]
 
 
+def test_negative_zero_flags_give_the_zero_bytes(tmp_path, capsys):
+    # float("-0") keeps its sign bit, which the payload would print and
+    # cell_seed would hash into a different seed
+    path, _ = _dgp_csv(tmp_path, DgpConfig(b=0.5, n=100, seed=3))
+    runs = {}
+    for zero in ("0", "-0"):
+        assert main(["assess", "--method", "mean-linear", "--input", path, f"--nu={zero}",
+                     "--format", "json"]) == 0
+        out_dir = tmp_path / f"sim{zero}"
+        assert main(["simulate", "--method", "mean-linear", f"--b={zero}", f"--rho={zero}",
+                     "--n", "60", "--reps", "3", "--seed", "1", "--out", str(out_dir)]) == 0
+        runs[zero] = (capsys.readouterr().out, (out_dir / "simulation.csv").read_bytes())
+    assert runs["-0"] == runs["0"]
+    assert "-0.0" not in runs["-0"][0]
+
+
 @pytest.mark.parametrize("method", ["mean-linear", "mean-conditional", "linreg"])
 def test_simulate_rejects_tau_outside_quantile(tmp_path, capsys, monkeypatch, method):
     import fusiongain.cli as cli

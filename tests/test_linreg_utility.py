@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from fusiongain.cli import main
+from fusiongain.core import Interval
 from fusiongain.errors import (
     DegenerateResidualVariance,
-    DegenerateVariance,
     OutOfRange,
     SingularDesign,
     TooFewObservations,
@@ -117,11 +118,27 @@ class TestVariance:
         v2 = assess_linreg(data, nu=1.0 - 1e-3).gamma_hat ** 2
         assert v2 == pytest.approx(v1 / 100.0, rel=1e-9)
 
-    def test_constant_composite_raises(self):
+    def test_constant_composite_gives_zero(self):
         data = _sigma0_alpha_positive_dataset()
         comp = fit_components(data, s_index=0)
-        with pytest.raises(DegenerateVariance):
-            variance_linreg(data, comp)
+        assert variance_linreg(data, comp) == 0.0
+
+    def test_zero_variance_gives_a_zero_width_interval(self, tmp_path, capsys):
+        # sigma = 0 with alpha > 0 makes the composite constant: g_hat is 0
+        # by arithmetic, in the library and on the command line
+        data = _sigma0_alpha_positive_dataset()
+        est = assess_linreg(data, nu=0.5)
+        assert est.g_hat == 0.0
+        assert est.ci_raw == Interval(1.0, 1.0)
+        path = tmp_path / "fit.csv"
+        path.write_text("y,S,W\n" + "".join(
+            f"{yi!r},{s!r},{w!r}\n" for yi, (s, w) in zip(data.y.tolist(), data.x.tolist())))
+        code = main(["assess", "--method", "linreg", "--input", str(path), "--nu", "0.5",
+                     "--format", "csv"])
+        assert code == 0
+        header, values = capsys.readouterr().out.splitlines()
+        row = dict(zip(header.split(","), values.split(",")))
+        assert row["ci_raw_lo"] == row["ci_raw_hi"]
 
     @pytest.mark.filterwarnings("error")
     def test_large_response_gives_the_unscaled_answer(self):

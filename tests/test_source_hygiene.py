@@ -19,6 +19,12 @@ matrices, not from scale.
 A frozen dataclass is built only through its constructor, so its checks
 and copies cannot be skipped: ``object.__new__`` appears nowhere, and
 ``object.__setattr__`` only inside a ``__post_init__``.
+
+A typed error is a failure the caller sees, not internal control flow: no
+``except`` clause outside ``cli.py`` names a subclass of
+``FusionGainError`` (the base class may be caught, to annotate or to count
+a failure), and every subclass in ``errors.py`` is raised somewhere in the
+package.
 """
 
 import ast
@@ -173,3 +179,77 @@ def test_checker_finds_object_hooks():
               "make = object.__new__\n")
     assert object_hooks(source) == [(3, "__setattr__", "__post_init__"), (5, "__new__", "take"),
                                     (6, "__setattr__", "take"), (8, "__new__", None)]
+
+
+def error_classes(source: str) -> set[str]:
+    """Names of the classes of ``errors.py`` that derive, directly or not,
+    from ``FusionGainError``, the base class itself left out.  A module
+    defines a base class before its subclasses, so one pass finds them all."""
+    found = {"FusionGainError"}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(base, ast.Name) and base.id in found for base in node.bases):
+            found.add(node.name)
+    return found - {"FusionGainError"}
+
+
+def _class_name(node: ast.AST) -> str | None:
+    """The name an ``except`` or ``raise`` reads: ``Name``, ``errors.Name``
+    or ``Name(...)``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def caught_error_classes(source: str, classes: set[str]) -> list[tuple[int, str]]:
+    """(line, name) of each of ``classes`` that an ``except`` clause names,
+    alone or in a tuple."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            found += [(node.lineno, name) for name in map(_class_name, types) if name in classes]
+    return found
+
+
+def unraised_error_classes(classes: set[str], sources: list[str]) -> list[str]:
+    """The names among ``classes`` that no ``raise`` in ``sources`` names."""
+    raised = {_class_name(node.exc) for source in sources for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.Raise) and node.exc is not None}
+    return sorted(classes - raised)
+
+
+ERROR_CLASSES = error_classes((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+
+
+def test_typed_errors_caught_only_by_the_cli():
+    caught = {path.name: caught_error_classes(path.read_text(encoding="utf-8"), ERROR_CLASSES)
+              for path in SOURCES if path.name != "cli.py"}
+    assert {name: found for name, found in caught.items() if found} == {}
+
+
+def test_checker_finds_a_caught_error_class():
+    errors = ("class FusionGainError(Exception):\n    pass\n"
+              "class Degenerate(FusionGainError):\n    pass\n"
+              "class Narrow(Degenerate, ValueError):\n    pass\n"
+              "class Unrelated(Exception):\n    pass\n")
+    classes = error_classes(errors)
+    assert classes == {"Degenerate", "Narrow"}
+    source = ("from . import errors\ntry:\n    pass\nexcept Degenerate:\n    pass\n"
+              "except (OSError, errors.Narrow) as err:\n    pass\n"
+              "except FusionGainError:\n    pass\nexcept Unrelated:\n    pass\n"
+              "except:\n    pass\n")
+    assert caught_error_classes(source, classes) == [(4, "Degenerate"), (6, "Narrow")]
+
+
+def test_every_error_class_is_raised():
+    sources = [p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")]
+    assert ERROR_CLASSES and unraised_error_classes(ERROR_CLASSES, sources) == []
+
+
+def test_checker_finds_an_unraised_error_class():
+    sources = ["from . import errors\ndef f(err):\n    raise errors.Narrow('x') from err\n",
+               "def g():\n    raise Other\ndef h(err):\n    raise err\n"]
+    assert unraised_error_classes({"Narrow", "Other", "Degenerate"}, sources) == ["Degenerate"]
