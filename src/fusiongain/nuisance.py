@@ -476,9 +476,7 @@ class LocalLinearRegressor:
     prediction is the fitted intercept.  Queries in sparse regions, where the
     total kernel weight falls below ``MIN_EFFECTIVE_WEIGHT``, have their
     bandwidths doubled (up to ``MAX_INFLATIONS`` times) until enough effective
-    neighbors contribute (a training sample of at most ``MIN_EFFECTIVE_WEIGHT``
-    rows, whose weights of at most 1 each cannot sum past the floor, keeps
-    its bandwidths); with a fixed bandwidth the prediction variance is
+    neighbors contribute; with a fixed bandwidth the prediction variance is
     unbounded in the tails of an unbounded design, while a weighted linear fit
     stays exact for linear targets under any weights.  The log-weights of a
     query block are computed once: doubling the bandwidths k times multiplies
@@ -581,9 +579,7 @@ class LocalLinearRegressor:
     def _floored_weights(self, xq: np.ndarray) -> np.ndarray:
         """Kernel weights of a query block: row i is the kernel row at bandwidths
         h * 2^k for the first k whose row sum reaches ``MIN_EFFECTIVE_WEIGHT``,
-        or k = ``MAX_INFLATIONS``.  A training sample of at most
-        ``MIN_EFFECTIVE_WEIGHT`` rows is not floored: every row is the plain
-        kernel row, k = 0.  Level k is exp(L * 4^-k) of the block's
+        or k = ``MAX_INFLATIONS``.  Level k is exp(L * 4^-k) of the block's
         log-weights L; a row starts at the first level where n_train times its
         largest weight, exp(max(L) * 4^-k), can reach the floor.  The rows of
         every fold go through one pass.  The result is workspace memory,
@@ -594,8 +590,6 @@ class LocalLinearRegressor:
         log_w = _WORKSPACE.take("log_w", shape)
         w = _WORKSPACE.take("w", shape)
         self._kernel.log_weights(xq, out=log_w)
-        if n_train <= self.MIN_EFFECTIVE_WEIGHT:
-            return np.exp(log_w, out=w)
         rows = log_w.reshape(-1, n_train)
         scales = np.ldexp(1.0, -2 * np.arange(self.MAX_INFLATIONS + 1))
         bound = n_train * np.exp(rows.max(axis=1)[:, None] * scales)

@@ -80,8 +80,7 @@ def ref_kernel_block(x_train, bandwidths, x_test):
 def ref_floored_weights(x_train, bandwidths, x_test):
     """Sparse-region floor as a plain loop: each query takes its whole kernel
     row at bandwidths h * 2^k, recomputed for k = 0, 1, ... until the row sum
-    reaches MIN_EFFECTIVE_WEIGHT or k reaches MAX_INFLATIONS (no floor for
-    training samples of MIN_EFFECTIVE_WEIGHT rows or fewer)."""
+    reaches MIN_EFFECTIVE_WEIGHT or k reaches MAX_INFLATIONS."""
     levels = {}
 
     def row(q, k):
@@ -93,8 +92,7 @@ def ref_floored_weights(x_train, bandwidths, x_test):
     for q in range(len(x_test)):
         k = 0
         w[q] = row(q, 0)
-        while (len(x_train) > MIN_EFFECTIVE_WEIGHT and k < MAX_INFLATIONS
-               and w[q].sum() < MIN_EFFECTIVE_WEIGHT):
+        while k < MAX_INFLATIONS and w[q].sum() < MIN_EFFECTIVE_WEIGHT:
             k += 1
             w[q] = row(q, k)
     return w
@@ -117,15 +115,14 @@ def ref_local_linear_fit(x_train, y_train, x_test, bandwidths=None):
         u = (x_test[q] - x_train) / bandwidths
         w = np.exp(-0.5 * np.sum(u * u, axis=1))
         # sparse-region rule: double the bandwidths until the total kernel
-        # weight reaches the floor (skipped for tiny training samples)
-        if len(x_train) > MIN_EFFECTIVE_WEIGHT:
-            factor = 1.0
-            for _ in range(MAX_INFLATIONS):
-                if w.sum() >= MIN_EFFECTIVE_WEIGHT:
-                    break
-                factor *= 2.0
-                u = (x_test[q] - x_train) / (bandwidths * factor)
-                w = np.exp(-0.5 * np.sum(u * u, axis=1))
+        # weight reaches the floor
+        factor = 1.0
+        for _ in range(MAX_INFLATIONS):
+            if w.sum() >= MIN_EFFECTIVE_WEIGHT:
+                break
+            factor *= 2.0
+            u = (x_test[q] - x_train) / (bandwidths * factor)
+            w = np.exp(-0.5 * np.sum(u * u, axis=1))
         # the gate, on the Gram matrix in bandwidth units: the Cholesky
         # factor must exist, and ||G||_F ||L^-1||_F^2, an upper bound on the
         # condition number, must be at most COND_LIMIT

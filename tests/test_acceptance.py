@@ -139,7 +139,7 @@ def test_criterion_4_table3_linreg():
 
 
 def test_criterion_5_oracle_equivalence():
-    # run the full 20-dataset equivalence suite and summarize
+    # run the full 26-dataset equivalence suite and summarize
     import test_oracle_equivalence as oracle
 
     worst = 0.0
@@ -153,7 +153,7 @@ def test_criterion_5_oracle_equivalence():
     _report(
         "5 (oracle equivalence)",
         True,
-        "20 seeded datasets (n in {50,200}), theta-hat/theta-tilde/gamma^2 for all "
+        "26 seeded datasets (n in {19,26,50,200}), theta-hat/theta-tilde/gamma^2 for all "
         "methods (mean-conditional with local-linear and k-NN) match the brute-force "
         "reference to 1e-8",
     )

@@ -515,11 +515,14 @@ class TestFlooredWeights:
         self._assert_bitwise(reg, x_test[:1])
 
     @pytest.mark.parametrize("n_train", [5, 20])
-    def test_tiny_training_sample_is_not_floored(self, n_train):
+    def test_tiny_training_sample_ends_at_the_last_level(self, n_train):
+        # weights of at most 1 each cannot sum past the floor of 20, so every
+        # query climbs to the cap by the same rule as in a larger fit
         reg = self._regressor(n_train, 2, seed=n_train)
         x_test = np.array([[0.0, 0.0], [8.0, -8.0]])
         w = self._assert_bitwise(reg, x_test)
-        assert np.array_equal(w, ref_kernel_block(reg.x_train, reg.bandwidths, x_test))
+        cap = 2.0**LocalLinearRegressor.MAX_INFLATIONS
+        assert np.array_equal(w, ref_kernel_block(reg.x_train, reg.bandwidths * cap, x_test))
 
     def test_queries_at_training_points(self):
         reg = self._regressor(300, 3, seed=6)

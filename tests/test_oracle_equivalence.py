@@ -1,8 +1,11 @@
 """Estimator arithmetic vs the independent brute-force reference, at 1e-8.
 
-Twenty seeded datasets at n in {50, 200}; the point and split estimates and
-gamma_hat^2 of ``assess_*`` for every method (mean-conditional with both the local-linear and the k-NN
-regressor) are compared against the loop-based transcription in
+Twenty seeded datasets at n in {50, 200}, where every training fold has more
+than 20 rows, and six at n in {19, 26}, where some have 20 or fewer (all five
+at n = 19, one at n = 26), so that no kernel row of theirs can reach
+local-linear's floor of 20.  The point and split estimates and gamma_hat^2 of
+``assess_*`` for every method (mean-conditional with both the local-linear and
+the k-NN regressor) are compared against the loop-based transcription in
 reference_impl.py, with fold assignments passed through as data.
 """
 
@@ -30,24 +33,31 @@ CASES = [
     # (case id, n, b, nu, tau)
     (i, n, b, nu, tau)
     for i, (n, b, nu, tau) in enumerate(
-        (n, b, nu, tau)
-        for n in (50, 200)
-        for b, nu, tau in (
-            (0.0, 0.5, 0.5),
-            (0.5, 0.5, 0.25),
-            (1.0, 0.3, 0.5),
-            (0.5, 0.7, 0.75),
-            (1.0, 0.5, 0.25),
-            (0.0, 0.3, 0.25),
-            (0.5, 0.0, 0.5),
-            (1.0, 0.7, 0.5),
-            (0.25, 0.5, 0.4),
-            (0.75, 0.5, 0.6),
-        )
+        [
+            (n, b, nu, tau)
+            for n in (50, 200)
+            for b, nu, tau in (
+                (0.0, 0.5, 0.5),
+                (0.5, 0.5, 0.25),
+                (1.0, 0.3, 0.5),
+                (0.5, 0.7, 0.75),
+                (1.0, 0.5, 0.25),
+                (0.0, 0.3, 0.25),
+                (0.5, 0.0, 0.5),
+                (1.0, 0.7, 0.5),
+                (0.25, 0.5, 0.4),
+                (0.75, 0.5, 0.6),
+            )
+        ]
+        + [
+            (n, b, nu, tau)
+            for n in (19, 26)
+            for b, nu, tau in ((0.5, 0.5, 0.25), (1.0, 0.3, 0.5), (0.0, 0.7, 0.75))
+        ]
     )
 ]
 
-assert len(CASES) == 20
+assert len(CASES) == 26
 
 
 def _dataset(case_id, n, b):

@@ -22,6 +22,7 @@ from fusiongain.core import normal_quantile
 from fusiongain.errors import FusionGainError, OutOfRange
 from fusiongain.linreg_utility import assess_linreg
 from fusiongain.mean_utility import assess_mean
+from fusiongain.quantile_utility import assess_quantile
 from fusiongain.simulation import (
     METHODS,
     DgpConfig,
@@ -382,6 +383,28 @@ class TestMonteCarlo:
             sim.run_monte_carlo([(cell, 19)], reps=5)
 
 
+class TestTinyTrainingFolds:
+    """At 19 <= n <= 26 a five-fold cross-fit trains some fold on 20 rows or
+    fewer, where no kernel row reaches the sparse-region floor: every query
+    of that fold ends at the last bandwidth level, and local-linear is least
+    squares there."""
+
+    @pytest.mark.parametrize("n", [19, 20])
+    def test_local_linear_matches_ols(self, n):
+        data = generate_dgp(DgpConfig(b=0.5, n=n, seed=3))
+        for assess in (assess_mean, assess_quantile):
+            kernel = assess(data, nu=0.5, regressor="local-linear").a_hat
+            linear = assess(data, nu=0.5, regressor="ols-linear").a_hat
+            assert kernel == pytest.approx(linear, abs=1e-6), assess.__name__
+
+    def test_error_continuous_across_the_floor(self):
+        # n = 27 is the least n whose training folds all exceed 20 rows
+        cells = [MonteCarloCell("mean-conditional", DgpConfig(b=1.0, n=n)) for n in (19, 27)]
+        tiny, floored = run_monte_carlo([(cell, cell_seed(4242, cell)) for cell in cells],
+                                        reps=200)
+        assert tiny.mae < 2.0 * floored.mae
+
+
 def _fail_at(monkeypatch, fails):
     """Make linreg fail, with the signal b in its message, in replication r
     of a cell at b wherever ``fails(b, r)``; return the b of every dataset
@@ -430,17 +453,21 @@ class TestTable:
         assert outputs[0] == outputs[1]
         assert children[0].exitcode == 0
 
-    def test_mixed_table_bytes_independent_of_workers(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("method", ["mean-linear", "mean-conditional", "quantile", "linreg"])
+    def test_mixed_table_bytes_independent_of_workers(self, tmp_path, monkeypatch, method):
         from fusiongain.cli import main
 
-        # a real pool of up to 3 processes, however many CPUs the host has
+        # a real pool of up to 3 processes, however many CPUs the host has;
+        # n = 19 trains the kernel methods on folds of 15 or 16 rows, and
+        # n = 100 stacks its folds into fold groups
         _usable(monkeypatch, 3)
+        tau = ["--tau", "0.25"] if method == "quantile" else []
         outputs = []
         for workers in (1, 2, 3):
             out = tmp_path / f"w{workers}"
-            code = main(["simulate", "--method", "mean-linear", "--b", "0,0.5",
-                         "--n", "100,300", "--reps", "5", "--seed", "7",
-                         "--workers", str(workers), "--out", str(out)])
+            code = main(["simulate", "--method", method, "--b", "0,0.5",
+                         "--n", "19,100", "--reps", "5", "--seed", "7",
+                         "--workers", str(workers), "--out", str(out), *tau])
             assert code == 0
             outputs.append(((out / "simulation.csv").read_bytes(),
                             (out / "simulation.txt").read_bytes()))
