@@ -121,9 +121,9 @@ def _alpha_kappa(comp: LinRegComponents) -> float:
 def variance_linreg(data: Dataset, comp: LinRegComponents) -> float:
     """Plug-in g^2 = Var(v) / (alpha kappa)^2, divisor n - 1; a constant
     composite gives 0."""
-    alpha_kappa = _alpha_kappa(comp)
     if data.n < 2:
         raise TooFewObservations("variance needs at least two observations")
+    alpha_kappa = _alpha_kappa(comp)
     composite = influence_composite(data, comp)
     var_composite = float(np.var(composite, ddof=1))
     return var_composite / alpha_kappa**2
@@ -135,9 +135,13 @@ def assess_linreg(
     """Full assessment: the data through :func:`unit_scaled`, moment
     components and the point core a = 1 - sigma^2 / (alpha kappa), then
     :func:`finalize` (no split estimator, so the interval is centered at the
-    point estimate)."""
+    point estimate).  Stage ``data`` refuses n <= p, where the least-squares
+    fit is exact or undetermined."""
     check_settings(nu=nu, alpha=alpha)
     with stage("data"):
+        if data.n <= data.p:
+            raise TooFewObservations(
+                f"linreg needs more rows than covariates, n > p, got n={data.n}, p={data.p}")
         data = unit_scaled(data, common_x=True)
     with stage("components"):
         comp = fit_components(data, s_index)

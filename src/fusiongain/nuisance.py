@@ -101,10 +101,6 @@ class Dataset:
     def p(self) -> int:
         return self.x.shape[1]
 
-    def take(self, indices) -> "Dataset":
-        """The rows ``indices`` (a slice, a mask or row numbers) as a new Dataset."""
-        return Dataset(self.y[indices], self.x[indices], self.column_names)
-
 
 def make_split_plan(n: int, seed: int) -> np.ndarray:
     """The fold id (int64, 0-based) of each row of 0..n-1, for ``N_FOLDS``
@@ -225,17 +221,14 @@ def cholesky_gate(gram: np.ndarray, rhs: np.ndarray):
     no matrix that passes is worse conditioned than the limit, up to the
     rounding of a condition number that sits at the limit itself.  L^-1
     and L^-1 rhs come from one forward substitution on [I | rhs], the
-    package's only solve.  ``rhs`` holds one vector per matrix, or, with one
-    axis more, one matrix per matrix whose columns are right-hand sides that
-    share the factor.  A batch
+    package's only solve.  ``rhs`` holds, per matrix, a block of right-hand-side
+    columns that share its factor (r rows, one column or more).  A batch
     in which some matrix does not factor is factored matrix by matrix, so
     no decision or solution depends on which matrices share a batch.
     Returns (passes, L^-1, L^-1 rhs); the last two are meaningless where a
     matrix fails.
     """
     batch, r = gram.shape[:-2], gram.shape[-1]
-    columns = rhs.ndim == gram.ndim
-    rhs = rhs if columns else rhs[..., None]
     factored = np.ones(batch, dtype=bool)
     try:
         factor = np.linalg.cholesky(gram)
@@ -261,7 +254,7 @@ def cholesky_gate(gram: np.ndarray, rhs: np.ndarray):
         l_inv = sol[..., :r]
         bound = np.sqrt((gram * gram).sum(axis=(-2, -1))) * (l_inv * l_inv).sum(axis=(-2, -1))
         passes = factored & (bound <= MAX_CONDITION_NUMBER)
-    return passes, l_inv, sol[..., r:] if columns else sol[..., r]
+    return passes, l_inv, sol[..., r:]
 
 
 def equilibrated_solve(gram: np.ndarray, rhs: np.ndarray):
@@ -277,11 +270,11 @@ def equilibrated_solve(gram: np.ndarray, rhs: np.ndarray):
         return None
     inv_root = 1.0 / np.sqrt(diag)
     passes, l_inv, z = cholesky_gate(gram * inv_root[:, None] * inv_root,
-                                     (rhs.T * inv_root).T)
+                                     rhs.reshape(len(diag), -1) * inv_root[:, None])
     if not passes:
         return None
     m = l_inv * inv_root  # G^-1 = M'M
-    return (inv_root * (l_inv.T @ z).T).T, m.T @ m
+    return (inv_root[:, None] * (l_inv.T @ z)).reshape(rhs.shape), m.T @ m
 
 
 def default_neighbor_count(n_train: int) -> int:

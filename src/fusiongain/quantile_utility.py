@@ -40,11 +40,10 @@ from .mean_utility import residual_core, split_data_stage
 DENSITY_FLOOR = 1e-12
 
 
-def _indicator(data: Dataset, threshold) -> Dataset:
-    """Z = 1(y < threshold) on the covariates of ``data``: a vector, or one
-    column per threshold for a sequence of thresholds."""
-    y = data.y if np.ndim(threshold) == 0 else data.y[:, None]
-    return Dataset((y < np.asarray(threshold)).astype(float), data.x)
+def _indicator(data: Dataset, thresholds) -> Dataset:
+    """Z = 1(y < t) on the covariates of ``data``, one column per threshold
+    t of the sequence ``thresholds``."""
+    return Dataset((data.y[:, None] < np.asarray(thresholds)).astype(float), data.x)
 
 
 def compute_quantile_intermediates(

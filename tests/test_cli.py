@@ -448,17 +448,26 @@ def test_assess_output_bytes_pinned(tmp_path, capsys):
         assert capsys.readouterr().out == expected[name], name
 
 
-def test_linreg_output_bytes_pinned_above_threaded_dot(tmp_path, capsys):
-    # at n = 12000, a BLAS dot of the S column is split across threads, so a
-    # slope from two dots would move its last bits with the thread count
+@pytest.mark.parametrize("method, line", [
+    ("linreg",
+     "linreg,12000,0.5,0.95,4,0.8068980790097646,0.8068980790097646,,0.47366935292078766,"
+     "0.798423214686723,0.8153729433328063,0.798423214686723,0.8153729433328063,"
+     "0.38620384198047075,0.3692541133343874,0.4031535706265541"),
+    ("mean-linear",
+     "mean-linear,12000,0.5,0.95,4,0.8161105886024529,0.8161105886024529,"
+     "0.8158860548967436,0.9018211218874347,0.7997507241971292,0.832021385596358,"
+     "0.7997507241971292,0.832021385596358,0.3677788227950942,0.33595722880728407,"
+     "0.40049855160574155"),
+], ids=["linreg", "mean-linear"])
+def test_least_squares_output_bytes_pinned_above_threaded_dot(tmp_path, capsys, method, line):
+    # at n = 12000, BLAS splits a product over the rows across threads: a
+    # linreg slope from two dots of the S column, or an OLS fold fit's X'X
+    # and X'y, would move their last bits with the thread count
     path, _ = _dgp_csv(tmp_path, DgpConfig(b=0.5, n=12000, seed=4))
-    code = main(["assess", "--input", path, "--nu", "0.5", "--seed", "4", "--method", "linreg",
+    code = main(["assess", "--input", path, "--nu", "0.5", "--seed", "4", "--method", method,
                  "--relative", "--format", "csv"])
     assert code == 0
-    assert capsys.readouterr().out.splitlines()[1] == (
-        "linreg,12000,0.5,0.95,4,0.8068980790097646,0.8068980790097646,,0.47366935292078766,"
-        "0.798423214686723,0.8153729433328063,0.798423214686723,0.8153729433328063,"
-        "0.38620384198047075,0.3692541133343874,0.4031535706265541")
+    assert capsys.readouterr().out.splitlines()[1] == line
 
 
 def test_assess_loads_no_scipy(tmp_path):
@@ -628,6 +637,17 @@ def test_split_methods_name_their_row_minimum(tmp_path, capsys, method):
         assert (code, got[:2]) == (1, ("TooFewObservations", "data")), n
         assert f"n >= {MIN_SPLIT_N}" in got[2] and f"n={n}" in got[2], got[2]
     code, _ = _assess_probe(tmp_path, capsys, data.y, data.x, ["--method", method])
+    assert code == 0
+
+
+def test_linreg_names_its_row_minimum(tmp_path, capsys):
+    # two covariates: at n = 2 the fit is exact and read ci_raw [1, 1]
+    data = generate_dgp(DgpConfig(b=0.5, n=3, seed=4))
+    for n in (1, 2):
+        code, got = _assess_probe(tmp_path, capsys, data.y[:n], data.x[:n], ["--method", "linreg"])
+        assert (code, got[:2]) == (1, ("TooFewObservations", "data")), n
+        assert f"n={n}, p=2" in got[2], got[2]
+    code, _ = _assess_probe(tmp_path, capsys, data.y, data.x, ["--method", "linreg"])
     assert code == 0
 
 

@@ -188,6 +188,21 @@ class TestVariance:
 
 
 class TestAssess:
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    def test_refuses_no_more_rows_than_covariates(self, p):
+        # at n = p the least-squares fit is exact, which would read as a
+        # utility of 1 with a zero-width interval; at n < p it is undetermined
+        rng = np.random.default_rng(p)
+        x = rng.normal(size=(p + 1, p))
+        y = x.sum(axis=1) + rng.normal(size=p + 1)
+        for n in range(max(1, p - 1), p + 1):
+            with pytest.raises(TooFewObservations) as err:
+                assess_linreg(Dataset(y[:n], x[:n]), nu=0.5)
+            assert err.value.stage == "data"
+            assert f"n={n}, p={p}" in str(err.value)
+        est = assess_linreg(Dataset(y, x), nu=0.5)
+        assert np.isfinite(est.theta_hat_raw) and np.isfinite(est.gamma_hat)
+
     def test_zero_noise_fixture(self):
         est = assess_linreg(_sigma0_alpha_positive_dataset(), nu=0.5)
         assert est.theta_hat == 1.0
@@ -243,8 +258,9 @@ class TestTableBands:
         assert result.cr == pytest.approx(0.947, abs=0.025)
 
 
-# One row: the S moment keeps a rounding residue, so only the row count fails.
-_ONE_ROW = Dataset([1.0], [[0.1]])
+# One row, fitted exactly: alpha is exactly 0, so only a row count checked
+# before the moments names the failure.
+_ONE_ROW = Dataset([1.0], [[0.5]])
 
 
 def _scaled_s(scale):
