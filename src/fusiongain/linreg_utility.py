@@ -59,12 +59,12 @@ def fit_components(data: Dataset, s_index: int = 0) -> LinRegComponents:
     if not 0 <= s_index < p:
         raise OutOfRange(f"s_index must be in [0, {p - 1}], got {s_index}")
     gram, xty = x.T @ x, x.T @ y
-    solved = equilibrated_solve(gram / n, xty / n)
+    solved = equilibrated_solve(gram / n, xty[:, None] / n)
     if solved is None:
         raise SingularDesign(
             "covariate second-moment matrix is not (numerically) positive definite"
         )
-    mu_hat, sigma_inv = solved
+    mu_hat, sigma_inv = solved[0][:, 0], solved[1]
     s = x[:, s_index]
     kappa_hat = float(np.trace(sigma_inv))
     # S'y and S'S from the products above: a BLAS dot of more than 10,000

@@ -39,15 +39,15 @@ def split_data_stage(data: Dataset, nu: float, alpha: float, regressor: str) -> 
         return unit_scaled(data, common_x=regressor == "k-nn")
 
 
-def residual_core(z: Dataset, regressor: str, seed: int,
+def residual_core(x: np.ndarray, z: np.ndarray, regressor: str, seed: int,
                   clamp: tuple[float, float] = (-np.inf, np.inf)) -> tuple[np.ndarray, np.ndarray]:
-    """Cross-fitted regression g of Z = ``z.y`` on ``z.x``, clipped to ``clamp``,
-    and the squared residuals (Z - g)^2, whose mean is the residual trace:
-    Z = Y for the mean, and, clamped to [0, 1], the indicators 1(Y < mu_hat)
-    and 1(Y < mu_tilde) for the quantile.  A Z with r columns is cross-fitted
-    in one pass, and g and the squares have a column per response."""
-    g = np.clip(crossfit_predict(z, regressor, seed), *clamp)
-    return g, (z.y - g) ** 2
+    """Cross-fitted regression g of the columns Z of ``z`` on ``x``, clipped
+    to ``clamp``, and the squared residuals (Z - g)^2, whose mean is the
+    residual trace: Z = Y for the mean, and, clamped to [0, 1], the
+    indicators 1(Y < mu_hat) and 1(Y < mu_tilde) for the quantile.  The r
+    columns are cross-fitted in one pass; g and the squares have one each."""
+    g = np.clip(crossfit_predict(x, z, regressor, seed), *clamp)
+    return g, (z - g) ** 2
 
 
 def compute_mean_intermediates(data: Dataset, regressor: str,
@@ -55,7 +55,7 @@ def compute_mean_intermediates(data: Dataset, regressor: str,
     """The squared residuals sq_g = (Y - ghat)^2 around the cross-fitted
     predictions ghat, sq_mean = (Y - ybar)^2 around the full-sample mean,
     and the point core a_hat = mean(sq_g) / theta2, theta2 = mean(sq_mean)."""
-    sq_g = residual_core(data, regressor, seed)[1]
+    sq_g = residual_core(data.x, data.y[:, None], regressor, seed)[1][:, 0]
     sq_mean = (data.y - np.mean(data.y)) ** 2
     return sq_g, sq_mean, ratio_estimate(sq_g, sq_mean)
 

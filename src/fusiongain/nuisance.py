@@ -3,7 +3,7 @@
 The door that scales every input by powers of two (``unit_scaled``),
 cross-fitting partitions, the regressor menu (pooled least squares, k-nearest
 neighbors, local linear smoothing) with fixed smoothing rules, cross-fitted
-predictions of one response or of r responses in one pass, Gaussian kernel
+predictions of r response columns in one pass, Gaussian kernel
 density estimation with rule-of-thumb bandwidths, and empirical quantiles.
 Everything here is deterministic given its inputs; the only randomness is
 the seeded fold assignment.
@@ -56,12 +56,7 @@ MIN_SPREAD = 2.0**-100
 
 @dataclass(frozen=True)
 class Dataset:
-    """Internal sample: response ``y`` and covariate matrix ``x``.
-
-    ``y`` is a vector, or an (n, r) matrix of r responses on the same
-    covariates, which the nuisance stack fits in one pass; an assessment
-    takes a vector (``unit_scaled``).
-    """
+    """Internal sample: response vector ``y`` and covariate matrix ``x``."""
 
     y: np.ndarray
     x: np.ndarray
@@ -73,8 +68,8 @@ class Dataset:
         x = np.array(self.x, dtype=float)
         if x.ndim == 1:
             x = x[:, None]
-        if y.ndim not in (1, 2) or x.ndim != 2:
-            raise OutOfRange("y must be a vector or a matrix and x a matrix")
+        if y.ndim != 1 or x.ndim != 2:
+            raise OutOfRange("y must be a vector and x a matrix")
         if y.shape[0] != x.shape[0]:
             raise OutOfRange(
                 f"response length {y.shape[0]} != covariate rows {x.shape[0]}"
@@ -142,11 +137,8 @@ def unit_scaled(data: Dataset, common_x: bool = False) -> Dataset:
     raises :class:`OutOfRange`, naming its row farthest from the median
     (1-based), or, under ``common_x``, the column that is small next to the
     largest covariate column.  A constant column passes, for the method's
-    own check.  A response that is not a vector raises :class:`OutOfRange`:
-    an assessment answers for one response.
+    own check.
     """
-    if data.y.ndim != 1:
-        raise OutOfRange("an assessment takes one response vector, not a matrix")
     own = np.frexp(np.abs(data.x).max(axis=0))[1]
     powers = np.full_like(own, own.max()) if common_x else own
     y = np.ldexp(data.y, -np.frexp(np.abs(data.y).max())[1])
@@ -198,11 +190,14 @@ def _quartiles(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def ols_fit(x, y) -> np.ndarray:
     """Least-squares coefficients via the normal equations, from
-    ``equilibrated_solve``: the intercept first, then one slope per column;
-    for an (n, r) response ``y``, one column of coefficients per response.
+    ``equilibrated_solve``: the intercept first, then one slope per column
+    of ``x``, in one column of coefficients per column of the (n, r)
+    response ``y``; a ``y`` that is not a matrix raises :class:`OutOfRange`.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if y.ndim != 2:
+        raise OutOfRange(f"ols_fit takes (n, r) response columns, got shape {y.shape}")
     design = np.column_stack([np.ones(x.shape[0]), x])
     solved = equilibrated_solve(design.T @ design, design.T @ y)
     if solved is None:
@@ -262,19 +257,19 @@ def equilibrated_solve(gram: np.ndarray, rhs: np.ndarray):
     linreg), which has no natural units: the gate sees D^-1/2 G D^-1/2 with
     D = diag(G), so rescaling a covariate column cannot move the decision.
     Returns G^-1 rhs and G^-1, both from the factor that passed, or None
-    where G fails (a column of zeros leaves a zero on D).  ``rhs`` is a
-    vector or a matrix of right-hand-side columns.
+    where G fails (a column of zeros leaves a zero on D).  ``rhs`` holds
+    the right-hand sides as columns.
     """
     diag = gram.diagonal()
     if not (diag > 0.0).all():
         return None
     inv_root = 1.0 / np.sqrt(diag)
     passes, l_inv, z = cholesky_gate(gram * inv_root[:, None] * inv_root,
-                                     rhs.reshape(len(diag), -1) * inv_root[:, None])
+                                     rhs * inv_root[:, None])
     if not passes:
         return None
     m = l_inv * inv_root  # G^-1 = M'M
-    return (inv_root[:, None] * (l_inv.T @ z)).reshape(rhs.shape), m.T @ m
+    return inv_root[:, None] * (l_inv.T @ z), m.T @ m
 
 
 def default_neighbor_count(n_train: int) -> int:
@@ -287,8 +282,8 @@ class OlsLinearRegressor:
         self.coef = np.asarray(coef, dtype=float)
 
     def predict(self, x) -> np.ndarray:
-        """Predictions at the rows of ``x``: a vector, or one column per
-        response for coefficients fitted to an (n, r) response."""
+        """Predictions at the rows of ``x``, one column per column of
+        coefficients."""
         x = np.asarray(x, dtype=float)
         design = np.column_stack([np.ones(x.shape[0]), x])
         return design @ self.coef
@@ -347,10 +342,10 @@ class KnnRegressor:
     predictions are therefore the same, bit for bit, as a stable argsort of
     all exact distances, in memory bounded by the block budget.
 
-    An (n, r) response ``y_train`` gives r columns of predictions from one
+    The (n, r) response ``y_train`` gives r columns of predictions from one
     neighbour search.  Each response is kept as a contiguous row and averaged
-    over the neighbours as a vector response is, so every column equals its
-    own single-response fit bit for bit.
+    over the neighbours on its own, so every column equals its own
+    one-column fit bit for bit.
     """
 
     # Candidate slack, relative to (|q|^2 + max |t|^2) / 2 about the training mean.
@@ -361,9 +356,8 @@ class KnnRegressor:
 
     def __init__(self, x_train: np.ndarray, y_train: np.ndarray, k: int):
         self.x_train = x_train
-        self.y_train = y_train
         self.k = k
-        self._y_rows = np.ascontiguousarray(np.atleast_2d(y_train.T))
+        self._y_rows = np.ascontiguousarray(y_train.T)
         self._x_mean = x_train.mean(axis=0)
         self._x_centered = x_train - self._x_mean
         self._half_sq_norms = 0.5 * (self._x_centered * self._x_centered).sum(axis=1)
@@ -374,7 +368,7 @@ class KnnRegressor:
         out = np.empty((self._y_rows.shape[0], x.shape[0]))
         for block in _query_blocks(x.shape[0], self.x_train.shape[0]):
             out[:, block] = self._y_rows.take(self._neighbors(x[block]), axis=1).mean(axis=-1)
-        return out.T if self.y_train.ndim == 2 else out[0]
+        return out.T
 
     def _neighbors(self, xq: np.ndarray) -> np.ndarray:
         """Training indices of each query's k nearest points, nearest first."""
@@ -501,23 +495,22 @@ class LocalLinearRegressor:
     mean, and to the global training mean if every weight underflows, so
     predictions are always finite.
 
-    A fold group is one fit: ``x_train`` (n x p), ``y_train`` (n) and the
-    bandwidths (p) may carry a leading fold axis, and ``predict`` then takes
+    ``y_train`` holds r responses as columns, (n x r), and ``predict``
+    returns one column per response.  The weights, the floor pass, the Gram
+    matrices and their ``cholesky_gate`` factors depend only on X, so the
+    responses share them, and each adds p + 1 moment columns and one
+    right-hand side.  A column's prediction matches its own one-column
+    fit's to rounding: the wider moment GEMM and solve may sum in another
+    order.
+
+    A fold group is one fit: ``x_train`` (n x p), ``y_train`` (n x r) and
+    the bandwidths (p) may carry a leading fold axis, and ``predict`` then takes
     one (queries x p) matrix per fold, all of the same size.  A block spans
     every fold and stays within ``BLOCK_BYTES``, so the folds share one floor
     pass, one Gram assembly and one ``cholesky_gate`` call, while each keeps
     its own log-weight and moment GEMMs.  Every step is per fold or per
     query, so a fold's predictions equal its own fit's bit for bit whenever
     its queries form the same blocks, as they do when the stack fits one.
-
-    Several responses are one fit too: ``y_train`` may carry a trailing axis
-    of r responses, (n, r) or (folds, n, r), and ``predict`` then returns one
-    column per response.  The weights, the floor pass, the Gram matrices and
-    their ``cholesky_gate`` factors depend only on X, so the responses share
-    them, and each adds p + 1 moment columns and one right-hand side.  A
-    vector response is the one-column case, bit for bit.  A column's
-    prediction matches its own fit's to rounding: the wider moment GEMM and
-    solve may sum in another order.
     """
 
     MIN_EFFECTIVE_WEIGHT = 20.0
@@ -535,12 +528,10 @@ class LocalLinearRegressor:
         n, p = xc.shape[-2:]
         self._upper = np.triu_indices(p)
         n_upper = self._upper[0].size
-        # each response as a contiguous row, centred as a vector response is:
-        # solving on mean-centered responses keeps the response level out of
-        # the local solve (constant responses reproduce exactly)
-        self._columns = y_train.ndim == x_train.ndim
-        y_rows = np.ascontiguousarray(np.moveaxis(y_train, -1, -2)) if self._columns else (
-            y_train[..., None, :])
+        # each response as a contiguous row, centred: solving on mean-centered
+        # responses keeps the response level out of the local solve (constant
+        # responses reproduce exactly)
+        y_rows = np.ascontiguousarray(np.moveaxis(y_train, -1, -2))
         self._y_mean = np.mean(y_rows, axis=-1)
         y_centered = y_rows - self._y_mean[..., None]
         # columns 1 | Xc | Xc_j Xc_k for j <= k, row by row of the triangle,
@@ -560,13 +551,11 @@ class LocalLinearRegressor:
 
     def predict(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        responses = self.y_train.shape[self.x_train.ndim - 1 :]
-        out = np.empty(x.shape[:-1] + responses)
+        out = np.empty(x.shape[:-1] + self.y_train.shape[-1:])
         # a block's row holds one query's weights in every fold
         width = math.prod(x.shape[:-2]) * self.x_train.shape[-2]
         for block in _query_blocks(x.shape[-2], width):
-            out[(..., block) + (slice(None),) * len(responses)], _ = self._predict_block(
-                x[..., block, :])
+            out[..., block, :], _ = self._predict_block(x[..., block, :])
         return out
 
     def _floored_weights(self, xq: np.ndarray) -> np.ndarray:
@@ -616,8 +605,8 @@ class LocalLinearRegressor:
         return w
 
     def _predict_block(self, xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Predictions for one block of queries (one column per response of an
-        (n, r) fit), and which queries passed the condition gate."""
+        """Predictions for one block of queries, one column per response, and
+        which queries passed the condition gate."""
         p = xq.shape[-1]
         batch = xq.shape[:-1]
         rows, cols = self._upper
@@ -656,30 +645,29 @@ class LocalLinearRegressor:
             bad_s0 = s0[~ok, None]
             local_mean = np.where(bad_s0 > 0, t0[~ok] / np.where(bad_s0 > 0, bad_s0, 1.0), 0.0)
             out[~ok] = local_mean + y_mean[~ok]
-        return (out if self._columns else out[..., 0]), ok
+        return out, ok
 
 
 def fit_conditional_mean(
-    train: Dataset, kind: str, rows=None
+    x: np.ndarray, z: np.ndarray, kind: str
 ) -> OlsLinearRegressor | KnnRegressor | LocalLinearRegressor:
-    """Fit one regressor from the menu on the training subsample ``train``,
-    or on its rows ``rows``; ``predict`` on the result is pure and
-    deterministic.  For local-linear, ``rows`` may be a (folds x rows)
-    matrix, one row of training rows per fold: one stacked fit, whose
-    ``predict`` takes one query matrix per fold.
+    """Fit one regressor from the menu of the (n, r) response columns ``z``
+    on the (n, p) covariates ``x``; ``predict`` on the result is pure and
+    deterministic and returns one column per response.  For local-linear,
+    ``x`` and ``z`` may carry a leading fold axis, one training sample per
+    fold: one stacked fit, whose ``predict`` takes one query matrix per fold.
 
     Smoothing follows fixed rules: k-NN uses k = ceil(n^(4/5)/4), local-linear
     the rule-of-thumb bandwidth per covariate dimension.
     """
-    x, y = (train.x, train.y) if rows is None else (train.x[rows], train.y[rows])
     if kind == "local-linear":
-        return LocalLinearRegressor(x, y, silverman_bandwidth(x))
+        return LocalLinearRegressor(x, z, silverman_bandwidth(x))
     if x.ndim != 2:
         raise OutOfRange(f"only local-linear fits a stack of folds, not {kind!r}")
     if kind == "ols-linear":
-        return OlsLinearRegressor(ols_fit(x, y))
+        return OlsLinearRegressor(ols_fit(x, z))
     if kind == "k-nn":
-        return KnnRegressor(x, y, default_neighbor_count(x.shape[0]))
+        return KnnRegressor(x, z, default_neighbor_count(x.shape[0]))
     raise OutOfRange(f"unknown regressor kind {kind!r}")
 
 
@@ -698,28 +686,35 @@ def _fold_groups(fold_sizes: np.ndarray, kind: str) -> list[np.ndarray]:
     return groups
 
 
-def crossfit_predict(data: Dataset, kind: str, seed: int) -> np.ndarray:
-    """Cross-fitted predictions of ``data.y`` at every observation: a
-    vector, or, for an (n, r) response, one column per response from one
-    pass, each matching its own cross-fit (bit for bit for k-NN, to rounding
-    for local-linear and OLS).
+def crossfit_predict(x: np.ndarray, z: np.ndarray, kind: str, seed: int) -> np.ndarray:
+    """Cross-fitted predictions of the (n, r) response columns ``z`` from
+    the (n, p) covariates ``x`` at every observation: one column per
+    response from one pass, each matching its own one-column cross-fit (bit
+    for bit for k-NN, to rounding for local-linear and OLS).  ``x`` and
+    ``z`` must be finite matrices with the same rows, else
+    :class:`OutOfRange`.
 
-    The folds are ``make_split_plan(data.n, seed)``.  Entry i comes from the
+    The folds are ``make_split_plan(n, seed)``.  Entry i comes from the
     regressor trained on the complement of i's fold, so it never depends on
     observation i itself.  The folds are fitted in the groups of
     ``_fold_groups``: one stacked local-linear fit per group, whose
     predictions equal fold-by-fold fits bit for bit.
     """
-    folds = make_split_plan(data.n, seed)
-    predictions = np.empty(data.y.shape)
+    if x.ndim != 2 or z.ndim != 2 or z.shape[0] != x.shape[0]:
+        raise OutOfRange(f"need (n, p) covariates and (n, r) responses, got shapes "
+                         f"{x.shape} and {z.shape}")
+    if not (np.isfinite(x).all() and np.isfinite(z).all()):
+        raise OutOfRange("covariates and responses must be finite")
+    folds = make_split_plan(x.shape[0], seed)
+    predictions = np.empty(z.shape)
     for group in _fold_groups(np.bincount(folds, minlength=N_FOLDS), kind):
         member = folds == group[:, None]
         test = np.nonzero(member)[1].reshape(group.size, -1)
         train = np.nonzero(~member)[1].reshape(group.size, -1)
         if group.size == 1:  # a fold alone is a plain fit
             test, train = test[0], train[0]
-        regressor = fit_conditional_mean(data, kind, train)
-        predictions[test] = regressor.predict(data.x[test])
+        regressor = fit_conditional_mean(x[train], z[train], kind)
+        predictions[test] = regressor.predict(x[test])
     return predictions
 
 

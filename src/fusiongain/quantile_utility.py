@@ -40,10 +40,9 @@ from .mean_utility import residual_core, split_data_stage
 DENSITY_FLOOR = 1e-12
 
 
-def _indicator(data: Dataset, thresholds) -> Dataset:
-    """Z = 1(y < t) on the covariates of ``data``, one column per threshold
-    t of the sequence ``thresholds``."""
-    return Dataset((data.y[:, None] < np.asarray(thresholds)).astype(float), data.x)
+def _indicator(y: np.ndarray, thresholds) -> np.ndarray:
+    """Z = 1(y < t), one column per threshold t of the sequence ``thresholds``."""
+    return (y[:, None] < np.asarray(thresholds)).astype(float)
 
 
 def compute_quantile_intermediates(
@@ -64,7 +63,8 @@ def compute_quantile_intermediates(
     if not np.any(data.y > mu_hat):
         raise TooFewObservations(f"no observation lies above the empirical {tau}-quantile")
     mu_tilde = empirical_quantile(data.y[split_halves(data.n)[1]], tau)
-    fits, sq = residual_core(_indicator(data, (mu_hat, mu_tilde)), regressor, seed, (0.0, 1.0))
+    fits, sq = residual_core(data.x, _indicator(data.y, (mu_hat, mu_tilde)), regressor, seed,
+                             (0.0, 1.0))
     return mu_hat, fits[:, 0], sq[:, 1], ratio_estimate(sq[:, 0], tau * (1.0 - tau))
 
 

@@ -40,20 +40,20 @@ def _point(data, cfg):
 
 
 def _predicting(monkeypatch, g):
-    """Make every cross-fit of this module return the predictions ``g``."""
-    monkeypatch.setattr(mean_utility, "crossfit_predict", lambda *args: np.asarray(g))
+    """Make every cross-fit of this module return the predictions ``g``, as one column."""
+    monkeypatch.setattr(mean_utility, "crossfit_predict", lambda *args: np.asarray(g)[:, None])
 
 
 class TestBounds:
     def test_perfect_fit(self, monkeypatch):
         y = np.array([0.0, 2.0])
         _predicting(monkeypatch, [0.0, 2.0])
-        assert np.mean(residual_core(Dataset(y, np.zeros((2, 1))), "ols-linear", 0)[1]) == 0.0
+        assert np.mean(residual_core(np.zeros((2, 1)), y[:, None], "ols-linear", 0)[1]) == 0.0
 
     def test_ghat_equal_to_mean(self, monkeypatch):
         y = np.array([0.0, 2.0])
         _predicting(monkeypatch, [1.0, 1.0])
-        sq = residual_core(Dataset(y, np.zeros((2, 1))), "ols-linear", 0)[1]
+        sq = residual_core(np.zeros((2, 1)), y[:, None], "ols-linear", 0)[1]
         assert np.mean(sq) == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_response(self):
@@ -66,9 +66,10 @@ class TestResidualCore:
     @pytest.mark.parametrize("regressor", ["ols-linear", "k-nn", "local-linear"])
     def test_unclamped_core_is_the_crossfit(self, regressor):
         data = generate_dgp(DgpConfig(b=1.0, n=120, seed=4))
-        g, sq = residual_core(data, regressor, 4)
-        assert np.array_equal(g, crossfit_predict(data, regressor, 4))
-        assert np.array_equal(sq, (data.y - g) ** 2)
+        z = data.y[:, None]
+        g, sq = residual_core(data.x, z, regressor, 4)
+        assert np.array_equal(g, crossfit_predict(data.x, z, regressor, 4))
+        assert np.array_equal(sq, (z - g) ** 2)
 
 
 class TestPointEstimate:
@@ -176,7 +177,7 @@ class TestVariance:
         data = generate_dgp(DgpConfig(b=1.0, n=300, seed=8))
         cfg = _linear_cfg(seed=8)
         sq_g, sq_mean, a_hat = compute_mean_intermediates(data, cfg["regressor"], cfg["seed"])
-        ghat = crossfit_predict(data, cfg["regressor"], cfg["seed"])
+        ghat = crossfit_predict(data.x, data.y[:, None], cfg["regressor"], cfg["seed"])[:, 0]
         assert np.array_equal(sq_g, (data.y - ghat) ** 2)
         assert np.array_equal(sq_mean, (data.y - data.y.mean()) ** 2)
         theta2 = sq_mean.mean()

@@ -167,42 +167,42 @@ class TestUnitScaled:
 
 class TestOls:
     def test_two_point_line(self):
-        coef = ols_fit(np.array([[1.0], [-1.0]]), np.array([2.0, 0.0]))
-        assert coef == pytest.approx([1.0, 1.0], abs=1e-12)
+        coef = ols_fit(np.array([[1.0], [-1.0]]), np.array([[2.0], [0.0]]))
+        assert coef[:, 0] == pytest.approx([1.0, 1.0], abs=1e-12)
 
     def test_constant_response(self):
         x = np.array([[0.1, 2.0], [1.3, -1.0], [2.0, 0.5], [-1.0, 0.7]])
-        coef = ols_fit(x, np.full(4, 3.5))
+        coef = ols_fit(x, np.full((4, 1), 3.5))[:, 0]
         assert coef[0] == pytest.approx(3.5, abs=1e-10)
         assert coef[1:] == pytest.approx([0.0, 0.0], abs=1e-10)
 
     def test_collinear_with_intercept(self):
         with pytest.raises(SingularDesign):
-            ols_fit(np.array([[1.0], [1.0]]), np.array([0.0, 1.0]))
+            ols_fit(np.array([[1.0], [1.0]]), np.array([[0.0], [1.0]]))
 
     def test_column_units_do_not_move_the_gate(self):
         # raw condition number about 1e12: only the equilibrated matrix passes
         x = np.random.default_rng(9).normal(size=(400, 2))
-        y = x @ np.array([0.7, -1.2]) + 0.3
+        y = (x @ np.array([0.7, -1.2]) + 0.3)[:, None]
         scaled = x * np.array([1000.0, 0.001])
         assert np.linalg.cond(np.column_stack([np.ones(400), scaled]).T
                               @ np.column_stack([np.ones(400), scaled])) > 1e11
         coef, coef_scaled = ols_fit(x, y), ols_fit(scaled, y)
-        assert coef_scaled * np.array([1.0, 1000.0, 0.001]) == pytest.approx(coef, rel=1e-9)
+        assert coef_scaled[:, 0] * [1.0, 1000.0, 0.001] == pytest.approx(coef[:, 0], rel=1e-9)
 
     def test_zero_column_is_singular(self):
         x = np.column_stack([np.random.default_rng(2).normal(size=20), np.zeros(20)])
         design = np.column_stack([np.ones(20), x])
-        assert equilibrated_solve(design.T @ design, design.T @ np.ones(20)) is None
+        assert equilibrated_solve(design.T @ design, design.T @ np.ones((20, 1))) is None
         with pytest.raises(SingularDesign):
-            ols_fit(x, np.ones(20))
+            ols_fit(x, np.ones((20, 1)))
 
     @pytest.mark.parametrize("r", [1, 2, 3, 6, 11])
     def test_solution_and_inverse_match_lapack(self, r):
         # column scales from 1e-4 to 1e4 on a well-conditioned correlation
         rng = np.random.default_rng(r)
         a = rng.normal(size=(4 * r + 10, r)) * 10.0 ** rng.uniform(-4, 4, size=r)
-        gram, rhs = a.T @ a, rng.normal(size=r)
+        gram, rhs = a.T @ a, rng.normal(size=(r, 1))
         solution, inverse = equilibrated_solve(gram, rhs)
         assert solution == pytest.approx(np.linalg.solve(gram, rhs), rel=1e-9)
         assert inverse == pytest.approx(np.linalg.inv(gram), rel=1e-9)
@@ -212,7 +212,7 @@ class TestOls:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(200, 3))
         y = rng.normal(size=200) + x @ np.array([1.0, -2.0, 0.3])
-        coef = ols_fit(x, y)
+        coef = ols_fit(x, y[:, None])[:, 0]
         design = np.column_stack([np.ones(200), x])
         resid = y - design @ coef
         for j in range(design.shape[1]):
@@ -300,25 +300,24 @@ class TestConditionGate:
 
 class TestRegressors:
     def test_one_nn_interpolates(self):
-        train = Dataset(np.array([1.0, 5.0, -2.0]), np.array([[0.0], [2.0], [4.0]]))
-        reg = KnnRegressor(train.x, train.y, 1)
-        assert reg.predict(np.array([[2.0]]))[0] == 5.0
+        reg = KnnRegressor(np.array([[0.0], [2.0], [4.0]]), np.array([[1.0], [5.0], [-2.0]]), 1)
+        assert reg.predict(np.array([[2.0]]))[0, 0] == 5.0
 
     def test_ols_linear_noiseless_exact(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(50, 1))
         y = 2.0 + 3.0 * x[:, 0]
-        reg = fit_conditional_mean(Dataset(y, x), "ols-linear")
-        assert np.max(np.abs(reg.predict(x) - y)) <= 1e-10
+        reg = fit_conditional_mean(x, y[:, None], "ols-linear")
+        assert np.max(np.abs(reg.predict(x)[:, 0] - y)) <= 1e-10
 
     def test_local_linear_sine_oracle(self):
         # held-out mean squared error against the true curve, rule-of-thumb bandwidth
         rng = np.random.default_rng(42)
         x = rng.uniform(-3.0, 3.0, size=(2000, 1))
         y = np.sin(x[:, 0])
-        reg = fit_conditional_mean(Dataset(y, x), "local-linear")
+        reg = fit_conditional_mean(x, y[:, None], "local-linear")
         grid = np.linspace(-2.5, 2.5, 201)[:, None]
-        mse = float(np.mean((reg.predict(grid) - np.sin(grid[:, 0])) ** 2))
+        mse = float(np.mean((reg.predict(grid)[:, 0] - np.sin(grid[:, 0])) ** 2))
         assert mse <= 0.01
 
     def test_knn_ties_go_to_lowest_index(self):
@@ -332,17 +331,16 @@ class TestRegressors:
         queries = np.vstack([base, base + 0.5, [[0.0, 0.0]]])
         tiled = np.tile(queries, (25, 1))  # more queries than one block
         for k in (1, 3, 5, 13, 47):
-            reg = KnnRegressor(x, y, k)
-            preds = reg.predict(tiled)
+            reg = KnnRegressor(x, y[:, None], k)
+            preds = reg.predict(tiled)[:, 0]
             for q, value in zip(queries, preds):
                 ranked = sorted((float(np.sum((q - x[i]) ** 2)), i) for i in range(48))
                 assert value == sum(2.0**i for _, i in ranked[:k]) / k
             assert np.array_equal(preds, np.tile(preds[: len(queries)], 25))
 
     def test_unknown_kind(self):
-        train = Dataset(np.zeros(3), np.ones((3, 1)))
         with pytest.raises(OutOfRange):
-            fit_conditional_mean(train, "spline")
+            fit_conditional_mean(np.ones((3, 1)), np.zeros((3, 1)), "spline")
 
 
 class TestLocalLinearEdgeCases:
@@ -350,7 +348,7 @@ class TestLocalLinearEdgeCases:
 
     @staticmethod
     def _compare(x_train, y_train, x_test, bandwidths):
-        reg = LocalLinearRegressor(x_train, y_train, bandwidths)
+        reg = LocalLinearRegressor(x_train, y_train[:, None], bandwidths)
         preds, solved = reg._predict_block(x_test)
         expected, expected_solved = ref_local_linear_fit(
             x_train, y_train, x_test, np.asarray(bandwidths, dtype=float)
@@ -359,7 +357,7 @@ class TestLocalLinearEdgeCases:
         # relative as well as absolute: a query far outside the design makes
         # the query-centred Gram matrix ill conditioned (about 1e7 at x = 60),
         # so both solves carry round-off proportional to the extrapolated value
-        assert preds == pytest.approx(expected, rel=1e-10, abs=1e-10)
+        assert preds[:, 0] == pytest.approx(expected, rel=1e-10, abs=1e-10)
         assert np.array_equal(reg.predict(x_test), preds)
         return solved
 
@@ -395,7 +393,7 @@ class TestLocalLinearEdgeCases:
         x_test = np.array([[200.1, 0.2], [199.5, -0.3], [0.1, 0.0], [200.4, 0.6]])
         solved = self._compare(x, y, x_test, [1.0, 1.0])
         assert solved.tolist() == [True, True, False, True]
-        reg = LocalLinearRegressor(x, y, np.array([1.0, 1.0]))
+        reg = LocalLinearRegressor(x, y[:, None], np.array([1.0, 1.0]))
         preds, _ = reg._predict_block(x_test)
         # the weights GEMM's last bits depend on the block size, and moving
         # the moments 100 bandwidths from the training mean amplifies them
@@ -427,7 +425,7 @@ class TestFlooredWeights:
     @staticmethod
     def _regressor(n_train, p, seed):
         x = np.random.default_rng(seed).normal(size=(n_train, p))
-        return fit_conditional_mean(Dataset(x.sum(axis=1), x), "local-linear")
+        return fit_conditional_mean(x, x.sum(axis=1, keepdims=True), "local-linear")
 
     @staticmethod
     def _assert_bitwise(reg, x_test):
@@ -446,7 +444,7 @@ class TestFlooredWeights:
     def test_bandwidth_scales(self, scale):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(500, 3))
-        reg = LocalLinearRegressor(x, x[:, 0], scale * np.array([0.5, 1.0, 2.0]))
+        reg = LocalLinearRegressor(x, x[:, :1], scale * np.array([0.5, 1.0, 2.0]))
         self._assert_bitwise(reg, rng.normal(size=(120, 3)))
 
     def test_far_query_skips_levels(self):
@@ -463,7 +461,7 @@ class TestFlooredWeights:
         # 100 training points within about 1e-6 of the origin: seen from a
         # query well outside, every weight in a row is nearly the same
         x = 1e-6 * np.random.default_rng(8).normal(size=(100, 2))
-        return x, x[:, 0]
+        return x, x[:, :1]
 
     def test_equal_weights_pass_at_the_first_admitted_level(self):
         # the row sum nearly reaches n_train times the largest weight, so the
@@ -479,7 +477,7 @@ class TestFlooredWeights:
     def test_inflation_cap(self):
         x, _ = self._cluster()
         x = np.vstack([x, [[0.2, 0.0]]])
-        reg = LocalLinearRegressor(x, x[:, 0], np.array([1e-6, 1e-6]))
+        reg = LocalLinearRegressor(x, x[:, :1], np.array([1e-6, 1e-6]))
         # the first three queries would pass one level past the cap.  The first
         # sits on the lone training point and climbs from level 0, the second
         # (3 bandwidths from it) from level 1; the third starts at the cap.
@@ -530,11 +528,11 @@ def _fold_through_kernel_paths(data):
     conditional-KDE paths, concatenated."""
     plan = make_split_plan(data.n, seed=1)
     train, test = np.flatnonzero(plan != 0), data.x[np.flatnonzero(plan == 0)]
-    local_linear = fit_conditional_mean(data, "local-linear", train)
     y_train = data.y[train]
+    local_linear = fit_conditional_mean(data.x[train], y_train[:, None], "local-linear")
     return np.concatenate([
-        local_linear.predict(test),
-        fit_conditional_mean(data, "k-nn", train).predict(test),
+        local_linear.predict(test)[:, 0],
+        fit_conditional_mean(data.x[train], y_train[:, None], "k-nn").predict(test)[:, 0],
         cond_kde_profile(data.x[train], y_train, local_linear.bandwidths,
                          silverman_bandwidth(y_train), test, float(np.median(y_train))),
     ])
@@ -558,7 +556,7 @@ class TestBlocking:
     @pytest.mark.parametrize("p", [2, 10])
     def test_knn_bitwise_reference(self, p):
         data, plan = self._uneven(p)
-        preds = crossfit_predict(data, "k-nn", seed=p)
+        preds = crossfit_predict(data.x, data.y[:, None], "k-nn", seed=p)[:, 0]
         for m in range(5):
             test, train = np.flatnonzero(plan == m), np.flatnonzero(plan != m)
             # every ninth query of each fold keeps the loop reference quick
@@ -570,7 +568,7 @@ class TestBlocking:
     def test_local_linear_blocks_bitwise_floor(self, p, monkeypatch):
         data, plan = self._uneven(p)
         train, test = np.flatnonzero(plan != 1), np.flatnonzero(plan == 1)
-        reg = fit_conditional_mean(data, "local-linear", train)
+        reg = fit_conditional_mean(data.x[train], data.y[train, None], "local-linear")
         blocks = []
         floored = reg._floored_weights
 
@@ -580,7 +578,7 @@ class TestBlocking:
             return w
 
         monkeypatch.setattr(reg, "_floored_weights", record)
-        preds = reg.predict(data.x[test])
+        preds = reg.predict(data.x[test])[:, 0]
         assert len(blocks) >= 2
         assert np.array_equal(np.vstack([xq for xq, _ in blocks]), data.x[test])
         for xq, w in blocks:
@@ -677,28 +675,28 @@ def test_kernel_memory_flat_in_training_size():
     for n_train in (2000, 16000):
         rng = np.random.default_rng(n_train)
         x, xq = rng.normal(size=(n_train, p)), rng.normal(size=(queries, p))
-        y = x.sum(axis=1)
+        y = x.sum(axis=1, keepdims=True)
         bands = np.full(p, 0.3)
         local_linear = LocalLinearRegressor(x, y, bands)
         knn = KnnRegressor(x, y, default_neighbor_count(n_train))
         for path in (lambda: local_linear.predict(xq), lambda: knn.predict(xq),
-                     lambda: cond_kde_profile(x, y, bands, 0.3, xq, 0.0)):
+                     lambda: cond_kde_profile(x, y[:, 0], bands, 0.3, xq, 0.0)):
             assert _traced_peak(path) < bound
 
 
 class TestCrossfit:
     def test_constant_response(self):
         rng = np.random.default_rng(1)
-        data = Dataset(np.full(30, 4.2), rng.normal(size=(30, 2)))
+        x, z = rng.normal(size=(30, 2)), np.full((30, 1), 4.2)
         for kind in ("ols-linear", "k-nn", "local-linear"):
-            preds = crossfit_predict(data, kind, seed=0)
-            assert preds == pytest.approx(np.full(30, 4.2), abs=1e-10)
+            preds = crossfit_predict(x, z, kind, seed=0)
+            assert preds == pytest.approx(z, abs=1e-10)
 
     def test_cdf_below_minimum_gives_zero(self):
         rng = np.random.default_rng(2)
-        data = Dataset(rng.normal(size=40), rng.normal(size=(40, 1)))
-        z = _indicator(data, (float(data.y.min()) - 10.0,))
-        preds, sq = residual_core(z, "k-nn", 3, (0.0, 1.0))
+        y, x = rng.normal(size=40), rng.normal(size=(40, 1))
+        preds, sq = residual_core(x, _indicator(y, (float(y.min()) - 10.0,)), "k-nn", 3,
+                                  (0.0, 1.0))
         assert np.all(preds == 0.0) and np.all(sq == 0.0)
 
     def test_matches_reference_local_linear(self):
@@ -707,7 +705,7 @@ class TestCrossfit:
 
         data = generate_dgp(DgpConfig(b=1.0, n=400, seed=7))
         plan = make_split_plan(400, seed=7)
-        preds = crossfit_predict(data, "local-linear", seed=7)
+        preds = crossfit_predict(data.x, data.y[:, None], "local-linear", seed=7)[:, 0]
         expected = np.empty(400)
         for m in range(5):
             test = np.flatnonzero(plan == m)
@@ -719,27 +717,27 @@ class TestCrossfit:
 
     def test_prediction_independent_of_own_observation(self):
         rng = np.random.default_rng(11)
-        data = Dataset(rng.normal(size=60), rng.normal(size=(60, 2)))
+        z, x = rng.normal(size=(60, 1)), rng.normal(size=(60, 2))
         plan = make_split_plan(60, seed=5)
-        preds = crossfit_predict(data, "local-linear", seed=5)
+        preds = crossfit_predict(x, z, "local-linear", seed=5)
         i = 17
         m = int(plan[i])
         train = np.flatnonzero(plan != m)
-        reg = fit_conditional_mean(Dataset(data.y[train], data.x[train]), "local-linear")
+        reg = fit_conditional_mean(x[train], z[train], "local-linear")
         # re-predicting the whole fold reproduces the cross-fit entries exactly
         fold = np.flatnonzero(plan == m)
-        refit = reg.predict(data.x[fold])
+        refit = reg.predict(x[fold])
         assert np.array_equal(refit, preds[fold])
         # a lone query for observation i agrees up to batching round-off
-        assert reg.predict(data.x[i][None, :])[0] == pytest.approx(preds[i], abs=1e-12)
+        assert reg.predict(x[i][None, :])[0, 0] == pytest.approx(preds[i, 0], abs=1e-12)
 
     def test_cdf_predictions_clamped_and_monotone_on_average(self):
         rng = np.random.default_rng(3)
-        data = Dataset(rng.normal(size=80), rng.normal(size=(80, 2)))
-        levels = np.quantile(data.y, [0.2, 0.5, 0.8])
+        y, x = rng.normal(size=80), rng.normal(size=(80, 2))
+        levels = np.quantile(y, [0.2, 0.5, 0.8])
         means = []
         for mu in levels:
-            preds, _ = residual_core(_indicator(data, (float(mu),)), "k-nn", 1, (0.0, 1.0))
+            preds, _ = residual_core(x, _indicator(y, (float(mu),)), "k-nn", 1, (0.0, 1.0))
             assert np.all((preds >= 0.0) & (preds <= 1.0))
             means.append(preds.mean())
         assert means[0] <= means[1] + 1e-10 <= means[2] + 2e-10
@@ -753,37 +751,38 @@ class TestFoldGroups:
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n, p))
         x[0] = 40.0  # a far tail: its query inflates the bandwidths
-        return Dataset(np.sin(x[:, 0]) + x.sum(axis=1) + 0.5 * rng.normal(size=n), x)
+        return x, (np.sin(x[:, 0]) + x.sum(axis=1) + 0.5 * rng.normal(size=n))[:, None]
 
     @staticmethod
-    def _fold_by_fold(data, seed):
-        folds = make_split_plan(data.n, seed)
-        expected = np.empty(data.n)
+    def _fold_by_fold(x, z, seed):
+        folds = make_split_plan(len(x), seed)
+        expected = np.empty(z.shape)
         for m in range(N_FOLDS):
-            test = np.flatnonzero(folds == m)
-            regressor = fit_conditional_mean(data, "local-linear", np.flatnonzero(folds != m))
-            expected[test] = regressor.predict(data.x[test])
+            test, train = np.flatnonzero(folds == m), np.flatnonzero(folds != m)
+            expected[test] = fit_conditional_mean(x[train], z[train], "local-linear").predict(
+                x[test])
         return expected
 
     @pytest.mark.parametrize("p", [1, 2, 10])
     @pytest.mark.parametrize("n", [60, 61, 62, 63, 64, 1003])
     def test_fold_groups_bitwise_single_fits(self, n, p):
-        data = self._sample(n, p, seed=n + p)
-        assert np.array_equal(crossfit_predict(data, "local-linear", seed=p),
-                              self._fold_by_fold(data, seed=p))
+        x, z = self._sample(n, p, seed=n + p)
+        assert np.array_equal(crossfit_predict(x, z, "local-linear", seed=p),
+                              self._fold_by_fold(x, z, seed=p))
 
     def test_fold_groups_bitwise_single_fits_when_every_query_falls_back(self):
         # S copied as a third column: every local Gram matrix is singular
         rng = np.random.default_rng(44)
         x = rng.normal(size=(62, 2))
-        data = Dataset(x.sum(axis=1) + 0.3 * rng.normal(size=62), np.column_stack([x, x[:, 0]]))
+        z = (x.sum(axis=1) + 0.3 * rng.normal(size=62))[:, None]
+        x = np.column_stack([x, x[:, 0]])
         folds = make_split_plan(62, seed=1)
         train = np.flatnonzero(folds != 0)
-        _, solved = fit_conditional_mean(data, "local-linear", train)._predict_block(
-            data.x[np.flatnonzero(folds == 0)])
+        _, solved = fit_conditional_mean(x[train], z[train], "local-linear")._predict_block(
+            x[np.flatnonzero(folds == 0)])
         assert not solved.any()
-        assert np.array_equal(crossfit_predict(data, "local-linear", seed=1),
-                              self._fold_by_fold(data, seed=1))
+        assert np.array_equal(crossfit_predict(x, z, "local-linear", seed=1),
+                              self._fold_by_fold(x, z, seed=1))
 
     def test_groups_fill_the_block_budget(self):
         # 100 queries x 400 training rows is 320 KB: three folds per 1 MB slab
@@ -797,13 +796,14 @@ class TestFoldGroups:
             assert [g.tolist() for g in _fold_groups(sizes, kind)] == [[m] for m in range(5)]
 
     def test_only_local_linear_stacks(self):
-        data = Dataset(np.arange(10.0), np.arange(20.0).reshape(10, 2))
+        x, z = np.arange(20.0).reshape(10, 2), np.arange(10.0)[:, None]
+        rows = np.arange(8).reshape(2, 4)  # two folds of four training rows
         with pytest.raises(OutOfRange):
-            fit_conditional_mean(data, "k-nn", np.arange(8).reshape(2, 4))
+            fit_conditional_mean(x[rows], z[rows], "k-nn")
 
 
 class TestMultiResponse:
-    """An (n, r) response cross-fitted in one pass against one cross-fit per column."""
+    """(n, r) responses cross-fitted in one pass against one cross-fit per column."""
 
     @staticmethod
     def _sample(n, p, seed, duplicated=False):
@@ -825,15 +825,13 @@ class TestMultiResponse:
         x, z = self._sample(n, p, seed=n + p, duplicated=duplicated)
         if duplicated and kind == "ols-linear":
             # the gate reads only the Gram matrix: one response or three, refused alike
-            for response in (z[:, 0], z):
+            for r in (1, 3):
                 with pytest.raises(SingularDesign):
-                    crossfit_predict(Dataset(response, x), kind, seed=p)
+                    crossfit_predict(x, z[:, :r], kind, seed=p)
             return
-        single = [crossfit_predict(Dataset(z[:, j], x), kind, seed=p) for j in range(3)]
-        one = crossfit_predict(Dataset(z[:, :1], x), kind, seed=p)
-        assert one.shape == (n, 1) and np.array_equal(one[:, 0], single[0])
+        single = [crossfit_predict(x, z[:, j : j + 1], kind, seed=p)[:, 0] for j in range(3)]
         for r in (2, 3):
-            multi = crossfit_predict(Dataset(z[:, :r], x), kind, seed=p)
+            multi = crossfit_predict(x, z[:, :r], kind, seed=p)
             assert multi.shape == (n, r)
             for j in range(r):
                 scale = np.abs(single[j]).max()
@@ -845,7 +843,7 @@ class TestMultiResponse:
         x, z = self._sample(62, 2, seed=64, duplicated=True)
         folds = make_split_plan(62, seed=2)
         train, test = np.flatnonzero(folds != 0), np.flatnonzero(folds == 0)
-        regressor = fit_conditional_mean(Dataset(z, x), "local-linear", train)
+        regressor = fit_conditional_mean(x[train], z[train], "local-linear")
         preds, solved = regressor._predict_block(x[test])
         assert not solved.any() and preds.shape == (test.size, 3)
 
@@ -995,6 +993,8 @@ GUARD_CASES = {
     "dataset-no-rows": (lambda: Dataset(np.zeros(0), np.zeros((0, 1))), OutOfRange),
     "dataset-nonfinite": (lambda: Dataset([0.0, math.nan], [[0.0], [1.0]]), OutOfRange),
     "dataset-column-names": (lambda: Dataset([0.0], [[0.0, 1.0]], ("a",)), OutOfRange),
+    # a vector would broadcast against the equilibration into a square block
+    "ols-vector-response": (lambda: ols_fit(np.arange(4.0)[:, None], np.zeros(4)), OutOfRange),
     "local-linear-bandwidth": (
         lambda: LocalLinearRegressor(np.zeros((3, 1)), np.zeros(3), np.array([math.inf])),
         OutOfRange,
@@ -1043,9 +1043,21 @@ GUARD_CASES = {
             [np.arange(9.0).tolist() + [1e200], np.arange(10.0)])), common_x=True),
         OutOfRange,
     ),
-    # the nuisance stack fits several responses at once; an assessment, one
-    "door-matrix-response": (
-        lambda: unit_scaled(Dataset(np.zeros((10, 2)), np.arange(10.0))),
+    # a Dataset holds one response vector; the nuisance stack takes columns
+    "door-matrix-response": (lambda: Dataset(np.zeros((10, 2)), np.arange(10.0)), OutOfRange),
+    # the entry to the nuisance stack checks the arrays a Dataset would
+    "crossfit-vector-response": (
+        lambda: crossfit_predict(np.zeros((10, 1)), np.zeros(10), "k-nn", 0), OutOfRange),
+    "crossfit-row-mismatch": (
+        lambda: crossfit_predict(np.zeros((10, 1)), np.zeros((9, 1)), "k-nn", 0), OutOfRange),
+    "crossfit-nan-covariate": (
+        lambda: crossfit_predict(np.array([[math.nan]] + [[0.0]] * 9), np.zeros((10, 1)),
+                                 "k-nn", 0),
+        OutOfRange,
+    ),
+    "crossfit-inf-response": (
+        lambda: crossfit_predict(np.zeros((10, 1)), np.array([[math.inf]] + [[0.0]] * 9),
+                                 "k-nn", 0),
         OutOfRange,
     ),
 }

@@ -127,7 +127,7 @@ class TestSplitEstimate:
         # the point stage's pass, bit for bit
         calls = []
         monkeypatch.setattr(quantile_utility, "residual_core",
-                            lambda z, *args: calls.append(z.y.shape) or residual_core(z, *args))
+                            lambda x, z, *args: calls.append(z.shape) or residual_core(x, z, *args))
         data = generate_dgp(DgpConfig(b=0.5, n=101, seed=6))
         est = assess_quantile(data, **_cfg(tau=0.25, seed=6, regressor=regressor))
         assert calls == [(101, 2)]
@@ -136,7 +136,7 @@ class TestSplitEstimate:
         mu_tilde = empirical_quantile(scaled.y[rest], 0.25)
         mu_hat = empirical_quantile(scaled.y, 0.25)
         z = (scaled.y[:, None] < np.array([mu_hat, mu_tilde])).astype(float)
-        g = np.clip(crossfit_predict(Dataset(z, scaled.x), regressor, 6), 0.0, 1.0)
+        g = np.clip(crossfit_predict(scaled.x, z, regressor, 6), 0.0, 1.0)
         sq = (z - g) ** 2
         assert est.a_hat == ratio_estimate(sq[:, 0], 0.25 * 0.75)
         assert est.a_tilde == ratio_estimate(sq[half, 1], 0.25 * 0.75)

@@ -16,6 +16,10 @@ it needs to silence an overflow; ``np.errstate`` is allowed only in
 ``nuisance.cholesky_gate``, whose tiny pivots come from ill-conditioned
 matrices, not from scale.
 
+``Dataset`` is an assessment's input: in ``nuisance.py`` only the door,
+``unit_scaled``, takes a parameter annotated ``Dataset``, and the nuisance
+stack behind it fits plain arrays.
+
 A frozen dataclass is built only through its constructor, so its checks
 and copies cannot be skipped: ``object.__new__`` appears nowhere, and
 ``object.__setattr__`` only inside a ``__post_init__``.
@@ -28,6 +32,7 @@ package.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -152,6 +157,34 @@ def test_checker_finds_errstate():
               "def cholesky_gate():\n    with np.errstate(over='ignore'):\n        pass\n"
               "def other():\n    with errstate():\n        pass\n")
     assert errstate_uses(source) == [(3, None), (5, "cholesky_gate"), (8, "other")]
+
+
+def dataset_parameters(source: str) -> list[tuple[int, str, str]]:
+    """(line, function, parameter) of each parameter of a function or method
+    of the module whose annotation names ``Dataset``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]:
+                if arg is not None and arg.annotation is not None and re.search(
+                        r"\bDataset\b", ast.unparse(arg.annotation)):
+                    found.append((arg.lineno, node.name, arg.arg))
+    return found
+
+
+def test_only_the_door_takes_a_dataset_in_nuisance():
+    found = dataset_parameters((PACKAGE / "nuisance.py").read_text(encoding="utf-8"))
+    assert [f for f in found if f[1] != "unit_scaled"] == []
+
+
+def test_checker_finds_a_dataset_parameter():
+    source = ("def unit_scaled(data: Dataset) -> Dataset:\n    pass\n"
+              "def fit(x: np.ndarray, *, train: 'Dataset | None' = None):\n    pass\n"
+              "class R:\n    def predict(self, data: nuisance.Dataset, x):\n        pass\n"
+              "def other(rows: DatasetLike, n: int) -> Dataset:\n    pass\n")
+    assert dataset_parameters(source) == [(1, "unit_scaled", "data"), (3, "fit", "train"),
+                                          (6, "predict", "data")]
 
 
 def object_hooks(source: str) -> list[tuple[int, str, str | None]]:

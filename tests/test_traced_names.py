@@ -35,9 +35,9 @@ def test_utility_spans_fire_once_per_assessment(monkeypatch):
     folds_fitted = []
     fit = nuisance.fit_conditional_mean
 
-    def counted(train, kind, rows=None):
-        folds_fitted.append(1 if rows is None or rows.ndim == 1 else len(rows))
-        return fit(train, kind, rows)
+    def counted(x, z, kind):
+        folds_fitted.append(1 if x.ndim == 2 else len(x))
+        return fit(x, z, kind)
 
     monkeypatch.setattr(nuisance, "fit_conditional_mean", counted)
     recorder = spans.Recorder()
