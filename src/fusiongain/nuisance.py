@@ -299,6 +299,18 @@ class _Workspace(threading.local):
     one dtype.  Every caller writes what it takes before reading it, and no
     public function returns workspace memory, so no result depends on an
     earlier call.
+
+    Every kernel pass, k-NN, local-linear and the conditional KDE alike,
+    draws its (queries x training) slabs from the same three roles, so a
+    thread keeps three such slabs whichever kinds it runs:
+
+    - ``"form"``, the block's bilinear form: the kernel log-weights, or
+      k-NN's half squared distances; local-linear then writes the block's
+      moments over its spent log-weights;
+    - ``"transform"``, its transform: the floored weights, or k-NN's
+      partition copy;
+    - ``"revisit"``, the rows a pass revisits: the pending floor rows, or
+      k-NN's candidate differences.
     """
 
     def __init__(self):
@@ -375,8 +387,8 @@ class KnnRegressor:
         nq, n_train = xq.shape[0], self.x_train.shape[0]
         qc = xq - self._x_mean
         half_q_sq = 0.5 * (qc * qc).sum(axis=1)
-        approx = _WORKSPACE.take("knn_approx", (nq, n_train))
-        work = _WORKSPACE.take("knn_work", (nq, n_train))
+        approx = _WORKSPACE.take("form", (nq, n_train))
+        work = _WORKSPACE.take("transform", (nq, n_train))
         np.matmul(qc, self._x_centered.T, out=work)
         np.copyto(approx, self._half_sq_norms)
         approx += half_q_sq[:, None]
@@ -395,7 +407,7 @@ class KnnRegressor:
         else:
             width = int(counts.max())
             candidates = np.sort(np.argpartition(approx, width - 1, axis=1)[:, :width], axis=1)
-        diff = _WORKSPACE.take("knn_diff", candidates.shape + (xq.shape[1],))
+        diff = _WORKSPACE.take("revisit", candidates.shape + (xq.shape[1],))
         np.take(self.x_train, candidates, axis=0, out=diff, mode="clip")
         np.subtract(xq[:, None, :], diff, out=diff)
         diff *= diff
@@ -569,8 +581,8 @@ class LocalLinearRegressor:
         """
         n_train = self.x_train.shape[-2]
         shape = xq.shape[:-1] + (n_train,)
-        log_w = _WORKSPACE.take("log_w", shape)
-        w = _WORKSPACE.take("w", shape)
+        log_w = _WORKSPACE.take("form", shape)
+        w = _WORKSPACE.take("transform", shape)
         self._kernel.log_weights(xq, out=log_w)
         rows = log_w.reshape(-1, n_train)
         scales = np.ldexp(1.0, -2 * np.arange(self.MAX_INFLATIONS + 1))
@@ -593,7 +605,7 @@ class LocalLinearRegressor:
         for step in range(1, self.MAX_INFLATIONS + 1):
             if pending.size == 0:
                 break
-            w_new = _WORKSPACE.take("pending", (pending.size, n_train))
+            w_new = _WORKSPACE.take("revisit", (pending.size, n_train))
             np.take(rows, pending, axis=0, out=w_new, mode="clip")
             w_new *= scales[step]
             np.exp(w_new, out=w_new)
@@ -610,8 +622,10 @@ class LocalLinearRegressor:
         p = xq.shape[-1]
         batch = xq.shape[:-1]
         rows, cols = self._upper
-        moments = _WORKSPACE.take("moments", batch + (self._moment_design.shape[-1],))
-        np.matmul(self._floored_weights(xq), self._moment_design, out=moments)
+        w = self._floored_weights(xq)
+        # the log-weights are spent once the weights are floored
+        moments = _WORKSPACE.take("form", batch + (self._moment_design.shape[-1],))
+        np.matmul(w, self._moment_design, out=moments)
         s0 = moments[..., 0]
         m1 = moments[..., 1 : 1 + p]
         m2 = moments[..., 1 + p : 1 + p + rows.size]
@@ -658,17 +672,22 @@ def fit_conditional_mean(
     fold: one stacked fit, whose ``predict`` takes one query matrix per fold.
 
     Smoothing follows fixed rules: k-NN uses k = ceil(n^(4/5)/4), local-linear
-    the rule-of-thumb bandwidth per covariate dimension.
+    the rule-of-thumb bandwidth per covariate dimension.  Covariates that
+    are not a matrix (or, for local-linear, a stack of them) and responses
+    that are not (n, r) columns on their rows raise :class:`OutOfRange`.
     """
-    if kind == "local-linear":
+    if kind not in REGRESSOR_KINDS:
+        raise OutOfRange(f"unknown regressor kind {kind!r}")
+    stacks = kind == "local-linear"
+    if (x.ndim not in ((2, 3) if stacks else (2,))
+            or z.ndim != x.ndim or z.shape[:-1] != x.shape[:-1]):
+        raise OutOfRange(f"{kind} needs (n, p) covariates{' or a stack of them' if stacks else ''}"
+                         f" and (n, r) responses on their rows, got shapes {x.shape} and {z.shape}")
+    if stacks:
         return LocalLinearRegressor(x, z, silverman_bandwidth(x))
-    if x.ndim != 2:
-        raise OutOfRange(f"only local-linear fits a stack of folds, not {kind!r}")
     if kind == "ols-linear":
         return OlsLinearRegressor(ols_fit(x, z))
-    if kind == "k-nn":
-        return KnnRegressor(x, z, default_neighbor_count(x.shape[0]))
-    raise OutOfRange(f"unknown regressor kind {kind!r}")
+    return KnnRegressor(x, z, default_neighbor_count(x.shape[0]))
 
 
 def _fold_groups(fold_sizes: np.ndarray, kind: str) -> list[np.ndarray]:
@@ -719,12 +738,16 @@ def crossfit_predict(x: np.ndarray, z: np.ndarray, kind: str, seed: int) -> np.n
 
 
 def empirical_quantile(y, tau: float) -> float:
-    """Order statistic Y_(ceil(n*tau)) of the sample."""
+    """Order statistic Y_(ceil(n*tau)) of a finite 1-d sample."""
     if not 0.0 < tau < 1.0:
         raise OutOfRange(f"tau must be in (0, 1), got {tau}")
     y = np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        raise OutOfRange(f"empirical quantile needs a 1-d sample, got shape {y.shape}")
     if y.size == 0:
         raise TooFewObservations("empirical quantile of an empty sample")
+    if not np.isfinite(y).all():
+        raise OutOfRange("empirical quantile needs finite values")
     k = math.ceil(y.size * tau)
     return float(np.partition(y, k - 1)[k - 1])
 
@@ -776,12 +799,19 @@ def cond_kde_profile(
     x_queries: np.ndarray,
     y_point: float,
 ) -> np.ndarray:
-    """Vectorized conditional density at one y value across many x queries."""
+    """Vectorized conditional density at one y value across many x queries:
+    the (n, p) sample ``x_sample`` with its n responses ``y_sample``, at the
+    (m, p) ``x_queries``; other shapes raise :class:`OutOfRange`."""
     if not (y_bandwidth > 0 and math.isfinite(y_bandwidth)):
         raise OutOfRange(f"y bandwidth must be positive and finite, got {y_bandwidth}")
     x_sample = np.asarray(x_sample, dtype=float)
     y_sample = np.asarray(y_sample, dtype=float)
     x_queries = np.asarray(x_queries, dtype=float)
+    if (x_sample.ndim != 2 or y_sample.shape != x_sample.shape[:1]
+            or x_queries.ndim != 2 or x_queries.shape[1] != x_sample.shape[1]):
+        raise OutOfRange(f"conditional density needs an (n, p) sample, n responses and "
+                         f"(m, p) queries, got shapes {x_sample.shape}, {y_sample.shape} "
+                         f"and {x_queries.shape}")
     zy = (float(y_point) - y_sample) / y_bandwidth
     y_kernel = np.exp(-0.5 * zy * zy) / (y_bandwidth * _SQRT_2PI)
     kernel = _GaussianKernel(x_sample, x_bandwidths)
@@ -789,7 +819,7 @@ def cond_kde_profile(
     for block in _query_blocks(x_queries.shape[0], x_sample.shape[0]):
         xq = x_queries[block]
         shape = (xq.shape[0], x_sample.shape[0])
-        w = kernel.log_weights(xq, out=_WORKSPACE.take("log_w", shape))
+        w = kernel.log_weights(xq, out=_WORKSPACE.take("form", shape))
         np.exp(w, out=w)
         sw = w.sum(axis=1)
         if np.any(sw <= 0.0):

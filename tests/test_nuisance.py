@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -21,9 +22,11 @@ from fusiongain.errors import (
 )
 import fusiongain
 from fusiongain.nuisance import (
+    BLOCK_BYTES,
     MAX_CONDITION_NUMBER,
     MIN_SPREAD,
     N_FOLDS,
+    REGRESSOR_KINDS,
     Dataset,
     KnnRegressor,
     LocalLinearRegressor,
@@ -341,6 +344,19 @@ class TestRegressors:
     def test_unknown_kind(self):
         with pytest.raises(OutOfRange):
             fit_conditional_mean(np.ones((3, 1)), np.zeros((3, 1)), "spline")
+
+    @pytest.mark.parametrize("kind", REGRESSOR_KINDS)
+    @pytest.mark.parametrize("x_shape, z_shape", [
+        ((10, 2), (10,)),  # a vector response
+        ((10,), (10, 1)),  # vector covariates
+        ((10, 2), (9, 1)),  # responses on other rows
+        ((2, 5, 2), (2, 5)),  # a stack of folds with vector responses
+    ])
+    def test_layouts_refused_naming_both_shapes(self, kind, x_shape, z_shape):
+        x = np.arange(math.prod(x_shape), dtype=float).reshape(x_shape)
+        z = np.arange(math.prod(z_shape), dtype=float).reshape(z_shape)
+        with pytest.raises(OutOfRange, match=re.escape(f"{x_shape} and {z_shape}")):
+            fit_conditional_mean(x, z, kind)
 
 
 class TestLocalLinearEdgeCases:
@@ -684,6 +700,29 @@ def test_kernel_memory_flat_in_training_size():
             assert _traced_peak(path) < bound
 
 
+def test_kernel_kinds_share_three_slabs():
+    # k-NN, local-linear and the conditional KDE draw from the same three
+    # workspace roles, so one thread that runs all three holds three budget
+    # slabs, plus under 1 MiB for k-NN's candidate mask, the block's index
+    # arrays and the outputs (about 3.5 MiB here); a slab per kind and role
+    # would hold seven (about 7.5 MiB)
+    bound = 3 * BLOCK_BYTES + 2**20
+    p, queries, n_train = 2, 256, 2000
+    rng = np.random.default_rng(n_train)
+    x, xq = rng.normal(size=(n_train, p)), rng.normal(size=(queries, p))
+    y = x.sum(axis=1, keepdims=True)
+    bands = np.full(p, 0.3)
+    local_linear = LocalLinearRegressor(x, y, bands)
+    knn = KnnRegressor(x, y, default_neighbor_count(n_train))
+
+    def every_kind():
+        local_linear.predict(xq)
+        knn.predict(xq)
+        cond_kde_profile(x, y[:, 0], bands, 0.3, xq, 0.0)
+
+    assert _traced_peak(every_kind) < bound
+
+
 class TestCrossfit:
     def test_constant_response(self):
         rng = np.random.default_rng(1)
@@ -1000,11 +1039,20 @@ GUARD_CASES = {
         OutOfRange,
     ),
     "quantile-empty": (lambda: empirical_quantile([], 0.5), TooFewObservations),
+    "quantile-column": (lambda: empirical_quantile(np.zeros((4, 1)), 0.5), OutOfRange),
+    "quantile-matrix": (lambda: empirical_quantile(np.zeros((2, 4)), 0.5), OutOfRange),
+    # a NaN would sort past every value and pass for the largest
+    "quantile-nan": (lambda: empirical_quantile([1.0, math.nan, 0.5], 0.5), OutOfRange),
     "bandwidth-one-row": (lambda: silverman_bandwidth([[1.0, 2.0]]), TooFewObservations),
     "kde-empty-sample": (lambda: kde_eval(np.zeros(0), 1.0, 0.0), OutOfRange),
     "kde-bandwidth": (lambda: kde_eval(np.zeros(2), 0.0, 0.0), OutOfRange),
     "cond-kde-bandwidth": (
         lambda: cond_kde_profile(np.zeros((2, 1)), np.zeros(2), np.array([0.0]), 1.0,
+                                 np.zeros((1, 1)), 0.0),
+        OutOfRange,
+    ),
+    "cond-kde-vector-sample": (
+        lambda: cond_kde_profile(np.zeros(2), np.zeros(2), np.array([1.0]), 1.0,
                                  np.zeros((1, 1)), 0.0),
         OutOfRange,
     ),
