@@ -685,7 +685,7 @@ def test_kernel_memory_flat_in_training_size():
     # A query block's (queries x training) temporaries fill a fixed byte
     # budget, so growing the training sample 8x leaves the peak to the
     # O(n p) copies of the inputs (about 0.7 MB at n = 16000, p = 2) on top
-    # of at most four budget slabs.
+    # of the three budget slabs.
     bound = 6 * 2**20
     p, queries = 2, 256
     for n_train in (2000, 16000):
