@@ -5,55 +5,20 @@ best-achievable asymptotic variances for a target parameter with versus
 without contemplated external information, with point estimates, half-sample
 estimates and asymptotically valid confidence intervals for three targets:
 the mean response, a response quantile, and linear-regression coefficients.
+
+``__all__`` is the library surface; every other name stays in its module.
 """
 
-from .core import (
-    Interval,
-    RelativeUtility,
-    UtilityEstimate,
-    check_settings,
-    finalize,
-    normal_quantile,
-    ratio_estimate,
-    relative_utility,
-    truncate_interval,
-    truncate_point,
-    wald_interval,
-)
+from .core import Interval, RelativeUtility, UtilityEstimate, relative_utility
 from .errors import FusionGainError
-from .linreg_utility import (
-    LinRegComponents,
-    assess_linreg,
-    fit_components,
-    variance_linreg,
-)
-from .mean_utility import (
-    assess_mean,
-    split_estimate_mean,
-    variance_mean,
-)
-from .nuisance import (
-    Dataset,
-    crossfit_predict,
-    empirical_quantile,
-    fit_conditional_mean,
-    kde_eval,
-    make_split_plan,
-    ols_fit,
-    silverman_bandwidth,
-)
-from .quantile_utility import (
-    assess_quantile,
-    split_estimate_quantile,
-    variance_quantile,
-)
+from .linreg_utility import assess_linreg
+from .mean_utility import assess_mean
+from .nuisance import Dataset
+from .quantile_utility import assess_quantile
 from .simulation import (
     METHODS,
-    CellResult,
     DgpConfig,
-    Method,
     MonteCarloCell,
-    SimulationReport,
     generate_dgp,
     run_monte_carlo,
     true_theta_linreg,
@@ -63,4 +28,10 @@ from .simulation import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "assess_mean", "assess_quantile", "assess_linreg",
+    "Dataset", "UtilityEstimate", "Interval", "relative_utility", "RelativeUtility",
+    "METHODS", "DgpConfig", "generate_dgp", "MonteCarloCell", "run_monte_carlo",
+    "true_theta_mean", "true_theta_quantile", "true_theta_linreg",
+    "FusionGainError",
+]

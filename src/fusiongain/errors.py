@@ -28,10 +28,6 @@ class TooFewObservations(FusionGainError):
     """The sample is too small for the requested operation."""
 
 
-class PlanMismatch(FusionGainError):
-    """A prediction vector does not match the dataset."""
-
-
 class SingularDesign(FusionGainError):
     """A least-squares Gram matrix failed the invertibility check."""
 
@@ -42,10 +38,6 @@ class ZeroDispersion(FusionGainError):
 
 class EmptyNeighborhood(FusionGainError):
     """All kernel weights underflowed to zero at the evaluation point."""
-
-
-class VanishingDensity(FusionGainError):
-    """A kernel density plug-in evaluated to (numerically) zero."""
 
 
 class DegenerateResidualVariance(FusionGainError):

@@ -110,12 +110,14 @@ def influence_composite(data: Dataset, comp: LinRegComponents) -> np.ndarray:
 
 
 def _alpha_kappa(comp: LinRegComponents) -> float:
-    """The product alpha kappa that scales both the core and its variance."""
-    if comp.alpha_hat <= 0.0:
-        raise DegenerateResidualVariance(
-            "exact-fit data: S-weighted residual moment is zero"
-        )
-    return comp.alpha_hat * comp.kappa_hat
+    """The product alpha kappa that scales both the core and its variance.
+    Exact-fit data (alpha = 0), or a product below about 1.6e-162, whose
+    square underflows to 0, raise :class:`DegenerateResidualVariance`."""
+    alpha_kappa = comp.alpha_hat * comp.kappa_hat
+    if alpha_kappa**2 == 0.0:
+        raise DegenerateResidualVariance(f"alpha kappa is {alpha_kappa:.3g}: its square "
+                                         "underflows to 0 (exact-fit data give 0)")
+    return alpha_kappa
 
 
 def variance_linreg(data: Dataset, comp: LinRegComponents) -> float:

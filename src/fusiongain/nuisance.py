@@ -18,13 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import (
-    EmptyNeighborhood,
-    OutOfRange,
-    SingularDesign,
-    TooFewObservations,
-    ZeroDispersion,
-)
+from .errors import EmptyNeighborhood, OutOfRange, SingularDesign, ZeroDispersion
 
 # Cross-fitting folds: a fixed rule, like the bandwidth and neighbour rules.
 N_FOLDS = 5
@@ -98,17 +92,13 @@ class Dataset:
 
 
 def make_split_plan(n: int, seed: int) -> np.ndarray:
-    """The fold id (int64, 0-based) of each row of 0..n-1, for ``N_FOLDS``
-    folds of near-equal size.
+    """The fold id (int64, 0-based) of each row of 0..n-1, n >= 2 ``N_FOLDS``,
+    for ``N_FOLDS`` folds of near-equal size.
 
     A seeded Fisher-Yates order is cut into contiguous blocks by
     ``np.array_split``, which makes the first ``n mod N_FOLDS`` folds one
     row larger.  Identical (n, seed) always reproduces the identical folds.
     """
-    if n < 2 * N_FOLDS:
-        raise TooFewObservations(
-            f"need n >= {2 * N_FOLDS} for {N_FOLDS} usable folds, got n={n}"
-        )
     order = rng.fisher_yates(rng.substream(seed, rng.DOMAIN_SPLIT), n)
     folds = np.empty(n, dtype=np.int64)
     for fold_id, rows in enumerate(np.array_split(order, N_FOLDS)):
@@ -119,8 +109,6 @@ def make_split_plan(n: int, seed: int) -> np.ndarray:
 def split_halves(n: int) -> tuple[slice, slice]:
     """The half-sample split of rows 0..n-1: the first ceil(n/2) rows and the rest."""
     n_half = math.ceil(n / 2)
-    if n - n_half < 1:
-        raise TooFewObservations("split estimate needs a nonempty second half")
     return slice(0, n_half), slice(n_half, n)
 
 
@@ -192,12 +180,10 @@ def ols_fit(x, y) -> np.ndarray:
     """Least-squares coefficients via the normal equations, from
     ``equilibrated_solve``: the intercept first, then one slope per column
     of ``x``, in one column of coefficients per column of the (n, r)
-    response ``y``; a ``y`` that is not a matrix raises :class:`OutOfRange`.
+    response ``y``.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if y.ndim != 2:
-        raise OutOfRange(f"ols_fit takes (n, r) response columns, got shape {y.shape}")
     design = np.column_stack([np.ones(x.shape[0]), x])
     solved = equilibrated_solve(design.T @ design, design.T @ y)
     if solved is None:
@@ -444,8 +430,6 @@ class _GaussianKernel:
 
     def __init__(self, x_sample: np.ndarray, bandwidths):
         bandwidths = np.asarray(bandwidths, dtype=float)
-        if np.any(bandwidths <= 0) or not np.all(np.isfinite(bandwidths)):
-            raise OutOfRange("bandwidths must be positive and finite")
         self.bandwidths = bandwidths
         self.centre = x_sample.mean(axis=-2)
         self.scaled = (x_sample - self.centre[..., None, :]) / bandwidths[..., None, :]
@@ -672,18 +656,11 @@ def fit_conditional_mean(
     fold: one stacked fit, whose ``predict`` takes one query matrix per fold.
 
     Smoothing follows fixed rules: k-NN uses k = ceil(n^(4/5)/4), local-linear
-    the rule-of-thumb bandwidth per covariate dimension.  Covariates that
-    are not a matrix (or, for local-linear, a stack of them) and responses
-    that are not (n, r) columns on their rows raise :class:`OutOfRange`.
+    the rule-of-thumb bandwidth per covariate dimension.
     """
     if kind not in REGRESSOR_KINDS:
         raise OutOfRange(f"unknown regressor kind {kind!r}")
-    stacks = kind == "local-linear"
-    if (x.ndim not in ((2, 3) if stacks else (2,))
-            or z.ndim != x.ndim or z.shape[:-1] != x.shape[:-1]):
-        raise OutOfRange(f"{kind} needs (n, p) covariates{' or a stack of them' if stacks else ''}"
-                         f" and (n, r) responses on their rows, got shapes {x.shape} and {z.shape}")
-    if stacks:
+    if kind == "local-linear":
         return LocalLinearRegressor(x, z, silverman_bandwidth(x))
     if kind == "ols-linear":
         return OlsLinearRegressor(ols_fit(x, z))
@@ -709,9 +686,7 @@ def crossfit_predict(x: np.ndarray, z: np.ndarray, kind: str, seed: int) -> np.n
     """Cross-fitted predictions of the (n, r) response columns ``z`` from
     the (n, p) covariates ``x`` at every observation: one column per
     response from one pass, each matching its own one-column cross-fit (bit
-    for bit for k-NN, to rounding for local-linear and OLS).  ``x`` and
-    ``z`` must be finite matrices with the same rows, else
-    :class:`OutOfRange`.
+    for bit for k-NN, to rounding for local-linear and OLS).
 
     The folds are ``make_split_plan(n, seed)``.  Entry i comes from the
     regressor trained on the complement of i's fold, so it never depends on
@@ -719,11 +694,6 @@ def crossfit_predict(x: np.ndarray, z: np.ndarray, kind: str, seed: int) -> np.n
     ``_fold_groups``: one stacked local-linear fit per group, whose
     predictions equal fold-by-fold fits bit for bit.
     """
-    if x.ndim != 2 or z.ndim != 2 or z.shape[0] != x.shape[0]:
-        raise OutOfRange(f"need (n, p) covariates and (n, r) responses, got shapes "
-                         f"{x.shape} and {z.shape}")
-    if not (np.isfinite(x).all() and np.isfinite(z).all()):
-        raise OutOfRange("covariates and responses must be finite")
     folds = make_split_plan(x.shape[0], seed)
     predictions = np.empty(z.shape)
     for group in _fold_groups(np.bincount(folds, minlength=N_FOLDS), kind):
@@ -738,16 +708,10 @@ def crossfit_predict(x: np.ndarray, z: np.ndarray, kind: str, seed: int) -> np.n
 
 
 def empirical_quantile(y, tau: float) -> float:
-    """Order statistic Y_(ceil(n*tau)) of a finite 1-d sample."""
+    """Order statistic Y_(ceil(n*tau)) of a finite, nonempty 1-d sample."""
     if not 0.0 < tau < 1.0:
         raise OutOfRange(f"tau must be in (0, 1), got {tau}")
     y = np.asarray(y, dtype=float)
-    if y.ndim != 1:
-        raise OutOfRange(f"empirical quantile needs a 1-d sample, got shape {y.shape}")
-    if y.size == 0:
-        raise TooFewObservations("empirical quantile of an empty sample")
-    if not np.isfinite(y).all():
-        raise OutOfRange("empirical quantile needs finite values")
     k = math.ceil(y.size * tau)
     return float(np.partition(y, k - 1)[k - 1])
 
@@ -758,14 +722,12 @@ def silverman_bandwidth(sample) -> float | np.ndarray:
     A vector gives one float; a matrix gives one bandwidth per column, from
     one pass over its rows (each column reduced as a vector would be), and a
     stack of matrices with a leading fold axis one row of bandwidths per
-    matrix, each equal bit for bit to that matrix's own.  The sample
-    standard deviation uses divisor n-1.  A zero IQR with positive
-    dispersion falls back to the standard deviation alone (the literal min
-    would return a zero bandwidth).
+    matrix, each equal bit for bit to that matrix's own.  The sample holds
+    at least 2 rows, and its standard deviation uses divisor n-1.  A zero
+    IQR with positive dispersion falls back to the standard deviation alone
+    (the literal min would return a zero bandwidth).
     """
     sample = np.asarray(sample, dtype=float)
-    if sample.ndim == 0 or sample.shape[max(sample.ndim - 2, 0)] < 2:
-        raise TooFewObservations("bandwidth rule needs at least 2 observations")
     columns = np.ascontiguousarray(
         sample[None] if sample.ndim == 1 else np.swapaxes(sample, -1, -2))
     sd = np.std(columns, axis=-1, ddof=1)
@@ -782,10 +744,6 @@ def kde_eval(sample, bandwidth: float, point: float) -> float:
     """Gaussian kernel density estimate (nh)^-1 sum K((point - s_i)/h) of a
     nonempty 1-d sample at bandwidth h > 0."""
     sample = np.asarray(sample, dtype=float)
-    if sample.ndim != 1 or sample.size < 1:
-        raise OutOfRange("kernel density needs a nonempty 1-d sample")
-    if not (bandwidth > 0 and math.isfinite(bandwidth)):
-        raise OutOfRange(f"bandwidth must be positive, got {bandwidth}")
     bandwidth = float(bandwidth)
     z = (float(point) - sample) / bandwidth
     return float(np.mean(np.exp(-0.5 * z * z)) / (bandwidth * _SQRT_2PI))
@@ -801,17 +759,10 @@ def cond_kde_profile(
 ) -> np.ndarray:
     """Vectorized conditional density at one y value across many x queries:
     the (n, p) sample ``x_sample`` with its n responses ``y_sample``, at the
-    (m, p) ``x_queries``; other shapes raise :class:`OutOfRange`."""
-    if not (y_bandwidth > 0 and math.isfinite(y_bandwidth)):
-        raise OutOfRange(f"y bandwidth must be positive and finite, got {y_bandwidth}")
+    (m, p) ``x_queries``.  The bandwidths must be positive and finite."""
     x_sample = np.asarray(x_sample, dtype=float)
     y_sample = np.asarray(y_sample, dtype=float)
     x_queries = np.asarray(x_queries, dtype=float)
-    if (x_sample.ndim != 2 or y_sample.shape != x_sample.shape[:1]
-            or x_queries.ndim != 2 or x_queries.shape[1] != x_sample.shape[1]):
-        raise OutOfRange(f"conditional density needs an (n, p) sample, n responses and "
-                         f"(m, p) queries, got shapes {x_sample.shape}, {y_sample.shape} "
-                         f"and {x_queries.shape}")
     zy = (float(y_point) - y_sample) / y_bandwidth
     y_kernel = np.exp(-0.5 * zy * zy) / (y_bandwidth * _SQRT_2PI)
     kernel = _GaussianKernel(x_sample, x_bandwidths)
@@ -822,9 +773,10 @@ def cond_kde_profile(
         w = kernel.log_weights(xq, out=_WORKSPACE.take("form", shape))
         np.exp(w, out=w)
         sw = w.sum(axis=1)
+        # the expanded bilinear form rounds the log-weights of rows far from the
+        # centre in bandwidth units (a tight cluster beside a distant row), their
+        # own included, far below 0, so a query at a sample point can lose them all
         if np.any(sw <= 0.0):
-            raise EmptyNeighborhood(
-                "all covariate kernel weights underflowed to zero at a query point"
-            )
+            raise EmptyNeighborhood("all covariate kernel weights underflowed to zero at a query")
         out[block] = (w @ y_kernel) / sw
     return out

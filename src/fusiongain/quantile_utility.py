@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import UtilityEstimate, finalize, ratio_estimate
-from .errors import PlanMismatch, TooFewObservations, VanishingDensity, stage
+from .errors import TooFewObservations, stage
 from .nuisance import (
     Dataset,
     cond_kde_profile,
@@ -34,10 +34,6 @@ from .nuisance import (
     split_halves,
 )
 from .mean_utility import residual_core, split_data_stage
-
-# Floor on f_Y(mu) times the bandwidth of y: unit-free, so rescaling y moves
-# neither the estimate nor the floor decision.
-DENSITY_FLOOR = 1e-12
 
 
 def _indicator(y: np.ndarray, thresholds) -> np.ndarray:
@@ -87,22 +83,14 @@ def variance_quantile(
 
     All density plug-ins are evaluated at the full-sample empirical quantile;
     bandwidths follow the rule of thumb (per covariate dimension for the
-    conditional estimate).  f_Y(mu_hat) times h_y must exceed
-    ``DENSITY_FLOOR``, else :class:`VanishingDensity`.  At the empirical
-    quantile, a sample point, the point's own kernel term alone gives
-    f_Y(mu_hat) h_y >= 1 / (n sqrt(2 pi)), above the floor for every n below
-    about 4e11; so the floor guards only direct calls with ``mu_hat`` off
-    the sample.  An ``fhat`` of the wrong length raises :class:`PlanMismatch`.
+    conditional estimate).  ``mu_hat`` is a sample point, so its own kernel
+    term alone gives f_Y(mu_hat) h_y >= 1 / (n sqrt(2 pi)), and the division
+    by f_Y(mu_hat) is safe; ``fhat`` holds one prediction per row.
     """
     fhat = np.asarray(fhat, dtype=float)
-    if fhat.shape != data.y.shape:
-        raise PlanMismatch(f"predictions must have length {data.n}, got shape {fhat.shape}")
     var_sq = float(np.var(((data.y < mu_hat) - fhat) ** 2, ddof=1))
     h_y = silverman_bandwidth(data.y)
     f_y = kde_eval(data.y, h_y, mu_hat)
-    if f_y * h_y <= DENSITY_FLOOR:
-        raise VanishingDensity(f"marginal density estimate at the quantile is {f_y:.3e}, "
-                               f"{f_y * h_y:.3e} per bandwidth")
     h_x = silverman_bandwidth(data.x)
     f_cond = cond_kde_profile(data.x, data.y, h_x, h_y, data.x, mu_hat)
     slope = 2.0 * float(np.mean(fhat * f_cond)) / f_y - 1.0

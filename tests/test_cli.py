@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fusiongain
@@ -937,6 +938,98 @@ def test_linear_methods_accept_column_units():
         assert getattr(moved, key) == pytest.approx(getattr(base, key), rel=1e-8), key
     # the trace aggregate depends on units by definition, so only that it is computed
     assert np.isfinite(assess_linreg(scaled, nu=0.5).theta_hat)
+
+
+def _table_text(rows):
+    """A CSV whose first column is the response, with one row per entry of ``rows``."""
+    header = ["y"] + [f"x{j}" for j in range(1, len(rows[0]))]
+    return "\n".join([",".join(header)] + [",".join(map(repr, row)) for row in rows]) + "\n"
+
+
+# On this table linreg's alpha kappa is 4.9e-239: its square, the variance's
+# denominator, underflowed to 0, and the division escaped as a bare
+# ZeroDivisionError traceback with no JSON line.
+_ALPHA_KAPPA_UNDERFLOW = [
+    [-1.989019121670802e-65, -480108.4783007891, 3.0],
+    [8.673617379884035e-19, 0.0, -29928.848458550754],
+    [8.673617379884035e-19, -1.0, -1.0],
+    [-1e300, -1.9726277694824304e-115, 3.0],
+]
+
+# 38 tiny rows beside one distant row, which the door admits: the distant
+# row pulls the kernel's centre 1e16 bandwidths away from the tiny rows, and
+# the expanded bilinear form can round their conditional-KDE log-weights,
+# their own included, to -1.2e18 (under some BLAS kernels), so every weight
+# of those queries underflows and the quantile's variance stage refuses it.
+# Each pair of digits picks the row's two covariates from _TINY.
+_TINY = (0.0, 1e-300, 2.0**-61, 2.0**-60, 3 * 2.0**-60)
+_EMPTY_NEIGHBORHOOD = [[1.0, 0.5, -1.0]] + [
+    [float((i + 2) % 7), _TINY[int(a)], _TINY[int(b)]] for i, (a, b) in enumerate(
+        "41 31 34 41 22 42 44 32 21 43 33 03 30 02 22 10 20 11 14 01 24 21 13 43 30 30 "
+        "44 20 42 24 14 44 41 00 02 31 12 10".split())]
+
+
+def test_linreg_refuses_an_alpha_kappa_whose_square_underflows(tmp_path, capsys):
+    path = _write(tmp_path, "a.csv", _table_text(_ALPHA_KAPPA_UNDERFLOW))
+    code = main(["assess", "--method", "linreg", "--input", path, "--nu", "0.5"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err.count("\n")) == (1, "", 1)
+    payload = json.loads(captured.err)
+    assert (payload["error"], payload["stage"]) == ("DegenerateResidualVariance", "point")
+
+
+_SPECIAL_CELLS = (0.0, 1.0, -1.0, 0.5, 3.0, 1e-300, 1e300, -1e300, 1e150, 5e-324, 2.0**-60)
+_CONTRACT_VARIANTS = [("mean-linear", None), ("mean-conditional", "local-linear"),
+                      ("mean-conditional", "k-nn"), ("quantile", None), ("linreg", None)]
+
+
+@st.composite
+def _numeric_tables(draw):
+    """Rows of 1 + p finite cells, p from 1 to 4, for n from 1 to 60 rows,
+    sometimes stacked twice.  A cell is a float in [-1e6, 1e6] or one of the
+    special values the table draws, none to all of them, so that some tables
+    pass the door and reach the estimators."""
+    n, p = draw(st.integers(1, 60)), draw(st.integers(1, 4))
+    specials = draw(st.lists(st.sampled_from(_SPECIAL_CELLS), unique=True))
+    cell = st.floats(-1e6, 1e6)
+    if specials:
+        cell |= st.sampled_from(specials)
+    rows = draw(st.lists(st.lists(cell, min_size=p + 1, max_size=p + 1), min_size=n,
+                         max_size=n))
+    return rows + rows if draw(st.booleans()) else rows
+
+
+@pytest.fixture(scope="session")
+def contract_csv(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract") / "table.csv"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("variant", _CONTRACT_VARIANTS,
+                         ids=[f"{m}-{r}" for m, r in _CONTRACT_VARIANTS])
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(rows=_numeric_tables())
+@example(rows=_ALPHA_KAPPA_UNDERFLOW)
+@example(rows=_EMPTY_NEIGHBORHOOD)
+def test_every_numeric_csv_gives_finite_numbers_or_one_json_error(contract_csv, variant, rows):
+    # the contract where users meet it: exit 0 with finite numbers, or exit
+    # 1 or 2 with one JSON line on stderr, and never a numpy warning
+    contract_csv.write_text(_table_text(rows), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["assess", "--input", str(contract_csv), "--nu", "0.5", "--format", "json"]
+                    + _variant_argv(*variant))
+    if code == 0:
+        assert err.getvalue() == ""
+        # json writes a non-finite float as NaN or Infinity, which only
+        # parse_constant sees
+        constants = []
+        json.loads(out.getvalue(), parse_constant=constants.append)
+        assert constants == []
+    else:
+        assert code in (1, 2) and out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and "error" in json.loads(lines[0])
 
 
 class TestSimulateCommand:
