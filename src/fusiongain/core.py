@@ -5,10 +5,10 @@ best-achievable asymptotic variances (traces of efficiency bounds): the bound
 when the external information is folded in, over the bound from the internal
 sample alone.  The ratio lives in (0, 1]; this module holds the pieces every
 assessment method shares: the clamp of estimates into [0, 1], the trace
-ratio behind a method's nu-free core, the shared settings check, the
-standard normal quantile, Wald intervals, the finalize step that maps
-the nu-free core to a result, and the relative-utility transform used for
-reporting.
+ratio behind a method's nu-free core and that core's plug-in variance, the
+shared settings check, the standard normal quantile, Wald intervals, the
+finalize step that maps the nu-free core to a result, and the
+relative-utility transform used for reporting.
 """
 
 from __future__ import annotations
@@ -82,6 +82,18 @@ def ratio_estimate(theta1_hat: float | np.ndarray, theta2_hat: float | np.ndarra
             f"internal-only bound estimate must be positive, got {theta2_hat}"
         )
     return theta1_hat / theta2_hat
+
+
+def plug_in_variance(num: np.ndarray, den: float | np.ndarray, a: float = 0.0, *,
+                     slope: float = 0.0, c: float = 2.0) -> float:
+    """Plug-in g^2 = c {Var(num) + a^2 Var(den)} / theta2^2 + c slope^2 / theta2
+    of a core a = mean(num) / theta2, theta2 = mean(den), from its per-row
+    terms, with divisor n - 1 and Var(den) = 0 for a denominator given as a
+    number; c is 2 for a half-sample core, 1 without a split.  The slope (the
+    quantile's) stays its own addend: folded in, it would move the last bit."""
+    theta2 = float(np.mean(den))
+    var_den = float(np.var(den, ddof=1)) if np.ndim(den) else 0.0
+    return c * (float(np.var(num, ddof=1)) + a**2 * var_den) / theta2**2 + c * slope**2 / theta2
 
 
 def check_settings(nu: float | None = None, alpha: float | None = None) -> None:
@@ -191,14 +203,12 @@ def normal_quantile(alpha: float) -> float:
 def wald_interval(center: float, gamma_hat: float, n: int, alpha: float) -> Interval:
     """Two-sided interval center +- gamma_hat * u_{(1+alpha)/2} / sqrt(n).
 
-    gamma_hat = 0 is allowed and yields a zero-width interval.
+    gamma_hat = 0 yields a zero-width interval; alpha is checked by the caller.
     """
     if gamma_hat < 0 or not math.isfinite(gamma_hat):
         raise OutOfRange(f"gamma_hat must be nonnegative, got {gamma_hat}")
     if n < 1:
         raise OutOfRange(f"sample size must be >= 1, got {n}")
-    if not 0.0 < alpha < 1.0:
-        raise OutOfRange(f"confidence level must be in (0, 1), got {alpha}")
     half = gamma_hat * normal_quantile((1.0 + alpha) / 2.0) / math.sqrt(n)
     return Interval(center - half, center + half)
 

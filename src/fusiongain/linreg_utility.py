@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UtilityEstimate, check_settings, finalize, ratio_estimate
+from .core import UtilityEstimate, check_settings, finalize, plug_in_variance, ratio_estimate
 from .errors import (
     DegenerateResidualVariance,
     OutOfRange,
@@ -120,15 +120,11 @@ def _alpha_kappa(comp: LinRegComponents) -> float:
     return alpha_kappa
 
 
-def variance_linreg(data: Dataset, comp: LinRegComponents) -> float:
-    """Plug-in g^2 = Var(v) / (alpha kappa)^2, divisor n - 1; a constant
-    composite gives 0."""
-    if data.n < 2:
-        raise TooFewObservations("variance needs at least two observations")
-    alpha_kappa = _alpha_kappa(comp)
-    composite = influence_composite(data, comp)
-    var_composite = float(np.var(composite, ddof=1))
-    return var_composite / alpha_kappa**2
+def variance_linreg(data: Dataset, comp: LinRegComponents, alpha_kappa: float) -> float:
+    """Plug-in g^2 = Var(v) / (alpha kappa)^2, divisor n - 1:
+    :func:`~fusiongain.core.plug_in_variance` of the composite over the point
+    stage's ``alpha_kappa``, with no split; a constant composite gives 0."""
+    return plug_in_variance(influence_composite(data, comp), alpha_kappa, c=1.0)
 
 
 def assess_linreg(
@@ -148,6 +144,7 @@ def assess_linreg(
     with stage("components"):
         comp = fit_components(data, s_index)
     with stage("point"):
-        a_hat = 1.0 - ratio_estimate(comp.sigma_hat**2, _alpha_kappa(comp))
-    return finalize(a_hat, None, lambda: variance_linreg(data, comp),
+        alpha_kappa = _alpha_kappa(comp)
+        a_hat = 1.0 - ratio_estimate(comp.sigma_hat**2, alpha_kappa)
+    return finalize(a_hat, None, lambda: variance_linreg(data, comp, alpha_kappa),
                     data.n, nu, alpha, "linreg")

@@ -14,14 +14,14 @@ mean-conditional; ``seed`` draws the cross-fitting folds.  The numerator,
 and each module's point core is the mean of the squares it returns over the
 denominator; so is the data stage, :func:`split_data_stage`.  The point core
 forms (Y - g)^2 and (Y - ybar)^2 once; the split core and the variance
-plug-in reduce those same arrays.
+plug-in reduce those same arrays, the latter with the point core a_hat.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import UtilityEstimate, check_settings, finalize, ratio_estimate
+from .core import UtilityEstimate, check_settings, finalize, plug_in_variance, ratio_estimate
 from .errors import TooFewObservations, stage
 from .nuisance import MIN_SPLIT_N, Dataset, crossfit_predict, split_halves, unit_scaled
 
@@ -70,15 +70,11 @@ def split_estimate_mean(sq_g: np.ndarray, sq_mean: np.ndarray) -> float:
     return ratio_estimate(sq_g[half], sq_mean[rest])
 
 
-def variance_mean(sq_g: np.ndarray, sq_mean: np.ndarray) -> float:
-    """Plug-in g^2 = 2{Var[(Y - ghat)^2] + a^2 Var[(Y - ybar)^2]} / theta2^2
-    from the two squared-residual arrays, with sample variances using
-    divisor n - 1; two constant arrays give 0."""
-    a_hat = ratio_estimate(sq_g, sq_mean)
-    theta2 = float(np.mean(sq_mean))
-    var_g = float(np.var(sq_g, ddof=1))
-    var_mean = float(np.var(sq_mean, ddof=1))
-    return 2.0 * (var_g + a_hat**2 * var_mean) / theta2**2
+def variance_mean(sq_g: np.ndarray, sq_mean: np.ndarray, a_hat: float) -> float:
+    """Plug-in g^2 = 2{Var[(Y - ghat)^2] + a^2 Var[(Y - ybar)^2]} / theta2^2:
+    :func:`~fusiongain.core.plug_in_variance` of the point stage's two
+    squared-residual arrays and its core ``a_hat``; two constant arrays give 0."""
+    return plug_in_variance(sq_g, sq_mean, a_hat)
 
 
 def assess_mean(data: Dataset, *, nu: float, alpha: float = 0.95, seed: int = 0,
@@ -92,5 +88,5 @@ def assess_mean(data: Dataset, *, nu: float, alpha: float = 0.95, seed: int = 0,
     with stage("split"):
         a_tilde = split_estimate_mean(sq_g, sq_mean)
     method = "mean-linear" if regressor == "ols-linear" else "mean-conditional"
-    return finalize(a_hat, a_tilde, lambda: variance_mean(sq_g, sq_mean),
+    return finalize(a_hat, a_tilde, lambda: variance_mean(sq_g, sq_mean, a_hat),
                     data.n, nu, alpha, method)

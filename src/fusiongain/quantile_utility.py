@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import UtilityEstimate, finalize, ratio_estimate
+from .core import UtilityEstimate, finalize, plug_in_variance, ratio_estimate
 from .errors import TooFewObservations, stage
 from .nuisance import (
     Dataset,
@@ -45,11 +45,11 @@ def compute_quantile_intermediates(
     data: Dataset, tau: float, regressor: str, seed: int
 ) -> tuple[float, np.ndarray, np.ndarray, float]:
     """The empirical tau-quantile mu_hat, the cross-fitted conditional CDF
-    Fhat at mu_hat (clamped to [0, 1]), the squares (1(Y < mu_tilde) - Ftilde)^2
-    of the split core, and the point core a_hat: the residual trace of
-    1(Y < mu_hat) over tau(1-tau).  mu_tilde is the second half's empirical
-    tau-quantile; both indicators are cross-fitted in one pass.  With no Y
-    below mu_hat the indicator is 0 in every row and a_hat is 0 by
+    Fhat at mu_hat (clamped to [0, 1]), the squared gaps (1(Y < mu_hat) - Fhat)^2
+    and (1(Y < mu_tilde) - Ftilde)^2 as two columns, and the point core a_hat:
+    the first column's mean over tau(1-tau).  mu_tilde is the second half's
+    empirical tau-quantile; both indicators are cross-fitted in one pass.
+    With no Y below mu_hat the indicator is 0 in every row and a_hat is 0 by
     construction, so that sample raises :class:`TooFewObservations`; so does
     the mirror case, no Y above mu_hat, where the empirical quantile is the
     sample maximum."""
@@ -61,7 +61,7 @@ def compute_quantile_intermediates(
     mu_tilde = empirical_quantile(data.y[split_halves(data.n)[1]], tau)
     fits, sq = residual_core(data.x, _indicator(data.y, (mu_hat, mu_tilde)), regressor, seed,
                              (0.0, 1.0))
-    return mu_hat, fits[:, 0], sq[:, 1], ratio_estimate(sq[:, 0], tau * (1.0 - tau))
+    return mu_hat, fits[:, 0], sq, ratio_estimate(sq[:, 0], tau * (1.0 - tau))
 
 
 def split_estimate_quantile(sq_tilde: np.ndarray, tau: float) -> float:
@@ -74,12 +74,12 @@ def split_estimate_quantile(sq_tilde: np.ndarray, tau: float) -> float:
     return ratio_estimate(sq_tilde[half], tau * (1.0 - tau))
 
 
-def variance_quantile(
-    data: Dataset, tau: float, mu_hat: float, fhat: np.ndarray
-) -> float:
+def variance_quantile(data: Dataset, tau: float, mu_hat: float, fhat: np.ndarray,
+                      sq_hat: np.ndarray) -> float:
     """Plug-in g^2 = 2 A^2 / {tau(1-tau)} + 2 Var[(1(Y<mu_hat) - Fhat)^2] / {tau(1-tau)}^2,
     with A = 2 * mean[Fhat_i * fhat_{Y|X}(mu_hat | X_i)] / fhat_Y(mu_hat) - 1
-    and divisor n - 1.
+    and divisor n - 1: :func:`~fusiongain.core.plug_in_variance` of the point
+    stage's squared gaps ``sq_hat`` over the known tau(1-tau), A its slope.
 
     All density plug-ins are evaluated at the full-sample empirical quantile;
     bandwidths follow the rule of thumb (per covariate dimension for the
@@ -87,15 +87,12 @@ def variance_quantile(
     term alone gives f_Y(mu_hat) h_y >= 1 / (n sqrt(2 pi)), and the division
     by f_Y(mu_hat) is safe; ``fhat`` holds one prediction per row.
     """
-    fhat = np.asarray(fhat, dtype=float)
-    var_sq = float(np.var(((data.y < mu_hat) - fhat) ** 2, ddof=1))
     h_y = silverman_bandwidth(data.y)
     f_y = kde_eval(data.y, h_y, mu_hat)
     h_x = silverman_bandwidth(data.x)
     f_cond = cond_kde_profile(data.x, data.y, h_x, h_y, data.x, mu_hat)
     slope = 2.0 * float(np.mean(fhat * f_cond)) / f_y - 1.0
-    theta2 = tau * (1.0 - tau)
-    return 2.0 * slope**2 / theta2 + 2.0 * var_sq / theta2**2
+    return plug_in_variance(sq_hat, tau * (1.0 - tau), slope=slope)
 
 
 def assess_quantile(data: Dataset, *, nu: float, alpha: float = 0.95, seed: int = 0,
@@ -105,8 +102,8 @@ def assess_quantile(data: Dataset, *, nu: float, alpha: float = 0.95, seed: int 
     centered at the split estimate)."""
     data = split_data_stage(data, nu, alpha, regressor)
     with stage("point"):
-        mu_hat, fhat, sq_tilde, a_hat = compute_quantile_intermediates(data, tau, regressor, seed)
+        mu_hat, fhat, sq, a_hat = compute_quantile_intermediates(data, tau, regressor, seed)
     with stage("split"):
-        a_tilde = split_estimate_quantile(sq_tilde, tau)
-    return finalize(a_hat, a_tilde, lambda: variance_quantile(data, tau, mu_hat, fhat),
+        a_tilde = split_estimate_quantile(sq[:, 1], tau)
+    return finalize(a_hat, a_tilde, lambda: variance_quantile(data, tau, mu_hat, fhat, sq[:, 0]),
                     data.n, nu, alpha, "quantile")

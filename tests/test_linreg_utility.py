@@ -121,7 +121,7 @@ class TestVariance:
     def test_constant_composite_gives_zero(self):
         data = _sigma0_alpha_positive_dataset()
         comp = fit_components(data, s_index=0)
-        assert variance_linreg(data, comp) == 0.0
+        assert variance_linreg(data, comp, comp.alpha_hat * comp.kappa_hat) == 0.0
 
     def test_zero_variance_gives_a_zero_width_interval(self, tmp_path, capsys):
         # sigma = 0 with alpha > 0 makes the composite constant: g_hat is 0
@@ -271,8 +271,6 @@ def _scaled_s(scale):
 # One failing call per input guard of this module.
 GUARD_CASES = {
     "s-index": (lambda: fit_components(_ONE_ROW, s_index=1), OutOfRange),
-    "one-row-variance": (lambda: variance_linreg(_ONE_ROW, fit_components(_ONE_ROW)),
-                         TooFewObservations),
     # a (numerically) zero S column leaves a zero on the diagonal of X'X / n
     "s-column-zero": (lambda: fit_components(_scaled_s(0.0)), SingularDesign),
     "s-column-1e-162": (lambda: fit_components(_scaled_s(1e-162)), SingularDesign),

@@ -56,11 +56,6 @@ class TestBounds:
         sq = residual_core(np.zeros((2, 1)), y[:, None], "ols-linear", 0)[1]
         assert np.mean(sq) == pytest.approx(1.0, abs=1e-12)
 
-    def test_constant_response(self):
-        y = np.full(4, 2.0)
-        with pytest.raises(DegenerateDenominator):
-            variance_mean(np.zeros(4), (y - np.mean(y)) ** 2)
-
 
 class TestResidualCore:
     @pytest.mark.parametrize("regressor", ["ols-linear", "k-nn", "local-linear"])
@@ -140,7 +135,8 @@ class TestVariance:
     def test_both_residual_squares_constant(self):
         # y symmetric around its mean with |residual| constant; ghat = -y
         y = np.array([1.0, -1.0, 1.0, -1.0])
-        assert variance_mean((y - -y) ** 2, (y - np.mean(y)) ** 2) == 0.0
+        sq_g, sq_mean = (y - -y) ** 2, (y - np.mean(y)) ** 2
+        assert variance_mean(sq_g, sq_mean, ratio_estimate(sq_g, sq_mean)) == 0.0
 
     @pytest.mark.filterwarnings("error")
     def test_large_response_gives_the_unscaled_answer(self):
@@ -185,7 +181,27 @@ class TestVariance:
         t1 = 2 * np.var(sq_g, ddof=1) / theta2**2
         t2 = 2 * a_hat**2 * np.var(sq_mean, ddof=1) / theta2**2
         assert t1 >= 0 and t2 >= 0
-        assert t1 + t2 == pytest.approx(variance_mean(sq_g, sq_mean), abs=1e-15)
+        assert t1 + t2 == pytest.approx(variance_mean(sq_g, sq_mean, a_hat), abs=1e-15)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("b, seed0", [(0.5, 571_000), (1.0, 572_000)])
+    def test_point_influence_predicts_the_spread_of_theta_hat(self, b, seed0):
+        # phi_i = (sq_g_i - a_hat sq_mean_i) / theta2 from the point stage's
+        # arrays: the influence SD (1 - nu) sqrt(Var(phi) / n), averaged over
+        # replications, must match the Monte Carlo SD of theta_hat within three
+        # standard errors of an SD from R replications, 3 / sqrt(2 (R - 1))
+        reps, n, nu = 300, 1000, 0.5
+        a_hats, influence_sds = [], []
+        for r in range(reps):
+            data = split_data_stage(generate_dgp(DgpConfig(b=b, n=n, seed=seed0 + r)), nu, 0.95,
+                                    "ols-linear")
+            sq_g, sq_mean, a_hat = compute_mean_intermediates(data, "ols-linear", seed0 + r)
+            phi = (sq_g - a_hat * sq_mean) / np.mean(sq_mean)
+            a_hats.append(a_hat)
+            influence_sds.append((1.0 - nu) * np.sqrt(np.var(phi, ddof=1) / n))
+        monte_carlo_sd = (1.0 - nu) * np.std(a_hats, ddof=1)
+        ratio = np.mean(influence_sds) / monte_carlo_sd
+        assert abs(ratio - 1.0) <= 3.0 / np.sqrt(2.0 * (reps - 1)), ratio
 
 
 class TestAssess:

@@ -116,7 +116,7 @@ class TestSplitEstimate:
         x = (y < mu_tilde).astype(float)[:, None]
         data = Dataset(y, x)
         cfg = _cfg(regressor="k-nn")
-        sq_tilde = compute_quantile_intermediates(data, *_fit_args(cfg))[2]
+        sq_tilde = compute_quantile_intermediates(data, *_fit_args(cfg))[2][:, 1]
         assert split_estimate_quantile(sq_tilde, cfg["tau"]) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("regressor", ["ols-linear", "local-linear", "k-nn"])
@@ -178,15 +178,18 @@ class TestVariance:
         fhat = np.where(indicators == 1.0, 0.75, 0.25)
         term1, term2 = _variance_terms(data, cfg, mu_hat, fhat)
         assert term2 == 0.0
-        assert variance_quantile(data, cfg["tau"], mu_hat, fhat) == term1
+        assert variance_quantile(data, cfg["tau"], mu_hat, fhat, (indicators - fhat) ** 2) == term1
 
     def test_terms_nonnegative_and_sum(self):
         data = generate_dgp(DgpConfig(b=1.0, n=300, seed=20))
         cfg = _cfg(tau=0.25, seed=20)
-        mu_hat, fhat, _, _ = compute_quantile_intermediates(data, *_fit_args(cfg))
+        mu_hat, fhat, sq, _ = compute_quantile_intermediates(data, *_fit_args(cfg))
+        # the point stage's first column is the squared gap of 1(Y < mu_hat)
+        assert np.array_equal(sq[:, 0], ((data.y < mu_hat) - fhat) ** 2)
         t1, t2 = _variance_terms(data, cfg, mu_hat, fhat)
         assert t1 >= 0 and t2 >= 0
-        assert t1 + t2 == pytest.approx(variance_quantile(data, cfg["tau"], mu_hat, fhat), abs=1e-12)
+        assert t1 + t2 == pytest.approx(
+            variance_quantile(data, cfg["tau"], mu_hat, fhat, sq[:, 0]), abs=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=500),
