@@ -32,19 +32,19 @@ from .nuisance import Dataset, equilibrated_solve, unit_scaled
 
 @dataclass(frozen=True)
 class LinRegComponents:
-    """The six moment estimators the bound traces are built from, and where S is.
+    """The moment estimators of the bound traces, the composite's rows, and where S is.
 
-    mu_hat: least-squares coefficients of Y on X (no intercept);
-    eta_hat: univariate slope of Y on the S column;
+    residuals: Y - mu_hat'X, mu_hat the least-squares fit of Y on X (no intercept);
+    s_gap: Y - eta_hat S, with eta_hat the univariate slope of Y on the S column;
     sigma_inv: inverse of Sigma = X'X / n, from its gated Cholesky factor;
     kappa_hat: its trace;
     sigma_hat: root mean squared residual of the full regression;
-    alpha_hat: mean of S^2 (Y - eta_hat S)^2;
+    alpha_hat: mean of S^2 s_gap^2;
     s_index: the column of X that is S.
     """
 
-    mu_hat: np.ndarray
-    eta_hat: float
+    residuals: np.ndarray
+    s_gap: np.ndarray
     sigma_inv: np.ndarray
     kappa_hat: float
     sigma_hat: float
@@ -71,12 +71,13 @@ def fit_components(data: Dataset, s_index: int = 0) -> LinRegComponents:
     # entries is split across threads, which moves its last bits
     eta_hat = float(xty[s_index] / gram[s_index, s_index])
     residuals = y - x @ mu_hat
+    s_gap = y - eta_hat * s
     sigma_sq = float(np.mean(residuals**2))
-    alpha_hat = float(np.mean(s**2 * (y - eta_hat * s) ** 2))
+    alpha_hat = float(np.mean(s**2 * s_gap**2))
     sigma_hat = math.sqrt(sigma_sq)
     return LinRegComponents(
-        mu_hat=mu_hat,
-        eta_hat=eta_hat,
+        residuals=residuals,
+        s_gap=s_gap,
         sigma_inv=sigma_inv,
         kappa_hat=kappa_hat,
         sigma_hat=sigma_hat,
@@ -93,17 +94,15 @@ def influence_composite(data: Dataset, comp: LinRegComponents) -> np.ndarray:
                              - 2 mean(S^3 (Y - eta S)) S_i (Y_i - eta S_i) / mean(S^2)]
     """
     x = data.x
-    y = data.y
-    residuals = y - x @ comp.mu_hat
     trace_term = np.sum((x @ comp.sigma_inv) ** 2, axis=1)
     s = x[:, comp.s_index]
-    s_resid = s * (y - comp.eta_hat * s)
+    s_resid = s * comp.s_gap
     third_moment = float(np.mean(s**2 * s_resid))  # mean of S^3 (Y - eta S)
     mean_s_sq = float(np.mean(s**2))
     s_block = s_resid**2 - 2.0 * third_moment * s_resid / mean_s_sq
     sigma_sq = comp.sigma_hat**2
     return (
-        residuals**2
+        comp.residuals**2
         + (sigma_sq / comp.kappa_hat) * trace_term
         - (sigma_sq / comp.alpha_hat) * s_block
     )

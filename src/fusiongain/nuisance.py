@@ -176,14 +176,12 @@ def _quartiles(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return value[..., 0], value[..., 1]
 
 
-def ols_fit(x, y) -> np.ndarray:
+def ols_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Least-squares coefficients via the normal equations, from
     ``equilibrated_solve``: the intercept first, then one slope per column
     of ``x``, in one column of coefficients per column of the (n, r)
     response ``y``.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     design = np.column_stack([np.ones(x.shape[0]), x])
     solved = equilibrated_solve(design.T @ design, design.T @ y)
     if solved is None:
@@ -265,12 +263,11 @@ def default_neighbor_count(n_train: int) -> int:
 
 class OlsLinearRegressor:
     def __init__(self, coef: np.ndarray):
-        self.coef = np.asarray(coef, dtype=float)
+        self.coef = coef
 
-    def predict(self, x) -> np.ndarray:
+    def predict(self, x: np.ndarray) -> np.ndarray:
         """Predictions at the rows of ``x``, one column per column of
         coefficients."""
-        x = np.asarray(x, dtype=float)
         design = np.column_stack([np.ones(x.shape[0]), x])
         return design @ self.coef
 
@@ -361,8 +358,7 @@ class KnnRegressor:
         self._half_sq_norms = 0.5 * (self._x_centered * self._x_centered).sum(axis=1)
         self._half_max_sq_norm = float(self._half_sq_norms.max())
 
-    def predict(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+    def predict(self, x: np.ndarray) -> np.ndarray:
         out = np.empty((self._y_rows.shape[0], x.shape[0]))
         for block in _query_blocks(x.shape[0], self.x_train.shape[0]):
             out[:, block] = self._y_rows.take(self._neighbors(x[block]), axis=1).mean(axis=-1)
@@ -428,8 +424,7 @@ class _GaussianKernel:
     each matrix gets the GEMM, reductions and layout it would get alone.
     """
 
-    def __init__(self, x_sample: np.ndarray, bandwidths):
-        bandwidths = np.asarray(bandwidths, dtype=float)
+    def __init__(self, x_sample: np.ndarray, bandwidths: np.ndarray):
         self.bandwidths = bandwidths
         self.centre = x_sample.mean(axis=-2)
         self.scaled = (x_sample - self.centre[..., None, :]) / bandwidths[..., None, :]
@@ -515,7 +510,7 @@ class LocalLinearRegressor:
     # exp and of the row sums, so no level that could pass is skipped.
     _SLACK = 1e-9
 
-    def __init__(self, x_train: np.ndarray, y_train: np.ndarray, bandwidths):
+    def __init__(self, x_train: np.ndarray, y_train: np.ndarray, bandwidths: np.ndarray):
         self._kernel = _GaussianKernel(x_train, bandwidths)
         self.x_train = x_train
         self.y_train = y_train
@@ -545,8 +540,7 @@ class LocalLinearRegressor:
             start += 1 + p
         self._moment_design = design
 
-    def predict(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+    def predict(self, x: np.ndarray) -> np.ndarray:
         out = np.empty(x.shape[:-1] + self.y_train.shape[-1:])
         # a block's row holds one query's weights in every fold
         width = math.prod(x.shape[:-2]) * self.x_train.shape[-2]
@@ -707,16 +701,15 @@ def crossfit_predict(x: np.ndarray, z: np.ndarray, kind: str, seed: int) -> np.n
     return predictions
 
 
-def empirical_quantile(y, tau: float) -> float:
+def empirical_quantile(y: np.ndarray, tau: float) -> float:
     """Order statistic Y_(ceil(n*tau)) of a finite, nonempty 1-d sample."""
     if not 0.0 < tau < 1.0:
         raise OutOfRange(f"tau must be in (0, 1), got {tau}")
-    y = np.asarray(y, dtype=float)
     k = math.ceil(y.size * tau)
     return float(np.partition(y, k - 1)[k - 1])
 
 
-def silverman_bandwidth(sample) -> float | np.ndarray:
+def silverman_bandwidth(sample: np.ndarray) -> float | np.ndarray:
     """Rule-of-thumb bandwidth 1.06 * min(sd, IQR/1.34) * n^(-1/5).
 
     A vector gives one float; a matrix gives one bandwidth per column, from
@@ -727,7 +720,6 @@ def silverman_bandwidth(sample) -> float | np.ndarray:
     IQR with positive dispersion falls back to the standard deviation alone
     (the literal min would return a zero bandwidth).
     """
-    sample = np.asarray(sample, dtype=float)
     columns = np.ascontiguousarray(
         sample[None] if sample.ndim == 1 else np.swapaxes(sample, -1, -2))
     sd = np.std(columns, axis=-1, ddof=1)
@@ -740,30 +732,19 @@ def silverman_bandwidth(sample) -> float | np.ndarray:
     return float(bands[0]) if sample.ndim == 1 else bands
 
 
-def kde_eval(sample, bandwidth: float, point: float) -> float:
+def kde_eval(sample: np.ndarray, bandwidth: float, point: float) -> float:
     """Gaussian kernel density estimate (nh)^-1 sum K((point - s_i)/h) of a
     nonempty 1-d sample at bandwidth h > 0."""
-    sample = np.asarray(sample, dtype=float)
-    bandwidth = float(bandwidth)
-    z = (float(point) - sample) / bandwidth
+    z = (point - sample) / bandwidth
     return float(np.mean(np.exp(-0.5 * z * z)) / (bandwidth * _SQRT_2PI))
 
 
-def cond_kde_profile(
-    x_sample,
-    y_sample,
-    x_bandwidths,
-    y_bandwidth: float,
-    x_queries: np.ndarray,
-    y_point: float,
-) -> np.ndarray:
+def cond_kde_profile(x_sample: np.ndarray, y_sample: np.ndarray, x_bandwidths: np.ndarray,
+                     y_bandwidth: float, x_queries: np.ndarray, y_point: float) -> np.ndarray:
     """Vectorized conditional density at one y value across many x queries:
     the (n, p) sample ``x_sample`` with its n responses ``y_sample``, at the
     (m, p) ``x_queries``.  The bandwidths must be positive and finite."""
-    x_sample = np.asarray(x_sample, dtype=float)
-    y_sample = np.asarray(y_sample, dtype=float)
-    x_queries = np.asarray(x_queries, dtype=float)
-    zy = (float(y_point) - y_sample) / y_bandwidth
+    zy = (y_point - y_sample) / y_bandwidth
     y_kernel = np.exp(-0.5 * zy * zy) / (y_bandwidth * _SQRT_2PI)
     kernel = _GaussianKernel(x_sample, x_bandwidths)
     out = np.empty(x_queries.shape[0])

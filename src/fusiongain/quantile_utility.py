@@ -87,9 +87,9 @@ def variance_quantile(data: Dataset, tau: float, mu_hat: float, fhat: np.ndarray
     term alone gives f_Y(mu_hat) h_y >= 1 / (n sqrt(2 pi)), and the division
     by f_Y(mu_hat) is safe; ``fhat`` holds one prediction per row.
     """
-    h_y = silverman_bandwidth(data.y)
+    bands = silverman_bandwidth(np.column_stack([data.y, data.x]))
+    h_y, h_x = bands[0], bands[1:]
     f_y = kde_eval(data.y, h_y, mu_hat)
-    h_x = silverman_bandwidth(data.x)
     f_cond = cond_kde_profile(data.x, data.y, h_x, h_y, data.x, mu_hat)
     slope = 2.0 * float(np.mean(fhat * f_cond)) / f_y - 1.0
     return plug_in_variance(sq_hat, tau * (1.0 - tau), slope=slope)

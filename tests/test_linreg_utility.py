@@ -15,7 +15,7 @@ from fusiongain.linreg_utility import (
     influence_composite,
     variance_linreg,
 )
-from fusiongain.nuisance import Dataset
+from fusiongain.nuisance import Dataset, equilibrated_solve, unit_scaled
 from fusiongain.simulation import DgpConfig, generate_dgp
 from reference_impl import ref_linreg_components, ref_linreg_gamma_sq
 
@@ -37,9 +37,13 @@ def _point(data, nu):
 
 class TestComponents:
     def test_exact_linear_relation(self):
-        comp = fit_components(_exact_fit_dataset(), s_index=0)
-        assert comp.mu_hat == pytest.approx([1.0, 0.0], abs=1e-12)
-        assert comp.eta_hat == pytest.approx(1.0, abs=1e-12)
+        data = _exact_fit_dataset()
+        comp = fit_components(data, s_index=0)
+        ref = ref_linreg_components(data.y, data.x, 0)
+        assert ref["mu"] == pytest.approx([1.0, 0.0], abs=1e-12)
+        assert ref["eta"] == pytest.approx(1.0, abs=1e-12)
+        assert comp.residuals == pytest.approx(data.y - data.x @ ref["mu"], abs=1e-12)
+        assert comp.s_gap == pytest.approx(data.y - ref["eta"] * data.x[:, 0], abs=1e-12)
         assert comp.sigma_inv == pytest.approx(np.diag([2.0, 2.0]), abs=1e-12)
         assert comp.kappa_hat == pytest.approx(4.0, abs=1e-12)
         assert comp.sigma_hat == pytest.approx(0.0, abs=1e-12)
@@ -49,8 +53,11 @@ class TestComponents:
         data = generate_dgp(DgpConfig(b=0.5, n=300, seed=1))
         base = fit_components(data, 0)
         scaled = fit_components(Dataset(3.0 * data.y, data.x), 0)
-        assert scaled.mu_hat == pytest.approx(3.0 * base.mu_hat, rel=1e-12)
-        assert scaled.eta_hat == pytest.approx(3.0 * base.eta_hat, rel=1e-12)
+        ref = ref_linreg_components(data.y, data.x, 0)
+        assert base.residuals == pytest.approx(data.y - data.x @ ref["mu"], abs=1e-12)
+        assert base.s_gap == pytest.approx(data.y - ref["eta"] * data.x[:, 0], abs=1e-12)
+        assert scaled.residuals == pytest.approx(3.0 * base.residuals, rel=1e-12, abs=1e-12)
+        assert scaled.s_gap == pytest.approx(3.0 * base.s_gap, rel=1e-12, abs=1e-12)
         assert scaled.sigma_hat == pytest.approx(3.0 * base.sigma_hat, rel=1e-12)
         assert scaled.alpha_hat == pytest.approx(9.0 * base.alpha_hat, rel=1e-12)
         assert scaled.kappa_hat == base.kappa_hat
@@ -59,8 +66,9 @@ class TestComponents:
         data = generate_dgp(DgpConfig(b=1.0, n=2000, seed=13))
         comp = fit_components(data, 0)
         ref = ref_linreg_components(data.y, data.x, 0)
-        assert comp.mu_hat == pytest.approx(ref["mu"], abs=1e-8)
-        assert comp.eta_hat == pytest.approx(ref["eta"], abs=1e-8)
+        assert comp.residuals == pytest.approx(data.y - data.x @ ref["mu"], abs=1e-8)
+        assert comp.s_gap == pytest.approx(data.y - ref["eta"] * data.x[:, 0], abs=1e-8)
+        assert comp.sigma_inv == pytest.approx(np.linalg.inv(ref["sigma_mat"]), abs=1e-8)
         assert comp.kappa_hat == pytest.approx(ref["kappa"], abs=1e-8)
         assert comp.sigma_hat == pytest.approx(ref["sigma"], abs=1e-8)
         assert comp.alpha_hat == pytest.approx(ref["alpha"], abs=1e-8)
@@ -167,24 +175,52 @@ class TestVariance:
         data = generate_dgp(DgpConfig(b=0.5, n=400, seed=35))
         comp = fit_components(data, 0)
         composite = influence_composite(data, comp)
+        ref = ref_linreg_components(data.y, data.x, 0)
         # second pass: plain per-observation loop with trace computed literally
         sigma_inv = np.linalg.inv(data.x.T @ data.x / 400)
         s = data.x[:, 0]
-        e3 = np.mean(s**3 * (data.y - comp.eta_hat * s))
+        e3 = np.mean(s**3 * (data.y - ref["eta"] * s))
         es2 = np.mean(s**2)
         for i in range(0, 400, 37):
             xi = data.x[i]
-            resid = data.y[i] - comp.mu_hat @ xi
+            resid = data.y[i] - ref["mu"] @ xi
             tr = np.trace(sigma_inv @ np.outer(xi, xi) @ sigma_inv)
-            s_term = s[i] ** 2 * (data.y[i] - comp.eta_hat * s[i]) ** 2 - 2 * e3 * s[
+            s_term = s[i] ** 2 * (data.y[i] - ref["eta"] * s[i]) ** 2 - 2 * e3 * s[
                 i
-            ] * (data.y[i] - comp.eta_hat * s[i]) / es2
+            ] * (data.y[i] - ref["eta"] * s[i]) / es2
             expected = (
                 resid**2
                 + (comp.sigma_hat**2 / comp.kappa_hat) * tr
                 - (comp.sigma_hat**2 / comp.alpha_hat) * s_term
             )
             assert composite[i] == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("n, p", [(n, p) for n in (3, 1000, 20001) for p in (1, 2, 10)
+                                      if n > p])
+    def test_composite_on_the_components_rows_keeps_its_bits(self, n, p):
+        # the composite once re-derived the residuals and the S-gap from
+        # mu_hat and eta_hat; reading them from the components must give the
+        # same bits, above 10,000 rows (where BLAS splits a dot) included
+        rng = np.random.default_rng(7300 + n + p)
+        x = rng.normal(size=(n, p))
+        data = unit_scaled(Dataset(x @ rng.normal(size=p) + rng.normal(size=n), x),
+                           common_x=True)
+        s_index = p // 2
+        comp = fit_components(data, s_index)
+        x, y = data.x, data.y
+        gram, xty = x.T @ x, x.T @ y
+        mu_hat = equilibrated_solve(gram / n, xty[:, None] / n)[0][:, 0]
+        eta_hat = float(xty[s_index] / gram[s_index, s_index])
+        s = x[:, s_index]
+        s_resid = s * (y - eta_hat * s)
+        third_moment = float(np.mean(s**2 * s_resid))
+        s_block = s_resid**2 - 2.0 * third_moment * s_resid / float(np.mean(s**2))
+        sigma_sq = comp.sigma_hat**2
+        former = ((y - x @ mu_hat)**2
+                  + (sigma_sq / comp.kappa_hat) * np.sum((x @ comp.sigma_inv) ** 2, axis=1)
+                  - (sigma_sq / comp.alpha_hat) * s_block)
+        assert comp.alpha_hat == float(np.mean(s**2 * (y - eta_hat * s) ** 2))
+        assert np.array_equal(influence_composite(data, comp), former)
 
 
 class TestAssess:

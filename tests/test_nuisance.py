@@ -344,9 +344,7 @@ class TestLocalLinearEdgeCases:
     def _compare(x_train, y_train, x_test, bandwidths):
         reg = LocalLinearRegressor(x_train, y_train[:, None], bandwidths)
         preds, solved = reg._predict_block(x_test)
-        expected, expected_solved = ref_local_linear_fit(
-            x_train, y_train, x_test, np.asarray(bandwidths, dtype=float)
-        )
+        expected, expected_solved = ref_local_linear_fit(x_train, y_train, x_test, bandwidths)
         assert np.array_equal(solved, expected_solved)
         # relative as well as absolute: a query far outside the design makes
         # the query-centred Gram matrix ill conditioned (about 1e7 at x = 60),
@@ -370,7 +368,7 @@ class TestLocalLinearEdgeCases:
         x = np.column_stack([rng.normal(size=300), np.full(300, 0.1)])
         y = x[:, 0] ** 2 + 0.3 * rng.normal(size=300)
         x_test = np.column_stack([np.linspace(-2.0, 2.0, 9), np.full(9, 0.1)])
-        assert not self._compare(x, y, x_test, [0.4, 1.0]).any()
+        assert not self._compare(x, y, x_test, np.array([0.4, 1.0])).any()
 
     def test_singular_query_leaves_its_block_alone(self):
         # cluster A lies on x2 = 0, and cluster B, 200 bandwidths away in x1,
@@ -385,7 +383,7 @@ class TestLocalLinearEdgeCases:
         ])
         y = np.sin(x[:, 0]) + x[:, 1] + 0.1 * rng.normal(size=120)
         x_test = np.array([[200.1, 0.2], [199.5, -0.3], [0.1, 0.0], [200.4, 0.6]])
-        solved = self._compare(x, y, x_test, [1.0, 1.0])
+        solved = self._compare(x, y, x_test, np.array([1.0, 1.0]))
         assert solved.tolist() == [True, True, False, True]
         reg = LocalLinearRegressor(x, y[:, None], np.array([1.0, 1.0]))
         preds, _ = reg._predict_block(x_test)
@@ -861,10 +859,10 @@ class TestMultiResponse:
 
 class TestEmpiricalQuantile:
     def test_order_statistic_median(self):
-        assert empirical_quantile([3.0, 1.0, 2.0], 0.5) == 2.0
+        assert empirical_quantile(np.array([3.0, 1.0, 2.0]), 0.5) == 2.0
 
     def test_first_order_statistic(self):
-        assert empirical_quantile([1.0, 2.0, 3.0, 4.0], 0.25) == 1.0
+        assert empirical_quantile(np.array([1.0, 2.0, 3.0, 4.0]), 0.25) == 1.0
 
     def test_monte_carlo_median(self):
         rng = np.random.default_rng(8)
@@ -914,6 +912,17 @@ class TestSilvermanBandwidth:
                              rng.standard_t(1.5, size=500)])
         assert np.array_equal(silverman_bandwidth(x), [ref_silverman(c) for c in x.T])
         assert silverman_bandwidth(x[:, 1]) == ref_silverman(x[:, 1])
+
+    @pytest.mark.parametrize("n", [19, 500, 2000])
+    @pytest.mark.parametrize("p", [2, 10])
+    def test_response_beside_the_covariates_keeps_both_bits(self, n, p):
+        # the quantile's variance takes h_y and h_x from one call on [y | x]
+        rng = np.random.default_rng(9100 + n + p)
+        x = rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0, size=p)
+        y = x.sum(axis=1) ** 2 + rng.standard_t(3.0, size=n)
+        bands = silverman_bandwidth(np.column_stack([y, x]))
+        assert bands[0] == silverman_bandwidth(y)
+        assert np.array_equal(bands[1:], silverman_bandwidth(x))
 
     def test_stack_gives_each_matrix_its_own_bits(self):
         rng = np.random.default_rng(6)

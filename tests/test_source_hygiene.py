@@ -20,6 +20,12 @@ matrices, not from scale.
 ``unit_scaled``, takes a parameter annotated ``Dataset``, and the nuisance
 stack behind it fits plain arrays.
 
+The door makes every array float64 once: in ``nuisance.py`` no call to
+``np.asarray``, ``np.array``, ``float`` or ``int`` takes a bare parameter of
+its enclosing function, so the helpers behind the door use what their
+callers hand them.  Conversions of attributes, locals, literals and
+expressions stay.
+
 A frozen dataclass is built only through its constructor, so its checks
 and copies cannot be skipped: ``object.__new__`` appears nowhere, and
 ``object.__setattr__`` only inside a ``__post_init__``.
@@ -185,6 +191,50 @@ def test_checker_finds_a_dataset_parameter():
               "def other(rows: DatasetLike, n: int) -> Dataset:\n    pass\n")
     assert dataset_parameters(source) == [(1, "unit_scaled", "data"), (3, "fit", "train"),
                                           (6, "predict", "data")]
+
+
+CONVERSIONS = {"np.asarray", "np.array", "float", "int"}
+
+
+def parameter_conversions(source: str) -> list[tuple[int, str, str, str]]:
+    """(line, function, conversion, parameter) of each call of ``CONVERSIONS``
+    whose first argument is a bare parameter of its innermost enclosing function."""
+    found = []
+
+    def visit(node, function, params):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            function = node.name
+            params = {arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs
+                      + [args.vararg, args.kwarg] if arg is not None}
+        if (isinstance(node, ast.Call) and ast.unparse(node.func) in CONVERSIONS and node.args
+                and isinstance(node.args[0], ast.Name) and node.args[0].id in params):
+            found.append((node.lineno, function, ast.unparse(node.func), node.args[0].id))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function, params)
+
+    visit(ast.parse(source), None, set())
+    return found
+
+
+def test_no_helper_behind_the_door_converts_its_parameters():
+    source = (PACKAGE / "nuisance.py").read_text(encoding="utf-8")
+    assert parameter_conversions(source) == []
+
+
+def test_checker_finds_a_parameter_conversion():
+    # ``bands`` belongs to ``__init__``, not to the ``inner`` that converts it
+    source = ("import numpy as np\nrows = 3\nsize = int(rows)\n"
+              "def f(x, y, *args, z=1):\n    a = np.asarray(x, dtype=float)\n"
+              "    b = float(y[0]) + float(a) + float(args)\n"
+              "    return int(z) + np.array([0.75, 0.25]) + np.asanyarray(y)\n"
+              "class K:\n    def __init__(self, bands):\n"
+              "        self.bands = np.array(self.other)\n"
+              "        def inner(v):\n            return float(v) + float(bands)\n")
+    assert parameter_conversions(source) == [(5, "f", "np.asarray", "x"),
+                                             (6, "f", "float", "args"),
+                                             (7, "f", "int", "z"),
+                                             (12, "inner", "float", "v")]
 
 
 def object_hooks(source: str) -> list[tuple[int, str, str | None]]:
