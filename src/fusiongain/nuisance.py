@@ -275,37 +275,35 @@ class OlsLinearRegressor:
 class _Workspace(threading.local):
     """Scratch arrays for the kernel smoothers, one set per thread.
 
-    ``take`` hands out a C-contiguous view of a named buffer that grows to
-    the largest request seen and is then reused, so the blocks of every
-    later pass fault in no fresh pages.  Blocks are sized by
-    ``BLOCK_BYTES``, so the buffers are too, whatever n is.  Each name keeps
-    one dtype.  Every caller writes what it takes before reading it, and no
-    public function returns workspace memory, so no result depends on an
-    earlier call.
+    ``take`` hands out a C-contiguous view, in any dtype, of a named byte
+    buffer that grows to the largest request seen and is then reused, so
+    the blocks of every later pass fault in no fresh pages.  Blocks are
+    sized by ``BLOCK_BYTES``, so the buffers are too, whatever n is.  Every
+    caller writes what it takes before reading it, and no public function
+    returns workspace memory, so no result depends on an earlier call.
 
     Every kernel pass, k-NN, local-linear and the conditional KDE alike,
     draws its (queries x training) slabs from the same three roles, so a
     thread keeps three such slabs whichever kinds it runs:
 
-    - ``"form"``, the block's bilinear form: the kernel log-weights, or
-      k-NN's half squared distances; local-linear then writes the block's
-      moments over its spent log-weights;
-    - ``"transform"``, its transform: the floored weights, or k-NN's
+    - ``"form"``, the block's kernel log-weights; local-linear then writes
+      the block's moments over its spent log-weights;
+    - ``"transform"``, their transform: the floored weights, or k-NN's
       partition copy;
     - ``"revisit"``, the rows a pass revisits: the pending floor rows, or
-      k-NN's candidate differences.
+      k-NN's candidate mask and then its candidate differences.
     """
 
     def __init__(self):
         self._buffers = {}
 
     def take(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        size = math.prod(shape)
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
         buf = self._buffers.get(name)
-        if buf is None or buf.size < size:
-            buf = np.empty(max(size, BLOCK_BYTES // 8), dtype)
+        if buf is None or buf.size < nbytes:
+            buf = np.empty(max(nbytes, BLOCK_BYTES), np.uint8)
             self._buffers[name] = buf
-        return buf[:size].reshape(shape)
+        return buf[:nbytes].view(dtype).reshape(shape)
 
 
 _WORKSPACE = _Workspace()
@@ -325,15 +323,16 @@ class KnnRegressor:
     Neighbours are ranked by the exact squared distance sum_d (x_d - X_td)^2,
     and ties go to the lowest training index.  Queries run in blocks sized
     by ``BLOCK_BYTES``, with every (queries x training) temporary in the
-    thread's workspace.  Within a block, half the bilinear-form distance,
-    (|q|^2 + |t|^2) / 2 - q.t about the training mean, comes from one GEMM;
-    an in-place partial selection of a copy gives each row's k-th smallest.
-    Every training point up to that value plus a small relative slack that
-    covers the rounding error is a candidate; when a row has more than k,
-    the block takes the same number of smallest per row by ``argpartition``.
-    Only the candidates, in ascending index order, are ranked by exact
-    squared distance: by a fast sort, or by a stable sort in a block where
-    some row has equal distances.  Neighbour sets, their order and the
+    thread's workspace.  Within a block, ``_GaussianKernel`` at unit
+    bandwidths gives -|q - t|^2 / 2 from one GEMM, clipped at 0, and a
+    partial selection of a copy gives each row's k-th largest.  Every
+    training point down to that value minus a small relative slack for the
+    rounding is a candidate; the clip only raises a tiny negative distance
+    toward its exact value, at least 0, so it only widens the set.  Each
+    row's candidates, in ascending index order and padded at +inf to the
+    block's widest row, are ranked by exact squared distance: by a fast
+    sort, or by a stable sort in a block where some row has equal
+    distances among its first k + 1.  Neighbour sets, their order and the
     predictions are therefore the same, bit for bit, as a stable argsort of
     all exact distances, in memory bounded by the block budget.
 
@@ -353,10 +352,9 @@ class KnnRegressor:
         self.x_train = x_train
         self.k = k
         self._y_rows = np.ascontiguousarray(y_train.T)
-        self._x_mean = x_train.mean(axis=0)
-        self._x_centered = x_train - self._x_mean
-        self._half_sq_norms = 0.5 * (self._x_centered * self._x_centered).sum(axis=1)
-        self._half_max_sq_norm = float(self._half_sq_norms.max())
+        self._kernel = _GaussianKernel(x_train, np.ones(x_train.shape[1]))
+        # max |t|^2 / 2, read off the operand's -|t|^2 / 2 row
+        self._half_max_sq_norm = -float(self._kernel._operand[-2].min())
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         out = np.empty((self._y_rows.shape[0], x.shape[0]))
@@ -366,38 +364,34 @@ class KnnRegressor:
 
     def _neighbors(self, xq: np.ndarray) -> np.ndarray:
         """Training indices of each query's k nearest points, nearest first."""
-        nq, n_train = xq.shape[0], self.x_train.shape[0]
-        qc = xq - self._x_mean
-        half_q_sq = 0.5 * (qc * qc).sum(axis=1)
-        approx = _WORKSPACE.take("form", (nq, n_train))
+        (nq, p), n_train = xq.shape, self.x_train.shape[0]
+        log_w = self._kernel.log_weights(xq, out=_WORKSPACE.take("form", (nq, n_train)))
         work = _WORKSPACE.take("transform", (nq, n_train))
-        np.matmul(qc, self._x_centered.T, out=work)
-        np.copyto(approx, self._half_sq_norms)
-        approx += half_q_sq[:, None]
-        approx -= work
-        np.copyto(work, approx)
-        work.partition(self.k - 1, axis=1)
-        limit = work[:, self.k - 1] + self._SLACK * (half_q_sq + self._half_max_sq_norm)
-        within = _WORKSPACE.take("knn_within", (nq, n_train), dtype=bool)
-        np.less_equal(approx, limit[:, None], out=within)
+        np.copyto(work, log_w)
+        work.partition(n_train - self.k, axis=1)
+        qc = xq - self._kernel.centre
+        half_q_sq = 0.5 * (qc * qc).sum(axis=1)
+        limit = work[:, n_train - self.k] - self._SLACK * (half_q_sq + self._half_max_sq_norm)
+        within = _WORKSPACE.take("revisit", (nq, n_train), dtype=bool)
+        np.greater_equal(log_w, limit[:, None], out=within)
         counts = np.count_nonzero(within, axis=1)
-        # a row holds at least its k smallest; with exactly k everywhere they
-        # are the candidates, already in ascending index order
-        if np.all(counts == self.k):
-            candidates = np.flatnonzero(within).reshape(nq, self.k)
-            candidates -= n_train * np.arange(nq)[:, None]
-        else:
-            width = int(counts.max())
-            candidates = np.sort(np.argpartition(approx, width - 1, axis=1)[:, :width], axis=1)
-        diff = _WORKSPACE.take("revisit", candidates.shape + (xq.shape[1],))
+        # each row's candidates in ascending index order, padded to the widest
+        # row; the padding ranks last at +inf
+        filled = np.arange(counts.max()) < counts[:, None]
+        candidates = np.zeros(filled.shape, dtype=np.intp)
+        candidates[filled] = np.flatnonzero(within) % n_train
+        # the mask is spent: its buffer takes the candidate differences
+        diff = _WORKSPACE.take("revisit", candidates.shape + (p,))
         np.take(self.x_train, candidates, axis=0, out=diff, mode="clip")
         np.subtract(xq[:, None, :], diff, out=diff)
         diff *= diff
         d2 = diff.sum(axis=2)
+        d2[~filled] = np.inf
         order = np.argsort(d2, axis=1)
         # equal distances may come out in any order; only a stable sort keeps
-        # the lower training index first
-        ranked = np.take_along_axis(d2, order, axis=1)
+        # the lower training index first, and only ties among the first
+        # k + 1 can move the neighbours or their order
+        ranked = np.take_along_axis(d2, order[:, : self.k + 1], axis=1)
         if np.any(ranked[:, 1:] == ranked[:, :-1]):
             order = np.argsort(d2, axis=1, kind="stable")
         return np.take_along_axis(candidates, order[:, : self.k], axis=1)
@@ -417,7 +411,9 @@ class _GaussianKernel:
     bilinear form, with cancellation's tiny positives clipped.  Multiplying
     every bandwidth by 2^k scales every term of the GEMM, and so the result,
     by exactly 4^-k, unless a scaled value falls in the subnormal range.
-    The bandwidths must be positive and finite.
+    The bandwidths must be positive and finite; at unit bandwidths, as
+    k-NN uses it, the division is exact and the log-weights are
+    -|q - t|^2 / 2 about the sample mean.
 
     The sample (n x p) and its bandwidths (p) may carry leading axes, one
     kernel per matrix of a stack; the queries then carry the same axes, and

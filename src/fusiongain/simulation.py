@@ -16,6 +16,7 @@ from __future__ import annotations
 import inspect
 import math
 import os
+import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cache, partial
@@ -273,8 +274,10 @@ def run_monte_carlo(
     serial loop, are dealt into w = min(workers, tasks in the table, usable
     CPUs) shares: task i goes to share i mod w, so every cell is split
     evenly and none waits for another.  This process runs share 0; each
-    other share runs in one child process, started with the platform's
-    default start method, which sends its outcomes back over a pipe.  The
+    other share runs in one child process, which sends its outcomes back
+    over a pipe.  On Linux the child is forked whatever the default start
+    method, so it starts at once and a calling script need not guard its
+    ``__main__``; elsewhere the platform's default starts it.  The
     outcomes are put back in task order and sliced into cells; with w = 1
     no child starts.  If any share raises, the children still running are
     terminated, every child is joined, and the exception reaches the caller
@@ -332,11 +335,12 @@ def _start_share(share: list):
     """Start one child running ``share``; return it and the pipe end its
     outcomes arrive on."""
     # multiprocessing is imported only where a child starts, so assess never
-    # loads it
+    # loads it.  Fork is unsafe on macOS, so only Linux names it.
     import multiprocessing
 
-    receiver, sender = multiprocessing.Pipe(duplex=False)
-    child = multiprocessing.Process(target=_run_share, args=(share, sender))
+    context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
+    receiver, sender = context.Pipe(duplex=False)
+    child = context.Process(target=_run_share, args=(share, sender))
     try:
         child.start()
     finally:

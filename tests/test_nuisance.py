@@ -545,16 +545,32 @@ class TestBlocking:
             assert len(list(_query_blocks(fold.size, complement.size))) >= 2
         return data, plan
 
-    @pytest.mark.parametrize("p", [2, 10])
-    def test_knn_bitwise_reference(self, p):
+    @pytest.mark.parametrize("p, covariates", [
+        pytest.param(2, "normal", id="2"),
+        pytest.param(10, "normal", id="10"),
+        *[pytest.param(p, covariates, id=f"{p}-{covariates}") for p in (1, 2, 10)
+          for covariates in ("rounded-0", "rounded-1", "duplicated", "offset")],
+    ])
+    def test_knn_bitwise_reference(self, p, covariates):
+        # rounded covariates tie at the k-th distance, so rows of one block
+        # hold different numbers of candidates; duplicated rows put queries
+        # at training points, and the offset leaves the distances tiny next
+        # to the magnitudes
         data, plan = self._uneven(p)
-        preds = crossfit_predict(data.x, data.y[:, None], "k-nn", seed=p)[:, 0]
+        x = {"normal": data.x, "rounded-0": data.x.round(0), "rounded-1": data.x.round(1),
+             "duplicated": data.x[np.arange(data.n) % 300], "offset": data.x + 1e6}[covariates]
+        preds = crossfit_predict(x, data.y[:, None], "k-nn", seed=p)[:, 0]
+        tied = False
         for m in range(5):
             test, train = np.flatnonzero(plan == m), np.flatnonzero(plan != m)
             # every ninth query of each fold keeps the loop reference quick
             check = test[m::9]
-            expected = ref_knn_predict(data.x[train], data.y[train], data.x[check])
+            expected = ref_knn_predict(x[train], data.y[train], x[check])
             assert np.array_equal(preds[check], expected)
+            k = default_neighbor_count(train.size)
+            d2 = np.sort(((x[check, None, :] - x[train]) ** 2).sum(axis=2), axis=1)
+            tied |= bool(np.any(d2[:, k - 1] == d2[:, k]))
+        assert tied or not covariates.startswith("rounded")
 
     @pytest.mark.parametrize("p", [2, 10])
     def test_local_linear_blocks_bitwise_floor(self, p, monkeypatch):
@@ -678,10 +694,10 @@ def test_kernel_memory_flat_in_training_size():
 
 def test_kernel_kinds_share_three_slabs():
     # k-NN, local-linear and the conditional KDE draw from the same three
-    # workspace roles, so one thread that runs all three holds three budget
-    # slabs, plus under 1 MiB for k-NN's candidate mask, the block's index
-    # arrays and the outputs (about 3.5 MiB here); a slab per kind and role
-    # would hold seven (about 7.5 MiB)
+    # workspace roles, k-NN's candidate mask included, so one thread that
+    # runs all three holds three budget slabs, plus under 1 MiB for the
+    # block's index arrays and the outputs (about 3.4 MiB here); a slab per
+    # kind and role would hold seven (about 7.5 MiB)
     bound = 3 * BLOCK_BYTES + 2**20
     p, queries, n_train = 2, 256, 2000
     rng = np.random.default_rng(n_train)
@@ -697,6 +713,24 @@ def test_kernel_kinds_share_three_slabs():
         cond_kde_profile(x, y[:, 0], bands, 0.3, xq, 0.0)
 
     assert _traced_peak(every_kind) < bound
+
+
+@pytest.mark.parametrize("p", [2, 10])
+def test_knn_ties_stay_in_the_workspace(p):
+    # covariates rounded to 0.1 tie at the k-th distance, which widens some
+    # candidate rows; the padded candidate block costs next to nothing
+    # beside the untied search, whose slabs both share
+    n_train, queries = 2000, 256
+    rng = np.random.default_rng(p)
+    x, xq = rng.normal(size=(n_train, p)), rng.normal(size=(queries, p))
+    k = default_neighbor_count(n_train)
+    peaks = []
+    for train, query in ((x, xq), (x.round(1), xq.round(1))):
+        knn = KnnRegressor(train, train.sum(axis=1, keepdims=True), k)
+        peaks.append(_traced_peak(lambda: knn.predict(query)))
+    d2 = np.sort(((xq.round(1)[:, None, :] - x.round(1)) ** 2).sum(axis=2), axis=1)
+    assert np.any(d2[:, k - 1] == d2[:, k])
+    assert peaks[1] - peaks[0] < 2**18
 
 
 class TestCrossfit:

@@ -181,22 +181,23 @@ class TestTruthValues:
 
 @pytest.fixture
 def children(monkeypatch):
-    """List every child process started while the test runs."""
+    """List every child process started while the test runs, by any start
+    method (a ``ForkProcess`` does not subclass ``multiprocessing.Process``)."""
     started = []
-    start = multiprocessing.Process.start
+    start = multiprocessing.process.BaseProcess.start
 
     def recording_start(self):
         start(self)
         started.append(self)
 
-    monkeypatch.setattr(multiprocessing.Process, "start", recording_start)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", recording_start)
     return started
 
 
 # The failure-path tests patch a method in this process; only a forked child
-# sees the patch.
+# sees the patch, and run_monte_carlo forks on Linux whatever the default.
 needs_fork = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
+    sys.platform != "linux",
     reason="the child must inherit this process's patched METHODS",
 )
 
@@ -562,6 +563,30 @@ class TestChildren:
         assert len(children) == 2
         assert [child.exitcode for child in children] == [-signal.SIGTERM] * 2
         assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_forks_whatever_the_default_start_method(self):
+        # Python 3.14 makes forkserver the Linux default
+        script = (
+            "import multiprocessing, multiprocessing.process as process\n"
+            "from fusiongain.simulation import DgpConfig, MonteCarloCell, run_monte_carlo\n"
+            "import fusiongain.simulation as simulation\n"
+            "simulation._usable_cpus = lambda: 2\n"
+            "multiprocessing.set_start_method('forkserver', force=True)\n"
+            "kinds, start = [], process.BaseProcess.start\n"
+            "def recording_start(self):\n"
+            "    kinds.append(type(self).__name__)\n"
+            "    start(self)\n"
+            "process.BaseProcess.start = recording_start\n"
+            "if __name__ == '__main__':\n"
+            "    cell = MonteCarloCell(method='linreg', dgp=DgpConfig(b=0.5, n=200))\n"
+            "    run_monte_carlo([(cell, 1), (cell, 2)], reps=2, workers=2)\n"
+            "    print(kinds)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(fusiongain.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.split() == ["['ForkProcess']"]
 
     @needs_fork
     def test_child_that_dies_silently(self, monkeypatch, children):

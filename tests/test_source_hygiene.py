@@ -26,6 +26,11 @@ its enclosing function, so the helpers behind the door use what their
 callers hand them.  Conversions of attributes, locals, literals and
 expressions stay.
 
+Every kernel pass draws its (queries x training) slabs from the same three
+workspace roles: in ``nuisance.py`` each ``_WORKSPACE.take`` names
+``"form"``, ``"transform"`` or ``"revisit"``, so no pass keeps a slab of its
+own.
+
 A frozen dataclass is built only through its constructor, so its checks
 and copies cannot be skipped: ``object.__new__`` appears nowhere, and
 ``object.__setattr__`` only inside a ``__post_init__``.
@@ -235,6 +240,35 @@ def test_checker_finds_a_parameter_conversion():
                                              (6, "f", "float", "args"),
                                              (7, "f", "int", "z"),
                                              (12, "inner", "float", "v")]
+
+
+WORKSPACE_ROLES = {"form", "transform", "revisit"}
+
+
+def workspace_takes(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each ``_WORKSPACE.take`` of the module, the name as
+    its string literal or, if it is not one, as its source text."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "take" and ast.unparse(node.func.value) == "_WORKSPACE"):
+            name = node.args[0]
+            found.append((node.lineno, name.value if isinstance(name, ast.Constant)
+                          else ast.unparse(name)))
+    return sorted(found)
+
+
+def test_workspace_takes_only_the_three_roles():
+    takes = workspace_takes((PACKAGE / "nuisance.py").read_text(encoding="utf-8"))
+    assert takes and [t for t in takes if t[1] not in WORKSPACE_ROLES] == []
+
+
+def test_checker_finds_a_fourth_workspace_role():
+    source = ("def f(n, role):\n    a = _WORKSPACE.take('form', (n, n))\n"
+              "    b = _WORKSPACE.take('knn_within', (n, n), dtype=bool)\n"
+              "    c = _WORKSPACE.take(role, (n,))\n"
+              "    return a.take([0]) + np.take(b, [0]) + c\n")
+    assert workspace_takes(source) == [(2, "form"), (3, "knn_within"), (4, "role")]
 
 
 def object_hooks(source: str) -> list[tuple[int, str, str | None]]:
