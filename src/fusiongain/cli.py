@@ -38,9 +38,10 @@ from .simulation import (
     METHODS,
     MIN_LINREG_N,
     MonteCarloCell,
-    SimulationReport,
     cell_seed,
     run_monte_carlo,
+    simulation_csv,
+    simulation_text,
 )
 
 
@@ -356,17 +357,17 @@ def _run_simulate(args) -> int:
                 cells.append(MonteCarloCell(method=args.method, dgp=dgp, tau=tau,
                                             alpha=args.alpha))
     table = [(cell, cell_seed(args.seed, cell)) for cell in cells]
-    results = run_monte_carlo(table, args.reps, workers=args.workers)
-    report = SimulationReport(rows=tuple(results))
+    rows = run_monte_carlo(table, args.reps, workers=args.workers)
+    text = simulation_text(rows)
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "simulation.csv").write_text(report.to_csv(), encoding="utf-8")
-        (out_dir / "simulation.txt").write_text(report.to_text(), encoding="utf-8")
+        (out_dir / "simulation.csv").write_text(simulation_csv(rows), encoding="utf-8")
+        (out_dir / "simulation.txt").write_text(text, encoding="utf-8")
     except OSError as err:
         raise IoError(f"cannot write to {out_dir}: {err}") from err
-    print(report.to_text(), end="")
-    for row in report.rows:
+    print(text, end="")
+    for row in rows:
         if row.flagged:
             print(
                 f"warning: cell {row.method} b={row.b} n={row.n} extra={row.extra} "

@@ -7,8 +7,8 @@ sample alone.  The ratio lives in (0, 1]; this module holds the pieces every
 assessment method shares: the clamp of estimates into [0, 1], the trace
 ratio behind a method's nu-free core and that core's plug-in variance, the
 shared settings check, the standard normal quantile, Wald intervals, the
-finalize step that maps the nu-free core to a result, and the
-relative-utility transform used for reporting.
+result record, whose :meth:`UtilityEstimate.from_raw` maps the nu-free core
+to a result, and the relative-utility transform used for reporting.
 """
 
 from __future__ import annotations
@@ -244,11 +244,19 @@ class UtilityEstimate:
         self.ci_raw  # an interval that cannot be built fails here, not on a read
 
     @classmethod
-    def from_raw(cls, a_hat: float, a_tilde: float | None, g_hat: float, nu: float, n: int,
-                 alpha: float, method: str) -> "UtilityEstimate":
-        """Build an estimate from a method's nu-free core."""
-        return cls(float(a_hat), None if a_tilde is None else float(a_tilde), float(g_hat),
-                   float(nu), int(n), float(alpha), method)
+    def from_raw(cls, a_hat: float, a_tilde: float | None, g_sq: Callable[[], float], n: int,
+                 nu: float, alpha: float, method: str) -> "UtilityEstimate":
+        """The estimate at ``nu`` from a method's nu-free core and g = sqrt(``g_sq()``).
+
+        A plug-in variance of exactly 0 gives g = 0 and a zero-width interval by
+        the same arithmetic as any other value.  The record is built in the
+        ``interval`` stage, so a core no interval fits fails there.
+        """
+        with stage("variance"):
+            g_hat = math.sqrt(g_sq())
+        with stage("interval"):
+            return cls(float(a_hat), None if a_tilde is None else float(a_tilde), g_hat,
+                       float(nu), int(n), float(alpha), method)
 
     @property
     def theta_hat_raw(self) -> float:
@@ -274,27 +282,6 @@ class UtilityEstimate:
     @property
     def ci(self) -> Interval:
         return truncate_interval(self.ci_raw)
-
-
-def finalize(
-    a_hat: float,
-    a_tilde: float | None,
-    g_sq: Callable[[], float],
-    n: int,
-    nu: float,
-    alpha: float,
-    method: str,
-) -> UtilityEstimate:
-    """The estimate at ``nu`` from a method's nu-free core and g = sqrt(``g_sq()``).
-
-    A plug-in variance of exactly 0 gives g = 0 and a zero-width interval by
-    the same arithmetic as any other value.  The record is built in the
-    ``interval`` stage, so a core no interval fits fails there.
-    """
-    with stage("variance"):
-        g_hat = math.sqrt(g_sq())
-    with stage("interval"):
-        return UtilityEstimate.from_raw(a_hat, a_tilde, g_hat, nu, n, alpha, method)
 
 
 @dataclass(frozen=True)

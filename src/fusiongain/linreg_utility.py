@@ -4,8 +4,9 @@ univariate-regression estimate.
 Model: Y = mu' X + eps with mean-zero covariates (no intercept) and
 homoskedastic errors.  The prospective external information is a univariate
 least-squares slope of Y on one designated covariate column S (the keyword
-``s_index`` of :func:`assess_linreg`) computed from N additional observations.  The utility is nu + (1 - nu) a, where
-nu = n / (n + N); :func:`core.finalize` applies that map.  This module
+``s_index`` of :func:`assess_linreg`) computed from N additional
+observations.  The utility is nu + (1 - nu) a, where nu = n / (n + N);
+:meth:`core.UtilityEstimate.from_raw` applies that map.  This module
 computes the nu-free core a = 1 - sigma^2 / (alpha kappa), a closed form in
 five sample moments, so the point estimate is direct, its asymptotic variance
 is positive under mild conditions, and the confidence interval is centered at
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UtilityEstimate, check_settings, finalize, plug_in_variance, ratio_estimate
+from .core import UtilityEstimate, check_settings, plug_in_variance, ratio_estimate
 from .errors import (
     DegenerateResidualVariance,
     OutOfRange,
@@ -131,9 +132,9 @@ def assess_linreg(
 ) -> UtilityEstimate:
     """Full assessment: the data through :func:`unit_scaled`, moment
     components and the point core a = 1 - sigma^2 / (alpha kappa), then
-    :func:`finalize` (no split estimator, so the interval is centered at the
-    point estimate).  Stage ``data`` refuses n <= p, where the least-squares
-    fit is exact or undetermined."""
+    :meth:`UtilityEstimate.from_raw` (no split estimator, so the interval is
+    centered at the point estimate).  Stage ``data`` refuses n <= p, where
+    the least-squares fit is exact or undetermined."""
     check_settings(nu=nu, alpha=alpha)
     with stage("data"):
         if data.n <= data.p:
@@ -145,5 +146,5 @@ def assess_linreg(
     with stage("point"):
         alpha_kappa = _alpha_kappa(comp)
         a_hat = 1.0 - ratio_estimate(comp.sigma_hat**2, alpha_kappa)
-    return finalize(a_hat, None, lambda: variance_linreg(data, comp, alpha_kappa),
-                    data.n, nu, alpha, "linreg")
+    return UtilityEstimate.from_raw(a_hat, None, lambda: variance_linreg(data, comp, alpha_kappa),
+                                    data.n, nu, alpha, "linreg")

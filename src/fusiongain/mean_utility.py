@@ -1,10 +1,10 @@
 """Utility assessment for mean-response estimation with external covariate data.
 
 The utility is nu + (1 - nu) a, where nu = n / (n + N) encodes how much
-external covariate data is contemplated; :func:`core.finalize` applies that
-map.  This module computes the nu-free core: a is the mean squared residual
-around a cross-fitted regression g(X) over the mean squared residual around
-the mean of Y (the internal-only trace theta2).  Two g targets are
+external covariate data is contemplated; :meth:`core.UtilityEstimate.from_raw`
+applies that map.  This module computes the nu-free core: a is the mean
+squared residual around a cross-fitted regression g(X) over the mean squared
+residual around the mean of Y (the internal-only trace theta2).  Two g targets are
 supported: the conditional mean E(Y | X), for external individual covariate
 records, and the best linear predictor including an intercept, for an
 external covariate average.  The keyword ``regressor`` of :func:`assess_mean`
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import UtilityEstimate, check_settings, finalize, plug_in_variance, ratio_estimate
+from .core import UtilityEstimate, check_settings, plug_in_variance, ratio_estimate
 from .errors import TooFewObservations, stage
 from .nuisance import MIN_SPLIT_N, Dataset, crossfit_predict, split_halves, unit_scaled
 
@@ -80,13 +80,13 @@ def variance_mean(sq_g: np.ndarray, sq_mean: np.ndarray, a_hat: float) -> float:
 def assess_mean(data: Dataset, *, nu: float, alpha: float = 0.95, seed: int = 0,
                 regressor: str = "ols-linear") -> UtilityEstimate:
     """Full assessment: :func:`split_data_stage`, the point and half-sample
-    cores, then :func:`finalize` (the interval is centered at the split
-    estimate)."""
+    cores, then :meth:`UtilityEstimate.from_raw` (the interval is centered at
+    the split estimate)."""
     data = split_data_stage(data, nu, alpha, regressor)
     with stage("point"):
         sq_g, sq_mean, a_hat = compute_mean_intermediates(data, regressor, seed)
     with stage("split"):
         a_tilde = split_estimate_mean(sq_g, sq_mean)
     method = "mean-linear" if regressor == "ols-linear" else "mean-conditional"
-    return finalize(a_hat, a_tilde, lambda: variance_mean(sq_g, sq_mean, a_hat),
-                    data.n, nu, alpha, method)
+    return UtilityEstimate.from_raw(a_hat, a_tilde, lambda: variance_mean(sq_g, sq_mean, a_hat),
+                                    data.n, nu, alpha, method)

@@ -1,8 +1,8 @@
 """Utility assessment for response-quantile estimation with external covariate data.
 
 The utility is nu + (1 - nu) a, where nu = n / (n + N) encodes how much
-external covariate data is contemplated; :func:`core.finalize` applies that
-map.  This module computes the nu-free core: the mean's
+external covariate data is contemplated; :meth:`core.UtilityEstimate.from_raw`
+applies that map.  This module computes the nu-free core: the mean's
 :func:`~fusiongain.mean_utility.residual_core` on the indicator Z = 1(Y < mu_hat)
 at the empirical tau-quantile mu_hat, clamped to [0, 1], over the known
 variance tau(1-tau) of Z (the marginal density factor cancels in the ratio).
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import UtilityEstimate, finalize, plug_in_variance, ratio_estimate
+from .core import UtilityEstimate, plug_in_variance, ratio_estimate
 from .errors import TooFewObservations, stage
 from .nuisance import (
     Dataset,
@@ -98,12 +98,13 @@ def variance_quantile(data: Dataset, tau: float, mu_hat: float, fhat: np.ndarray
 def assess_quantile(data: Dataset, *, nu: float, alpha: float = 0.95, seed: int = 0,
                     tau: float = 0.5, regressor: str = "local-linear") -> UtilityEstimate:
     """Full assessment: the mean's :func:`~fusiongain.mean_utility.split_data_stage`,
-    the point and half-sample cores, then :func:`finalize` (the interval is
-    centered at the split estimate)."""
+    the point and half-sample cores, then :meth:`UtilityEstimate.from_raw` (the
+    interval is centered at the split estimate)."""
     data = split_data_stage(data, nu, alpha, regressor)
     with stage("point"):
         mu_hat, fhat, sq, a_hat = compute_quantile_intermediates(data, tau, regressor, seed)
     with stage("split"):
         a_tilde = split_estimate_quantile(sq[:, 1], tau)
-    return finalize(a_hat, a_tilde, lambda: variance_quantile(data, tau, mu_hat, fhat, sq[:, 0]),
-                    data.n, nu, alpha, "quantile")
+    return UtilityEstimate.from_raw(
+        a_hat, a_tilde, lambda: variance_quantile(data, tau, mu_hat, fhat, sq[:, 0]),
+        data.n, nu, alpha, "quantile")

@@ -31,9 +31,6 @@ from .mean_utility import assess_mean
 from .nuisance import Dataset
 from .quantile_utility import assess_quantile
 
-CSV_COLUMNS = ("method", "b", "n", "extra", "reps", "seed", "MAE", "SDAE", "AL", "CR")
-
-
 @dataclass(frozen=True)
 class DgpConfig:
     b: float
@@ -209,10 +206,10 @@ def true_theta(cell: MonteCarloCell) -> float:
     return METHODS[cell.method].truth(d.b, d.rho, d.nu, cell.tau)
 
 
-def _run_replication(task: tuple[MonteCarloCell, int, float, int]):
-    """One scored replication of (cell, seed, theta0, rep); returns
-    (abs_err, ci_length, covered) or an error string."""
-    cell, seed, theta0, rep = task
+def _run_replication(task: tuple[MonteCarloCell, int, int]):
+    """One replication of (cell, seed, rep); returns the estimate's
+    (theta_hat, ci.lo, ci.hi) or an error string."""
+    cell, seed, rep = task
     gen = rng.substream(rng.mix64(seed, rep), rng.DOMAIN_DGP)
     try:
         data = generate_dgp(cell.dgp, stream=gen)
@@ -224,11 +221,8 @@ def _run_replication(task: tuple[MonteCarloCell, int, float, int]):
             seed=assess_seed,
             tau=cell.tau,
         )
-        return (
-            abs(estimate.theta_hat - theta0),
-            estimate.ci.width,
-            estimate.ci.contains(theta0),
-        )
+        ci = estimate.ci
+        return estimate.theta_hat, ci.lo, ci.hi
     except FusionGainError as err:
         return f"{type(err).__name__}: {err}"
 
@@ -268,29 +262,32 @@ def run_monte_carlo(
 
     Returns one result per pair, in table order.  Replication r of a cell
     draws its data from the stream keyed by (seed, r), so each result is a
-    pure function of (cell, reps, seed) no matter how many workers execute
-    it or which cells share the table.  The truth value is computed once per
-    cell.  The (cell, replication) tasks of the table, in the order of the
-    serial loop, are dealt into w = min(workers, tasks in the table, usable
-    CPUs) shares: task i goes to share i mod w, so every cell is split
-    evenly and none waits for another.  This process runs share 0; each
-    other share runs in one child process, which sends its outcomes back
-    over a pipe.  On Linux the child is forked whatever the default start
-    method, so it starts at once and a calling script need not guard its
-    ``__main__``; elsewhere the platform's default starts it.  The
-    outcomes are put back in task order and sliced into cells; with w = 1
-    no child starts.  If any share raises, the children still running are
-    terminated, every child is joined, and the exception reaches the caller
-    with its own type.  Failed replications are counted, never silently
-    dropped; a cell with more than 1% failures is flagged.  Once every task
-    has run, the first cell in table order whose replications all failed
-    raises.
+    pure function of (cell, reps, seed) no matter how many workers execute it
+    or which cells share the table; an empty table gives no results.  The
+    truth value is computed once per cell.  The (cell, replication) tasks of
+    the table, in the order of the serial loop, are dealt into w =
+    min(workers, tasks in the table, usable CPUs) shares: task i goes to share
+    i mod w, so every cell is split evenly and none waits for another.  This
+    process runs share 0; each other share runs in one child process, which
+    sends its outcomes back over a pipe.  On Linux the child is forked
+    whatever the default start method, so it starts at once and a calling
+    script need not guard its ``__main__``; elsewhere the platform's default
+    starts it.  The outcomes are put back in task order and sliced into cells;
+    with w = 1 no child starts.  If any share raises, the children still
+    running are terminated, every child is joined, and the exception reaches
+    the caller with its own type.  Failed replications are counted, never
+    silently dropped; a cell with more than 1% failures is flagged.  Once
+    every task has run, the first cell in table order whose replications all
+    failed raises.
     """
     if reps < 1:
         raise OutOfRange("reps must be >= 1")
+    if workers < 1:
+        raise OutOfRange("workers must be >= 1")
+    if not table:
+        return []
     thetas = [true_theta(cell) for cell, _ in table]
-    tasks = [(cell, seed, theta0, rep)
-             for (cell, seed), theta0 in zip(table, thetas) for rep in range(reps)]
+    tasks = [(cell, seed, rep) for cell, seed in table for rep in range(reps)]
     shares = min(workers, len(tasks), _usable_cpus())
     outcomes: list = [None] * len(tasks)
     children = []
@@ -309,8 +306,8 @@ def run_monte_carlo(
             child.join()
             receiver.close()
     return [
-        _score(cell, reps, seed, outcomes[i * reps:(i + 1) * reps])
-        for i, (cell, seed) in enumerate(table)
+        _score(cell, reps, seed, theta0, outcomes[i * reps:(i + 1) * reps])
+        for i, ((cell, seed), theta0) in enumerate(zip(table, thetas))
     ]
 
 
@@ -365,17 +362,17 @@ def _receive(child, receiver) -> list:
     return payload
 
 
-def _score(cell: MonteCarloCell, reps: int, seed: int, outcomes: list) -> CellResult:
-    """Summarise one cell's replication outcomes."""
+def _score(cell: MonteCarloCell, reps: int, seed: int, theta0: float, outcomes: list) -> CellResult:
+    """Score one cell's replication outcomes against its truth ``theta0``."""
     failures = [o for o in outcomes if isinstance(o, str)]
     scored = [o for o in outcomes if not isinstance(o, str)]
     if not scored:
         raise FusionGainError(
             f"all {reps} replications failed; first error: {failures[0]}"
         )
-    abs_errors = np.array([o[0] for o in scored])
-    lengths = np.array([o[1] for o in scored])
-    covered = np.array([o[2] for o in scored], dtype=float)
+    abs_errors = np.array([abs(theta - theta0) for theta, _, _ in scored])
+    lengths = np.array([hi - lo for _, lo, hi in scored])
+    covered = np.array([lo <= theta0 <= hi for _, lo, hi in scored], dtype=float)
     return CellResult(
         method=cell.method,
         b=cell.dgp.b,
@@ -403,46 +400,47 @@ def cell_seed(master_seed: int, cell: MonteCarloCell) -> int:
     )
 
 
-@dataclass(frozen=True)
-class SimulationReport:
-    rows: tuple[CellResult, ...]
+CSV_COLUMNS = ("method", "b", "n", "extra", "reps", "seed", "MAE", "SDAE", "AL", "CR")
 
-    def to_csv(self) -> str:
-        lines = [",".join(CSV_COLUMNS)]
-        for r in self.rows:
-            lines.append(
-                ",".join(
-                    [
-                        r.method,
-                        _fmt(r.b),
-                        str(r.n),
-                        r.extra,
-                        str(r.reps),
-                        str(r.seed),
-                        _fmt(r.mae),
-                        _fmt(r.sdae),
-                        _fmt(r.al),
-                        _fmt(r.cr),
-                    ]
-                )
+
+def simulation_csv(rows: Sequence[CellResult]) -> str:
+    """The table as CSV, one line per row, with floats in repr form."""
+    lines = [",".join(CSV_COLUMNS)]
+    for r in rows:
+        lines.append(
+            ",".join(
+                [
+                    r.method,
+                    _fmt(r.b),
+                    str(r.n),
+                    r.extra,
+                    str(r.reps),
+                    str(r.seed),
+                    _fmt(r.mae),
+                    _fmt(r.sdae),
+                    _fmt(r.al),
+                    _fmt(r.cr),
+                ]
             )
-        return "\n".join(lines) + "\n"
-
-    def to_text(self) -> str:
-        """Aligned table with MAE/SDAE/AL/CR multiplied by 100, four decimals."""
-        header = (
-            f"{'method':<17}{'b':>6}{'n':>7}{'extra':>18}{'reps':>6}"
-            f"{'MAE':>10}{'SDAE':>10}{'AL':>10}{'CR':>10}"
         )
-        lines = [header, "-" * len(header)]
-        for r in self.rows:
-            lines.append(
-                f"{r.method:<17}{r.b:>6g}{r.n:>7d}{r.extra:>18}{r.reps:>6d}"
-                f"{100 * r.mae:>10.4f}{100 * r.sdae:>10.4f}"
-                f"{100 * r.al:>10.4f}{100 * r.cr:>10.4f}"
-                + ("  [flagged]" if r.flagged else "")
-            )
-        return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+def simulation_text(rows: Sequence[CellResult]) -> str:
+    """Aligned table with MAE/SDAE/AL/CR multiplied by 100, four decimals."""
+    header = (
+        f"{'method':<17}{'b':>6}{'n':>7}{'extra':>18}{'reps':>6}"
+        f"{'MAE':>10}{'SDAE':>10}{'AL':>10}{'CR':>10}"
+    )
+    lines = [header, "-" * len(header)]
+    for r in rows:
+        lines.append(
+            f"{r.method:<17}{r.b:>6g}{r.n:>7d}{r.extra:>18}{r.reps:>6d}"
+            f"{100 * r.mae:>10.4f}{100 * r.sdae:>10.4f}"
+            f"{100 * r.al:>10.4f}{100 * r.cr:>10.4f}"
+            + ("  [flagged]" if r.flagged else "")
+        )
+    return "\n".join(lines) + "\n"
 
 
 def _fmt(x: float) -> str:

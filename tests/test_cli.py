@@ -1047,13 +1047,16 @@ class TestSimulateCommand:
         fields = lines[1].split(",")
         assert float(fields[9]) in (0.0, 1.0)  # CR with one replication
 
-    def test_byte_identical_reruns(self, tmp_path):
+    def test_byte_identical_reruns(self, tmp_path, capsys):
+        # each run also prints exactly the table it writes to simulation.txt
         args = ["simulate", "--method", "linreg", "--b", "0,0.5", "--n", "200",
                 "--reps", "5", "--seed", "21"]
         out1 = tmp_path / "r1"
         out2 = tmp_path / "r2"
         assert main(args + ["--out", str(out1)]) == 0
+        assert capsys.readouterr().out == (out1 / "simulation.txt").read_text()
         assert main(args + ["--out", str(out2), "--workers", "2"]) == 0
+        assert capsys.readouterr().out == (out2 / "simulation.txt").read_text()
         assert (out1 / "simulation.csv").read_bytes() == (
             out2 / "simulation.csv"
         ).read_bytes()

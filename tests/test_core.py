@@ -281,7 +281,7 @@ def test_alpha_without_quantile_rejected_before_estimation(method):
 
 
 def _estimate(a_hat, a_tilde, g_hat, nu=0.5, n=100, alpha=0.95, method="mean-linear"):
-    return UtilityEstimate.from_raw(
+    return UtilityEstimate(
         a_hat=a_hat,
         a_tilde=a_tilde,
         g_hat=g_hat,
@@ -368,9 +368,9 @@ AFFINE_CASES = [
 
 @pytest.mark.parametrize("method, regressor", AFFINE_CASES)
 def test_estimates_affine_in_nu_bit_for_bit(method, regressor):
-    # finalize is the only place nu enters: every method's estimates at nu
-    # are its nu = 0 estimates mapped by theta -> nu + (1 - nu) theta and
-    # gamma -> (1 - nu) gamma, with no other rounding
+    # UtilityEstimate.from_raw is the only place nu enters: every method's
+    # estimates at nu are its nu = 0 estimates mapped by theta -> nu + (1 - nu)
+    # theta and gamma -> (1 - nu) gamma, with no other rounding
     data = generate_dgp(DgpConfig(b=0.5, n=200, seed=5))
 
     def run(nu):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fusiongain.core import ratio_estimate
+from fusiongain.core import UtilityEstimate, ratio_estimate
 from fusiongain.errors import (
     DegenerateDenominator,
     OutOfRange,
@@ -107,9 +107,9 @@ class TestSplitEstimate:
         # no refit: the numerator is the point stage's sq_g over the first
         # half, the denominator its sq_mean over the rest, bit for bit
         cores = []
-        finalize = mean_utility.finalize
-        monkeypatch.setattr(mean_utility, "finalize",
-                            lambda *args: cores.append(args[:2]) or finalize(*args))
+        from_raw = UtilityEstimate.from_raw
+        monkeypatch.setattr(UtilityEstimate, "from_raw",
+                            lambda *args: cores.append(args[:2]) or from_raw(*args))
         data = generate_dgp(DgpConfig(b=0.5, n=101, seed=6))
         assess_mean(data, **_linear_cfg(regressor=regressor, seed=6))
         scaled = split_data_stage(data, 0.5, 0.95, regressor)

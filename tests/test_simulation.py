@@ -27,12 +27,13 @@ from fusiongain.simulation import (
     METHODS,
     DgpConfig,
     MonteCarloCell,
-    SimulationReport,
     cell_seed,
     generate_dgp,
     owens_t,
     _usable_cpus,
     run_monte_carlo,
+    simulation_csv,
+    simulation_text,
     true_theta,
     true_theta_linreg,
     true_theta_mean,
@@ -352,6 +353,21 @@ class TestMonteCarlo:
         with pytest.raises(OutOfRange):
             run_monte_carlo([(cell, 1)], reps=0)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_empty_table_gives_no_rows(self, workers):
+        assert run_monte_carlo([], reps=2, workers=workers) == []
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_must_be_positive(self, monkeypatch, workers):
+        # refused before any replication runs or any child starts
+        ran = []
+        _linreg_in(monkeypatch,
+                   lambda assess, data, **settings: ran.append(1) or assess(data, **settings))
+        with pytest.raises(OutOfRange, match="^workers"):
+            run_monte_carlo(_linreg_table([0.5]), reps=2, workers=workers)
+        assert ran == []
+        assert multiprocessing.active_children() == []
+
     def test_failures_counted_and_flagged(self, monkeypatch):
         import fusiongain.simulation as sim
 
@@ -610,8 +626,7 @@ class TestReportFormats:
         return tuple(run_monte_carlo([(cell, 21)], reps=3))
 
     def test_csv_columns_and_roundtrip(self):
-        report = SimulationReport(rows=self._rows())
-        text = report.to_csv()
+        text = simulation_csv(self._rows())
         lines = text.strip().split("\n")
         assert lines[0] == "method,b,n,extra,reps,seed,MAE,SDAE,AL,CR"
         fields = lines[1].split(",")
@@ -625,8 +640,7 @@ class TestReportFormats:
 
     def test_text_table_times_100(self):
         row = self._rows()[0]
-        report = SimulationReport(rows=(row,))
-        rendered = report.to_text()
+        rendered = simulation_text([row])
         assert f"{100 * row.mae:.4f}" in rendered
         assert f"{100 * row.al:.4f}" in rendered
 
